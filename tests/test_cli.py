@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -241,3 +242,25 @@ class TestReport:
         m2 = json.loads((out2 / "manifest.json").read_text())
         assert m1["artifacts"] == m2["artifacts"]
         assert m1["content_hash"] == m2["content_hash"]
+
+    def test_row_order_does_not_change_the_report(self, small_scenario_json, tmp_path):
+        main(["simulate", "--scenario", str(small_scenario_json),
+              "--out", str(tmp_path / "sim")])
+        header, *rows = (tmp_path / "sim" / "corpus.csv").read_text().splitlines()
+        random.Random(7).shuffle(rows)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("\n".join([header, *rows]) + "\n")
+        hashes = []
+        for name, path in (("a", tmp_path / "sim" / "corpus.csv"), ("b", shuffled)):
+            assert main(["report", "--input", str(path),
+                         "--out", str(tmp_path / name)]) == 0
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            hashes.append(manifest["content_hash"])
+        assert hashes[0] == hashes[1]
+
+    def test_counts_beyond_int64_still_report(self, tmp_path):
+        rows = [(f"p{i}", 2003, "A", c) for i, c in enumerate(range(0, 24, 2))]
+        rows.append(("big", 2003, "A", 10**20))
+        rows += [(f"q{i}", 2003, "B", c) for i, c in enumerate(range(1, 13))]
+        path = write_corpus_csv(tmp_path / "big.csv", rows)
+        assert main(["report", "--input", str(path), "--out", str(tmp_path / "o")]) == 0
