@@ -16,8 +16,8 @@ from .corpus import (
     GroupKey,
     IngestResult,
     PubRecord,
+    citation_vectors,
     emit_csv,
-    group,
     group_records,
     ingest_csv,
 )
@@ -29,14 +29,11 @@ from .errors import (
     DuplicateRecordError,
     EmptyCorpusError,
     EmptyGroupError,
-    GroupMismatchError,
     InsufficientSampleError,
     ScenarioError,
-    UndefinedScalingError,
 )
 from .gof import GofReport, ad_lognormal, p_bracket
 from .scaling import (
-    ScaledRecord,
     ScalingFactorSet,
     ScalingMethod,
     SkippedGroup,
@@ -44,7 +41,6 @@ from .scaling import (
     boxcox_transform,
     fit_factors,
     fit_lambda,
-    scale,
     scale_corpus,
 )
 from .stats import GroupStats, describe, describe_nonzero
@@ -71,18 +67,17 @@ __all__ = [
     "__version__",
     # corpus
     "Corpus", "GroupKey", "IngestResult", "PubRecord",
-    "emit_csv", "group", "group_records", "ingest_csv",
+    "citation_vectors", "emit_csv", "group_records", "ingest_csv",
     # errors
     "CitescaleError", "CorpusFormatError", "CorpusValueError",
     "DegenerateLikelihoodError", "DuplicateRecordError", "EmptyCorpusError",
-    "EmptyGroupError", "GroupMismatchError", "InsufficientSampleError",
-    "ScenarioError", "UndefinedScalingError",
+    "EmptyGroupError", "InsufficientSampleError", "ScenarioError",
     # stats
     "GroupStats", "describe", "describe_nonzero",
     # scaling
-    "ScaledRecord", "ScalingFactorSet", "ScalingMethod", "SkippedGroup",
+    "ScalingFactorSet", "ScalingMethod", "SkippedGroup",
     "boxcox_loglik", "boxcox_transform", "fit_factors", "fit_lambda",
-    "scale", "scale_corpus",
+    "scale_corpus",
     # survival
     "CollapseReport", "QuantileDispersion", "SurvivalCurve",
     "collapse_metrics", "ks_statistic", "survival_curve",

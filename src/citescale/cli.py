@@ -12,11 +12,12 @@ Subcommands::
     report         the full pipeline for raw plus all six methods, with a
                    hash manifest of every artifact
 
-Exit codes: 0 success, 1 data error, 2 usage error.  All numeric output is
-locale-independent with '.' as decimal separator and 10 significant digits,
-and rerunning a subcommand on identical inputs rewrites identical bytes
-(timestamps appear only in the manifest metadata block, which is excluded
-from hashing).
+Exit codes: 0 success, 1 data error, 2 usage error (including flag values
+that could not work, such as a non-positive goodness-of-fit threshold).
+All numeric output is locale-independent with '.' as decimal separator and
+10 significant digits, and rerunning a subcommand on identical inputs
+rewrites identical bytes (timestamps appear only in the manifest metadata
+block, which is excluded from hashing).
 """
 
 from __future__ import annotations
@@ -24,12 +25,22 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .corpus import Corpus, emit_csv, group, group_records, ingest_csv
+from .corpus import (
+    Corpus,
+    GroupKey,
+    citation_vectors,
+    emit_csv,
+    group_records,
+    ingest_csv,
+)
 from .errors import CitescaleError, InsufficientSampleError
 from .gof import DEFAULT_THRESHOLD, ad_lognormal
 from .scaling import ScalingMethod, scale_corpus
@@ -79,13 +90,13 @@ def _fraction(text: str) -> float:
     return value
 
 
-def _nonneg(text: str) -> float:
+def _positive(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
 
 
@@ -99,6 +110,10 @@ def _load_corpus(args: argparse.Namespace) -> Corpus:
             file=sys.stderr,
         )
     return result.corpus
+
+
+def _load_citations(args: argparse.Namespace) -> dict[GroupKey, np.ndarray]:
+    return citation_vectors(group_records(_load_corpus(args)))
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -116,11 +131,10 @@ STATS_HEADER = (
 )
 
 
-def _write_stats(corpus: Corpus, path: Path) -> None:
+def _write_stats(citations: dict[GroupKey, np.ndarray], path: Path) -> None:
     rows = []
-    vectors = group(corpus)
-    for key in sorted(vectors):
-        st = describe(vectors[key])
+    for key, values in citations.items():
+        st = describe(values)
         rows.append(
             (
                 key.category, key.year, st.n, st.mean, st.median, st.stddev,
@@ -132,15 +146,16 @@ def _write_stats(corpus: Corpus, path: Path) -> None:
 
 
 def _write_scaled(corpus: Corpus, method: ScalingMethod, out: Path) -> list[Path]:
-    scaled, skipped = scale_corpus(corpus, method)
+    groups = group_records(corpus)
+    scores, skipped = scale_corpus(citation_vectors(groups), method)
     scaled_path = out / f"scaled_{method.value}.csv"
     _write_csv(
         scaled_path,
         ("pub_id", "year", "category", "citations", "method", "aii"),
         (
-            (s.record.pub_id, s.record.year, s.record.category,
-             s.record.citations, s.method.value, s.aii)
-            for s in scaled
+            (rec.pub_id, rec.year, rec.category, rec.citations, method.value, aii)
+            for key, aii_vec in scores.items()
+            for rec, aii in zip(groups[key], aii_vec.tolist())
         ),
     )
     skipped_path = out / f"skipped_{method.value}.csv"
@@ -150,17 +165,6 @@ def _write_scaled(corpus: Corpus, method: ScalingMethod, out: Path) -> list[Path
         ((sk.group.category, sk.group.year, sk.n_records, sk.reason) for sk in skipped),
     )
     return [scaled_path, skipped_path]
-
-
-def _scaled_vectors(corpus: Corpus, method: ScalingMethod | None):
-    """Per-group score vectors: raw citations when method is None."""
-    if method is None:
-        return {key: [float(c) for c in vec] for key, vec in group(corpus).items()}
-    scaled, _ = scale_corpus(corpus, method)
-    vectors: dict = {}
-    for s in scaled:
-        vectors.setdefault(s.record.key, []).append(s.aii)
-    return vectors
 
 
 def _collapse_payload(report) -> dict:
@@ -180,10 +184,13 @@ def _collapse_payload(report) -> dict:
     }
 
 
-def _write_survival(corpus: Corpus, method: ScalingMethod | None, out: Path) -> list[Path]:
+def _write_survival(
+    vectors: dict[GroupKey, np.ndarray], method: ScalingMethod | None, out: Path
+) -> list[Path]:
+    """Curves and collapse metrics of one method's scores (raw counts when
+    ``method`` is None)."""
     name = "raw" if method is None else method.value
-    vectors = _scaled_vectors(corpus, method)
-    keys = sorted(vectors)
+    keys = list(vectors)
     thresholds = log_binned_thresholds(vectors[k] for k in keys)
     rows = []
     for key in keys:
@@ -217,13 +224,13 @@ TOPSHARE_HEADER = (
 
 
 def _write_topshare(
-    corpus: Corpus,
-    methods: list[ScalingMethod],
+    raw: dict[GroupKey, np.ndarray],
+    scored: dict,
     top_fraction: float,
     out: Path,
     years=None,
 ) -> list[Path]:
-    reports = method_comparison(corpus, methods, top_fraction, years=years)
+    reports = method_comparison(raw, scored, top_fraction, years=years)
     paths = []
     summary: dict = {"top_fraction": top_fraction, "methods": {}}
     for report in reports:
@@ -259,12 +266,14 @@ GOF_HEADER = (
 
 
 def _write_gof(
-    corpus: Corpus, method: ScalingMethod, threshold: float, out: Path
+    vectors: dict[GroupKey, np.ndarray],
+    method: ScalingMethod,
+    threshold: float,
+    out: Path,
 ) -> list[Path]:
-    vectors = _scaled_vectors(corpus, method)
     rows = []
     n_skipped = 0
-    for key in sorted(vectors):
+    for key in vectors:
         try:
             rep = ad_lognormal(vectors[key], threshold=threshold, group=key)
         except InsufficientSampleError:
@@ -298,9 +307,9 @@ def _cmd_ingest_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args)
+    citations = _load_citations(args)
     out = _out_dir(args)
-    _write_stats(corpus, out / "stats.csv")
+    _write_stats(citations, out / "stats.csv")
     return 0
 
 
@@ -312,27 +321,30 @@ def _cmd_scale(args: argparse.Namespace) -> int:
 
 
 def _cmd_survival(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args)
+    raw = _load_citations(args)
     out = _out_dir(args)
-    names = ["raw"] + list(dict.fromkeys(args.method or []))
-    for name in names:
-        method = None if name == "raw" else ScalingMethod(name)
-        _write_survival(corpus, method, out)
+    _write_survival(raw, None, out)
+    for method in dict.fromkeys(ScalingMethod(m) for m in args.method or []):
+        _write_survival(scale_corpus(raw, method)[0], method, out)
     return 0
 
 
 def _cmd_topshare(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args)
+    raw = _load_citations(args)
     out = _out_dir(args)
-    methods = [ScalingMethod(m) for m in dict.fromkeys(args.method or [])]
-    _write_topshare(corpus, methods, args.top_fraction, out, years=args.year or None)
+    scored = {
+        method: scale_corpus(raw, method)
+        for method in dict.fromkeys(ScalingMethod(m) for m in args.method or [])
+    }
+    _write_topshare(raw, scored, args.top_fraction, out, years=args.year or None)
     return 0
 
 
 def _cmd_gof(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args)
+    raw = _load_citations(args)
     out = _out_dir(args)
-    _write_gof(corpus, ScalingMethod(args.method), args.gof_threshold, out)
+    method = ScalingMethod(args.method)
+    _write_gof(scale_corpus(raw, method)[0], method, args.gof_threshold, out)
     return 0
 
 
@@ -367,17 +379,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
         corpus = _load_corpus(args)
         source = str(args.input)
 
+    raw = citation_vectors(group_records(corpus))
     stats_path = out / "stats.csv"
-    _write_stats(corpus, stats_path)
+    _write_stats(raw, stats_path)
     artifacts.append(stats_path)
 
-    for method in [None, *ScalingMethod]:
-        artifacts.extend(_write_survival(corpus, method, out))
-    artifacts.extend(
-        _write_topshare(corpus, list(ScalingMethod), args.top_fraction, out)
-    )
-    for method in ScalingMethod:
-        artifacts.extend(_write_gof(corpus, method, args.gof_threshold, out))
+    # every diagnostic reads the same score vectors: one scoring per method
+    scored = {method: scale_corpus(raw, method) for method in ScalingMethod}
+    artifacts.extend(_write_survival(raw, None, out))
+    for method, (scores, _) in scored.items():
+        artifacts.extend(_write_survival(scores, method, out))
+        artifacts.extend(_write_gof(scores, method, args.gof_threshold, out))
+    artifacts.extend(_write_topshare(raw, scored, args.top_fraction, out))
 
     entries = []
     for path in sorted(artifacts, key=lambda p: p.name):
@@ -473,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gof", help="lognormal goodness of fit per group")
     _add_input_args(p)
     p.add_argument("--method", required=True, choices=METHOD_NAMES)
-    p.add_argument("--gof-threshold", type=_nonneg, default=DEFAULT_THRESHOLD)
+    p.add_argument("--gof-threshold", type=_positive, default=DEFAULT_THRESHOLD)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_gof)
 
@@ -485,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="full pipeline: raw plus all six methods")
     _add_input_args(p)
     p.add_argument("--top-fraction", type=_fraction, default=DEFAULT_TOP_FRACTION)
-    p.add_argument("--gof-threshold", type=_nonneg, default=DEFAULT_THRESHOLD)
+    p.add_argument("--gof-threshold", type=_positive, default=DEFAULT_THRESHOLD)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_report)
 
@@ -496,7 +509,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CitescaleError, OSError, ValueError) as exc:
+    except (CitescaleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,13 +8,18 @@ computed per (category, year) group.
 CSV wire format (canonical form):
     header ``pub_id,year,category,citations``, comma separated, LF line
     endings, no quoting; emission sorts rows by (category, year, pub_id).
+    Since nothing is quoted, ``pub_id`` and ``category`` may not hold a
+    comma, a double quote or a line break.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import (
     CorpusFormatError,
@@ -24,6 +29,7 @@ from .errors import (
 )
 
 CSV_HEADER = ("pub_id", "year", "category", "citations")
+_UNQUOTABLE = (",", '"', "\r", "\n")
 
 
 @dataclass(frozen=True, order=True)
@@ -113,59 +119,66 @@ def ingest_csv(
 
     Raises :class:`CorpusFormatError` for a bad header or ragged rows,
     :class:`CorpusValueError` for bad cell values (both name the offending
-    line), and :class:`EmptyCorpusError` for a file with no data rows.
+    line; text that is not UTF-8 is a format error), and
+    :class:`EmptyCorpusError` for a file with no data rows.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyCorpusError(f"{path}: file is empty") from None
-        if tuple(h.strip() for h in header) != CSV_HEADER:
-            raise CorpusFormatError(
-                f"{path}, line 1: expected header {','.join(CSV_HEADER)!r}, "
-                f"got {','.join(header)!r}"
-            )
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise CorpusFormatError(f"{path}, line {line_no}: not valid UTF-8") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyCorpusError(f"{path}: file is empty") from None
+    if tuple(h.strip() for h in header) != CSV_HEADER:
+        raise CorpusFormatError(
+            f"{path}, line 1: expected header {','.join(CSV_HEADER)!r}, "
+            f"got {','.join(header)!r}"
+        )
 
-        by_assignment: dict[tuple[str, str], PubRecord] = {}
-        n_rows = 0
-        n_warnings = 0
-        for line_no, row in enumerate(reader, start=2):
-            if not row:  # tolerate blank trailing lines
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise CorpusFormatError(
-                    f"{path}, line {line_no}: expected {len(CSV_HEADER)} columns, "
-                    f"got {len(row)}"
+    by_assignment: dict[tuple[str, str], PubRecord] = {}
+    n_rows = 0
+    n_warnings = 0
+    for line_no, row in enumerate(reader, start=2):
+        if not row:  # tolerate blank trailing lines
+            continue
+        if len(row) != len(CSV_HEADER):
+            raise CorpusFormatError(
+                f"{path}, line {line_no}: expected {len(CSV_HEADER)} columns, "
+                f"got {len(row)}"
+            )
+        pub_id = row[0].strip()
+        if not pub_id:
+            raise CorpusValueError(f"{path}, line {line_no}: empty pub_id")
+        if any(ch in field for field in (row[0], row[2]) for ch in _UNQUOTABLE):
+            raise CorpusValueError(
+                f"{path}, line {line_no}: pub_id and category must not contain "
+                "commas, double quotes or line breaks"
+            )
+        year = _parse_int(row[1], "year", line_no)
+        category = row[2].strip()
+        if not category:
+            raise CorpusValueError(f"{path}, line {line_no}: empty category")
+        citations = _parse_int(row[3], "citations", line_no)
+        if citations < 0:
+            raise CorpusValueError(
+                f"{path}, line {line_no}: citations must be >= 0, got {citations}"
+            )
+        n_rows += 1
+        rec = PubRecord(pub_id, year, category, citations)
+        dup_key = (pub_id, category)
+        if dup_key in by_assignment:
+            if strict:
+                raise DuplicateRecordError(
+                    f"{path}, line {line_no}: duplicate (pub_id, category) "
+                    f"{dup_key!r}"
                 )
-            pub_id = row[0].strip()
-            if not pub_id:
-                raise CorpusValueError(f"{path}, line {line_no}: empty pub_id")
-            if "," in pub_id or "," in row[2]:
-                raise CorpusValueError(
-                    f"{path}, line {line_no}: pub_id and category must not contain commas"
-                )
-            year = _parse_int(row[1], "year", line_no)
-            category = row[2].strip()
-            if not category:
-                raise CorpusValueError(f"{path}, line {line_no}: empty category")
-            citations = _parse_int(row[3], "citations", line_no)
-            if citations < 0:
-                raise CorpusValueError(
-                    f"{path}, line {line_no}: citations must be >= 0, got {citations}"
-                )
-            n_rows += 1
-            rec = PubRecord(pub_id, year, category, citations)
-            dup_key = (pub_id, category)
-            if dup_key in by_assignment:
-                if strict:
-                    raise DuplicateRecordError(
-                        f"{path}, line {line_no}: duplicate (pub_id, category) "
-                        f"{dup_key!r}"
-                    )
-                n_warnings += 1
-            by_assignment[dup_key] = rec
+            n_warnings += 1
+        by_assignment[dup_key] = rec
 
     if not by_assignment:
         raise EmptyCorpusError(f"{path}: no data rows")
@@ -184,18 +197,28 @@ def emit_csv(corpus: Corpus, path: str | Path) -> None:
 
 
 def group_records(corpus: Corpus) -> dict[GroupKey, list[PubRecord]]:
-    """Partition records by (category, year), preserving ingestion order."""
+    """Partition records by (category, year).
+
+    Groups come in key order and records by pub_id within each group: the
+    order every per-group vector downstream follows.
+    """
     if not corpus.records:
         raise EmptyCorpusError("cannot group an empty corpus")
     groups: dict[GroupKey, list[PubRecord]] = {}
-    for rec in corpus.records:
+    for rec in sorted(corpus.records, key=lambda r: (r.category, r.year, r.pub_id)):
         groups.setdefault(rec.key, []).append(rec)
     return groups
 
 
-def group(corpus: Corpus) -> dict[GroupKey, list[int]]:
-    """Citation vectors per (category, year), in ingestion order."""
+def citation_vectors(
+    groups: dict[GroupKey, list[PubRecord]],
+) -> dict[GroupKey, np.ndarray]:
+    """Each group's citation counts as float64, the input of every score.
+
+    Counts go straight to float64, never through int64, so counts beyond
+    2**63 still score.
+    """
     return {
-        key: [rec.citations for rec in recs]
-        for key, recs in group_records(corpus).items()
+        key: np.array([rec.citations for rec in recs], dtype=np.float64)
+        for key, recs in groups.items()
     }

@@ -1,9 +1,11 @@
 """Exception hierarchy for data and contract failures.
 
-Everything raised on bad *data* derives from :class:`CitescaleError`, so the
-CLI can map any of them to exit code 1 while argparse keeps owning usage
-errors (exit code 2).  Parameter misuse inside the library (fractions outside
-(0, 1), too few curves, ...) raises plain :class:`ValueError`.
+Everything raised on bad *data* derives from :class:`CitescaleError`.  The
+CLI maps only these and :class:`OSError` to exit code 1, while argparse
+keeps owning usage errors (exit code 2); any other exception is a library
+bug and surfaces as a traceback.  Parameter misuse inside the library
+(fractions outside (0, 1), too few curves, ...) raises plain
+:class:`ValueError`.
 """
 
 
@@ -34,14 +36,6 @@ class EmptyGroupError(CitescaleError):
 class DegenerateLikelihoodError(CitescaleError):
     """The power-transform likelihood has no interior information (all values
     equal, or fewer than three observations)."""
-
-
-class UndefinedScalingError(CitescaleError):
-    """A record was scaled against a factor set whose statistic is undefined."""
-
-
-class GroupMismatchError(CitescaleError):
-    """A record was scaled against factors fitted on a different group."""
 
 
 class InsufficientSampleError(CitescaleError):

@@ -33,16 +33,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
-from .corpus import Corpus, GroupKey, PubRecord, group_records
-from .errors import (
-    DegenerateLikelihoodError,
-    EmptyGroupError,
-    GroupMismatchError,
-    UndefinedScalingError,
-)
+from .corpus import GroupKey
+from .errors import DegenerateLikelihoodError, EmptyGroupError
 
 LAMBDA_BOUNDS = (-3.0, 3.0)
 _GRID_STEP = 0.01
@@ -67,7 +63,7 @@ class ScalingFactorSet:
 
     ``defined`` is False exactly when the method's statistic does not exist
     for this group's data; ``reason`` then says why.  For the ratio methods
-    ``denominator == denom_num / denom_den`` with both sides exactly
+    the divisor is ``denom_num / denom_den`` with both sides exactly
     representable.  For the power-transform method ``lam`` and
     ``boxcox_mean`` are set instead.
     """
@@ -75,21 +71,11 @@ class ScalingFactorSet:
     group: GroupKey
     method: ScalingMethod
     defined: bool
-    denominator: float | None = None
     denom_num: float | None = None
     denom_den: float | None = None
     lam: float | None = None
     boxcox_mean: float | None = None
     reason: str | None = None
-
-
-@dataclass(frozen=True)
-class ScaledRecord:
-    """A publication record together with its score under one method."""
-
-    record: PubRecord
-    method: ScalingMethod
-    aii: float
 
 
 @dataclass(frozen=True)
@@ -220,7 +206,6 @@ def fit_factors(group: GroupKey, values, method: ScalingMethod) -> ScalingFactor
             group=group,
             method=method,
             defined=True,
-            denominator=num / den,
             denom_num=num,
             denom_den=den,
         )
@@ -274,44 +259,26 @@ def fit_factors(group: GroupKey, values, method: ScalingMethod) -> ScalingFactor
     raise ValueError(f"unknown scaling method {method!r}")
 
 
-def scale(record: PubRecord, factors: ScalingFactorSet) -> ScaledRecord:
-    """Score one record against its group's fitted factors."""
-    if not factors.defined:
-        raise UndefinedScalingError(
-            f"group {factors.group} has no defined {factors.method.value!r} "
-            f"scaling ({factors.reason})"
-        )
-    if record.key != factors.group:
-        raise GroupMismatchError(
-            f"record {record.pub_id!r} belongs to {record.key}, "
-            f"factors were fitted on {factors.group}"
-        )
-    if factors.method is ScalingMethod.BOX_COX_MEAN:
-        aii = float(boxcox_transform(record.citations, factors.lam)) / factors.boxcox_mean
-    else:
-        aii = (record.citations * factors.denom_den) / factors.denom_num
-    return ScaledRecord(record=record, method=factors.method, aii=aii)
-
-
 def scale_corpus(
-    corpus: Corpus, method: ScalingMethod
-) -> tuple[list[ScaledRecord], list[SkippedGroup]]:
-    """Scale every record whose group has a defined statistic.
+    citations: Mapping[GroupKey, np.ndarray], method: ScalingMethod
+) -> tuple[dict[GroupKey, np.ndarray], list[SkippedGroup]]:
+    """Score every group whose statistic is defined.
 
-    Output is deterministic: groups in (category, year) order, records by
-    pub_id within each group.  Groups with an undefined statistic are
-    reported, never imputed.
+    ``citations`` maps each (category, year) group to its citation counts
+    (see :func:`~citescale.corpus.citation_vectors`).  The result holds one
+    float64 score vector per defined group, in key order, each in the order
+    of its input counts.  Groups with an undefined statistic are reported,
+    never imputed.
     """
-    scaled: list[ScaledRecord] = []
+    scores: dict[GroupKey, np.ndarray] = {}
     skipped: list[SkippedGroup] = []
-    groups = group_records(corpus)
-    for key in sorted(groups):
-        recs = sorted(groups[key], key=lambda r: r.pub_id)
-        factors = fit_factors(key, [r.citations for r in recs], method)
+    for key in sorted(citations):
+        c = np.asarray(citations[key], dtype=np.float64)
+        factors = fit_factors(key, c, method)
         if not factors.defined:
-            skipped.append(
-                SkippedGroup(group=key, n_records=len(recs), reason=factors.reason)
-            )
-            continue
-        scaled.extend(scale(rec, factors) for rec in recs)
-    return scaled, skipped
+            skipped.append(SkippedGroup(key, c.size, factors.reason))
+        elif method is ScalingMethod.BOX_COX_MEAN:
+            scores[key] = boxcox_transform(c, factors.lam) / factors.boxcox_mean
+        else:
+            scores[key] = (c * factors.denom_den) / factors.denom_num
+    return scores, skipped

@@ -134,7 +134,10 @@ def generate(scenario: Scenario) -> Corpus:
     for spec in scenario.specs:
         rng = _spec_rng(scenario.seed, spec)
         u = rng.random(spec.n)
-        fam = _draw_family(rng, spec)
+        try:
+            fam = _draw_family(rng, spec)
+        except ValueError as exc:  # parameters numpy's sampler cannot draw from
+            raise ScenarioError(f"spec {spec.category}/{spec.year}: {exc}") from None
         counts = np.where(u < spec.zero_inflation, 0, fam) * spec.count_scale
         records.extend(
             PubRecord(
@@ -217,8 +220,12 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh))
+    try:
+        with Path(path).open("r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"{path}: not a JSON scenario: {exc}") from None
+    return scenario_from_dict(data)
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:

@@ -1,6 +1,6 @@
 """Global top-decile ranking and per-category share admissibility bands.
 
-All scored records are pooled into one ranking; the globally top
+The scores of all groups are pooled into one ranking; the globally top
 ``top_fraction`` of them is extracted (ties at the cutoff included), and each
 category's share of top records is compared against the band
 
@@ -23,9 +23,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, PubRecord
+from .corpus import GroupKey
 from .errors import EmptyCorpusError
-from .scaling import ScaledRecord, ScalingMethod, scale_corpus
+from .scaling import ScalingMethod, SkippedGroup
 
 DEFAULT_TOP_FRACTION = 0.10
 
@@ -69,18 +69,6 @@ class TopShareReport:
         return sum(1 for c in self.per_category if c.within_band)
 
 
-def _score_of(record: ScaledRecord | PubRecord) -> float:
-    if isinstance(record, ScaledRecord):
-        return record.aii
-    return float(record.citations)
-
-
-def _category_of(record: ScaledRecord | PubRecord) -> str:
-    if isinstance(record, ScaledRecord):
-        return record.record.category
-    return record.category
-
-
 def _top_rank(top_fraction: float, n: int) -> int:
     """Number of records in the nominal top set: ceil(f * n), guarding the
     float artifacts of products like 0.1 * 1000."""
@@ -92,41 +80,44 @@ def _top_rank(top_fraction: float, n: int) -> int:
 
 
 def top_share(
-    records: Sequence[ScaledRecord | PubRecord],
+    scores: Mapping[GroupKey, np.ndarray],
     top_fraction: float = DEFAULT_TOP_FRACTION,
     method: ScalingMethod | None = None,
     skipped_by_category: Mapping[str, int] | None = None,
 ) -> TopShareReport:
-    """Rank the pooled records and report each category's top share.
+    """Rank the pooled scores of all groups and report each category's top share.
 
+    ``scores`` holds one score vector per (category, year) group.
     ``skipped_by_category`` carries, per category, how many of its records
     were dropped because their group's scaling statistic was undefined;
     categories with only skipped records are reported as unevaluated.
     """
     if not 0.0 < top_fraction < 1.0:
         raise ValueError(f"top_fraction must be in (0, 1), got {top_fraction}")
-    if len(records) == 0:
-        raise EmptyCorpusError("cannot rank an empty record collection")
+    vectors = [
+        (key.category, np.asarray(v, dtype=np.float64)) for key, v in scores.items()
+    ]
+    n = sum(v.size for _, v in vectors)
+    if n == 0:
+        raise EmptyCorpusError("cannot rank an empty score collection")
 
-    scores = np.array([_score_of(r) for r in records], dtype=np.float64)
-    categories = [_category_of(r) for r in records]
-    n = scores.size
+    pooled = np.concatenate([v for _, v in vectors])
     k = _top_rank(top_fraction, n)
-    cutoff = float(np.partition(scores, n - k)[n - k])
-    is_top = scores >= cutoff
+    cutoff = float(np.partition(pooled, n - k)[n - k])
 
     n_by_cat: dict[str, int] = {}
     top_by_cat: dict[str, int] = {}
-    for cat, top in zip(categories, is_top):
-        n_by_cat[cat] = n_by_cat.get(cat, 0) + 1
-        if top:
-            top_by_cat[cat] = top_by_cat.get(cat, 0) + 1
+    for cat, v in vectors:
+        if v.size:
+            n_by_cat[cat] = n_by_cat.get(cat, 0) + v.size
+            n_top = int(np.count_nonzero(v >= cutoff))
+            top_by_cat[cat] = top_by_cat.get(cat, 0) + n_top
 
     skipped = dict(skipped_by_category or {})
     per_category = []
     for cat in sorted(n_by_cat):
         n_cat = n_by_cat[cat]
-        top_count = top_by_cat.get(cat, 0)
+        top_count = top_by_cat[cat]
         share = top_count / n_cat
         sd = math.sqrt(top_fraction * (1.0 - top_fraction) / n_cat)
         band_low = top_fraction - sd
@@ -149,40 +140,46 @@ def top_share(
         top_fraction=top_fraction,
         cutoff=cutoff,
         n_records=n,
-        n_top=int(is_top.sum()),
+        n_top=sum(top_by_cat.values()),
         per_category=tuple(per_category),
         unevaluated_categories=unevaluated,
     )
 
 
 def method_comparison(
-    corpus: Corpus,
-    methods: Sequence[ScalingMethod],
+    raw: Mapping[GroupKey, np.ndarray],
+    scored: Mapping[
+        ScalingMethod,
+        tuple[Mapping[GroupKey, np.ndarray], Sequence[SkippedGroup]],
+    ],
     top_fraction: float = DEFAULT_TOP_FRACTION,
     years: Iterable[int] | None = None,
 ) -> list[TopShareReport]:
-    """Raw ranking plus one report per scaling method, in a stable order.
+    """Raw ranking plus one report per scaling method, in the order given.
 
-    Years are pooled into a single global ranking unless ``years`` narrows
-    the corpus first.
+    ``raw`` holds each group's citation counts and ``scored`` each method's
+    :func:`~citescale.scaling.scale_corpus` result.  Years are pooled into a
+    single global ranking unless ``years`` selects some of the groups.
     """
-    records: Sequence[PubRecord] = corpus.records
-    if years is not None:
-        wanted = set(years)
-        records = tuple(r for r in records if r.year in wanted)
-    if not records:
-        raise EmptyCorpusError("no records to rank (year filter too narrow?)")
-    filtered = Corpus(records=records, census_date=corpus.census_date)
+    wanted = None if years is None else set(years)
 
-    reports = [top_share(filtered.records, top_fraction, method=None)]
-    for method in methods:
-        scaled, skipped_groups = scale_corpus(filtered, method)
+    def ranked(key: GroupKey) -> bool:
+        return wanted is None or key.year in wanted
+
+    raw = {key: v for key, v in raw.items() if ranked(key)}
+    if not raw:
+        raise EmptyCorpusError("no records to rank (year filter too narrow?)")
+
+    reports = [top_share(raw, top_fraction, method=None)]
+    for method, (scores, skipped_groups) in scored.items():
         skipped_by_category: dict[str, int] = {}
         for sk in skipped_groups:
-            skipped_by_category[sk.group.category] = (
-                skipped_by_category.get(sk.group.category, 0) + sk.n_records
-            )
-        if not scaled:
+            if ranked(sk.group):
+                skipped_by_category[sk.group.category] = (
+                    skipped_by_category.get(sk.group.category, 0) + sk.n_records
+                )
+        scores = {key: v for key, v in scores.items() if ranked(key)}
+        if not scores:
             reports.append(
                 TopShareReport(
                     method=method,
@@ -197,7 +194,7 @@ def method_comparison(
             continue
         reports.append(
             top_share(
-                scaled,
+                scores,
                 top_fraction,
                 method=method,
                 skipped_by_category=skipped_by_category,

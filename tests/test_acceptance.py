@@ -15,15 +15,17 @@ import time
 import numpy as np
 
 from citescale.cli import main
-from citescale.corpus import Corpus, GroupKey, PubRecord, emit_csv, group, ingest_csv
-from citescale.gof import ad_lognormal, p_bracket
-from citescale.scaling import (
-    ScalingMethod,
-    fit_factors,
-    fit_lambda,
-    scale,
-    scale_corpus,
+from citescale.corpus import (
+    Corpus,
+    GroupKey,
+    PubRecord,
+    citation_vectors,
+    emit_csv,
+    group_records,
+    ingest_csv,
 )
+from citescale.gof import ad_lognormal, p_bracket
+from citescale.scaling import ScalingMethod, fit_factors, fit_lambda, scale_corpus
 from citescale.stats import describe
 from citescale.survival import collapse_metrics, survival_curve
 from citescale.synth import (
@@ -59,19 +61,9 @@ def criterion(number, label):
     return decorate
 
 
-def scaled_vectors(corpus, method):
-    if method is None:
-        return {k: [float(x) for x in v] for k, v in group(corpus).items()}
-    scaled, _ = scale_corpus(corpus, method)
-    vectors = {}
-    for s in scaled:
-        vectors.setdefault(s.record.key, []).append(s.aii)
-    return vectors
-
-
-def collapse_for(corpus, method):
-    vectors = scaled_vectors(corpus, method)
-    curves = [survival_curve(vectors[k], group=k) for k in sorted(vectors)]
+def collapse_for(raw, method):
+    vectors = raw if method is None else scale_corpus(raw, method)[0]
+    curves = [survival_curve(v, group=k) for k, v in vectors.items()]
     return collapse_metrics(curves, method=method)
 
 
@@ -82,6 +74,7 @@ def test_criterion_1_exact_rescaling_collapse():
         "A", 2003, 1000, "discretized-lognormal", (1.5, 1.2), zero_inflation=0.2
     )
     corpus = generate(scaled_copy_scenario(base, k=3, seed=41))
+    raw = citation_vectors(group_records(corpus))
     methods = (
         ScalingMethod.MEAN,
         ScalingMethod.MEAN_NO_ZERO,
@@ -90,7 +83,7 @@ def test_criterion_1_exact_rescaling_collapse():
         ScalingMethod.MAX_RANGE,
     )
     for method in methods:
-        report = collapse_for(corpus, method)
+        report = collapse_for(raw, method)
         assert report.max_pairwise_ks == 0.0, method
         for d in report.quantile_dispersion:
             assert d.spread == 0.0, (method, d.q)
@@ -110,24 +103,17 @@ def test_criterion_2_normalization_identities():
         ).astype(int)
         if values.sum() == 0:
             values[0] = 3
-        key = GroupKey("G", 2003)
-        records = [
-            PubRecord(f"p{i}", 2003, "G", int(c)) for i, c in enumerate(values)
-        ]
+        group = {GroupKey("G", 2003): values}
 
-        f_mean = fit_factors(key, values, ScalingMethod.MEAN)
-        aii = np.array([scale(r, f_mean).aii for r in records])
+        (aii,) = scale_corpus(group, ScalingMethod.MEAN)[0].values()
         assert abs(aii.mean() - 1.0) <= 1e-12
 
-        f_mean0 = fit_factors(key, values, ScalingMethod.MEAN_NO_ZERO)
-        aii0 = np.array(
-            [scale(r, f_mean0).aii for r in records if r.citations > 0]
-        )
-        assert abs(aii0.mean() - 1.0) <= 1e-12
+        (aii0,) = scale_corpus(group, ScalingMethod.MEAN_NO_ZERO)[0].values()
+        assert abs(aii0[values > 0].mean() - 1.0) <= 1e-12
 
-        f_med = fit_factors(key, values, ScalingMethod.MEDIAN)
-        if f_med.defined:
-            aii_med = np.array([scale(r, f_med).aii for r in records])
+        scored_med, _ = scale_corpus(group, ScalingMethod.MEDIAN)
+        if scored_med:
+            (aii_med,) = scored_med.values()
             assert float(np.median(aii_med)) == 1.0
             n_median_checked += 1
     assert n_median_checked >= 25  # the identity was exercised, not skipped
@@ -136,19 +122,17 @@ def test_criterion_2_normalization_identities():
 @criterion(3, "frozen-scenario method orderings")
 def test_criterion_3_frozen_scenario_orderings():
     started = time.perf_counter()
-    corpus = generate(benchmark_scenario())
+    raw = citation_vectors(group_records(generate(benchmark_scenario())))
+    scored = {method: scale_corpus(raw, method) for method in ScalingMethod}
 
-    reports = {
-        r.method_name: r
-        for r in method_comparison(corpus, list(ScalingMethod), 0.10)
-    }
+    reports = {r.method_name: r for r in method_comparison(raw, scored, 0.10)}
     in_band = {name: r.n_within_band for name, r in reports.items()}
     assert in_band["mean0"] >= in_band["mean"] > in_band["raw"], in_band
     assert in_band["median"] < in_band["mean0"], in_band
     assert in_band["median0"] < in_band["mean0"], in_band
 
     collapse = {
-        name: collapse_for(corpus, method)
+        name: collapse_for(raw, method)
         for name, method in (
             ("raw", None),
             ("mean", ScalingMethod.MEAN),
@@ -277,8 +261,8 @@ def test_criterion_7_median_undefinedness():
                 PubRecord(f"{key.category}-{trial}-{i}", 2003, key.category, int(c))
                 for i, c in enumerate(values)
             ]
-        corpus = Corpus(records=tuple(records))
-        scaled, skipped = scale_corpus(corpus, ScalingMethod.MEDIAN)
+        raw = citation_vectors(group_records(Corpus(records=tuple(records))))
+        _, skipped = scale_corpus(raw, ScalingMethod.MEDIAN)
         skipped_keys = {s.group for s in skipped}
         for key, values in zero_share_by_group.items():
             n_zeros = int(np.sum(values == 0))  # brute-force zero count

@@ -83,6 +83,32 @@ class TestErrorPaths:
             ])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["gof", "report"])
+    @pytest.mark.parametrize("threshold", ["0", "-0.5", "nan", "inf"])
+    def test_unusable_gof_threshold_is_usage_error(
+        self, small_corpus_csv, tmp_path, command, threshold
+    ):
+        argv = [command, "--input", str(small_corpus_csv),
+                "--gof-threshold", threshold, "--out", str(tmp_path / "o")]
+        if command == "gof":
+            argv += ["--method", "mean"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_malformed_scenario_json_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"seed": 1, "specs": [')
+        code = main(["report", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "not a JSON scenario" in capsys.readouterr().err
+
+    def test_non_utf8_csv_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"pub_id,year,category,citations\np\xe9,2003,A,1\n")
+        assert main(["stats", "--input", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "UTF-8" in capsys.readouterr().err
+
     def test_input_and_scenario_are_exclusive(self, small_corpus_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main([

@@ -1,3 +1,7 @@
+import csv
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,12 +10,13 @@ from citescale.corpus import (
     Corpus,
     GroupKey,
     PubRecord,
+    citation_vectors,
     emit_csv,
-    group,
     group_records,
     ingest_csv,
 )
 from citescale.errors import (
+    CitescaleError,
     CorpusFormatError,
     CorpusValueError,
     DuplicateRecordError,
@@ -112,6 +117,25 @@ class TestIngest:
         with pytest.raises(CorpusValueError, match="comma"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("cell", ['"a\nb"', '"a\rb"', '"a""b"', 'a"b'])
+    def test_unquotable_characters_rejected(self, tmp_path, cell):
+        # emission writes cells unquoted, so these could not read back
+        path = tmp_path / "c.csv"
+        path.write_text(f"pub_id,year,category,citations\n{cell},2003,A,5\n")
+        with pytest.raises(CorpusValueError, match="line 2"):
+            ingest_csv(path)
+        path.write_text(f"pub_id,year,category,citations\np1,2003,{cell},5\n")
+        with pytest.raises(CorpusValueError, match="line 2"):
+            ingest_csv(path)
+
+    def test_non_utf8_is_format_error(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_bytes(
+            b"pub_id,year,category,citations\np1,2003,A,5\np\xe9,2003,A,1\n"
+        )
+        with pytest.raises(CorpusFormatError, match="line 3.*UTF-8"):
+            ingest_csv(path)
+
     def test_aggregate_totals_fixture(self, tmp_path):
         # three category blocks constructed to total 6,970 records holding
         # 100,209 citations: the aggregate mean rounds to 14.38
@@ -150,29 +174,35 @@ class TestRecords:
 class TestGrouping:
     def test_partition_sizes(self):
         corpus = Corpus(records=(
-            PubRecord("p1", 2003, "A", 1),
-            PubRecord("p2", 2003, "A", 2),
             PubRecord("p3", 2007, "B", 3),
+            PubRecord("p2", 2003, "A", 2),
+            PubRecord("p1", 2003, "A", 1),
         ))
-        vectors = group(corpus)
-        assert vectors == {GroupKey("A", 2003): [1, 2], GroupKey("B", 2007): [3]}
+        groups = group_records(corpus)
+        # groups in key order, records by pub_id within a group
+        assert list(groups) == [GroupKey("A", 2003), GroupKey("B", 2007)]
+        assert [r.pub_id for r in groups[GroupKey("A", 2003)]] == ["p1", "p2"]
+        vectors = citation_vectors(groups)
+        assert {k: v.tolist() for k, v in vectors.items()} == {
+            GroupKey("A", 2003): [1.0, 2.0], GroupKey("B", 2007): [3.0]
+        }
 
     def test_multi_category_pub_in_both_groups(self):
         corpus = Corpus(records=(
             PubRecord("p1", 2003, "A", 9),
             PubRecord("p1", 2003, "B", 9),
         ))
-        vectors = group(corpus)
-        assert vectors[GroupKey("A", 2003)] == [9]
-        assert vectors[GroupKey("B", 2003)] == [9]
+        vectors = citation_vectors(group_records(corpus))
+        assert vectors[GroupKey("A", 2003)].tolist() == [9]
+        assert vectors[GroupKey("B", 2003)].tolist() == [9]
 
     def test_single_key_degenerate(self):
         corpus = Corpus(records=tuple(
             PubRecord(f"p{i}", 2003, "A", i) for i in range(17)
         ))
-        vectors = group(corpus)
-        assert list(vectors) == [GroupKey("A", 2003)]
-        assert len(vectors[GroupKey("A", 2003)]) == 17
+        groups = group_records(corpus)
+        assert list(groups) == [GroupKey("A", 2003)]
+        assert len(groups[GroupKey("A", 2003)]) == 17
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):
@@ -189,15 +219,38 @@ class TestGrouping:
             for i, (cat, year, cites) in enumerate(raw)
         )
         corpus = Corpus(records=records)
-        vectors = group(corpus)
-        assert sum(len(v) for v in vectors.values()) == len(records)
-        # regrouping the grouped records is idempotent
-        regrouped = group_records(corpus)
-        for key, recs in regrouped.items():
+        groups = group_records(corpus)
+        assert sum(len(recs) for recs in groups.values()) == len(records)
+        for key, recs in groups.items():
             assert all(r.key == key for r in recs)
+        # the grouping does not depend on record order
+        assert group_records(Corpus(records=records[::-1])) == groups
+
+
+_CELL = st.text(
+    alphabet=st.sampled_from('ab9 "\r\n\t\x1c\u00e9'), min_size=1, max_size=5
+)
 
 
 class TestRoundTrip:
+    @given(st.lists(
+        st.tuples(_CELL, st.integers(1990, 2020), _CELL, st.integers(0, 10**20)),
+        min_size=1, max_size=4,
+    ))
+    def test_ingest_emit_ingest_identity(self, rows):
+        # any file ingest accepts must read back the same after emission
+        with tempfile.TemporaryDirectory() as tmp:
+            src, out = Path(tmp) / "in.csv", Path(tmp) / "out.csv"
+            with src.open("w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["pub_id", "year", "category", "citations"])
+                writer.writerows(rows)
+            try:
+                corpus = ingest_csv(src).corpus
+            except CitescaleError:
+                return
+            emit_csv(corpus, out)
+            assert set(ingest_csv(out).corpus.records) == set(corpus.records)
     def test_emit_ingest_emit_bit_exact(self, tmp_path):
         path = write_corpus_csv(
             tmp_path / "in.csv",

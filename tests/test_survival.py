@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from citescale.corpus import GroupKey
+from citescale.corpus import GroupKey, citation_vectors, group_records
 from citescale.errors import EmptyGroupError
 from citescale.scaling import ScalingMethod, scale_corpus
 from citescale.survival import (
@@ -104,11 +104,9 @@ class TestCollapseMetrics:
             zero_inflation=0.2,
         )
         corpus = generate(scaled_copy_scenario(base, k=3, seed=99))
-        scaled, _ = scale_corpus(corpus, ScalingMethod.MEAN)
-        by_group = {}
-        for s in scaled:
-            by_group.setdefault(s.record.key, []).append(s.aii)
-        curves = [survival_curve(v, group=k) for k, v in sorted(by_group.items())]
+        raw = citation_vectors(group_records(corpus))
+        scored, _ = scale_corpus(raw, ScalingMethod.MEAN)
+        curves = [survival_curve(v, group=k) for k, v in scored.items()]
         report = collapse_metrics(curves)
         assert report.max_pairwise_ks == 0.0
         assert all(d.spread == 0.0 for d in report.quantile_dispersion)

@@ -3,20 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from citescale.corpus import Corpus, PubRecord
+from citescale.corpus import GroupKey
 from citescale.errors import EmptyCorpusError
-from citescale.scaling import ScalingMethod
+from citescale.scaling import ScalingMethod, scale_corpus
 from citescale.topshare import _top_rank, method_comparison, top_share
 
 
-def records_from(spec):
-    """spec: dict category -> list of citation counts."""
-    records = []
-    for cat, values in spec.items():
-        records += [
-            PubRecord(f"{cat}-{i}", 2003, cat, c) for i, c in enumerate(values)
-        ]
-    return tuple(records)
+def scores_from(spec, year=2003):
+    """spec: dict category -> list of scores; one group per category."""
+    return {
+        GroupKey(cat, year): np.asarray(values, dtype=np.float64)
+        for cat, values in spec.items()
+    }
+
+
+def compare(raw, methods, **kwargs):
+    scored = {method: scale_corpus(raw, method) for method in methods}
+    return method_comparison(raw, scored, **kwargs)
 
 
 def brute_force_shares(spec, top_fraction):
@@ -34,7 +37,7 @@ def brute_force_shares(spec, top_fraction):
 
 class TestTopShare:
     def test_total_tie_puts_everyone_on_top(self):
-        report = top_share(records_from({"A": [5] * 30, "B": [5] * 10}))
+        report = top_share(scores_from({"A": [5] * 30, "B": [5] * 10}))
         assert report.n_top == 40
         for c in report.per_category:
             assert c.share == 1.0
@@ -45,7 +48,7 @@ class TestTopShare:
             "A": [0, 0, 1, 1, 2, 2, 3, 3, 4, 5, 5, 6, 7, 8, 9, 10, 12, 15, 20, 40],
             "B": [0, 1, 1, 2, 2, 3, 4, 4, 5, 6, 6, 7, 8, 9, 11, 13, 14, 18, 25, 60],
         }
-        report = top_share(records_from(spec), 0.10)
+        report = top_share(scores_from(spec), 0.10)
         cutoff, shares = brute_force_shares(spec, 0.10)
         assert report.cutoff == cutoff
         for c in report.per_category:
@@ -61,7 +64,7 @@ class TestTopShare:
             f"C{j}": rng.integers(0, 100, size=int(rng.integers(5, 80))).tolist()
             for j in range(6)
         }
-        report = top_share(records_from(spec), 0.15)
+        report = top_share(scores_from(spec), 0.15)
         assert sum(c.top_count for c in report.per_category) == report.n_top
 
     def test_weighted_share_mean_at_least_fraction(self, rng):
@@ -70,39 +73,39 @@ class TestTopShare:
                 f"C{j}": rng.integers(0, 40, size=int(rng.integers(10, 60))).tolist()
                 for j in range(5)
             }
-            report = top_share(records_from(spec), f)
+            report = top_share(scores_from(spec), f)
             weighted = sum(c.share * c.n for c in report.per_category) / report.n_records
             assert weighted >= f - 1e-12
 
     def test_band_narrows_with_size(self):
-        report = top_share(records_from({"A": list(range(10)), "B": list(range(100))}))
+        report = top_share(scores_from({"A": list(range(10)), "B": list(range(100))}))
         bands = {c.category: c.band_high - c.band_low for c in report.per_category}
         assert bands["B"] < bands["A"]
 
     def test_cutoff_ties_included(self):
         # 10 records; nominal top-1 but three records tie at the cutoff
         report = top_share(
-            records_from({"A": [9, 9, 9, 1, 1, 1, 1, 0, 0, 0]}), 0.10
+            scores_from({"A": [9, 9, 9, 1, 1, 1, 1, 0, 0, 0]}), 0.10
         )
         assert report.cutoff == 9
         assert report.n_top == 3
 
     def test_single_category_share_matches_fraction(self):
         values = list(range(200))
-        report = top_share(records_from({"A": values}), 0.10)
+        report = top_share(scores_from({"A": values}), 0.10)
         (c,) = report.per_category
         assert c.share == pytest.approx(0.10)
         assert c.within_band
 
     def test_fraction_validation(self):
-        records = records_from({"A": [1, 2, 3]})
+        records = scores_from({"A": [1, 2, 3]})
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 top_share(records, bad)
 
     def test_empty_collection(self):
         with pytest.raises(EmptyCorpusError):
-            top_share((), 0.10)
+            top_share({}, 0.10)
 
     def test_rank_count_float_guard(self):
         assert _top_rank(0.1, 1000) == 100
@@ -112,7 +115,7 @@ class TestTopShare:
 
     def test_unevaluated_categories_reported(self):
         report = top_share(
-            records_from({"A": [1, 2, 3, 4]}),
+            scores_from({"A": [1, 2, 3, 4]}),
             0.25,
             skipped_by_category={"B": 7, "A": 1},
         )
@@ -124,31 +127,25 @@ class TestTopShare:
 class TestMethodComparison:
     def _corpus(self):
         rng = np.random.default_rng(5)
-        records = []
-        for j, cat in enumerate("ABCD"):
-            n = 80 + 20 * j
-            values = np.floor(np.exp(rng.normal(1.0 + 0.4 * j, 1.0, n))).astype(int)
-            records += [
-                PubRecord(f"{cat}-{i}", 2003, cat, int(c))
-                for i, c in enumerate(values)
-            ]
-        return Corpus(records=tuple(records))
+        return scores_from({
+            cat: np.floor(np.exp(rng.normal(1.0 + 0.4 * j, 1.0, 80 + 20 * j)))
+            for j, cat in enumerate("ABCD")
+        })
 
     def test_raw_only_with_empty_method_list(self):
-        reports = method_comparison(self._corpus(), [])
+        reports = compare(self._corpus(), [])
         assert len(reports) == 1
         assert reports[0].method is None
         assert reports[0].method_name == "raw"
 
     def test_one_report_per_method_plus_raw_in_order(self):
         methods = [ScalingMethod.MEAN, ScalingMethod.MEDIAN]
-        reports = method_comparison(self._corpus(), methods)
+        reports = compare(self._corpus(), methods)
         assert [r.method for r in reports] == [None, *methods]
 
     def test_undefined_groups_excluded_and_flagged(self):
-        records = records_from({"A": [0, 0, 0, 1], "B": [1, 2, 3, 4, 5, 6]})
-        corpus = Corpus(records=records)
-        reports = method_comparison(corpus, [ScalingMethod.MEDIAN])
+        raw = scores_from({"A": [0, 0, 0, 1], "B": [1, 2, 3, 4, 5, 6]})
+        reports = compare(raw, [ScalingMethod.MEDIAN])
         raw, median = reports
         assert raw.n_records == 10
         assert median.n_records == 6  # category A dropped entirely
@@ -156,16 +153,16 @@ class TestMethodComparison:
         assert median.n_categories_evaluated == 1
 
     def test_year_filter(self):
-        records = records_from({"A": [1, 2, 3, 4]}) + tuple(
-            PubRecord(f"A-x{i}", 2007, "A", 50) for i in range(4)
-        )
-        corpus = Corpus(records=records)
-        full = method_comparison(corpus, [])
-        only2003 = method_comparison(corpus, [], years=[2003])
-        assert full[0].n_records == 8
-        assert only2003[0].n_records == 4
+        raw = scores_from({"A": [1, 2, 3, 4]})
+        raw.update(scores_from({"A": [0, 0, 0, 50]}, year=2007))
+        full = compare(raw, [ScalingMethod.MEDIAN])
+        only2003 = compare(raw, [ScalingMethod.MEDIAN], years=[2003])
+        assert [r.n_records for r in full] == [8, 4]
+        assert [r.n_records for r in only2003] == [4, 4]
+        # the 2007 group's undefined median counts only where 2007 is ranked
+        assert full[1].per_category[0].n_skipped_records == 4
+        assert only2003[1].per_category[0].n_skipped_records == 0
 
     def test_year_filter_too_narrow(self):
-        corpus = Corpus(records=records_from({"A": [1, 2]}))
         with pytest.raises(EmptyCorpusError):
-            method_comparison(corpus, [], years=[1999])
+            compare(scores_from({"A": [1, 2]}), [], years=[1999])
