@@ -44,14 +44,7 @@ from .scaling import (
     scale_corpus,
 )
 from .stats import GroupStats, describe, describe_nonzero
-from .survival import (
-    CollapseReport,
-    QuantileDispersion,
-    SurvivalCurve,
-    collapse_metrics,
-    ks_statistic,
-    survival_curve,
-)
+from .survival import CollapseReport, QuantileDispersion, collapse_metrics
 from .synth import (
     CategorySpec,
     Scenario,
@@ -79,8 +72,7 @@ __all__ = [
     "boxcox_loglik", "boxcox_transform", "fit_factors", "fit_lambda",
     "scale_corpus",
     # survival
-    "CollapseReport", "QuantileDispersion", "SurvivalCurve",
-    "collapse_metrics", "ks_statistic", "survival_curve",
+    "CollapseReport", "QuantileDispersion", "collapse_metrics",
     # topshare
     "CategoryShare", "TopShareReport", "method_comparison", "top_share",
     # gof

@@ -45,12 +45,7 @@ from .errors import CitescaleError, InsufficientSampleError
 from .gof import DEFAULT_THRESHOLD, ad_lognormal
 from .scaling import ScalingMethod, scale_corpus
 from .stats import describe
-from .survival import (
-    binned_survival,
-    collapse_metrics,
-    log_binned_thresholds,
-    survival_curve,
-)
+from .survival import binned_survival, collapse_metrics, log_binned_thresholds
 from .topshare import DEFAULT_TOP_FRACTION, method_comparison
 from .synth import generate, load_scenario, prng_metadata
 
@@ -204,8 +199,7 @@ def _write_survival(
 
     collapse_path = out / f"collapse_{name}.json"
     if len(keys) >= 2:
-        curves = [survival_curve(vectors[k], group=k) for k in keys]
-        payload = _collapse_payload(collapse_metrics(curves, method=method))
+        payload = _collapse_payload(collapse_metrics(vectors, method=method))
     else:
         payload = {
             "method": name,

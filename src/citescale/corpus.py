@@ -106,6 +106,21 @@ def _parse_int(raw: str, column: str, line_no: int) -> int:
         ) from None
 
 
+def _csv_rows(reader, path: Path):
+    """The reader's rows, with a line the csv module cannot split (such as a
+    cell beyond its field size limit) raised as a format error naming it."""
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise CorpusFormatError(
+                f"{path}, line {reader.line_num}: {exc}"
+            ) from None
+        yield row
+
+
 def ingest_csv(
     path: str | Path,
     strict: bool = False,
@@ -117,8 +132,9 @@ def ingest_csv(
     strict mode; otherwise the last row wins (keeping the first occurrence's
     position) and each replacement is counted as a warning.
 
-    Raises :class:`CorpusFormatError` for a bad header or ragged rows,
-    :class:`CorpusValueError` for bad cell values (both name the offending
+    Raises :class:`CorpusFormatError` for a bad header, ragged rows or a
+    line the csv module cannot split, :class:`CorpusValueError` for bad cell
+    values, a count float64 cannot hold included (both name the offending
     line; text that is not UTF-8 is a format error), and
     :class:`EmptyCorpusError` for a file with no data rows.
     """
@@ -130,8 +146,9 @@ def ingest_csv(
         line_no = data.count(b"\n", 0, exc.start) + 1
         raise CorpusFormatError(f"{path}, line {line_no}: not valid UTF-8") from None
     reader = csv.reader(io.StringIO(text, newline=""))
+    rows = _csv_rows(reader, path)
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
         raise EmptyCorpusError(f"{path}: file is empty") from None
     if tuple(h.strip() for h in header) != CSV_HEADER:
@@ -143,7 +160,7 @@ def ingest_csv(
     by_assignment: dict[tuple[str, str], PubRecord] = {}
     n_rows = 0
     n_warnings = 0
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in enumerate(rows, start=2):
         if not row:  # tolerate blank trailing lines
             continue
         if len(row) != len(CSV_HEADER):
@@ -168,6 +185,12 @@ def ingest_csv(
             raise CorpusValueError(
                 f"{path}, line {line_no}: citations must be >= 0, got {citations}"
             )
+        try:
+            float(citations)  # every score is computed in float64
+        except OverflowError:
+            raise CorpusValueError(
+                f"{path}, line {line_no}: citations exceed the float64 range"
+            ) from None
         n_rows += 1
         rec = PubRecord(pub_id, year, category, citations)
         dup_key = (pub_id, category)

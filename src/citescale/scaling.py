@@ -31,6 +31,7 @@ which the collapse diagnostics rely on.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -39,6 +40,7 @@ import numpy as np
 
 from .corpus import GroupKey
 from .errors import DegenerateLikelihoodError, EmptyGroupError
+from .stats import _median
 
 LAMBDA_BOUNDS = (-3.0, 3.0)
 _GRID_STEP = 0.01
@@ -106,13 +108,17 @@ def boxcox_loglik(values, lam: float) -> float:
     the variance is the maximum-likelihood (n-denominator) variance of the
     transformed values.
     """
-    c = np.asarray(values, dtype=np.float64)
-    t = boxcox_transform(c, lam)
+    log1p_c = np.log1p(np.asarray(values, dtype=np.float64))
+    return _profile_loglik(log1p_c, float(log1p_c.sum()), lam)
+
+
+def _profile_loglik(log1p_c: np.ndarray, sum_log1p: float, lam: float) -> float:
+    """:func:`boxcox_loglik` over precomputed ``log1p(c)`` and its sum."""
+    t = log1p_c if lam == 0.0 else np.expm1(lam * log1p_c) / lam
     var = float(t.var())
     if var <= 0.0 or not np.isfinite(var):
         return -math.inf
-    n = c.size
-    return -0.5 * n * math.log(var) + (lam - 1.0) * float(np.log1p(c).sum())
+    return -0.5 * log1p_c.size * math.log(var) + (lam - 1.0) * sum_log1p
 
 
 def _golden_max(f, a: float, b: float, tol: float = _GOLDEN_TOL) -> float:
@@ -156,19 +162,7 @@ def fit_lambda(values) -> float:
     grid = np.linspace(lo, hi, n_steps + 1)
 
     log1p_v = np.log1p(v)
-    sum_log1p = float(log1p_v.sum())
-    n = v.size
-
-    def loglik(lam: float) -> float:
-        if lam == 0.0:
-            t = log1p_v
-        else:
-            t = np.expm1(lam * log1p_v) / lam
-        var = float(t.var())
-        if var <= 0.0 or not np.isfinite(var):
-            return -math.inf
-        return -0.5 * n * math.log(var) + (lam - 1.0) * sum_log1p
-
+    loglik = functools.partial(_profile_loglik, log1p_v, float(log1p_v.sum()))
     ll = np.array([loglik(lam) for lam in grid])
     best = int(np.argmax(ll))
     a = grid[max(best - 1, 0)]
@@ -177,15 +171,6 @@ def fit_lambda(values) -> float:
     if loglik(refined) < ll[best]:
         refined = float(grid[best])
     return float(min(max(refined, lo), hi))
-
-
-def _exact_median(sorted_ints: np.ndarray) -> float:
-    # exact for integer inputs: midpoint of two ints is representable
-    n = sorted_ints.size
-    mid = n // 2
-    if n % 2:
-        return float(sorted_ints[mid])
-    return float(sorted_ints[mid - 1] + sorted_ints[mid]) / 2.0
 
 
 def fit_factors(group: GroupKey, values, method: ScalingMethod) -> ScalingFactorSet:
@@ -229,7 +214,7 @@ def fit_factors(group: GroupKey, values, method: ScalingMethod) -> ScalingFactor
         return ratio(float(nz.sum()), float(nz.size))
 
     if method is ScalingMethod.MEDIAN:
-        med = _exact_median(np.sort(v))
+        med = _median(np.sort(v))
         if med == 0.0:
             return undefined("zero-median")
         return ratio(med, 1.0)
@@ -238,7 +223,7 @@ def fit_factors(group: GroupKey, values, method: ScalingMethod) -> ScalingFactor
         nz = v[v > 0]
         if nz.size == 0:
             return undefined("no-nonzero")
-        return ratio(_exact_median(np.sort(nz)), 1.0)
+        return ratio(_median(np.sort(nz)), 1.0)
 
     if method is ScalingMethod.BOX_COX_MEAN:
         try:

@@ -1,10 +1,12 @@
-"""Empirical Pr(>= value) curves and quantitative cross-group collapse metrics.
+"""Quantitative cross-group collapse metrics and survival-curve plot data.
 
 A scaling method works when the scaled survival curves of all groups land on
-top of each other.  Instead of judging that by eye, two numbers quantify it:
+top of each other.  Instead of judging that by eye, two numbers quantify it,
+both computed straight from the per-group score vectors:
 
     * ``max_pairwise_ks``: the largest two-sample Kolmogorov-Smirnov statistic
-      over all pairs of groups (0 = the empirical distributions coincide);
+      over all pairs of groups (0 = the empirical distributions coincide),
+      read off the envelope of all groups' CDFs on one shared grid;
     * ``quantile_dispersion``: at a handful of upper quantiles, the spread
       (max - min over groups) of log10 of the quantile value.  Groups whose
       quantile is 0 cannot be placed on a log axis; they are excluded and
@@ -17,7 +19,7 @@ log-spaced thresholds; no figure rendering happens here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,22 +29,6 @@ from .scaling import ScalingMethod
 
 DEFAULT_QUANTILES = (0.5, 0.75, 0.9, 0.95, 0.99)
 N_PLOT_BINS = 25
-
-
-@dataclass(frozen=True)
-class SurvivalCurve:
-    """Step function Pr(X >= value) at each distinct observed value."""
-
-    group: GroupKey | None
-    points: tuple[tuple[float, float], ...]
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(p[0] for p in self.points)
-
-    @property
-    def probs(self) -> tuple[float, ...]:
-        return tuple(p[1] for p in self.points)
 
 
 @dataclass(frozen=True)
@@ -65,77 +51,56 @@ class CollapseReport:
     quantile_dispersion: tuple[QuantileDispersion, ...]
 
 
-def survival_curve(values, group: GroupKey | None = None) -> SurvivalCurve:
-    """Empirical Pr(>= v) at every distinct value of a non-empty vector."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise EmptyGroupError("cannot build a survival curve from no values")
-    distinct, counts = np.unique(v, return_counts=True)
-    at_least = counts[::-1].cumsum()[::-1]
-    probs = at_least / v.size
-    return SurvivalCurve(
-        group=group,
-        points=tuple(zip(distinct.tolist(), probs.tolist())),
-    )
+def _cdf(sorted_values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Empirical CDF of a sorted sample at each threshold.
 
-
-def _cdf_steps(curve: SurvivalCurve) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values and the empirical CDF evaluated at them."""
-    values = np.array(curve.values, dtype=np.float64)
-    probs = np.array(curve.probs, dtype=np.float64)
-    cdf = np.empty_like(probs)
-    cdf[:-1] = 1.0 - probs[1:]
-    cdf[-1] = 1.0
-    return values, cdf
-
-
-def _cdf_at(values: np.ndarray, cdf: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(values, thresholds, side="right")
-    out = np.where(idx > 0, cdf[np.maximum(idx - 1, 0)], 0.0)
-    return out
-
-
-def ks_statistic(a: SurvivalCurve, b: SurvivalCurve) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic between the samples behind
-    two curves (sup over thresholds of the CDF gap)."""
-    va, ca = _cdf_steps(a)
-    vb, cb = _cdf_steps(b)
-    thresholds = np.union1d(va, vb)
-    fa = _cdf_at(va, ca, thresholds)
-    fb = _cdf_at(vb, cb, thresholds)
-    return float(np.abs(fa - fb).max())
-
-
-def _quantile_from_curve(curve: SurvivalCurve, q: float) -> float:
-    """Order-statistic quantile: smallest observed value v with CDF(v) >= q."""
-    values, cdf = _cdf_steps(curve)
-    idx = int(np.searchsorted(cdf, q, side="left"))
-    idx = min(idx, values.size - 1)
-    return float(values[idx])
+    Written as one minus the survival fraction Pr(X > t): the algebraically
+    equal ``#(X <= t) / n`` rounds differently, and the report bytes are
+    pinned to this form.
+    """
+    n = sorted_values.size
+    return 1.0 - (n - np.searchsorted(sorted_values, thresholds, side="right")) / n
 
 
 def collapse_metrics(
-    curves: Sequence[SurvivalCurve],
+    vectors: Mapping[GroupKey, np.ndarray],
     method: ScalingMethod | None = None,
     quantiles: Sequence[float] = DEFAULT_QUANTILES,
 ) -> CollapseReport:
-    """Quantify how well a family of curves superimposes.
+    """Quantify how well the groups' score distributions superimpose.
 
-    Requires at least two curves; identical samples in every group give a
+    ``vectors`` maps each group to its scores (any order).  Requires at least
+    two groups, each non-empty; identical samples in every group give a
     report of exact zeros.
     """
-    if len(curves) < 2:
-        raise ValueError(f"need at least 2 curves, got {len(curves)}")
-    max_ks = 0.0
-    for i in range(len(curves)):
-        for j in range(i + 1, len(curves)):
-            max_ks = max(max_ks, ks_statistic(curves[i], curves[j]))
+    if len(vectors) < 2:
+        raise ValueError(f"need at least 2 groups, got {len(vectors)}")
+    samples = []
+    for key, values in vectors.items():
+        v = np.sort(np.asarray(values, dtype=np.float64))
+        if v.size == 0:
+            raise EmptyGroupError(f"group {key}: empty score vector")
+        samples.append(v)
+    grid = np.unique(np.concatenate(samples))
+
+    hi = np.zeros_like(grid)
+    lo = np.ones_like(grid)
+    qvals = np.empty((len(quantiles), len(samples)))
+    for g, v in enumerate(samples):
+        cdf = _cdf(v, grid)
+        np.maximum(hi, cdf, out=hi)
+        np.minimum(lo, cdf, out=lo)
+        # order-statistic quantile: smallest distinct value with CDF >= q
+        distinct = v[np.concatenate(([True], v[1:] != v[:-1]))]
+        idx = np.searchsorted(_cdf(v, distinct), quantiles, side="left")
+        qvals[:, g] = distinct[np.minimum(idx, distinct.size - 1)]
+    # sup over pairs of sup_t |F_i - F_j| = sup_t (max_i F_i(t) - min_i F_i(t))
+    max_ks = float((hi - lo).max())
 
     dispersions = []
-    for q in quantiles:
-        qvals = np.array([_quantile_from_curve(c, q) for c in curves])
-        positive = qvals[qvals > 0]
-        n_excluded = int(qvals.size - positive.size)
+    for q, row in zip(quantiles, qvals):
+        positive = row[row > 0]
+        n_excluded = int(row.size - positive.size)
         if positive.size == 0:
             spread = None
         else:
@@ -151,7 +116,7 @@ def collapse_metrics(
         )
     return CollapseReport(
         method=method,
-        n_curves=len(curves),
+        n_curves=len(samples),
         max_pairwise_ks=max_ks,
         quantile_dispersion=tuple(dispersions),
     )

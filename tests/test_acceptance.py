@@ -27,7 +27,7 @@ from citescale.corpus import (
 from citescale.gof import ad_lognormal, p_bracket
 from citescale.scaling import ScalingMethod, fit_factors, fit_lambda, scale_corpus
 from citescale.stats import describe
-from citescale.survival import collapse_metrics, survival_curve
+from citescale.survival import collapse_metrics
 from citescale.synth import (
     CategorySpec,
     benchmark_scenario,
@@ -63,8 +63,7 @@ def criterion(number, label):
 
 def collapse_for(raw, method):
     vectors = raw if method is None else scale_corpus(raw, method)[0]
-    curves = [survival_curve(v, group=k) for k, v in vectors.items()]
-    return collapse_metrics(curves, method=method)
+    return collapse_metrics(vectors, method=method)
 
 
 @criterion(1, "exact-rescaling collapse")

@@ -109,6 +109,23 @@ class TestErrorPaths:
         assert main(["stats", "--input", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["ingest-check", "stats"])
+    @pytest.mark.parametrize(
+        "bad_row",
+        [f"p2,2003,{'A' * 200_000},5", f"p2,2003,A,{'9' * 400}"],
+        ids=["cell-beyond-csv-field-limit", "count-beyond-float64"],
+    )
+    def test_unreadable_row_exits_one_naming_line(
+        self, tmp_path, capsys, command, bad_row
+    ):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"pub_id,year,category,citations\np1,2003,A,5\n{bad_row}\n")
+        argv = [command, "--input", str(path)]
+        if command == "stats":
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "line 3" in capsys.readouterr().err
+
     def test_input_and_scenario_are_exclusive(self, small_corpus_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main([

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,11 +11,11 @@ from citescale.scaling import ScalingMethod, scale_corpus
 from citescale.survival import (
     binned_survival,
     collapse_metrics,
-    ks_statistic,
     log_binned_thresholds,
-    survival_curve,
 )
 from citescale.synth import CategorySpec, generate, scaled_copy_scenario
+
+samples = st.lists(st.integers(0, 15), min_size=1, max_size=25)
 
 
 def ks_brute(a, b):
@@ -26,34 +28,21 @@ def ks_brute(a, b):
     return best
 
 
+def groups(*vectors):
+    return {GroupKey(f"C{i}", 2003): v for i, v in enumerate(vectors)}
+
+
+def ks(a, b):
+    return collapse_metrics(groups(a, b)).max_pairwise_ks
+
+
 class TestSurvivalCurve:
-    def test_counting_example(self):
-        curve = survival_curve([0, 1, 1, 3])
-        assert curve.points == ((0.0, 1.0), (1.0, 0.75), (3.0, 0.25))
-
-    def test_constant_vector_is_single_point(self):
-        curve = survival_curve([7, 7, 7])
-        assert curve.points == ((7.0, 1.0),)
-
-    def test_empty(self):
-        with pytest.raises(EmptyGroupError):
-            survival_curve([])
-
-    @given(st.lists(st.integers(0, 30), min_size=1, max_size=50))
-    def test_first_prob_is_one_and_probs_decrease(self, values):
-        curve = survival_curve(values)
-        probs = list(curve.probs)
-        assert probs[0] == 1.0
-        assert all(a > b for a, b in zip(probs, probs[1:]))
-        assert all(0 < p <= 1 for p in probs)
-        vals = list(curve.values)
-        assert vals == sorted(set(float(v) for v in values))
-
     @given(st.lists(st.integers(0, 20), min_size=1, max_size=40))
     def test_probs_match_counting(self, values):
-        curve = survival_curve(values)
+        distinct = np.unique(values).astype(np.float64)
+        probs = binned_survival(values, distinct)
         n = len(values)
-        for v, p in curve.points:
+        for v, p in zip(distinct.tolist(), probs.tolist()):
             assert p == sum(1 for x in values if x >= v) / n
 
 
@@ -61,38 +50,26 @@ class TestKs:
     def test_pinned_samples_match_brute_force(self):
         a = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
         b = [0, 0, 1, 2, 2, 4, 9, 9, 20, 50]
-        got = ks_statistic(survival_curve(a), survival_curve(b))
-        assert got == ks_brute(a, b)
+        assert ks(a, b) == ks_brute(a, b)
 
-    @given(
-        st.lists(st.integers(0, 15), min_size=1, max_size=25),
-        st.lists(st.integers(0, 15), min_size=1, max_size=25),
-    )
+    @given(samples, samples)
     def test_matches_brute_force(self, a, b):
-        got = ks_statistic(survival_curve(a), survival_curve(b))
-        assert got == pytest.approx(ks_brute(a, b), abs=1e-15)
+        assert ks(a, b) == pytest.approx(ks_brute(a, b), abs=1e-15)
 
-    @given(
-        st.lists(st.integers(0, 15), min_size=1, max_size=25),
-        st.lists(st.integers(0, 15), min_size=1, max_size=25),
-    )
+    @given(samples, samples)
     def test_symmetry(self, a, b):
-        ca, cb = survival_curve(a), survival_curve(b)
-        assert ks_statistic(ca, cb) == ks_statistic(cb, ca)
+        assert ks(a, b) == ks(b, a)
 
-    @given(st.lists(st.integers(0, 15), min_size=1, max_size=25))
+    @given(samples)
     def test_self_distance_zero(self, a):
-        curve = survival_curve(a)
-        assert ks_statistic(curve, curve) == 0.0
+        assert ks(a, a) == 0.0
 
 
 class TestCollapseMetrics:
     def test_identical_samples_collapse_exactly(self):
         sample = [0, 1, 2, 2, 5, 9, 30]
-        curves = [
-            survival_curve(sample, group=GroupKey(c, 2003)) for c in "ABCD"
-        ]
-        report = collapse_metrics(curves)
+        report = collapse_metrics(groups(*[sample] * 4))
+        assert report.n_curves == 4
         assert report.max_pairwise_ks == 0.0
         for d in report.quantile_dispersion:
             assert d.spread == 0.0
@@ -106,30 +83,45 @@ class TestCollapseMetrics:
         corpus = generate(scaled_copy_scenario(base, k=3, seed=99))
         raw = citation_vectors(group_records(corpus))
         scored, _ = scale_corpus(raw, ScalingMethod.MEAN)
-        curves = [survival_curve(v, group=k) for k, v in scored.items()]
-        report = collapse_metrics(curves)
+        report = collapse_metrics(scored)
         assert report.max_pairwise_ks == 0.0
         assert all(d.spread == 0.0 for d in report.quantile_dispersion)
 
     def test_needs_two_curves(self):
         with pytest.raises(ValueError):
-            collapse_metrics([survival_curve([1, 2, 3])])
+            collapse_metrics(groups([1, 2, 3]))
+
+    def test_empty_group_raises(self):
+        with pytest.raises(EmptyGroupError, match="C1/2003"):
+            collapse_metrics(groups([1, 2, 3], []))
 
     def test_zero_quantile_groups_excluded_and_counted(self):
-        mostly_zero = survival_curve([0, 0, 0, 0, 0, 0, 9], group=GroupKey("A", 2003))
-        cited = survival_curve([1, 2, 3, 4], group=GroupKey("B", 2003))
-        report = collapse_metrics([mostly_zero, cited], quantiles=(0.5,))
+        mostly_zero = [0, 0, 0, 0, 0, 0, 9]
+        cited = [1, 2, 3, 4]
+        report = collapse_metrics(groups(mostly_zero, cited), quantiles=(0.5,))
         d = report.quantile_dispersion[0]
         assert d.n_excluded_zero == 1
         assert d.n_groups == 1
         assert d.spread == 0.0
 
     def test_quantile_dispersion_value(self):
-        a = survival_curve([1, 1, 1, 1], group=GroupKey("A", 2003))
-        b = survival_curve([10, 10, 10, 10], group=GroupKey("B", 2003))
-        report = collapse_metrics([a, b], quantiles=(0.5,))
+        report = collapse_metrics(
+            groups([1, 1, 1, 1], [10, 10, 10, 10]), quantiles=(0.5,)
+        )
         assert report.quantile_dispersion[0].spread == pytest.approx(1.0)
         assert report.max_pairwise_ks == 1.0
+
+    @given(st.lists(samples, min_size=2, max_size=5))
+    def test_envelope_matches_pairwise_brute_force(self, vectors):
+        expected = max(ks_brute(a, b) for a, b in itertools.combinations(vectors, 2))
+        got = collapse_metrics(groups(*vectors)).max_pairwise_ks
+        assert got == pytest.approx(expected, abs=1e-15)
+
+    @given(st.lists(samples, min_size=2, max_size=5), st.randoms())
+    def test_group_order_does_not_change_report(self, vectors, rng):
+        keyed = list(groups(*vectors).items())
+        shuffled = dict(rng.sample(keyed, len(keyed)))
+        assert collapse_metrics(shuffled) == collapse_metrics(dict(keyed))
 
 
 class TestBinnedExport:
