@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .errors import (
 )
 
 CSV_HEADER = ("pub_id", "year", "category", "citations")
-_UNQUOTABLE = (",", '"', "\r", "\n")
+_UNQUOTABLE = re.compile(r'[,"\r\n]')
 
 
 @dataclass(frozen=True, order=True)
@@ -171,7 +172,7 @@ def ingest_csv(
         pub_id = row[0].strip()
         if not pub_id:
             raise CorpusValueError(f"{path}, line {line_no}: empty pub_id")
-        if any(ch in field for field in (row[0], row[2]) for ch in _UNQUOTABLE):
+        if _UNQUOTABLE.search(row[0]) or _UNQUOTABLE.search(row[2]):
             raise CorpusValueError(
                 f"{path}, line {line_no}: pub_id and category must not contain "
                 "commas, double quotes or line breaks"

@@ -46,6 +46,12 @@ LAMBDA_BOUNDS = (-3.0, 3.0)
 _GRID_STEP = 0.01
 _GOLDEN_TOL = 1e-8
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Grid screen in fit_lambda: elements per row block (bounds its memory), the
+# smallest certified variance relative to mean**2, and the log-likelihood
+# margin per value within which a grid point stays a candidate.
+_SCREEN_CELLS = 1 << 16
+_SCREEN_REL_VAR = 1e-6
+_SCREEN_MARGIN = 1e-6
 
 
 class ScalingMethod(enum.Enum):
@@ -137,12 +143,58 @@ def _golden_max(f, a: float, b: float, tol: float = _GOLDEN_TOL) -> float:
     return 0.5 * (a + b)
 
 
+def _grid_candidates(
+    log1p_v: np.ndarray, sum_log1p: float, grid: np.ndarray
+) -> np.ndarray:
+    """Grid indices that can hold the first maximum of :func:`_profile_loglik`.
+
+    Screens the whole grid over the D distinct values of ``log1p(v)`` with
+    their multiplicities, in row blocks of at most ``_SCREEN_CELLS`` elements.
+    The screen is trusted only where every grid variance is finite and above
+    ``_SCREEN_REL_VAR * mean**2``.  Its two-pass variance and the exact one
+    then agree to within a few ulps times ``mean / sqrt(var) <= 1e3`` plus the
+    summation error, and a relative variance error ``e`` moves the
+    log-likelihood by about ``n * e / 2``: far inside the margin of
+    ``_SCREEN_MARGIN * n``, so the indices within that margin of the screened
+    maximum include the exact first maximum.  Otherwise (cancellation or
+    overflow) every index is returned.
+    """
+    u, counts = np.unique(log1p_v, return_counts=True)
+    w = counts.astype(np.float64)
+    n = log1p_v.size
+    approx = np.empty(grid.size)
+    rows = max(1, _SCREEN_CELLS // u.size)
+    with np.errstate(all="ignore"):
+        for start in range(0, grid.size, rows):
+            lam = grid[start:start + rows]
+            t = np.expm1(lam[:, None] * u) / lam[:, None]
+            t[lam == 0.0] = u
+            m = t @ w / n
+            var = np.square(t - m[:, None]) @ w / n
+            certified = np.isfinite(var) & (var > _SCREEN_REL_VAR * m * m)
+            if not certified.all():
+                return np.arange(grid.size)
+            approx[start:start + rows] = (
+                -0.5 * n * np.log(var) + (lam - 1.0) * sum_log1p
+            )
+    return np.flatnonzero(approx >= approx.max() - _SCREEN_MARGIN * n)
+
+
 def fit_lambda(values) -> float:
     """Maximum-likelihood transform parameter, clamped to [-3, +3].
 
-    Scans a 0.01-step grid over the full interval, then refines the best
-    bracket by golden-section search; the two-stage search avoids local traps
-    on flat likelihoods and is deterministic.
+    Finds the best point of a 0.01-step grid over the full interval, then
+    refines its bracket by golden-section search; the two-stage search avoids
+    local traps on flat likelihoods and is deterministic.
+
+    The grid maximum is found by screen, certification and exact step.  The
+    screen approximates the likelihood at all 601 grid points in array passes
+    over the distinct values and their multiplicities.  It is certified only
+    when no grid variance overflows or loses its digits to cancellation.  The
+    exact likelihood is then evaluated at each grid point the screen cannot
+    rule out (every point if it is not certified), so the chosen grid point,
+    its likelihood and hence the result equal those of an exact scan of the
+    full grid bit for bit.
 
     Requires at least three values with at least two distinct; otherwise the
     likelihood carries no information and
@@ -162,8 +214,11 @@ def fit_lambda(values) -> float:
     grid = np.linspace(lo, hi, n_steps + 1)
 
     log1p_v = np.log1p(v)
-    loglik = functools.partial(_profile_loglik, log1p_v, float(log1p_v.sum()))
-    ll = np.array([loglik(lam) for lam in grid])
+    sum_log1p = float(log1p_v.sum())
+    loglik = functools.partial(_profile_loglik, log1p_v, sum_log1p)
+    ll = np.full(grid.size, -math.inf)
+    for i in _grid_candidates(log1p_v, sum_log1p, grid):
+        ll[i] = loglik(grid[i])
     best = int(np.argmax(ll))
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, grid.size - 1)]

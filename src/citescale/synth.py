@@ -110,7 +110,12 @@ def _spec_rng(seed: int, spec: CategorySpec) -> np.random.Generator:
 def _draw_family(rng: np.random.Generator, spec: CategorySpec) -> np.ndarray:
     a, b = spec.family_params
     if spec.family == "discretized-lognormal":
-        return np.floor(rng.lognormal(mean=a, sigma=b, size=spec.n)).astype(np.int64)
+        draws = np.floor(rng.lognormal(mean=a, sigma=b, size=spec.n))
+        if not np.all(draws < 2.0**63):  # int64 conversion is undefined there
+            raise ValueError(
+                f"lognormal draws must stay below 2**63, got {np.max(draws):.6g}"
+            )
+        return draws.astype(np.int64)
     if spec.family == "negative-binomial":
         return rng.negative_binomial(a, b, size=spec.n).astype(np.int64)
     # zipf-with-cutoff: support 1..c_max with weights k**-alpha
@@ -126,27 +131,39 @@ def generate(scenario: Scenario) -> Corpus:
 
     Per record: with probability ``zero_inflation`` the count is 0, otherwise
     it is drawn from the spec's family (floored to an integer for continuous
-    families) and multiplied by ``count_scale``.  pub_ids are
-    ``<category>-<year>-<index>`` with a zero-padded index.
+    families) and multiplied by ``count_scale`` in exact integer arithmetic.
+    pub_ids are ``<category>-<year>-<index>`` with a zero-padded index.
+
+    Raises :class:`~citescale.errors.ScenarioError` naming the spec when the
+    family cannot be drawn from, when a lognormal draw reaches 2**63 or
+    when a scaled count is beyond what float64, the type every score is
+    computed in, can hold.
     """
     scenario.validate()
     records: list[PubRecord] = []
     for spec in scenario.specs:
+        where = f"spec {spec.category}/{spec.year}"
         rng = _spec_rng(scenario.seed, spec)
         u = rng.random(spec.n)
         try:
             fam = _draw_family(rng, spec)
-        except ValueError as exc:  # parameters numpy's sampler cannot draw from
-            raise ScenarioError(f"spec {spec.category}/{spec.year}: {exc}") from None
-        counts = np.where(u < spec.zero_inflation, 0, fam) * spec.count_scale
+        except ValueError as exc:  # undrawable parameters, or draws beyond int64
+            raise ScenarioError(f"{where}: {exc}") from None
+        drawn = np.where(u < spec.zero_inflation, 0, fam).tolist()
+        try:
+            float(max(drawn) * spec.count_scale)
+        except OverflowError:
+            raise ScenarioError(
+                f"{where}: a count times count_scale exceeds the float64 range"
+            ) from None
         records.extend(
             PubRecord(
                 pub_id=f"{spec.category}-{spec.year}-{i:06d}",
                 year=spec.year,
                 category=spec.category,
-                citations=int(c),
+                citations=c * spec.count_scale,
             )
-            for i, c in enumerate(counts)
+            for i, c in enumerate(drawn)
         )
     return Corpus(records=tuple(records))
 

@@ -253,6 +253,36 @@ class TestSimulate:
         main(["simulate", "--scenario", str(small_scenario_json), "--out", str(out2)])
         assert (out2 / "corpus.csv").read_bytes() == first
 
+    @staticmethod
+    def simulate_one_spec(tmp_path, family_params, count_scale):
+        path = tmp_path / "scenario.json"
+        spec = CategorySpec("A", 2003, 200, "discretized-lognormal", family_params,
+                            count_scale=count_scale)
+        save_scenario(Scenario(seed=1, specs=(spec,)), path)
+        return main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("count_scale", [4 * 10**17, 10**19])
+    def test_count_scale_beyond_int64_is_exact(self, count_scale, tmp_path, capsys):
+        assert self.simulate_one_spec(tmp_path, (3.0, 1.0), count_scale) == 0
+        assert capsys.readouterr().err == ""
+        lines = (tmp_path / "out" / "corpus.csv").read_text().splitlines()[1:]
+        counts = [int(line.rsplit(",", 1)[1]) for line in lines]
+        assert all(c >= 0 and c % count_scale == 0 for c in counts)
+        assert max(counts) >= 2**63
+        meta = json.loads((tmp_path / "out" / "scenario_meta.json").read_text())
+        assert meta["total_citations"] == sum(counts)
+
+    @pytest.mark.parametrize("family_params, count_scale, reason", [
+        ((45.0, 1.0), 1, "must stay below 2**63, got 4.89398e+20"),
+        ((3.0, 1.0), 10**400, "exceeds the float64 range"),
+    ], ids=["draw-beyond-int64", "count-beyond-float64"])
+    def test_counts_beyond_range_exit_one_naming_spec(
+        self, family_params, count_scale, reason, tmp_path, capsys
+    ):
+        assert self.simulate_one_spec(tmp_path, family_params, count_scale) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: spec A/2003: ") and reason in err
+
 
 class TestReport:
     def test_full_pipeline_artifacts_and_manifest(self, small_scenario_json, tmp_path):

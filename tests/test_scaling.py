@@ -1,15 +1,21 @@
+import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from citescale import scaling
 from citescale.corpus import GroupKey
 from citescale.errors import DegenerateLikelihoodError, EmptyGroupError
 from citescale.scaling import (
+    LAMBDA_BOUNDS,
     ScalingMethod,
+    _golden_max,
+    _profile_loglik,
     boxcox_loglik,
     boxcox_transform,
     fit_factors,
@@ -44,6 +50,30 @@ def naive_loglik(values, lam):
     return -0.5 * n * math.log(var) + (lam - 1.0) * sum(
         math.log(c + 1.0) for c in values
     )
+
+
+def reference_fit_lambda(values):
+    """Exact 601-point grid scan plus golden refinement: the oracle that
+    fit_lambda must reproduce bit for bit."""
+    v = np.asarray(values, dtype=np.float64)
+    lo, hi = LAMBDA_BOUNDS
+    grid = np.linspace(lo, hi, 601)
+    log1p_v = np.log1p(v)
+    loglik = functools.partial(_profile_loglik, log1p_v, float(log1p_v.sum()))
+    ll = np.array([loglik(lam) for lam in grid])
+    best = int(np.argmax(ll))
+    a = grid[max(best - 1, 0)]
+    b = grid[min(best + 1, grid.size - 1)]
+    refined = _golden_max(loglik, float(a), float(b))
+    if loglik(refined) < ll[best]:
+        refined = float(grid[best])
+    return float(min(max(refined, lo), hi))
+
+
+def assert_fit_equals_reference(values):
+    assume(len(set(values)) > 1)
+    with np.errstate(all="ignore"):
+        assert fit_lambda(values) == reference_fit_lambda(values)
 
 
 def divisor(factors):
@@ -296,6 +326,58 @@ class TestFitLambda:
             ll_hat = naive_loglik(values.tolist(), lam)
             ll_grid = max(naive_loglik(values.tolist(), g) for g in grid)
             assert ll_hat >= ll_grid - 1e-6
+
+    @given(st.one_of(
+        st.lists(st.integers(0, 60), min_size=3, max_size=200),
+        st.lists(st.integers(0, 10**6), min_size=3, max_size=200),
+        st.lists(
+            st.builds(lambda e, m: m * 10**e, st.integers(0, 12), st.integers(0, 9)),
+            min_size=3,
+            max_size=200,
+        ),
+    ))
+    def test_equals_full_grid_scan_on_integer_shapes(self, values):
+        assert_fit_equals_reference(values)
+
+    @given(
+        st.integers(2, 15),
+        st.integers(1, 9),
+        st.integers(0, 50).flatmap(
+            lambda spread: st.lists(st.integers(0, spread), min_size=3, max_size=200)
+        ),
+    )
+    def test_equals_full_grid_scan_on_near_constant_large_counts(
+        self, exponent, leading, offsets
+    ):
+        # the grid variance of base + small offsets cancels to a few ulps
+        assert_fit_equals_reference([float(leading * 10**exponent + k) for k in offsets])
+
+    @given(st.lists(st.floats(1e110, 1e300), min_size=3, max_size=200))
+    def test_equals_full_grid_scan_when_transform_overflows(self, values):
+        assert_fit_equals_reference(values)
+
+    def test_exact_likelihood_budget(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        values = np.floor(np.exp(rng.normal(2.0, 1.0, size=700)))
+        calls = []
+
+        def counting(*args):
+            calls.append(args[-1])
+            return _profile_loglik(*args)
+
+        monkeypatch.setattr(scaling, "_profile_loglik", counting)
+        assert fit_lambda(values) == reference_fit_lambda(values)
+        assert len(calls) <= 40
+
+    def test_screen_memory_is_bounded_by_row_blocks(self):
+        values = np.random.default_rng(4).permutation(30_000).astype(np.float64)
+        tracemalloc.start()
+        try:
+            fit_lambda(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_reproducible(self, rng):
         values = rng.integers(0, 300, size=200)
