@@ -15,7 +15,6 @@ from .corpus import (
     Corpus,
     GroupKey,
     IngestResult,
-    PubRecord,
     citation_vectors,
     emit_csv,
     group_records,
@@ -59,7 +58,7 @@ from .topshare import CategoryShare, TopShareReport, method_comparison, top_shar
 __all__ = [
     "__version__",
     # corpus
-    "Corpus", "GroupKey", "IngestResult", "PubRecord",
+    "Corpus", "GroupKey", "IngestResult",
     "citation_vectors", "emit_csv", "group_records", "ingest_csv",
     # errors
     "CitescaleError", "CorpusFormatError", "CorpusValueError",

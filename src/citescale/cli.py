@@ -28,6 +28,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ from .corpus import (
     emit_csv,
     group_records,
     ingest_csv,
+    write_csv,
 )
 from .errors import CitescaleError, InsufficientSampleError
 from .gof import DEFAULT_THRESHOLD, ad_lognormal
@@ -52,21 +54,9 @@ from .synth import generate, load_scenario, prng_metadata
 METHOD_NAMES = tuple(m.value for m in ScalingMethod)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
-
-
-def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
+def _opt(value: float | None) -> str:
+    """A float cell that may be undefined: empty when None."""
+    return "" if value is None else "%.10g" % value
 
 
 def _write_json(path: Path, payload) -> None:
@@ -132,31 +122,36 @@ def _write_stats(citations: dict[GroupKey, np.ndarray], path: Path) -> None:
         st = describe(values)
         rows.append(
             (
-                key.category, key.year, st.n, st.mean, st.median, st.stddev,
-                st.skewness, st.kurtosis, st.n_nonzero, st.mean_nonzero,
-                st.median_nonzero, st.kurtosis_convention,
+                key.category, key.year, st.n, st.mean, st.median, _opt(st.stddev),
+                _opt(st.skewness), _opt(st.kurtosis), st.n_nonzero,
+                _opt(st.mean_nonzero), _opt(st.median_nonzero),
+                st.kurtosis_convention,
             )
         )
-    _write_csv(path, STATS_HEADER, rows)
+    write_csv(path, STATS_HEADER, "%s,%d,%d,%.10g,%.10g,%s,%s,%s,%d,%s,%s,%s\n", rows)
 
 
 def _write_scaled(corpus: Corpus, method: ScalingMethod, out: Path) -> list[Path]:
-    groups = group_records(corpus)
-    scores, skipped = scale_corpus(citation_vectors(groups), method)
+    scores, skipped = scale_corpus(citation_vectors(group_records(corpus)), method)
+    columns = (corpus.pub_id, corpus.year, corpus.category, corpus.citations)
+    rows: list[tuple] = []
+    for key, aii in scores.items():
+        part = corpus.group_slices[key]
+        rows += zip(
+            *(c[part].tolist() for c in columns), repeat(method.value), aii.tolist()
+        )
     scaled_path = out / f"scaled_{method.value}.csv"
-    _write_csv(
+    write_csv(
         scaled_path,
         ("pub_id", "year", "category", "citations", "method", "aii"),
-        (
-            (rec.pub_id, rec.year, rec.category, rec.citations, method.value, aii)
-            for key, aii_vec in scores.items()
-            for rec, aii in zip(groups[key], aii_vec.tolist())
-        ),
+        "%s,%d,%s,%d,%s,%.10g\n",
+        rows,
     )
     skipped_path = out / f"skipped_{method.value}.csv"
-    _write_csv(
+    write_csv(
         skipped_path,
         ("category", "year", "n_records", "reason"),
+        "%s,%d,%d,%s\n",
         ((sk.group.category, sk.group.year, sk.n_records, sk.reason) for sk in skipped),
     )
     return [scaled_path, skipped_path]
@@ -187,15 +182,15 @@ def _write_survival(
     name = "raw" if method is None else method.value
     keys = list(vectors)
     thresholds = log_binned_thresholds(vectors[k] for k in keys)
-    rows = []
+    values = thresholds.tolist()
+    rows: list[tuple] = []
     for key in keys:
-        probs = binned_survival(vectors[key], thresholds)
-        rows.extend(
-            (key.category, key.year, float(t), float(p))
-            for t, p in zip(thresholds, probs)
-        )
+        probs = binned_survival(vectors[key], thresholds).tolist()
+        rows += zip(repeat(key.category), repeat(key.year), values, probs)
     curve_path = out / f"survival_{name}.csv"
-    _write_csv(curve_path, ("category", "year", "value", "prob"), rows)
+    write_csv(
+        curve_path, ("category", "year", "value", "prob"), "%s,%d,%.10g,%.10g\n", rows
+    )
 
     collapse_path = out / f"collapse_{name}.json"
     if len(keys) >= 2:
@@ -229,12 +224,13 @@ def _write_topshare(
     summary: dict = {"top_fraction": top_fraction, "methods": {}}
     for report in reports:
         path = out / f"topshare_{report.method_name}.csv"
-        _write_csv(
+        write_csv(
             path,
             TOPSHARE_HEADER,
+            "%s,%d,%d,%.10g,%.10g,%.10g,%s,%d\n",
             (
-                (c.category, c.n, c.top_count, c.share, c.band_low,
-                 c.band_high, c.within_band, c.n_skipped_records)
+                (c.category, c.n, c.top_count, c.share, c.band_low, c.band_high,
+                 "true" if c.within_band else "false", c.n_skipped_records)
                 for c in report.per_category
             ),
         )
@@ -284,7 +280,7 @@ def _write_gof(
             file=sys.stderr,
         )
     path = out / f"gof_{method.value}.csv"
-    _write_csv(path, GOF_HEADER, rows)
+    write_csv(path, GOF_HEADER, "%s,%d,%d,%.10g,%.10g,%.10g,%.10g,%.10g,%s\n", rows)
     return [path]
 
 
@@ -353,7 +349,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "seed": scenario.seed,
             "n_specs": len(scenario.specs),
             "n_records": len(corpus),
-            "total_citations": sum(r.citations for r in corpus.records),
+            "total_citations": sum(corpus.citations.tolist()),  # exact, never int64
         }
     )
     _write_json(out / "scenario_meta.json", meta)
@@ -363,15 +359,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     artifacts: list[Path] = []
-    if args.scenario:
-        corpus = generate(load_scenario(args.scenario))
-        corpus_path = out / "corpus.csv"
-        emit_csv(corpus, corpus_path)
-        artifacts.append(corpus_path)
-        source = str(args.scenario)
-    else:
-        corpus = _load_corpus(args)
-        source = str(args.input)
+    corpus = _load_corpus(args)
+    if args.scenario:  # a generated corpus is an artifact of the run
+        artifacts.append(out / "corpus.csv")
+        emit_csv(corpus, artifacts[-1])
+    source = str(args.scenario or args.input)
 
     raw = citation_vectors(group_records(corpus))
     stats_path = out / "stats.csv"

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import log_ndtr
 
 from .corpus import GroupKey
 from .errors import InsufficientSampleError
@@ -97,8 +97,8 @@ def ad_lognormal(
             "all values equal after thresholding; lognormal fit is degenerate"
         )
     z = (logs - mu) / sigma
-    log_cdf = norm.logcdf(z)
-    log_sf = norm.logsf(z)
+    log_cdf = log_ndtr(z)  # log Phi(z), as scipy.stats.norm.logcdf computes it
+    log_sf = log_ndtr(-z)  # log(1 - Phi(z)), as norm.logsf computes it
     i = np.arange(1, n + 1, dtype=np.float64)
     a2 = -n - float(((2.0 * i - 1.0) * (log_cdf + log_sf[::-1])).sum()) / n
     a2_star = a2 * (1.0 + 0.75 / n + 2.25 / n**2)

@@ -22,12 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, PubRecord
+from .corpus import Corpus
 from .errors import ScenarioError
 
 FAMILIES = ("discretized-lognormal", "negative-binomial", "zipf-with-cutoff")
 
 _SEED_MASK = (1 << 64) - 1
+_INT64_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ def generate(scenario: Scenario) -> Corpus:
     computed in, can hold.
     """
     scenario.validate()
-    records: list[PubRecord] = []
+    pub_ids, years, categories, counts = [], [], [], []  # columns, counts per spec
     for spec in scenario.specs:
         where = f"spec {spec.category}/{spec.year}"
         rng = _spec_rng(scenario.seed, spec)
@@ -149,23 +150,22 @@ def generate(scenario: Scenario) -> Corpus:
             fam = _draw_family(rng, spec)
         except ValueError as exc:  # undrawable parameters, or draws beyond int64
             raise ScenarioError(f"{where}: {exc}") from None
-        drawn = np.where(u < spec.zero_inflation, 0, fam).tolist()
+        drawn = np.where(u < spec.zero_inflation, 0, fam)
+        top = int(drawn.max()) * spec.count_scale
         try:
-            float(max(drawn) * spec.count_scale)
+            float(top)
         except OverflowError:
             raise ScenarioError(
                 f"{where}: a count times count_scale exceeds the float64 range"
             ) from None
-        records.extend(
-            PubRecord(
-                pub_id=f"{spec.category}-{spec.year}-{i:06d}",
-                year=spec.year,
-                category=spec.category,
-                citations=c * spec.count_scale,
-            )
-            for i, c in enumerate(drawn)
-        )
-    return Corpus(records=tuple(records))
+        if max(top, spec.count_scale) > _INT64_MAX:  # exact Python ints then
+            drawn = drawn.astype(object)
+        counts.append(drawn * spec.count_scale)
+        prefix = f"{spec.category}-{spec.year}-"
+        pub_ids += [f"{prefix}{i:06d}" for i in range(spec.n)]
+        years += [spec.year] * spec.n
+        categories += [spec.category] * spec.n
+    return Corpus(pub_ids, years, categories, np.concatenate(counts))
 
 
 def scaled_copy_scenario(base: CategorySpec, k: int, seed: int = 0) -> Scenario:

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -126,6 +127,13 @@ class TestErrorPaths:
         assert main(argv) == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_year_beyond_int64_exits_one_naming_line(self, tmp_path, capsys):
+        path = tmp_path / "year.csv"
+        path.write_text("pub_id,year,category,citations\na,99999999999999999999999,X,3\n")
+        assert main(["ingest-check", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err and "year" in err
+
     def test_input_and_scenario_are_exclusive(self, small_corpus_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main([
@@ -150,6 +158,13 @@ class TestStats:
         assert lines[1].startswith("A,2003,12,")
         assert lines[0].endswith("kurtosis_convention")
         assert lines[1].endswith("excess")
+
+    def test_undefined_statistics_are_empty_cells(self, tmp_path):
+        rows = [("p1", 2003, "A", 0), ("p2", 2003, "A", 0)]
+        path = write_corpus_csv(tmp_path / "c.csv", rows)
+        assert main(["stats", "--input", str(path), "--out", str(tmp_path / "o")]) == 0
+        row = (tmp_path / "o" / "stats.csv").read_text().splitlines()[1]
+        assert row == "A,2003,2,0,0,0,,,0,,,excess"
 
     def test_idempotent_bytes(self, small_corpus_csv, tmp_path):
         out = tmp_path / "out"
@@ -271,6 +286,13 @@ class TestSimulate:
         assert max(counts) >= 2**63
         meta = json.loads((tmp_path / "out" / "scenario_meta.json").read_text())
         assert meta["total_citations"] == sum(counts)
+
+    @pytest.mark.parametrize("count_scale", [10**18, 10**19])
+    def test_total_citations_is_an_exact_int(self, count_scale, tmp_path):
+        # every draw is 7: at 10**18 each count fits int64 but the total does not
+        assert self.simulate_one_spec(tmp_path, (math.log(7.5), 1e-9), count_scale) == 0
+        meta = json.loads((tmp_path / "out" / "scenario_meta.json").read_text())
+        assert meta["total_citations"] == 200 * 7 * count_scale
 
     @pytest.mark.parametrize("family_params, count_scale, reason", [
         ((45.0, 1.0), 1, "must stay below 2**63, got 4.89398e+20"),

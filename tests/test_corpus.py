@@ -2,6 +2,7 @@ import csv
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from citescale.corpus import (
     Corpus,
     GroupKey,
-    PubRecord,
     citation_vectors,
     emit_csv,
     group_records,
@@ -24,6 +24,11 @@ from citescale.errors import (
 )
 
 from conftest import write_corpus_csv
+
+
+def corpus_of(rows):
+    """A corpus from (pub_id, year, category, citations) rows."""
+    return Corpus(*(list(col) for col in zip(*rows))) if rows else Corpus([], [], [], [])
 
 
 class TestIngest:
@@ -102,8 +107,9 @@ class TestIngest:
         assert result.n_warnings == 1
         assert result.n_rows == 3
         assert len(result.corpus) == 2
-        winner = [r for r in result.corpus.records if r.pub_id == "p1"]
-        assert winner[0].citations == 7 and winner[0].year == 2004
+        corpus = result.corpus
+        winner = corpus.pub_id.tolist().index("p1")
+        assert corpus.citations[winner] == 7 and corpus.year[winner] == 2004
 
     def test_same_pub_crossing_categories_is_not_duplicate(self, tmp_path):
         path = write_corpus_csv(
@@ -149,7 +155,7 @@ class TestIngest:
         path = write_corpus_csv(tmp_path / "bio.csv", rows)
         corpus = ingest_csv(path).corpus
         assert len(corpus) == 6970
-        total = sum(r.citations for r in corpus.records)
+        total = sum(corpus.citations.tolist())
         assert total == 100209
         assert round(total / len(corpus), 2) == 14.38
 
@@ -157,12 +163,13 @@ class TestIngest:
 class TestRecords:
     def test_negative_citations_rejected(self):
         with pytest.raises(CorpusValueError):
-            PubRecord("p1", 2003, "A", -3)
+            corpus_of([("p1", 2003, "A", -3)])
 
     def test_corpus_rejects_duplicate_assignment(self):
-        recs = (PubRecord("p1", 2003, "A", 1), PubRecord("p1", 2004, "A", 2))
-        with pytest.raises(CorpusValueError):
-            Corpus(records=recs)
+        # the duplicate spans two years: ("p2", 2003) sits between its rows
+        rows = [("p1", 2003, "A", 1), ("p2", 2003, "A", 1), ("p1", 2004, "A", 2)]
+        with pytest.raises(CorpusValueError, match="'p1', 'A'"):
+            corpus_of(rows)
 
     def test_group_key_ordering(self):
         keys = [GroupKey("B", 2003), GroupKey("A", 2007), GroupKey("A", 2003)]
@@ -173,40 +180,35 @@ class TestRecords:
 
 class TestGrouping:
     def test_partition_sizes(self):
-        corpus = Corpus(records=(
-            PubRecord("p3", 2007, "B", 3),
-            PubRecord("p2", 2003, "A", 2),
-            PubRecord("p1", 2003, "A", 1),
-        ))
+        corpus = corpus_of(
+            [("p3", 2007, "B", 3), ("p2", 2003, "A", 2), ("p1", 2003, "A", 1)]
+        )
         groups = group_records(corpus)
         # groups in key order, records by pub_id within a group
         assert list(groups) == [GroupKey("A", 2003), GroupKey("B", 2007)]
-        assert [r.pub_id for r in groups[GroupKey("A", 2003)]] == ["p1", "p2"]
+        a2003 = corpus.group_slices[GroupKey("A", 2003)]
+        assert corpus.pub_id[a2003].tolist() == ["p1", "p2"]
+        assert groups[GroupKey("A", 2003)].tolist() == [1, 2]
         vectors = citation_vectors(groups)
         assert {k: v.tolist() for k, v in vectors.items()} == {
             GroupKey("A", 2003): [1.0, 2.0], GroupKey("B", 2007): [3.0]
         }
 
     def test_multi_category_pub_in_both_groups(self):
-        corpus = Corpus(records=(
-            PubRecord("p1", 2003, "A", 9),
-            PubRecord("p1", 2003, "B", 9),
-        ))
+        corpus = corpus_of([("p1", 2003, "A", 9), ("p1", 2003, "B", 9)])
         vectors = citation_vectors(group_records(corpus))
         assert vectors[GroupKey("A", 2003)].tolist() == [9]
         assert vectors[GroupKey("B", 2003)].tolist() == [9]
 
     def test_single_key_degenerate(self):
-        corpus = Corpus(records=tuple(
-            PubRecord(f"p{i}", 2003, "A", i) for i in range(17)
-        ))
+        corpus = corpus_of([(f"p{i}", 2003, "A", i) for i in range(17)])
         groups = group_records(corpus)
         assert list(groups) == [GroupKey("A", 2003)]
         assert len(groups[GroupKey("A", 2003)]) == 17
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):
-            group_records(Corpus(records=()))
+            group_records(corpus_of([]))
 
     @given(st.lists(
         st.tuples(st.sampled_from("ABC"), st.sampled_from([2003, 2007]),
@@ -214,17 +216,18 @@ class TestGrouping:
         min_size=1, max_size=60,
     ))
     def test_partition_property(self, raw):
-        records = tuple(
-            PubRecord(f"p{i}", year, cat, cites)
-            for i, (cat, year, cites) in enumerate(raw)
-        )
-        corpus = Corpus(records=records)
+        rows = [(f"p{i}", year, cat, cites) for i, (cat, year, cites) in enumerate(raw)]
+        corpus = corpus_of(rows)
         groups = group_records(corpus)
-        assert sum(len(recs) for recs in groups.values()) == len(records)
-        for key, recs in groups.items():
-            assert all(r.key == key for r in recs)
+        assert sum(len(counts) for counts in groups.values()) == len(rows)
+        for key, part in corpus.group_slices.items():
+            assert set(corpus.category[part].tolist()) == {key.category}
+            assert set(corpus.year[part].tolist()) == {key.year}
         # the grouping does not depend on record order
-        assert group_records(Corpus(records=records[::-1])) == groups
+        reversed_groups = group_records(corpus_of(rows[::-1]))
+        assert {k: v.tolist() for k, v in reversed_groups.items()} == {
+            k: v.tolist() for k, v in groups.items()
+        }
 
 
 _CELL = st.text(
@@ -250,7 +253,7 @@ class TestRoundTrip:
             except CitescaleError:
                 return
             emit_csv(corpus, out)
-            assert set(ingest_csv(out).corpus.records) == set(corpus.records)
+            assert ingest_csv(out).corpus == corpus
     def test_emit_ingest_emit_bit_exact(self, tmp_path):
         path = write_corpus_csv(
             tmp_path / "in.csv",
@@ -264,14 +267,12 @@ class TestRoundTrip:
         out2 = tmp_path / "out2.csv"
         emit_csv(corpus2, out2)
         assert out1.read_bytes() == out2.read_bytes()
-        assert set(corpus.records) == set(corpus2.records)
+        assert corpus == corpus2
 
     def test_canonical_ordering(self, tmp_path):
-        corpus = Corpus(records=(
-            PubRecord("p2", 2007, "A", 1),
-            PubRecord("p1", 2003, "B", 2),
-            PubRecord("p1", 2003, "A", 3),
-        ))
+        corpus = corpus_of(
+            [("p2", 2007, "A", 1), ("p1", 2003, "B", 2), ("p1", 2003, "A", 3)]
+        )
         out = tmp_path / "out.csv"
         emit_csv(corpus, out)
         lines = out.read_text().splitlines()
@@ -281,3 +282,96 @@ class TestRoundTrip:
             "p2,2007,A,1",
             "p1,2003,B,2",
         ]
+
+
+def _emitted(corpus, path):
+    emit_csv(corpus, path)
+    return path.read_bytes()
+
+
+class TestColumns:
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["p1", "p2", "p3", "a\x00", "a"]),
+                      st.sampled_from([2003, 2007]), st.sampled_from("AB\u00e9"),
+                      st.integers(0, 10**20)),
+            min_size=1, max_size=12, unique_by=lambda r: (r[0], r[2]),
+        ).flatmap(lambda rows: st.tuples(st.just(rows), st.permutations(rows)))
+    )
+    def test_row_order_does_not_change_groups_vectors_or_emission(self, pair):
+        rows, shuffled = pair
+        a, b = corpus_of(rows), corpus_of(shuffled)
+        assert a == b
+        ga, gb = group_records(a), group_records(b)
+        assert [(k, len(v)) for k, v in ga.items()] == [
+            (k, len(v)) for k, v in gb.items()
+        ]
+        va, vb = citation_vectors(ga), citation_vectors(gb)
+        assert list(va) == list(vb)
+        assert all(va[k].tobytes() == vb[k].tobytes() for k in va)
+        with tempfile.TemporaryDirectory() as tmp:
+            assert _emitted(a, Path(tmp) / "a.csv") == _emitted(b, Path(tmp) / "b.csv")
+
+    def test_nul_suffix_stays_a_distinct_record(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("pub_id,year,category,citations\na\x00,2003,A,1\na,2003,A,2\n")
+        result = ingest_csv(path, strict=True)
+        assert len(result.corpus) == 2 and result.n_warnings == 0
+        groups = group_records(result.corpus)
+        assert groups[GroupKey("A", 2003)].tolist() == [2, 1]
+        out = tmp_path / "out.csv"
+        emit_csv(result.corpus, out)
+        assert out.read_text().splitlines()[1:] == ["a,2003,A,2", "a\x00,2003,A,1"]
+        assert ingest_csv(out).corpus == result.corpus
+
+    def test_counts_beyond_int64_stay_exact(self, tmp_path):
+        corpus = corpus_of([("p1", 2003, "A", 10**20 + 1), ("p2", 2003, "A", 3)])
+        assert corpus.citations.dtype == object
+        assert group_records(corpus)[GroupKey("A", 2003)].tolist() == [10**20 + 1, 3]
+        out = tmp_path / "out.csv"
+        emit_csv(corpus, out)
+        assert out.read_text().splitlines()[1] == "p1,2003,A,100000000000000000001"
+        assert corpus_of([("p1", 2003, "A", 2**62)]).citations.dtype == np.int64
+
+    @pytest.mark.parametrize("year, citations", [(2003.7, 1), (2003, 1.5), (2003, "7")])
+    def test_non_integer_cells_rejected(self, year, citations):
+        with pytest.raises(CorpusValueError, match="integers"):
+            corpus_of([("p1", year, "A", citations)])
+        exact = corpus_of([("p1", np.int64(2003), "A", np.uint64(2**63))])
+        assert exact.citations.tolist() == [2**63]
+
+    def test_columns_are_read_only(self):
+        corpus = corpus_of([("p1", 2003, "A", 1)])
+        with pytest.raises(ValueError):
+            corpus.citations[0] = 5
+
+
+class TestFirstBadLine:
+    """Whole-column checks must still name the first bad line in file order."""
+
+    @pytest.mark.parametrize("body, message", [
+        # a bad count on line 3 comes before a bad year on line 4
+        ("p1,2003,A,1\np2,2003,A,-1\np3,x,A,1\n", "line 3: citations must be >= 0"),
+        ("p1,2003,A,1\np2,x,A,1\np3,2003,A,-1\n", "line 3: column 'year'"),
+        # a blank line still counts
+        ("p1,2003,A,1\n\np2,2003,,1\n", "line 4: empty category"),
+        # a value error comes before a later ragged row
+        ("p1,2003,A,-1\np2,2003,A\n", "line 2: citations"),
+        ("p1,2003,A,1\n\np2,2003,A\n", "line 4: expected 4 columns"),
+        ("p1,99999999999999999999,A,1\n", "line 2: year is beyond the int64 range"),
+    ])
+    def test_first_bad_line_named(self, tmp_path, body, message):
+        path = tmp_path / "c.csv"
+        path.write_text("pub_id,year,category,citations\n" + body)
+        with pytest.raises(CitescaleError, match=message):
+            ingest_csv(path)
+
+    def test_strict_duplicate_before_later_bad_value(self, tmp_path):
+        path = write_corpus_csv(
+            tmp_path / "c.csv", [("p1", 2003, "A", 1), ("p1", 2003, "A", 2),
+                                 ("p2", 2003, "A", -1)]
+        )
+        with pytest.raises(DuplicateRecordError, match="line 3"):
+            ingest_csv(path, strict=True)
+        with pytest.raises(CorpusValueError, match="line 4"):
+            ingest_csv(path)

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from citescale.errors import InsufficientSampleError
-from citescale.gof import P_BRACKETS, ad_lognormal, p_bracket
+from citescale.gof import P_BRACKETS, ad_lognormal, log_ndtr, p_bracket
 
 
 def a2_naive(values, threshold):
@@ -114,3 +115,14 @@ class TestCalibration:
             if report.a_squared_star > 0.752:
                 rejections += 1
         assert 0.02 <= rejections / trials <= 0.09
+
+
+class TestLogNdtr:
+    def test_matches_scipy_stats_norm_byte_for_byte(self):
+        # the test evaluates log Phi(z) and log(1 - Phi(z)) through
+        # scipy.special; scipy.stats.norm computes the same with more overhead
+        rng = np.random.default_rng(1974)
+        for scale in (0.5, 1.0, 3.0, 10.0, 40.0):
+            z = rng.normal(0.0, scale, size=2000)
+            assert log_ndtr(z).tobytes() == norm.logcdf(z).tobytes()
+            assert log_ndtr(-z).tobytes() == norm.logsf(z).tobytes()

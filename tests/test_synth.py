@@ -56,7 +56,7 @@ class TestGenerate:
                            zero_inflation=0.0),
         ))
         corpus = generate(scenario)
-        assert [r.citations for r in corpus.records] == [7] * 5
+        assert corpus.citations.tolist() == [7] * 5
 
     def test_zero_inflation_share(self):
         scenario = Scenario(seed=9, specs=(
@@ -64,12 +64,12 @@ class TestGenerate:
                            zero_inflation=0.5),
         ))
         corpus = generate(scenario)
-        zero_share = np.mean([r.citations == 0 for r in corpus.records])
+        zero_share = np.mean(corpus.citations == 0)
         assert 0.48 <= zero_share <= 0.52
 
     def test_pub_id_format_and_grouping(self):
         corpus = generate(Scenario(seed=5, specs=(lognormal_spec(n=3),)))
-        assert [r.pub_id for r in corpus.records] == [
+        assert corpus.pub_id.tolist() == [
             "A-2003-000000", "A-2003-000001", "A-2003-000002"
         ]
         assert set(group_records(corpus)) == {GroupKey("A", 2003)}
@@ -82,16 +82,16 @@ class TestGenerate:
             lognormal_spec(category="Z", n=500, family="zipf-with-cutoff",
                            family_params=(2.5, 50), zero_inflation=0.2),
         ))
-        for rec in generate(scenario).records:
-            assert rec.citations >= 0
-            assert isinstance(rec.citations, int)
+        citations = generate(scenario).citations
+        assert citations.dtype == np.int64
+        assert all(c >= 0 and isinstance(c, int) for c in citations.tolist())
 
     def test_zipf_respects_cutoff(self):
         scenario = Scenario(seed=13, specs=(
             lognormal_spec(family="zipf-with-cutoff", family_params=(1.1, 9),
                            zero_inflation=0.0, n=2000),
         ))
-        values = {r.citations for r in generate(scenario).records}
+        values = set(generate(scenario).citations.tolist())
         assert values <= set(range(1, 10))
         assert 1 in values
 
@@ -207,7 +207,7 @@ class TestFrozenScenario:
         means = [float(np.mean(v)) for v in vectors.values()]
         assert len(corpus) == BENCHMARK_SUMMARY["n_records"]
         assert len(vectors) == BENCHMARK_SUMMARY["n_groups"]
-        total = sum(r.citations for r in corpus.records)
+        total = sum(corpus.citations.tolist())
         assert total == BENCHMARK_SUMMARY["total_citations"]
         assert min(means) == pytest.approx(BENCHMARK_SUMMARY["group_mean_min"])
         assert max(means) == pytest.approx(BENCHMARK_SUMMARY["group_mean_max"])
