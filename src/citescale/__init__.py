@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .corpus import (
     Corpus,
     GroupKey,
-    IngestResult,
     citation_vectors,
     emit_csv,
     group_records,
@@ -31,19 +30,10 @@ from .errors import (
     InsufficientSampleError,
     ScenarioError,
 )
-from .gof import GofReport, ad_lognormal, p_bracket
-from .scaling import (
-    ScalingFactorSet,
-    ScalingMethod,
-    SkippedGroup,
-    boxcox_loglik,
-    boxcox_transform,
-    fit_factors,
-    fit_lambda,
-    scale_corpus,
-)
-from .stats import GroupStats, describe, describe_nonzero
-from .survival import CollapseReport, QuantileDispersion, collapse_metrics
+from .gof import ad_lognormal
+from .scaling import ScalingMethod, scale_corpus
+from .stats import describe
+from .survival import collapse_metrics
 from .synth import (
     CategorySpec,
     Scenario,
@@ -53,29 +43,20 @@ from .synth import (
     save_scenario,
     scaled_copy_scenario,
 )
-from .topshare import CategoryShare, TopShareReport, method_comparison, top_share
+from .topshare import method_comparison, top_share
 
 __all__ = [
     "__version__",
     # corpus
-    "Corpus", "GroupKey", "IngestResult",
+    "Corpus", "GroupKey",
     "citation_vectors", "emit_csv", "group_records", "ingest_csv",
     # errors
     "CitescaleError", "CorpusFormatError", "CorpusValueError",
     "DegenerateLikelihoodError", "DuplicateRecordError", "EmptyCorpusError",
     "EmptyGroupError", "InsufficientSampleError", "ScenarioError",
-    # stats
-    "GroupStats", "describe", "describe_nonzero",
-    # scaling
-    "ScalingFactorSet", "ScalingMethod", "SkippedGroup",
-    "boxcox_loglik", "boxcox_transform", "fit_factors", "fit_lambda",
-    "scale_corpus",
-    # survival
-    "CollapseReport", "QuantileDispersion", "collapse_metrics",
-    # topshare
-    "CategoryShare", "TopShareReport", "method_comparison", "top_share",
-    # gof
-    "GofReport", "ad_lognormal", "p_bracket",
+    # diagnostics
+    "describe", "ScalingMethod", "scale_corpus", "collapse_metrics",
+    "method_comparison", "top_share", "ad_lognormal",
     # synth
     "CategorySpec", "Scenario", "generate", "load_scenario",
     "benchmark_scenario", "save_scenario", "scaled_copy_scenario",

@@ -124,8 +124,7 @@ def _write_stats(citations: dict[GroupKey, np.ndarray], path: Path) -> None:
             (
                 key.category, key.year, st.n, st.mean, st.median, _opt(st.stddev),
                 _opt(st.skewness), _opt(st.kurtosis), st.n_nonzero,
-                _opt(st.mean_nonzero), _opt(st.median_nonzero),
-                st.kurtosis_convention,
+                _opt(st.mean_nonzero), _opt(st.median_nonzero), "excess",
             )
         )
     write_csv(path, STATS_HEADER, "%s,%d,%d,%.10g,%.10g,%s,%s,%s,%d,%s,%s,%s\n", rows)
@@ -288,10 +287,9 @@ def _write_gof(
 
 def _cmd_ingest_check(args: argparse.Namespace) -> int:
     result = ingest_csv(args.input, strict=args.strict)
-    n_groups = len(group_records(result.corpus))
     print(
         f"rows={result.n_rows} records={len(result.corpus)} "
-        f"warnings={result.n_warnings} groups={n_groups}"
+        f"warnings={result.n_warnings} groups={len(result.corpus.group_slices)}"
     )
     return 0
 

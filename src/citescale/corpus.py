@@ -10,8 +10,9 @@ is one slice of them and grouping, scoring and emission read one order.
 CSV wire format (canonical form):
     header ``pub_id,year,category,citations``, comma separated, LF line
     endings, no quoting; emission sorts rows by (category, year, pub_id).
-    Since nothing is quoted, ``pub_id`` and ``category`` may not hold a
-    comma, a double quote or a line break.
+    Since nothing is quoted and ingestion strips cells, ``pub_id`` and
+    ``category`` may not be empty, hold a comma, a double quote or a line
+    break, or start or end with whitespace.
 """
 
 from __future__ import annotations
@@ -59,11 +60,19 @@ def _integers(values):
         raise CorpusValueError("years and citations must be integers") from None
 
 
-def _ranks(column: np.ndarray) -> np.ndarray:
-    """Dense ranks of an object column of str, in Python's string order."""
+def _ranks(column: np.ndarray, name: str) -> np.ndarray:
+    """Dense ranks of an object column of str, in Python's string order;
+    :class:`CorpusValueError` for a distinct value that is not CSV text."""
     order = np.argsort(column, kind="stable")
     new = np.ones(len(column), dtype=bool)
     new[1:] = column[order[1:]] != column[order[:-1]]
+    for value in column[order[new]].tolist():
+        readable = isinstance(value, str) and value and value == value.strip()
+        if not readable or _UNQUOTABLE.search(value):
+            raise CorpusValueError(
+                f"{name} {value!r} would not read back from CSV: it must be "
+                "a non-empty, unpadded str with no comma, double quote or line break"
+            )
     ranks = np.empty(len(column), dtype=np.int64)
     ranks[order] = np.cumsum(new) - 1
     return ranks
@@ -76,17 +85,16 @@ class Corpus:
     of ``str``, ``year`` as int64, ``citations`` as int64 or, when a count
     is beyond int64, as Python ints.  ``group_slices`` maps each group key,
     in key order, to its slice of the columns.  A (pub_id, category) pair
-    may occur once, whatever its years, and no count may be negative.
-
-    ``census_date`` is descriptive metadata only (ISO-8601 date at which the
-    citation counts were taken); it takes no part in any computation.
+    may occur once, whatever its years, and no count may be negative.  Each
+    ``pub_id`` and ``category`` is a non-empty ``str`` with no comma, double
+    quote, line break or leading or trailing whitespace, so that its CSV
+    cell reads back the same.
     """
 
     pub_id: np.ndarray
     year: np.ndarray
     category: np.ndarray
     citations: np.ndarray
-    census_date: str | None = None
     group_slices: dict[GroupKey, slice] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -107,7 +115,7 @@ class Corpus:
         if n and cites.min() < 0:
             raise CorpusValueError(f"citations must be >= 0, got {cites.min()}")
 
-        cat_rank, pub_rank = _ranks(cat), _ranks(pub)
+        cat_rank, pub_rank = _ranks(cat, "category"), _ranks(pub, "pub_id")
         pairs = cat_rank * n + pub_rank
         ordered = np.sort(pairs)
         repeated = ordered[1:][ordered[1:] == ordered[:-1]]
@@ -133,9 +141,8 @@ class Corpus:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Corpus):
             return NotImplemented
-        return self.census_date == other.census_date and all(
-            np.array_equal(getattr(self, c), getattr(other, c)) for c in CSV_HEADER
-        )
+        same = (np.array_equal(getattr(self, c), getattr(other, c)) for c in CSV_HEADER)
+        return all(same)
 
 
 @dataclass(frozen=True)
@@ -204,11 +211,7 @@ def _raise_first_bad_row(path: Path, text: str, strict: bool) -> None:
     raise AssertionError("a column check failed but every row is good")
 
 
-def ingest_csv(
-    path: str | Path,
-    strict: bool = False,
-    census_date: str | None = None,
-) -> IngestResult:
+def ingest_csv(path: str | Path, strict: bool = False) -> IngestResult:
     """Read a corpus CSV.
 
     Duplicate (pub_id, category) rows raise :class:`DuplicateRecordError` in
@@ -253,14 +256,15 @@ def ingest_csv(
         years = np.fromiter(map(int, map(str.strip, raw[1])), np.int64, len(pub))
         cites = list(map(int, map(str.strip, raw[3])))
         float(max(cites, default=0))  # every score is computed in float64
-        # only a quoted cell can hold a comma, a double quote or a line break
-        ok = min(cites, default=0) >= 0 and "" not in pub and "" not in cat and (
-            '"' not in text or not _UNQUOTABLE.search("|".join(raw[0] + raw[2]))
-        )
+        # The Corpus sees stripped text of kept rows only: check every count,
+        # and a line break that stripping hides at a quoted cell's edge, here.
+        cells = "".join(raw[0] + raw[2]) if '"' in text else ""
+        ok = min(cites, default=0) >= 0 and "\r" not in cells and "\n" not in cells
     except (csv.Error, ValueError, OverflowError):  # a ragged row fails to unpack
         ok = False
     n = len(raw[0])
-    # once checked, no cell holds a comma: "pub_id,category" keys an assignment
+    # "pub_id,category" keys an assignment: two rows collide otherwise only
+    # when both hold a comma, which the Corpus rejects in the row kept.
     last = dict(zip([p + "," + c for p, c in zip(pub, cat)], range(n))) if ok else {}
     n_warnings = n - len(last)  # the last row wins
     if not ok or (strict and n_warnings):
@@ -271,7 +275,10 @@ def ingest_csv(
     if n_warnings:
         keep = list(last.values())
         columns = [[col[i] for i in keep] for col in columns]
-    corpus = Corpus(*columns, census_date=census_date)
+    try:
+        corpus = Corpus(*columns)
+    except CorpusValueError:
+        _raise_first_bad_row(path, text, strict)
     return IngestResult(corpus=corpus, n_rows=n, n_warnings=n_warnings)
 
 

@@ -107,19 +107,14 @@ def boxcox_transform(citations, lam: float):
     return np.expm1(lam * np.log1p(c)) / lam
 
 
-def boxcox_loglik(values, lam: float) -> float:
-    """Profile log-likelihood of the shifted power transform.
+def _profile_loglik(log1p_c: np.ndarray, sum_log1p: float, lam: float) -> float:
+    """Profile log-likelihood of the shifted power transform, over precomputed
+    ``log1p(c)`` and its sum.
 
     ``LL(lam) = -(n/2) * ln(var(T(c))) + (lam - 1) * sum(ln(c + 1))`` where
     the variance is the maximum-likelihood (n-denominator) variance of the
     transformed values.
     """
-    log1p_c = np.log1p(np.asarray(values, dtype=np.float64))
-    return _profile_loglik(log1p_c, float(log1p_c.sum()), lam)
-
-
-def _profile_loglik(log1p_c: np.ndarray, sum_log1p: float, lam: float) -> float:
-    """:func:`boxcox_loglik` over precomputed ``log1p(c)`` and its sum."""
     t = log1p_c if lam == 0.0 else np.expm1(lam * log1p_c) / lam
     var = float(t.var())
     if var <= 0.0 or not np.isfinite(var):
@@ -127,11 +122,11 @@ def _profile_loglik(log1p_c: np.ndarray, sum_log1p: float, lam: float) -> float:
     return -0.5 * log1p_c.size * math.log(var) + (lam - 1.0) * sum_log1p
 
 
-def _golden_max(f, a: float, b: float, tol: float = _GOLDEN_TOL) -> float:
+def _golden_max(f, a: float, b: float) -> float:
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
+    while (b - a) > _GOLDEN_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)

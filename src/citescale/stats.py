@@ -11,10 +11,8 @@ Conventions:
     * stddev = sample standard deviation (n-1 denominator);
     * skewness = adjusted standardized third moment,
       ``G1 = g1 * sqrt(n*(n-1)) / (n-2)`` with ``g1 = m3 / m2**1.5``;
-    * kurtosis defaults to the adjusted *excess* form
-      ``G2 = (n-1)/((n-2)*(n-3)) * ((n+1)*g2 + 6)`` with ``g2 = m4/m2**2 - 3``;
-      the non-excess ("pearson") convention is ``G2 + 3``.  The convention in
-      force is carried in the result so report output can state it.
+    * kurtosis = adjusted *excess* kurtosis
+      ``G2 = (n-1)/((n-2)*(n-3)) * ((n+1)*g2 + 6)`` with ``g2 = m4/m2**2 - 3``.
 """
 
 from __future__ import annotations
@@ -25,8 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyGroupError
-
-KURTOSIS_CONVENTIONS = ("excess", "pearson")
 
 
 @dataclass(frozen=True)
@@ -44,7 +40,6 @@ class GroupStats:
     kurtosis: float | None
     mean_nonzero: float | None
     median_nonzero: float | None
-    kurtosis_convention: str = "excess"
 
 
 def _median(sorted_values: np.ndarray) -> float:
@@ -55,13 +50,8 @@ def _median(sorted_values: np.ndarray) -> float:
     return float((sorted_values[mid - 1] + sorted_values[mid]) / 2.0)
 
 
-def describe(
-    values: Sequence[int] | np.ndarray,
-    kurtosis_convention: str = "excess",
-) -> GroupStats:
+def describe(values: Sequence[int] | np.ndarray) -> GroupStats:
     """Descriptive statistics of a non-empty, non-negative citation vector."""
-    if kurtosis_convention not in KURTOSIS_CONVENTIONS:
-        raise ValueError(f"unknown kurtosis convention {kurtosis_convention!r}")
     v = np.asarray(values, dtype=np.float64)
     n = int(v.size)
     if n == 0:
@@ -87,8 +77,6 @@ def describe(
             m4 = float(((srt - mean) ** 4).mean())
             g2 = m4 / m2**2 - 3.0
             kurtosis = float((n - 1.0) / ((n - 2.0) * (n - 3.0)) * ((n + 1.0) * g2 + 6.0))
-            if kurtosis_convention == "pearson":
-                kurtosis += 3.0
 
     nz = srt[srt > 0]
     mean_nonzero: float | None = None
@@ -109,24 +97,4 @@ def describe(
         kurtosis=kurtosis,
         mean_nonzero=mean_nonzero,
         median_nonzero=median_nonzero,
-        kurtosis_convention=kurtosis_convention,
     )
-
-
-def describe_nonzero(
-    values: Sequence[int] | np.ndarray,
-    kurtosis_convention: str = "excess",
-) -> GroupStats | None:
-    """Statistics of the nonzero entries alone; ``None`` flags an all-zero vector.
-
-    When any nonzero entry exists this equals ``describe`` of the filtered
-    vector, so e.g. a heavily uncited cohort shows how far the plain mean and
-    the cited-only mean diverge.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise EmptyGroupError("cannot describe an empty citation vector")
-    nz = v[v > 0]
-    if nz.size == 0:
-        return None
-    return describe(nz, kurtosis_convention=kurtosis_convention)

@@ -122,12 +122,10 @@ def collapse_metrics(
     )
 
 
-def log_binned_thresholds(
-    samples: Iterable[Sequence[float] | np.ndarray],
-    n_bins: int = N_PLOT_BINS,
-) -> np.ndarray:
-    """Shared plotting grid: log-spaced between the global smallest positive
-    value and the global maximum.  Empty when no positive value exists."""
+def log_binned_thresholds(samples: Iterable[Sequence[float] | np.ndarray]) -> np.ndarray:
+    """Shared plotting grid: ``N_PLOT_BINS`` log-spaced values between the
+    global smallest positive value and the global maximum.  Empty when no
+    positive value exists."""
     lo = np.inf
     hi = -np.inf
     for sample in samples:
@@ -140,7 +138,7 @@ def log_binned_thresholds(
         return np.array([])
     if lo == hi:
         return np.array([lo])
-    return np.geomspace(lo, hi, n_bins)
+    return np.geomspace(lo, hi, N_PLOT_BINS)
 
 
 def binned_survival(values, thresholds: np.ndarray) -> np.ndarray:

@@ -305,6 +305,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: spec A/2003: ") and reason in err
 
+    @pytest.mark.parametrize("command", ["simulate", "report"])
+    def test_category_that_would_not_read_back_exits_one(
+        self, command, tmp_path, capsys
+    ):
+        path = tmp_path / "scenario.json"
+        spec = CategorySpec("A,B", 2003, 20, "negative-binomial", (2.0, 0.3))
+        save_scenario(Scenario(seed=1, specs=(spec,)), path)
+        out = tmp_path / "out"
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 1
+        assert "category 'A,B'" in capsys.readouterr().err
+        assert not (out / "corpus.csv").exists()
+
 
 class TestReport:
     def test_full_pipeline_artifacts_and_manifest(self, small_scenario_json, tmp_path):

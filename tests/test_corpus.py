@@ -123,7 +123,9 @@ class TestIngest:
         with pytest.raises(CorpusValueError, match="comma"):
             ingest_csv(path)
 
-    @pytest.mark.parametrize("cell", ['"a\nb"', '"a\rb"', '"a""b"', 'a"b'])
+    @pytest.mark.parametrize(
+        "cell", ['"a\nb"', '"a\rb"', '"a""b"', 'a"b', '"a\n"', '"\rb"']
+    )
     def test_unquotable_characters_rejected(self, tmp_path, cell):
         # emission writes cells unquoted, so these could not read back
         path = tmp_path / "c.csv"
@@ -230,9 +232,18 @@ class TestGrouping:
         }
 
 
-_CELL = st.text(
-    alphabet=st.sampled_from('ab9 "\r\n\t\x1c\u00e9'), min_size=1, max_size=5
+_ALPHABET = 'ab9 "\r\n\t\x1c\u00e9'
+_CELL = st.text(alphabet=st.sampled_from(_ALPHABET), min_size=1, max_size=5)
+# text the Corpus must accept, and any text from the cell alphabet plus a
+# comma, empty included, which it must accept exactly when it reads back
+_READABLE = st.from_regex(
+    "[ab9\u00e9]([ab9\u00e9 \t\x1c]{0,3}[ab9\u00e9])?", fullmatch=True
 )
+_ANY_TEXT = st.text(alphabet=st.sampled_from(_ALPHABET + ","), max_size=5)
+
+
+def _reads_back(text):
+    return text != "" and text == text.strip() and not set(text) & set(',"\r\n')
 
 
 class TestRoundTrip:
@@ -254,6 +265,35 @@ class TestRoundTrip:
                 return
             emit_csv(corpus, out)
             assert ingest_csv(out).corpus == corpus
+
+    @given(
+        st.lists(
+            st.tuples(_READABLE, st.integers(1990, 2020), _READABLE,
+                      st.integers(0, 10**20)),
+            min_size=1, max_size=4, unique_by=lambda r: (r[0], r[2]),
+        ),
+        st.none() | st.tuples(st.integers(0, 3), st.sampled_from([0, 2]), _ANY_TEXT),
+    )
+    def test_constructed_corpus_emit_ingest_identity(self, rows, edit):
+        # any Corpus the constructor accepts must read back the same after
+        # emission; ``edit`` puts arbitrary text into one cell
+        if edit is not None:
+            i, column, text = edit
+            row = list(rows[i % len(rows)])
+            row[column] = text
+            rows[i % len(rows)] = tuple(row)
+        if len({(r[0], r[2]) for r in rows}) < len(rows) or not all(
+            _reads_back(r[0]) and _reads_back(r[2]) for r in rows
+        ):
+            with pytest.raises(CorpusValueError):
+                corpus_of(rows)
+            return
+        corpus = corpus_of(rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out.csv"
+            emit_csv(corpus, out)
+            assert ingest_csv(out).corpus == corpus
+
     def test_emit_ingest_emit_bit_exact(self, tmp_path):
         path = write_corpus_csv(
             tmp_path / "in.csv",
@@ -359,6 +399,8 @@ class TestFirstBadLine:
         ("p1,2003,A,-1\np2,2003,A\n", "line 2: citations"),
         ("p1,2003,A,1\n\np2,2003,A\n", "line 4: expected 4 columns"),
         ("p1,99999999999999999999,A,1\n", "line 2: year is beyond the int64 range"),
+        # a bad row is named even when a later duplicate replaces it
+        ("p1,2003,A,-1\np1,2003,A,5\n", "line 2: citations must be >= 0"),
     ])
     def test_first_bad_line_named(self, tmp_path, body, message):
         path = tmp_path / "c.csv"

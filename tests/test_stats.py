@@ -5,10 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from citescale.errors import EmptyGroupError
-from citescale.stats import describe, describe_nonzero
+from citescale.stats import describe
 
 
-def naive_stats(values, kurtosis_convention="excess"):
+def naive_stats(values):
     """Plain-loop oracle: raw sums only, no vectorized shortcuts."""
     n = len(values)
     total = 0.0
@@ -33,8 +33,6 @@ def naive_stats(values, kurtosis_convention="excess"):
         if n >= 4:
             g2 = m4 / m2**2 - 3.0
             kurt = (n - 1.0) / ((n - 2.0) * (n - 3.0)) * ((n + 1.0) * g2 + 6.0)
-            if kurtosis_convention == "pearson":
-                kurt += 3.0
     return {
         "n": n, "min": srt[0], "max": srt[-1], "mean": mean, "median": median,
         "stddev": stddev, "skewness": skew, "kurtosis": kurt,
@@ -86,17 +84,6 @@ class TestDescribe:
         assert describe([1, 2, 4]).skewness is not None
         assert describe([1, 2, 4]).kurtosis is None
         assert describe([1, 2, 4, 9]).kurtosis is not None
-
-    def test_pearson_convention_offset(self):
-        values = [0, 1, 2, 5, 12, 40]
-        excess = describe(values)
-        pearson = describe(values, kurtosis_convention="pearson")
-        assert pearson.kurtosis == pytest.approx(excess.kurtosis + 3.0)
-        assert pearson.kurtosis_convention == "pearson"
-
-    def test_unknown_convention(self):
-        with pytest.raises(ValueError):
-            describe([1, 2, 3], kurtosis_convention="weird")
 
     def test_empty_vector(self):
         with pytest.raises(EmptyGroupError):
@@ -150,13 +137,11 @@ class TestDescribeNonzero:
         # the plain mean is 4.14 and the cited-only mean 13.83
         values = [0] * 16150 + [14] * 5727 + [13] * (6900 - 5727)
         full = describe(values)
-        cited = describe_nonzero(values)
         assert full.mean == 4.14
-        assert cited.mean == 13.83
         assert full.mean_nonzero == 13.83
 
     def test_all_zero_flagged(self):
-        assert describe_nonzero([0, 0, 0]) is None
+        assert describe([0, 0, 0]).mean_nonzero is None
 
     def test_small_vector_values(self):
         st_ = describe([0, 1, 2, 5, 12])
@@ -164,19 +149,4 @@ class TestDescribeNonzero:
         assert st_.mean_nonzero == 5.0
         assert st_.median == 2
         assert st_.median_nonzero == 3.5
-        nz = describe_nonzero([0, 1, 2, 5, 12])
-        assert nz.mean == 5.0 and nz.median == 3.5 and nz.n == 4
-
-    def test_matches_filtered_describe(self, rng):
-        for _ in range(20):
-            values = rng.integers(0, 30, size=int(rng.integers(2, 100)))
-            nz = describe_nonzero(values)
-            filtered = values[values > 0]
-            if filtered.size == 0:
-                assert nz is None
-            else:
-                assert nz == describe(filtered)
-
-    def test_empty_vector(self):
-        with pytest.raises(EmptyGroupError):
-            describe_nonzero([])
+        assert st_.n_nonzero == 4
