@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .corpus import (
     Corpus,
     GroupKey,
-    citation_vectors,
     emit_csv,
     group_records,
     ingest_csv,
@@ -48,8 +47,7 @@ from .topshare import method_comparison, top_share
 __all__ = [
     "__version__",
     # corpus
-    "Corpus", "GroupKey",
-    "citation_vectors", "emit_csv", "group_records", "ingest_csv",
+    "Corpus", "GroupKey", "emit_csv", "group_records", "ingest_csv",
     # errors
     "CitescaleError", "CorpusFormatError", "CorpusValueError",
     "DegenerateLikelihoodError", "DuplicateRecordError", "EmptyCorpusError",

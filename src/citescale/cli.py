@@ -23,6 +23,7 @@ block, which is excluded from hashing).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -37,7 +38,6 @@ from . import __version__
 from .corpus import (
     Corpus,
     GroupKey,
-    citation_vectors,
     emit_csv,
     group_records,
     ingest_csv,
@@ -97,10 +97,6 @@ def _load_corpus(args: argparse.Namespace) -> Corpus:
     return result.corpus
 
 
-def _load_citations(args: argparse.Namespace) -> dict[GroupKey, np.ndarray]:
-    return citation_vectors(group_records(_load_corpus(args)))
-
-
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -131,7 +127,7 @@ def _write_stats(citations: dict[GroupKey, np.ndarray], path: Path) -> None:
 
 
 def _write_scaled(corpus: Corpus, method: ScalingMethod, out: Path) -> list[Path]:
-    scores, skipped = scale_corpus(citation_vectors(group_records(corpus)), method)
+    scores, skipped = scale_corpus(group_records(corpus), method)
     columns = (corpus.pub_id, corpus.year, corpus.category, corpus.citations)
     rows: list[tuple] = []
     for key, aii in scores.items():
@@ -156,23 +152,6 @@ def _write_scaled(corpus: Corpus, method: ScalingMethod, out: Path) -> list[Path
     return [scaled_path, skipped_path]
 
 
-def _collapse_payload(report) -> dict:
-    return {
-        "method": "raw" if report.method is None else report.method.value,
-        "n_curves": report.n_curves,
-        "max_pairwise_ks": report.max_pairwise_ks,
-        "quantile_dispersion": [
-            {
-                "q": d.q,
-                "spread": d.spread,
-                "n_groups": d.n_groups,
-                "n_excluded_zero": d.n_excluded_zero,
-            }
-            for d in report.quantile_dispersion
-        ],
-    }
-
-
 def _write_survival(
     vectors: dict[GroupKey, np.ndarray], method: ScalingMethod | None, out: Path
 ) -> list[Path]:
@@ -193,7 +172,7 @@ def _write_survival(
 
     collapse_path = out / f"collapse_{name}.json"
     if len(keys) >= 2:
-        payload = _collapse_payload(collapse_metrics(vectors, method=method))
+        payload = {"method": name, **dataclasses.asdict(collapse_metrics(vectors))}
     else:
         payload = {
             "method": name,
@@ -264,7 +243,7 @@ def _write_gof(
     n_skipped = 0
     for key in vectors:
         try:
-            rep = ad_lognormal(vectors[key], threshold=threshold, group=key)
+            rep = ad_lognormal(vectors[key], threshold=threshold)
         except InsufficientSampleError:
             n_skipped += 1
             continue
@@ -295,7 +274,7 @@ def _cmd_ingest_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    citations = _load_citations(args)
+    citations = group_records(_load_corpus(args))
     out = _out_dir(args)
     _write_stats(citations, out / "stats.csv")
     return 0
@@ -309,7 +288,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
 
 
 def _cmd_survival(args: argparse.Namespace) -> int:
-    raw = _load_citations(args)
+    raw = group_records(_load_corpus(args))
     out = _out_dir(args)
     _write_survival(raw, None, out)
     for method in dict.fromkeys(ScalingMethod(m) for m in args.method or []):
@@ -318,7 +297,7 @@ def _cmd_survival(args: argparse.Namespace) -> int:
 
 
 def _cmd_topshare(args: argparse.Namespace) -> int:
-    raw = _load_citations(args)
+    raw = group_records(_load_corpus(args))
     out = _out_dir(args)
     scored = {
         method: scale_corpus(raw, method)
@@ -329,7 +308,7 @@ def _cmd_topshare(args: argparse.Namespace) -> int:
 
 
 def _cmd_gof(args: argparse.Namespace) -> int:
-    raw = _load_citations(args)
+    raw = group_records(_load_corpus(args))
     out = _out_dir(args)
     method = ScalingMethod(args.method)
     _write_gof(scale_corpus(raw, method)[0], method, args.gof_threshold, out)
@@ -363,7 +342,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         emit_csv(corpus, artifacts[-1])
     source = str(args.scenario or args.input)
 
-    raw = citation_vectors(group_records(corpus))
+    raw = group_records(corpus)
     stats_path = out / "stats.csv"
     _write_stats(raw, stats_path)
     artifacts.append(stats_path)

@@ -12,7 +12,8 @@ CSV wire format (canonical form):
     endings, no quoting; emission sorts rows by (category, year, pub_id).
     Since nothing is quoted and ingestion strips cells, ``pub_id`` and
     ``category`` may not be empty, hold a comma, a double quote or a line
-    break, or start or end with whitespace.
+    break, or start or end with whitespace; the file is UTF-8, so no text
+    may hold a lone surrogate.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ from .errors import (
 )
 
 CSV_HEADER = ("pub_id", "year", "category", "citations")
-_UNQUOTABLE = re.compile(r'[,"\r\n]')
+# A comma, double quote or line break breaks an unquoted cell; a lone
+# surrogate cannot be written as UTF-8.
+_UNREADABLE = re.compile('[,"\r\n\ud800-\udfff]')
 
 
 @dataclass(frozen=True, order=True)
@@ -60,19 +63,31 @@ def _integers(values):
         raise CorpusValueError("years and citations must be integers") from None
 
 
-def _ranks(column: np.ndarray, name: str) -> np.ndarray:
-    """Dense ranks of an object column of str, in Python's string order;
-    :class:`CorpusValueError` for a distinct value that is not CSV text."""
+def _check_text(column: np.ndarray, name: str) -> None:
+    """:class:`CorpusValueError` unless every value of an object column is
+    CSV text; whole-column checks, then one value at a time to name it."""
+    values = column.tolist()
+    try:
+        if all(values) and list(map(str.strip, values)) == values:
+            if not _UNREADABLE.search("".join(values)):
+                return
+    except TypeError:  # a value that is not a str
+        pass
+    for value in values:
+        readable = isinstance(value, str) and value and value == value.strip()
+        if not readable or _UNREADABLE.search(value):
+            raise CorpusValueError(
+                f"{name} {value!r} would not read back from CSV: it must be a "
+                "non-empty, unpadded str with no comma, double quote, line "
+                "break or lone surrogate"
+            )
+
+
+def _ranks(column: np.ndarray) -> np.ndarray:
+    """Dense ranks of an object column of str, in Python's string order."""
     order = np.argsort(column, kind="stable")
     new = np.ones(len(column), dtype=bool)
     new[1:] = column[order[1:]] != column[order[:-1]]
-    for value in column[order[new]].tolist():
-        readable = isinstance(value, str) and value and value == value.strip()
-        if not readable or _UNQUOTABLE.search(value):
-            raise CorpusValueError(
-                f"{name} {value!r} would not read back from CSV: it must be "
-                "a non-empty, unpadded str with no comma, double quote or line break"
-            )
     ranks = np.empty(len(column), dtype=np.int64)
     ranks[order] = np.cumsum(new) - 1
     return ranks
@@ -87,8 +102,9 @@ class Corpus:
     in key order, to its slice of the columns.  A (pub_id, category) pair
     may occur once, whatever its years, and no count may be negative.  Each
     ``pub_id`` and ``category`` is a non-empty ``str`` with no comma, double
-    quote, line break or leading or trailing whitespace, so that its CSV
-    cell reads back the same.
+    quote, line break, lone surrogate or leading or trailing whitespace, so
+    that its CSV cell reads back the same, and every count fits in float64,
+    the type every score is computed in.
     """
 
     pub_id: np.ndarray
@@ -114,8 +130,15 @@ class Corpus:
             raise ValueError("corpus columns must have equal lengths")
         if n and cites.min() < 0:
             raise CorpusValueError(f"citations must be >= 0, got {cites.min()}")
+        if cites.dtype == object:
+            try:
+                float(cites.max())
+            except OverflowError:
+                raise CorpusValueError("citations exceed the float64 range") from None
 
-        cat_rank, pub_rank = _ranks(cat, "category"), _ranks(pub, "pub_id")
+        _check_text(cat, "category")
+        _check_text(pub, "pub_id")
+        cat_rank, pub_rank = _ranks(cat), _ranks(pub)
         pairs = cat_rank * n + pub_rank
         ordered = np.sort(pairs)
         repeated = ordered[1:][ordered[1:] == ordered[:-1]]
@@ -181,7 +204,7 @@ def _raise_first_bad_row(path: Path, text: str, strict: bool) -> None:
             pub_id, category = row[0].strip(), row[2].strip()
             if not pub_id:
                 raise CorpusValueError(f"{where}: empty pub_id")
-            if _UNQUOTABLE.search(row[0]) or _UNQUOTABLE.search(row[2]):
+            if _UNREADABLE.search(row[0]) or _UNREADABLE.search(row[2]):
                 raise CorpusValueError(
                     f"{where}: pub_id and category must not contain commas, "
                     "double quotes or line breaks"
@@ -297,19 +320,16 @@ def emit_csv(corpus: Corpus, path: str | Path) -> None:
 
 
 def group_records(corpus: Corpus) -> dict[GroupKey, np.ndarray]:
-    """Each (category, year) group's read-only slice of ``corpus.citations``.
+    """Each (category, year) group's citation counts as read-only float64,
+    the input of every score.
 
+    Exact counts round once to float64, so counts beyond 2**63 still score;
+    a group's exact counts are ``corpus.citations[corpus.group_slices[key]]``.
     Groups come in key order and records by pub_id within each group: the
     order every per-group vector downstream follows.
     """
     if not len(corpus):
         raise EmptyCorpusError("cannot group an empty corpus")
-    return {key: corpus.citations[s] for key, s in corpus.group_slices.items()}
-
-
-def citation_vectors(groups: dict[GroupKey, np.ndarray]) -> dict[GroupKey, np.ndarray]:
-    """Each group's citation counts as float64, the input of every score.
-
-    Exact counts round once to float64, so counts beyond 2**63 still score.
-    """
-    return {key: np.array(counts, dtype=np.float64) for key, counts in groups.items()}
+    counts = corpus.citations.astype(np.float64)
+    counts.flags.writeable = False
+    return {key: counts[s] for key, s in corpus.group_slices.items()}

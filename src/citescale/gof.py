@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr
 
-from .corpus import GroupKey
 from .errors import InsufficientSampleError
 
 DEFAULT_THRESHOLD = 0.1
@@ -50,7 +49,6 @@ P_BRACKETS = tuple(label for _, label in _BRACKETS) + (_SMALLEST_BRACKET,)
 class GofReport:
     """Lognormal fit verdict for one group's scores above the threshold."""
 
-    group: GroupKey | None
     n_used: int
     threshold: float
     mu_hat: float
@@ -68,11 +66,7 @@ def p_bracket(a_squared_star: float) -> str:
     return _SMALLEST_BRACKET
 
 
-def ad_lognormal(
-    values,
-    threshold: float = DEFAULT_THRESHOLD,
-    group: GroupKey | None = None,
-) -> GofReport:
+def ad_lognormal(values, threshold: float = DEFAULT_THRESHOLD) -> GofReport:
     """Anderson-Darling lognormal test on the values at or above ``threshold``.
 
     Needs at least 8 surviving values, all positive (they are logged).
@@ -103,7 +97,6 @@ def ad_lognormal(
     a2 = -n - float(((2.0 * i - 1.0) * (log_cdf + log_sf[::-1])).sum()) / n
     a2_star = a2 * (1.0 + 0.75 / n + 2.25 / n**2)
     return GofReport(
-        group=group,
         n_used=n,
         threshold=threshold,
         mu_hat=mu,

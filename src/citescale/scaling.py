@@ -18,14 +18,16 @@ with ``T(c) = ((c+1)**lam - 1) / lam`` for ``lam != 0`` and ``log(c+1)`` at
 
 A statistic can be undefined on real data (a zero median when more than half
 the group is uncited, a zero range, an all-zero group).  Undefinedness is
-data, not failure: ``fit_factors`` returns ``defined=False`` with a reason,
-and ``scale_corpus`` skips those groups while accounting for them.
+data, not failure: ``fit_factors`` returns a factor set with a reason, and
+``scale_corpus`` skips those groups while accounting for them.
 
-Implementation note: for the five ratio variants the divisor is kept as an
-exact integer ratio ``denom_num / denom_den`` and scores are evaluated as
-``(c * denom_den) / denom_num`` in one rounding.  A group whose counts are an
-integer multiple of another's then produces bit-identical score multisets,
-which the collapse diagnostics rely on.
+Every variant is one rescaling ``c / c0`` (Radicchi, Fortunato & Castellano,
+PNAS 2008), scored as ``(T(c) * denom_den) / denom_num`` with ``T`` the
+identity for the five ratio variants.  Their divisor is kept as an exact
+integer ratio ``denom_num / denom_den``, so each score takes one rounding and
+a group whose counts are an integer multiple of another's produces
+bit-identical score multisets, which the collapse diagnostics rely on.  The
+power transform keeps ``denom_den = 1.0``, and ``t * 1.0 == t`` exactly.
 """
 
 from __future__ import annotations
@@ -67,23 +69,22 @@ class ScalingMethod(enum.Enum):
 
 @dataclass(frozen=True)
 class ScalingFactorSet:
-    """Fitted divisor for one (group, method) pair.
+    """Fitted divisor ``denom_num / denom_den`` for one (group, method) pair,
+    both sides exactly representable; ``lam`` is the power transform's
+    parameter, None for the ratio methods.
 
-    ``defined`` is False exactly when the method's statistic does not exist
-    for this group's data; ``reason`` then says why.  For the ratio methods
-    the divisor is ``denom_num / denom_den`` with both sides exactly
-    representable.  For the power-transform method ``lam`` and
-    ``boxcox_mean`` are set instead.
+    ``reason`` says why the method's statistic does not exist for this
+    group's data, and is None exactly when it does.
     """
 
-    group: GroupKey
-    method: ScalingMethod
-    defined: bool
     denom_num: float | None = None
     denom_den: float | None = None
     lam: float | None = None
-    boxcox_mean: float | None = None
     reason: str | None = None
+
+    @property
+    def defined(self) -> bool:
+        return self.reason is None
 
 
 @dataclass(frozen=True)
@@ -226,72 +227,36 @@ def fit_lambda(values) -> float:
 def fit_factors(group: GroupKey, values, method: ScalingMethod) -> ScalingFactorSet:
     """Fit one method's scaling statistic on a group's citation vector.
 
-    Never raises on degenerate data; the result's ``defined`` flag and
-    ``reason`` report undefinedness instead.
+    Never raises on degenerate data; the result's ``reason`` reports
+    undefinedness instead.
     """
     v = np.asarray(values)
     if v.size == 0:
         raise EmptyGroupError(f"group {group}: empty citation vector")
-
-    def undefined(reason: str) -> ScalingFactorSet:
-        return ScalingFactorSet(group=group, method=method, defined=False, reason=reason)
-
-    def ratio(num: float, den: float) -> ScalingFactorSet:
-        return ScalingFactorSet(
-            group=group,
-            method=method,
-            defined=True,
-            denom_num=num,
-            denom_den=den,
-        )
-
+    den, lam = 1.0, None
     if method is ScalingMethod.MAX_RANGE:
-        spread = float(v.max() - v.min())
-        if spread == 0.0:
-            return undefined("zero-range")
-        return ratio(spread, 1.0)
-
-    if method is ScalingMethod.MEAN:
-        total = float(v.sum())
-        if total == 0.0:
-            return undefined("all-zero")
-        return ratio(total, float(v.size))
-
-    if method is ScalingMethod.MEAN_NO_ZERO:
-        nz = v[v > 0]
-        if nz.size == 0:
-            return undefined("no-nonzero")
-        return ratio(float(nz.sum()), float(nz.size))
-
-    if method is ScalingMethod.MEDIAN:
-        med = _median(np.sort(v))
-        if med == 0.0:
-            return undefined("zero-median")
-        return ratio(med, 1.0)
-
-    if method is ScalingMethod.MEDIAN_NO_ZERO:
-        nz = v[v > 0]
-        if nz.size == 0:
-            return undefined("no-nonzero")
-        return ratio(_median(np.sort(nz)), 1.0)
-
-    if method is ScalingMethod.BOX_COX_MEAN:
+        num, zero = float(v.max() - v.min()), "zero-range"
+    elif method is ScalingMethod.MEAN:
+        num, den, zero = float(v.sum()), float(v.size), "all-zero"
+    elif method is ScalingMethod.MEDIAN:
+        num, zero = _median(np.sort(v)), "zero-median"
+    elif method in (ScalingMethod.MEAN_NO_ZERO, ScalingMethod.MEDIAN_NO_ZERO):
+        nz, zero = v[v > 0], "no-nonzero"
+        if method is ScalingMethod.MEAN_NO_ZERO:
+            num, den = float(nz.sum()), float(nz.size)
+        else:
+            num = _median(np.sort(nz)) if nz.size else 0.0
+    elif method is ScalingMethod.BOX_COX_MEAN:
         try:
             lam = fit_lambda(v)
         except DegenerateLikelihoodError:
-            return undefined("degenerate-boxcox")
-        bc_mean = float(boxcox_transform(v, lam).mean())
-        if bc_mean <= 0.0:
-            return undefined("zero-boxcox-mean")
-        return ScalingFactorSet(
-            group=group,
-            method=method,
-            defined=True,
-            lam=lam,
-            boxcox_mean=bc_mean,
-        )
-
-    raise ValueError(f"unknown scaling method {method!r}")
+            return ScalingFactorSet(reason="degenerate-boxcox")
+        num, zero = float(boxcox_transform(v, lam).mean()), "zero-boxcox-mean"
+    else:
+        raise ValueError(f"unknown scaling method {method!r}")
+    if num <= 0.0:  # counts are >= 0, so this is num == 0.0
+        return ScalingFactorSet(reason=zero)
+    return ScalingFactorSet(denom_num=num, denom_den=den, lam=lam)
 
 
 def scale_corpus(
@@ -300,7 +265,7 @@ def scale_corpus(
     """Score every group whose statistic is defined.
 
     ``citations`` maps each (category, year) group to its citation counts
-    (see :func:`~citescale.corpus.citation_vectors`).  The result holds one
+    (see :func:`~citescale.corpus.group_records`).  The result holds one
     float64 score vector per defined group, in key order, each in the order
     of its input counts.  Groups with an undefined statistic are reported,
     never imputed.
@@ -309,11 +274,10 @@ def scale_corpus(
     skipped: list[SkippedGroup] = []
     for key in sorted(citations):
         c = np.asarray(citations[key], dtype=np.float64)
-        factors = fit_factors(key, c, method)
-        if not factors.defined:
-            skipped.append(SkippedGroup(key, c.size, factors.reason))
-        elif method is ScalingMethod.BOX_COX_MEAN:
-            scores[key] = boxcox_transform(c, factors.lam) / factors.boxcox_mean
-        else:
-            scores[key] = (c * factors.denom_den) / factors.denom_num
+        f = fit_factors(key, c, method)
+        if not f.defined:
+            skipped.append(SkippedGroup(key, c.size, f.reason))
+            continue
+        t = c if f.lam is None else boxcox_transform(c, f.lam)
+        scores[key] = (t * f.denom_den) / f.denom_num
     return scores, skipped

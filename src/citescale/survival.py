@@ -7,7 +7,7 @@ both computed straight from the per-group score vectors:
     * ``max_pairwise_ks``: the largest two-sample Kolmogorov-Smirnov statistic
       over all pairs of groups (0 = the empirical distributions coincide),
       read off the envelope of all groups' CDFs on one shared grid;
-    * ``quantile_dispersion``: at a handful of upper quantiles, the spread
+    * ``quantile_dispersion``: at each of the ``QUANTILES``, the spread
       (max - min over groups) of log10 of the quantile value.  Groups whose
       quantile is 0 cannot be placed on a log axis; they are excluded and
       counted.
@@ -25,9 +25,8 @@ import numpy as np
 
 from .corpus import GroupKey
 from .errors import EmptyGroupError
-from .scaling import ScalingMethod
 
-DEFAULT_QUANTILES = (0.5, 0.75, 0.9, 0.95, 0.99)
+QUANTILES = (0.5, 0.75, 0.9, 0.95, 0.99)
 N_PLOT_BINS = 25
 
 
@@ -43,9 +42,8 @@ class QuantileDispersion:
 
 @dataclass(frozen=True)
 class CollapseReport:
-    """How far a family of curves is from coinciding; method None means raw."""
+    """How far a family of curves is from coinciding."""
 
-    method: ScalingMethod | None
     n_curves: int
     max_pairwise_ks: float
     quantile_dispersion: tuple[QuantileDispersion, ...]
@@ -62,11 +60,7 @@ def _cdf(sorted_values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return 1.0 - (n - np.searchsorted(sorted_values, thresholds, side="right")) / n
 
 
-def collapse_metrics(
-    vectors: Mapping[GroupKey, np.ndarray],
-    method: ScalingMethod | None = None,
-    quantiles: Sequence[float] = DEFAULT_QUANTILES,
-) -> CollapseReport:
+def collapse_metrics(vectors: Mapping[GroupKey, np.ndarray]) -> CollapseReport:
     """Quantify how well the groups' score distributions superimpose.
 
     ``vectors`` maps each group to its scores (any order).  Requires at least
@@ -85,20 +79,20 @@ def collapse_metrics(
 
     hi = np.zeros_like(grid)
     lo = np.ones_like(grid)
-    qvals = np.empty((len(quantiles), len(samples)))
+    qvals = np.empty((len(QUANTILES), len(samples)))
     for g, v in enumerate(samples):
         cdf = _cdf(v, grid)
         np.maximum(hi, cdf, out=hi)
         np.minimum(lo, cdf, out=lo)
         # order-statistic quantile: smallest distinct value with CDF >= q
         distinct = v[np.concatenate(([True], v[1:] != v[:-1]))]
-        idx = np.searchsorted(_cdf(v, distinct), quantiles, side="left")
+        idx = np.searchsorted(_cdf(v, distinct), QUANTILES, side="left")
         qvals[:, g] = distinct[np.minimum(idx, distinct.size - 1)]
     # sup over pairs of sup_t |F_i - F_j| = sup_t (max_i F_i(t) - min_i F_i(t))
     max_ks = float((hi - lo).max())
 
     dispersions = []
-    for q, row in zip(quantiles, qvals):
+    for q, row in zip(QUANTILES, qvals):
         positive = row[row > 0]
         n_excluded = int(row.size - positive.size)
         if positive.size == 0:
@@ -115,7 +109,6 @@ def collapse_metrics(
             )
         )
     return CollapseReport(
-        method=method,
         n_curves=len(samples),
         max_pairwise_ks=max_ks,
         quantile_dispersion=tuple(dispersions),

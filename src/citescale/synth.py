@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -29,6 +31,7 @@ FAMILIES = ("discretized-lognormal", "negative-binomial", "zipf-with-cutoff")
 
 _SEED_MASK = (1 << 64) - 1
 _INT64_MAX = (1 << 63) - 1
+_SURROGATE = re.compile("[\ud800-\udfff]")  # the one thing UTF-8 cannot encode
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,8 @@ class CategorySpec:
     multiplies every drawn count (after discretization), and ``seed_salt``
     overrides the PRNG stream identity; both default to neutral values and
     exist so rescaled-copy scenarios stay expressible as plain data.
+    ``category`` and ``seed_salt`` are str that encode as UTF-8, the form
+    in which the PRNG salt is hashed and the corpus is written.
     """
 
     category: str
@@ -52,6 +57,13 @@ class CategorySpec:
     seed_salt: str | None = None
 
     def validate(self) -> None:
+        salt = "" if self.seed_salt is None else self.seed_salt
+        for name, text in (("category", self.category), ("seed_salt", salt)):
+            if not isinstance(text, str) or _SURROGATE.search(text):
+                raise ScenarioError(
+                    f"spec {self.category!r}/{self.year}: {name} must be a str "
+                    f"that encodes as UTF-8, got {text!r}"
+                )
         where = f"spec {self.category}/{self.year}"
         if self.n < 1:
             raise ScenarioError(f"{where}: n must be >= 1, got {self.n}")
@@ -86,12 +98,14 @@ class CategorySpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Seed plus one spec per (category, year); keys must be unique."""
+    """Seed plus at least one spec, one per (category, year)."""
 
     seed: int
     specs: tuple[CategorySpec, ...]
 
     def validate(self) -> None:
+        if not self.specs:
+            raise ScenarioError("scenario has no specs")
         keys = [(s.category, s.year) for s in self.specs]
         if len(set(keys)) != len(keys):
             raise ScenarioError("scenario has duplicate (category, year) specs")
@@ -214,22 +228,31 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return {"seed": scenario.seed, "specs": specs}
 
 
+def _integer(data: dict, key: str, default: int | None = None) -> int:
+    """``data[key]``, or ``default`` when absent, if it is an int: never truncated."""
+    value = data[key] if default is None else data.get(key, default)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ScenarioError(f"{key} must be a JSON integer, got {value!r}") from None
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     try:
         specs = tuple(
             CategorySpec(
                 category=d["category"],
-                year=int(d["year"]),
-                n=int(d["n"]),
+                year=_integer(d, "year"),
+                n=_integer(d, "n"),
                 family=d["family"],
                 family_params=tuple(float(x) for x in d["family_params"]),
                 zero_inflation=float(d.get("zero_inflation", 0.0)),
-                count_scale=int(d.get("count_scale", 1)),
+                count_scale=_integer(d, "count_scale", 1),
                 seed_salt=d.get("seed_salt"),
             )
             for d in data["specs"]
         )
-        scenario = Scenario(seed=int(data["seed"]), specs=specs)
+        scenario = Scenario(seed=_integer(data, "seed"), specs=specs)
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
     scenario.validate()

@@ -18,7 +18,6 @@ from citescale.cli import main
 from citescale.corpus import (
     Corpus,
     GroupKey,
-    citation_vectors,
     emit_csv,
     group_records,
     ingest_csv,
@@ -62,7 +61,7 @@ def criterion(number, label):
 
 def collapse_for(raw, method):
     vectors = raw if method is None else scale_corpus(raw, method)[0]
-    return collapse_metrics(vectors, method=method)
+    return collapse_metrics(vectors)
 
 
 @criterion(1, "exact-rescaling collapse")
@@ -72,7 +71,7 @@ def test_criterion_1_exact_rescaling_collapse():
         "A", 2003, 1000, "discretized-lognormal", (1.5, 1.2), zero_inflation=0.2
     )
     corpus = generate(scaled_copy_scenario(base, k=3, seed=41))
-    raw = citation_vectors(group_records(corpus))
+    raw = group_records(corpus)
     methods = (
         ScalingMethod.MEAN,
         ScalingMethod.MEAN_NO_ZERO,
@@ -120,7 +119,7 @@ def test_criterion_2_normalization_identities():
 @criterion(3, "frozen-scenario method orderings")
 def test_criterion_3_frozen_scenario_orderings():
     started = time.perf_counter()
-    raw = citation_vectors(group_records(generate(benchmark_scenario())))
+    raw = group_records(generate(benchmark_scenario()))
     scored = {method: scale_corpus(raw, method) for method in ScalingMethod}
 
     reports = {r.method_name: r for r in method_comparison(raw, scored, 0.10)}
@@ -259,7 +258,7 @@ def test_criterion_7_median_undefinedness():
                 row = (f"{key.category}-{trial}-{i}", 2003, key.category, int(c))
                 for column, cell in zip(columns, row):
                     column.append(cell)
-        raw = citation_vectors(group_records(Corpus(*columns)))
+        raw = group_records(Corpus(*columns))
         _, skipped = scale_corpus(raw, ScalingMethod.MEDIAN)
         skipped_keys = {s.group for s in skipped}
         for key, values in zero_share_by_group.items():

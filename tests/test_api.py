@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import citescale
@@ -7,8 +10,7 @@ from conftest import write_corpus_csv
 
 PUBLIC_API = {
     "__version__",
-    "Corpus", "GroupKey", "citation_vectors", "emit_csv", "group_records",
-    "ingest_csv",
+    "Corpus", "GroupKey", "emit_csv", "group_records", "ingest_csv",
     "CitescaleError", "CorpusFormatError", "CorpusValueError",
     "DegenerateLikelihoodError", "DuplicateRecordError", "EmptyCorpusError",
     "EmptyGroupError", "InsufficientSampleError", "ScenarioError",
@@ -20,7 +22,7 @@ PUBLIC_API = {
 
 
 def test_public_api_is_exactly_the_pinned_names():
-    assert len(citescale.__all__) == len(PUBLIC_API) == 30
+    assert len(citescale.__all__) == len(PUBLIC_API) == 29
     assert set(citescale.__all__) == PUBLIC_API
     for name in citescale.__all__:
         assert getattr(citescale, name) is not None
@@ -35,3 +37,14 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(example.group(1), {})
     assert capsys.readouterr().out.strip() == "2 / 2"
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is the slowest import of the stack, and no command needs it
+    src = str(Path(citescale.__file__).resolve().parents[1])
+    code = "import sys, citescale.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

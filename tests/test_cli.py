@@ -245,6 +245,16 @@ class TestTopshare:
             assert len(lines) == 3
 
 
+_SPEC = {"category": "A", "year": 2003, "n": 20,
+         "family": "negative-binomial", "family_params": [2.0, 0.3]}
+
+
+def _scenario_exit_code(tmp_path, scenario: dict) -> int:
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))  # ASCII: a lone surrogate stays escaped
+    return main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+
+
 class TestSimulate:
     def test_writes_corpus_and_metadata(self, small_scenario_json, tmp_path):
         out = tmp_path / "out"
@@ -316,6 +326,38 @@ class TestSimulate:
         assert main([command, "--scenario", str(path), "--out", str(out)]) == 1
         assert "category 'A,B'" in capsys.readouterr().err
         assert not (out / "corpus.csv").exists()
+
+    @pytest.mark.parametrize("scenario, message", [
+        ({"seed": 1, "specs": []}, "scenario has no specs"),
+        ({"seed": 1, "specs": [{**_SPEC, "seed_salt": 5}]},
+         "spec 'A'/2003: seed_salt must be a str that encodes as UTF-8, got 5"),
+        ({"seed": 1, "specs": [{**_SPEC, "category": None}]},
+         "spec None/2003: category must be a str that encodes as UTF-8, got None"),
+        ({"seed": 1, "specs": [{**_SPEC, "category": "A\ud800"}]},
+         "category must be a str that encodes as UTF-8, got 'A\\ud800'"),
+    ], ids=["no-specs", "salt-not-str", "category-null", "category-lone-surrogate"])
+    def test_unusable_scenario_exits_one(self, scenario, message, tmp_path, capsys):
+        assert _scenario_exit_code(tmp_path, scenario) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, message", [
+        ({"seed": 1, "specs": [{**_SPEC, "year": 2003.5}]},
+         "year must be a JSON integer, got 2003.5"),
+        ({"seed": 1, "specs": [{**_SPEC, "n": 2.5}]},
+         "n must be a JSON integer, got 2.5"),
+        ({"seed": 1, "specs": [{**_SPEC, "n": "20"}]},
+         "n must be a JSON integer, got '20'"),
+        ({"seed": 1, "specs": [{**_SPEC, "count_scale": 2.0}]},
+         "count_scale must be a JSON integer, got 2.0"),
+        ({"seed": 1.5, "specs": [_SPEC]}, "seed must be a JSON integer, got 1.5"),
+    ], ids=["year-float", "n-float", "n-string", "count-scale-float", "seed-float"])
+    def test_non_integer_scenario_field_exits_one(
+        self, scenario, message, tmp_path, capsys
+    ):
+        # neither truncated (2003.5 -> 2003) nor parsed ("20" -> 20)
+        assert _scenario_exit_code(tmp_path, scenario) == 1
+        assert message in capsys.readouterr().err
+        assert _scenario_exit_code(tmp_path, {"seed": 1, "specs": [_SPEC]}) == 0
 
 
 class TestReport:

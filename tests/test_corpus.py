@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from citescale.corpus import (
     Corpus,
     GroupKey,
-    citation_vectors,
     emit_csv,
     group_records,
     ingest_csv,
@@ -135,6 +134,11 @@ class TestIngest:
         path.write_text(f"pub_id,year,category,citations\np1,2003,{cell},5\n")
         with pytest.raises(CorpusValueError, match="line 2"):
             ingest_csv(path)
+        # text a Corpus built in code may hold but no UTF-8 CSV cell can
+        with pytest.raises(CorpusValueError, match="category None"):
+            Corpus(["a", "b"], [2003, 2003], [None, None], [1, 2])
+        with pytest.raises(CorpusValueError, match="lone surrogate"):
+            corpus_of([("a\ud800", 2003, "A", 1)])
 
     def test_non_utf8_is_format_error(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -167,6 +171,11 @@ class TestRecords:
         with pytest.raises(CorpusValueError):
             corpus_of([("p1", 2003, "A", -3)])
 
+    def test_counts_beyond_float64_rejected(self):
+        # every score is computed in float64; grouping would overflow
+        with pytest.raises(CorpusValueError, match="float64"):
+            Corpus(["a", "b", "c"], [2000] * 3, ["X"] * 3, [10**400, 1, 2])
+
     def test_corpus_rejects_duplicate_assignment(self):
         # the duplicate spans two years: ("p2", 2003) sits between its rows
         rows = [("p1", 2003, "A", 1), ("p2", 2003, "A", 1), ("p1", 2004, "A", 2)]
@@ -190,15 +199,15 @@ class TestGrouping:
         assert list(groups) == [GroupKey("A", 2003), GroupKey("B", 2007)]
         a2003 = corpus.group_slices[GroupKey("A", 2003)]
         assert corpus.pub_id[a2003].tolist() == ["p1", "p2"]
-        assert groups[GroupKey("A", 2003)].tolist() == [1, 2]
-        vectors = citation_vectors(groups)
-        assert {k: v.tolist() for k, v in vectors.items()} == {
+        assert corpus.citations[a2003].tolist() == [1, 2]
+        assert {k: v.tolist() for k, v in groups.items()} == {
             GroupKey("A", 2003): [1.0, 2.0], GroupKey("B", 2007): [3.0]
         }
+        assert all(v.dtype == np.float64 for v in groups.values())
 
     def test_multi_category_pub_in_both_groups(self):
         corpus = corpus_of([("p1", 2003, "A", 9), ("p1", 2003, "B", 9)])
-        vectors = citation_vectors(group_records(corpus))
+        vectors = group_records(corpus)
         assert vectors[GroupKey("A", 2003)].tolist() == [9]
         assert vectors[GroupKey("B", 2003)].tolist() == [9]
 
@@ -346,9 +355,7 @@ class TestColumns:
         assert [(k, len(v)) for k, v in ga.items()] == [
             (k, len(v)) for k, v in gb.items()
         ]
-        va, vb = citation_vectors(ga), citation_vectors(gb)
-        assert list(va) == list(vb)
-        assert all(va[k].tobytes() == vb[k].tobytes() for k in va)
+        assert all(ga[k].tobytes() == gb[k].tobytes() for k in ga)
         with tempfile.TemporaryDirectory() as tmp:
             assert _emitted(a, Path(tmp) / "a.csv") == _emitted(b, Path(tmp) / "b.csv")
 
@@ -367,7 +374,9 @@ class TestColumns:
     def test_counts_beyond_int64_stay_exact(self, tmp_path):
         corpus = corpus_of([("p1", 2003, "A", 10**20 + 1), ("p2", 2003, "A", 3)])
         assert corpus.citations.dtype == object
-        assert group_records(corpus)[GroupKey("A", 2003)].tolist() == [10**20 + 1, 3]
+        a2003 = corpus.group_slices[GroupKey("A", 2003)]
+        assert corpus.citations[a2003].tolist() == [10**20 + 1, 3]
+        assert group_records(corpus)[GroupKey("A", 2003)].tolist() == [1e20, 3.0]
         out = tmp_path / "out.csv"
         emit_csv(corpus, out)
         assert out.read_text().splitlines()[1] == "p1,2003,A,100000000000000000001"

@@ -149,7 +149,8 @@ class TestFitFactors:
         factors = fit_factors(A03, [0, 1, 2, 5, 12, 40], ScalingMethod.BOX_COX_MEAN)
         assert factors.defined
         assert -3.0 <= factors.lam <= 3.0
-        assert factors.boxcox_mean > 0
+        t = boxcox_transform([0, 1, 2, 5, 12, 40], factors.lam)
+        assert factors.denom_num == float(t.mean()) > 0 and factors.denom_den == 1.0
 
     def test_empty_vector(self):
         with pytest.raises(EmptyGroupError):
@@ -194,6 +195,30 @@ class TestScale:
         expected = float(boxcox_transform(5, factors.lam)) / float(t.mean())
         got = scores(values, ScalingMethod.BOX_COX_MEAN)[3]
         assert got == pytest.approx(expected, rel=1e-15)
+
+    @given(
+        st.sampled_from(ScalingMethod),
+        st.one_of(
+            st.lists(st.integers(0, 60), min_size=1, max_size=80),
+            st.lists(st.integers(0, 10**20), min_size=1, max_size=80),
+            st.lists(st.floats(1e110, 1e300), min_size=3, max_size=40),
+        ),
+    )
+    def test_one_formula_equals_the_two_it_replaced(self, method, values):
+        # (T(c) * den) / num with T the identity, or with den == 1.0 for the
+        # power transform, gives the bytes of the two per-method formulas
+        c = np.array(values, dtype=np.float64)
+        with np.errstate(all="ignore"):
+            scored, _ = scale_corpus({A03: c}, method)
+            f = fit_factors(A03, c, method)
+            if not f.defined:
+                assert A03 not in scored
+                return
+            if method is ScalingMethod.BOX_COX_MEAN:
+                want = boxcox_transform(c, f.lam) / f.denom_num
+            else:
+                want = (c * f.denom_den) / f.denom_num
+        assert scored[A03].tobytes() == want.tobytes()
 
 
 class TestNormalizationIdentities:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from citescale.corpus import GroupKey, citation_vectors, group_records
+from citescale.corpus import GroupKey, group_records
 from citescale.errors import EmptyGroupError
 from citescale.scaling import ScalingMethod, scale_corpus
 from citescale.survival import (
@@ -81,7 +81,7 @@ class TestCollapseMetrics:
             zero_inflation=0.2,
         )
         corpus = generate(scaled_copy_scenario(base, k=3, seed=99))
-        raw = citation_vectors(group_records(corpus))
+        raw = group_records(corpus)
         scored, _ = scale_corpus(raw, ScalingMethod.MEAN)
         report = collapse_metrics(scored)
         assert report.max_pairwise_ks == 0.0
@@ -98,17 +98,16 @@ class TestCollapseMetrics:
     def test_zero_quantile_groups_excluded_and_counted(self):
         mostly_zero = [0, 0, 0, 0, 0, 0, 9]
         cited = [1, 2, 3, 4]
-        report = collapse_metrics(groups(mostly_zero, cited), quantiles=(0.5,))
-        d = report.quantile_dispersion[0]
+        report = collapse_metrics(groups(mostly_zero, cited))
+        d = next(d for d in report.quantile_dispersion if d.q == 0.5)
         assert d.n_excluded_zero == 1
         assert d.n_groups == 1
         assert d.spread == 0.0
 
     def test_quantile_dispersion_value(self):
-        report = collapse_metrics(
-            groups([1, 1, 1, 1], [10, 10, 10, 10]), quantiles=(0.5,)
-        )
-        assert report.quantile_dispersion[0].spread == pytest.approx(1.0)
+        report = collapse_metrics(groups([1, 1, 1, 1], [10, 10, 10, 10]))
+        d = next(d for d in report.quantile_dispersion if d.q == 0.5)
+        assert d.spread == pytest.approx(1.0)
         assert report.max_pairwise_ks == 1.0
 
     @given(st.lists(samples, min_size=2, max_size=5))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from citescale.corpus import GroupKey, citation_vectors, group_records
+from citescale.corpus import GroupKey, group_records
 from citescale.errors import ScenarioError
 from citescale.scaling import ScalingMethod, scale_corpus
 from citescale.synth import (
@@ -145,21 +145,21 @@ class TestScaledCopy:
     def test_identity_copy(self):
         scenario = scaled_copy_scenario(lognormal_spec(n=50), k=1, seed=4)
         corpus = generate(scenario)
-        vectors = citation_vectors(group_records(corpus))
+        vectors = group_records(corpus)
         a, b = vectors.values()
         assert a.tolist() == b.tolist()
 
     def test_threefold_copy_elementwise(self):
         scenario = scaled_copy_scenario(lognormal_spec(n=200), k=3, seed=4)
         corpus = generate(scenario)
-        vectors = citation_vectors(group_records(corpus))
+        vectors = group_records(corpus)
         a, b = vectors.values()
         assert b.tolist() == (3 * a).tolist()
         assert b.max() == 3 * a.max()
 
     def test_mean_scaling_collapses_copy(self):
         scenario = scaled_copy_scenario(lognormal_spec(n=300), k=3, seed=4)
-        raw = citation_vectors(group_records(generate(scenario)))
+        raw = group_records(generate(scenario))
         scored, _ = scale_corpus(raw, ScalingMethod.MEAN)
         a, b = scored.values()
         assert np.sort(a).tolist() == np.sort(b).tolist()
@@ -203,7 +203,7 @@ class TestScenarioJson:
 class TestFrozenScenario:
     def test_summary_statistics_frozen(self):
         corpus = generate(benchmark_scenario())
-        vectors = citation_vectors(group_records(corpus))
+        vectors = group_records(corpus)
         means = [float(np.mean(v)) for v in vectors.values()]
         assert len(corpus) == BENCHMARK_SUMMARY["n_records"]
         assert len(vectors) == BENCHMARK_SUMMARY["n_groups"]
@@ -215,7 +215,7 @@ class TestFrozenScenario:
     def test_group_means_span_field_like_range(self):
         corpus = generate(benchmark_scenario())
         means = [
-            float(np.mean(v)) for v in citation_vectors(group_records(corpus)).values()
+            float(np.mean(v)) for v in group_records(corpus).values()
         ]
         assert 0.8 <= min(means) <= 2.6
         assert 20.0 <= max(means) <= 31.0
