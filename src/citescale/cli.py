@@ -43,7 +43,7 @@ from .corpus import (
     ingest_csv,
     write_csv,
 )
-from .errors import CitescaleError, InsufficientSampleError
+from .errors import CitescaleError, EmptyCorpusError, InsufficientSampleError
 from .gof import DEFAULT_THRESHOLD, ad_lognormal
 from .scaling import ScalingMethod, scale_corpus
 from .stats import describe
@@ -171,16 +171,8 @@ def _write_survival(
     )
 
     collapse_path = out / f"collapse_{name}.json"
-    if len(keys) >= 2:
-        payload = {"method": name, **dataclasses.asdict(collapse_metrics(vectors))}
-    else:
-        payload = {
-            "method": name,
-            "n_curves": len(keys),
-            "max_pairwise_ks": None,
-            "quantile_dispersion": [],
-        }
-    _write_json(collapse_path, payload)
+    report = collapse_metrics(vectors)
+    _write_json(collapse_path, {"method": name, **dataclasses.asdict(report)})
     return [curve_path, collapse_path]
 
 
@@ -195,9 +187,8 @@ def _write_topshare(
     scored: dict,
     top_fraction: float,
     out: Path,
-    years=None,
 ) -> list[Path]:
-    reports = method_comparison(raw, scored, top_fraction, years=years)
+    reports = method_comparison(raw, scored, top_fraction)
     paths = []
     summary: dict = {"top_fraction": top_fraction, "methods": {}}
     for report in reports:
@@ -218,7 +209,7 @@ def _write_topshare(
             "n_categories_evaluated": report.n_categories_evaluated,
             "n_records": report.n_records,
             "n_top": report.n_top,
-            "cutoff": None if report.n_records == 0 else report.cutoff,
+            "cutoff": report.cutoff,
             "unevaluated_categories": list(report.unevaluated_categories),
         }
     summary_path = out / "topshare_summary.json"
@@ -298,12 +289,17 @@ def _cmd_survival(args: argparse.Namespace) -> int:
 
 def _cmd_topshare(args: argparse.Namespace) -> int:
     raw = group_records(_load_corpus(args))
+    if args.year:  # each group is scored on its own: select before scoring
+        years = set(args.year)
+        raw = {key: v for key, v in raw.items() if key.year in years}
+        if not raw:
+            raise EmptyCorpusError(f"no records in years {sorted(years)}")
     out = _out_dir(args)
     scored = {
         method: scale_corpus(raw, method)
         for method in dict.fromkeys(ScalingMethod(m) for m in args.method or [])
     }
-    _write_topshare(raw, scored, args.top_fraction, out, years=args.year or None)
+    _write_topshare(raw, scored, args.top_fraction, out)
     return 0
 
 
@@ -441,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-fraction", type=_fraction, default=DEFAULT_TOP_FRACTION)
     p.add_argument(
         "--year", action="append", type=int,
-        help="restrict the ranking to these publication years (repeatable)",
+        help="score and rank only the groups of these publication years (repeatable)",
     )
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_topshare)

@@ -4,7 +4,7 @@ Everything raised on bad *data* derives from :class:`CitescaleError`.  The
 CLI maps only these and :class:`OSError` to exit code 1, while argparse
 keeps owning usage errors (exit code 2); any other exception is a library
 bug and surfaces as a traceback.  Parameter misuse inside the library
-(fractions outside (0, 1), too few curves, ...) raises plain
+(a fraction outside (0, 1), an unknown scaling method, ...) raises plain
 :class:`ValueError`.
 """
 

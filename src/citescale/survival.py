@@ -45,7 +45,7 @@ class CollapseReport:
     """How far a family of curves is from coinciding."""
 
     n_curves: int
-    max_pairwise_ks: float
+    max_pairwise_ks: float | None
     quantile_dispersion: tuple[QuantileDispersion, ...]
 
 
@@ -63,18 +63,19 @@ def _cdf(sorted_values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
 def collapse_metrics(vectors: Mapping[GroupKey, np.ndarray]) -> CollapseReport:
     """Quantify how well the groups' score distributions superimpose.
 
-    ``vectors`` maps each group to its scores (any order).  Requires at least
-    two groups, each non-empty; identical samples in every group give a
-    report of exact zeros.
+    ``vectors`` maps each group to its scores (any order); every group must
+    be non-empty.  Identical samples in every group give a report of exact
+    zeros.  Fewer than two groups leave nothing to compare: the report then
+    has no KS statistic and no quantile dispersion.
     """
-    if len(vectors) < 2:
-        raise ValueError(f"need at least 2 groups, got {len(vectors)}")
     samples = []
     for key, values in vectors.items():
         v = np.sort(np.asarray(values, dtype=np.float64))
         if v.size == 0:
             raise EmptyGroupError(f"group {key}: empty score vector")
         samples.append(v)
+    if len(samples) < 2:
+        return CollapseReport(len(samples), None, ())
     grid = np.unique(np.concatenate(samples))
 
     hi = np.zeros_like(grid)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import operator
+import math
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -80,6 +80,8 @@ class CategorySpec:
         p = self.family_params
         if len(p) != 2:
             raise ScenarioError(f"{where}: family {self.family!r} takes 2 parameters")
+        if not all(math.isfinite(x) for x in p):
+            raise ScenarioError(f"{where}: family_params must be finite, got {p}")
         if self.family == "discretized-lognormal":
             if p[1] <= 0:
                 raise ScenarioError(f"{where}: sigma must be > 0, got {p[1]}")
@@ -229,12 +231,22 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def _integer(data: dict, key: str, default: int | None = None) -> int:
-    """``data[key]``, or ``default`` when absent, if it is an int: never truncated."""
+    """``data[key]``, or ``default`` when absent, if it is a JSON integer:
+    never truncated, and never a bool."""
     value = data[key] if default is None else data.get(key, default)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ScenarioError(f"{key} must be a JSON integer, got {value!r}")
+
+
+def _real(value, key: str) -> float:
+    """``value`` as a float if it is a JSON number: never a bool or a str."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{key} must be a JSON number, got {value!r}")
     try:
-        return operator.index(value)
-    except TypeError:
-        raise ScenarioError(f"{key} must be a JSON integer, got {value!r}") from None
+        return float(value)
+    except OverflowError:  # an integer literal beyond float64
+        raise ScenarioError(f"{key} is beyond the float64 range") from None
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -245,8 +257,8 @@ def scenario_from_dict(data: dict) -> Scenario:
                 year=_integer(d, "year"),
                 n=_integer(d, "n"),
                 family=d["family"],
-                family_params=tuple(float(x) for x in d["family_params"]),
-                zero_inflation=float(d.get("zero_inflation", 0.0)),
+                family_params=tuple(_real(x, "family_params") for x in d["family_params"]),
+                zero_inflation=_real(d.get("zero_inflation", 0.0), "zero_inflation"),
                 count_scale=_integer(d, "count_scale", 1),
                 seed_salt=d.get("seed_salt"),
             )
@@ -263,7 +275,7 @@ def load_scenario(path: str | Path) -> Scenario:
     try:
         with Path(path).open("r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer of > 4300 digits
         raise ScenarioError(f"{path}: not a JSON scenario: {exc}") from None
     return scenario_from_dict(data)
 

@@ -12,7 +12,9 @@ drifting outside reveal that the scoring favors or penalizes their field.
 
 The global cutoff is the ``ceil(f * N)``-th largest pooled score, so at least
 a fraction f of records is marked top and the overshoot beyond f comes only
-from integer rounding and cutoff ties.
+from integer rounding and cutoff ties.  Groups whose scaling statistic is
+undefined are not ranked; each category counts its skipped records, and a
+method that scored no group at all gives an empty ranking with no cutoff.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class TopShareReport:
 
     method: ScalingMethod | None
     top_fraction: float
-    cutoff: float
+    cutoff: float | None
     n_records: int
     n_top: int
     per_category: tuple[CategoryShare, ...]
@@ -83,27 +85,33 @@ def top_share(
     scores: Mapping[GroupKey, np.ndarray],
     top_fraction: float = DEFAULT_TOP_FRACTION,
     method: ScalingMethod | None = None,
-    skipped_by_category: Mapping[str, int] | None = None,
+    skipped: Iterable[SkippedGroup] = (),
 ) -> TopShareReport:
     """Rank the pooled scores of all groups and report each category's top share.
 
-    ``scores`` holds one score vector per (category, year) group.
-    ``skipped_by_category`` carries, per category, how many of its records
-    were dropped because their group's scaling statistic was undefined;
-    categories with only skipped records are reported as unevaluated.
+    ``scores`` holds one score vector per (category, year) group and
+    ``skipped`` the groups left unscored because their scaling statistic was
+    undefined, as :func:`~citescale.scaling.scale_corpus` returns them.  Each
+    category counts its skipped records; a category with only skipped
+    records is reported as unevaluated.  When every group was skipped the
+    ranking is empty and its cutoff is None.
     """
     if not 0.0 < top_fraction < 1.0:
         raise ValueError(f"top_fraction must be in (0, 1), got {top_fraction}")
+    n_skipped: dict[str, int] = {}
+    for sk in skipped:
+        n_skipped[sk.group.category] = n_skipped.get(sk.group.category, 0) + sk.n_records
     vectors = [
         (key.category, np.asarray(v, dtype=np.float64)) for key, v in scores.items()
     ]
     n = sum(v.size for _, v in vectors)
-    if n == 0:
+    cutoff = None
+    if n:
+        pooled = np.concatenate([v for _, v in vectors])
+        k = _top_rank(top_fraction, n)
+        cutoff = float(np.partition(pooled, n - k)[n - k])
+    elif not n_skipped:
         raise EmptyCorpusError("cannot rank an empty score collection")
-
-    pooled = np.concatenate([v for _, v in vectors])
-    k = _top_rank(top_fraction, n)
-    cutoff = float(np.partition(pooled, n - k)[n - k])
 
     n_by_cat: dict[str, int] = {}
     top_by_cat: dict[str, int] = {}
@@ -113,7 +121,6 @@ def top_share(
             n_top = int(np.count_nonzero(v >= cutoff))
             top_by_cat[cat] = top_by_cat.get(cat, 0) + n_top
 
-    skipped = dict(skipped_by_category or {})
     per_category = []
     for cat in sorted(n_by_cat):
         n_cat = n_by_cat[cat]
@@ -131,10 +138,10 @@ def top_share(
                 band_low=band_low,
                 band_high=band_high,
                 within_band=band_low <= share <= band_high,
-                n_skipped_records=skipped.get(cat, 0),
+                n_skipped_records=n_skipped.get(cat, 0),
             )
         )
-    unevaluated = tuple(sorted(cat for cat in skipped if cat not in n_by_cat))
+    unevaluated = tuple(sorted(cat for cat in n_skipped if cat not in n_by_cat))
     return TopShareReport(
         method=method,
         top_fraction=top_fraction,
@@ -153,51 +160,15 @@ def method_comparison(
         tuple[Mapping[GroupKey, np.ndarray], Sequence[SkippedGroup]],
     ],
     top_fraction: float = DEFAULT_TOP_FRACTION,
-    years: Iterable[int] | None = None,
 ) -> list[TopShareReport]:
     """Raw ranking plus one report per scaling method, in the order given.
 
     ``raw`` holds each group's citation counts and ``scored`` each method's
-    :func:`~citescale.scaling.scale_corpus` result.  Years are pooled into a
-    single global ranking unless ``years`` selects some of the groups.
+    :func:`~citescale.scaling.scale_corpus` result.  Every group of ``raw``
+    is pooled into one global ranking; select groups before scoring to rank
+    a subset.
     """
-    wanted = None if years is None else set(years)
-
-    def ranked(key: GroupKey) -> bool:
-        return wanted is None or key.year in wanted
-
-    raw = {key: v for key, v in raw.items() if ranked(key)}
-    if not raw:
-        raise EmptyCorpusError("no records to rank (year filter too narrow?)")
-
-    reports = [top_share(raw, top_fraction, method=None)]
-    for method, (scores, skipped_groups) in scored.items():
-        skipped_by_category: dict[str, int] = {}
-        for sk in skipped_groups:
-            if ranked(sk.group):
-                skipped_by_category[sk.group.category] = (
-                    skipped_by_category.get(sk.group.category, 0) + sk.n_records
-                )
-        scores = {key: v for key, v in scores.items() if ranked(key)}
-        if not scores:
-            reports.append(
-                TopShareReport(
-                    method=method,
-                    top_fraction=top_fraction,
-                    cutoff=math.nan,
-                    n_records=0,
-                    n_top=0,
-                    per_category=(),
-                    unevaluated_categories=tuple(sorted(skipped_by_category)),
-                )
-            )
-            continue
-        reports.append(
-            top_share(
-                scores,
-                top_fraction,
-                method=method,
-                skipped_by_category=skipped_by_category,
-            )
-        )
+    reports = [top_share(raw, top_fraction)]
+    for method, (scores, skipped) in scored.items():
+        reports.append(top_share(scores, top_fraction, method, skipped))
     return reports

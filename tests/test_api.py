@@ -1,10 +1,12 @@
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import citescale
+from citescale.cli import build_parser
 
 from conftest import write_corpus_csv
 
@@ -37,6 +39,18 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(example.group(1), {})
     assert capsys.readouterr().out.strip() == "2 / 2"
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", readme, re.S | re.M)
+    assert block, "README.md has no sh block under '## CLI'"
+    lines = [line for line in block.group(1).splitlines() if line.startswith("citescale ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line.replace("[", "").replace("]", ""))[1:]
+        parser.parse_args(argv)  # exits 2 on an unknown flag or a bad value
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -99,10 +99,12 @@ class TestErrorPaths:
 
     def test_malformed_scenario_json_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text('{"seed": 1, "specs": [')
-        code = main(["report", "--scenario", str(path), "--out", str(tmp_path / "o")])
-        assert code == 1
-        assert "not a JSON scenario" in capsys.readouterr().err
+        # cut-off JSON, and an integer literal longer than Python parses
+        for text in ('{"seed": 1, "specs": [', '{"seed": %s, "specs": []}' % ("9" * 5000)):
+            path.write_text(text)
+            code = main(["report", "--scenario", str(path), "--out", str(tmp_path / "o")])
+            assert code == 1
+            assert "not a JSON scenario" in capsys.readouterr().err
 
     def test_non_utf8_csv_exits_one(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"
@@ -219,6 +221,16 @@ class TestSurvivalAndGof:
             assert 0.0 <= payload["max_pairwise_ks"] <= 1.0
             assert len(payload["quantile_dispersion"]) == 5
 
+    def test_one_group_collapse_has_nothing_to_compare(self, tmp_path):
+        rows = [(f"p{i}", 2003, "A", i % 5) for i in range(20)]
+        path = write_corpus_csv(tmp_path / "one.csv", rows)
+        out = tmp_path / "out"
+        assert main(["survival", "--input", str(path), "--out", str(out)]) == 0
+        assert (out / "collapse_raw.json").read_text() == (
+            '{\n  "max_pairwise_ks": null,\n  "method": "raw",\n'
+            '  "n_curves": 1,\n  "quantile_dispersion": []\n}\n'
+        )
+
     def test_gof_writes_report_rows(self, small_scenario_json, tmp_path):
         out = tmp_path / "out"
         code = main(["gof", "--scenario", str(small_scenario_json),
@@ -244,9 +256,41 @@ class TestTopshare:
             assert lines[0].startswith("category,n,top_count,share,band_low")
             assert len(lines) == 3
 
+    @staticmethod
+    def two_cohort_csv(tmp_path):
+        # A/2003 has a median; most of A/2007 is uncited, so its median is 0
+        rows = [(f"a{i}", 2003, "A", c) for i, c in enumerate([1, 2, 3, 4])]
+        rows += [(f"b{i}", 2007, "A", c) for i, c in enumerate([0, 0, 0, 50])]
+        return write_corpus_csv(tmp_path / "corpus.csv", rows)
+
+    @pytest.mark.parametrize("years, n_records, n_skipped", [
+        ([], [8, 4], 4),
+        (["--year", "2003"], [4, 4], 0),
+    ], ids=["all-years", "year-2003"])
+    def test_year_selects_the_groups_scored_and_ranked(
+        self, years, n_records, n_skipped, tmp_path
+    ):
+        out = tmp_path / "out"
+        code = main(["topshare", "--input", str(self.two_cohort_csv(tmp_path)),
+                     "--method", "median", *years, "--out", str(out)])
+        assert code == 0
+        summary = json.loads((out / "topshare_summary.json").read_text())
+        assert [summary["methods"][m]["n_records"] for m in ("raw", "median")] == n_records
+        # the 2007 group's undefined median counts only where 2007 is ranked
+        (row,) = (out / "topshare_median.csv").read_text().splitlines()[1:]
+        assert int(row.rsplit(",", 1)[1]) == n_skipped
+
+    def test_year_without_groups_exits_one(self, tmp_path, capsys):
+        code = main(["topshare", "--input", str(self.two_cohort_csv(tmp_path)),
+                     "--year", "1999", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "error: no records in years [1999]" in capsys.readouterr().err
+
 
 _SPEC = {"category": "A", "year": 2003, "n": 20,
          "family": "negative-binomial", "family_params": [2.0, 0.3]}
+_LOGNORMAL = {**_SPEC, "family": "discretized-lognormal", "family_params": [1.0, 1.0]}
+_ZIPF = {**_SPEC, "family": "zipf-with-cutoff", "family_params": [1.5, 50]}
 
 
 def _scenario_exit_code(tmp_path, scenario: dict) -> int:
@@ -358,6 +402,30 @@ class TestSimulate:
         assert _scenario_exit_code(tmp_path, scenario) == 1
         assert message in capsys.readouterr().err
         assert _scenario_exit_code(tmp_path, {"seed": 1, "specs": [_SPEC]}) == 0
+
+    @pytest.mark.parametrize("spec, message", [
+        ({**_SPEC, "zero_inflation": "0.1"},
+         "zero_inflation must be a JSON number, got '0.1'"),
+        ({**_SPEC, "family_params": ["1.0", "1.0"]},
+         "family_params must be a JSON number, got '1.0'"),
+        ({**_SPEC, "family_params": [True, 1.0]},
+         "family_params must be a JSON number, got True"),
+        ({**_SPEC, "n": True}, "n must be a JSON integer, got True"),
+        ({**_SPEC, "family_params": [10**400, 0.3]},
+         "family_params is beyond the float64 range"),
+        ({**_LOGNORMAL, "family_params": [math.nan, 1.0]},
+         "spec A/2003: family_params must be finite, got (nan, 1.0)"),
+        ({**_LOGNORMAL, "family_params": [1.0, math.inf]},
+         "spec A/2003: family_params must be finite, got (1.0, inf)"),
+        ({**_ZIPF, "family_params": [1.5, math.inf]},
+         "spec A/2003: family_params must be finite, got (1.5, inf)"),
+    ], ids=["zero-inflation-str", "params-str", "params-bool", "n-bool",
+            "params-beyond-float64", "mu-nan", "sigma-inf", "c-max-inf"])
+    def test_unusable_scenario_number_exits_one(self, spec, message, tmp_path, capsys):
+        assert _scenario_exit_code(tmp_path, {"seed": 1, "specs": [spec]}) == 1
+        assert message in capsys.readouterr().err
+        for valid in (_LOGNORMAL, _ZIPF):
+            assert _scenario_exit_code(tmp_path, {"seed": 1, "specs": [valid]}) == 0
 
 
 class TestReport:

@@ -87,13 +87,18 @@ class TestCollapseMetrics:
         assert report.max_pairwise_ks == 0.0
         assert all(d.spread == 0.0 for d in report.quantile_dispersion)
 
-    def test_needs_two_curves(self):
-        with pytest.raises(ValueError):
-            collapse_metrics(groups([1, 2, 3]))
+    @pytest.mark.parametrize("vectors", [(), ([1, 2, 3],)], ids=["none", "one"])
+    def test_fewer_than_two_groups_leave_nothing_to_compare(self, vectors):
+        report = collapse_metrics(groups(*vectors))
+        assert report.n_curves == len(vectors)
+        assert report.max_pairwise_ks is None
+        assert report.quantile_dispersion == ()
 
     def test_empty_group_raises(self):
         with pytest.raises(EmptyGroupError, match="C1/2003"):
             collapse_metrics(groups([1, 2, 3], []))
+        with pytest.raises(EmptyGroupError, match="C0/2003"):
+            collapse_metrics(groups([]))
 
     def test_zero_quantile_groups_excluded_and_counted(self):
         mostly_zero = [0, 0, 0, 0, 0, 0, 9]

@@ -5,7 +5,7 @@ import pytest
 
 from citescale.corpus import GroupKey
 from citescale.errors import EmptyCorpusError
-from citescale.scaling import ScalingMethod, scale_corpus
+from citescale.scaling import ScalingMethod, SkippedGroup, scale_corpus
 from citescale.topshare import _top_rank, method_comparison, top_share
 
 
@@ -17,9 +17,9 @@ def scores_from(spec, year=2003):
     }
 
 
-def compare(raw, methods, **kwargs):
+def compare(raw, methods):
     scored = {method: scale_corpus(raw, method) for method in methods}
-    return method_comparison(raw, scored, **kwargs)
+    return method_comparison(raw, scored)
 
 
 def brute_force_shares(spec, top_fraction):
@@ -117,11 +117,29 @@ class TestTopShare:
         report = top_share(
             scores_from({"A": [1, 2, 3, 4]}),
             0.25,
-            skipped_by_category={"B": 7, "A": 1},
+            skipped=[
+                SkippedGroup(GroupKey("B", 2003), 4, "zero-median"),
+                SkippedGroup(GroupKey("A", 2007), 1, "zero-median"),
+                SkippedGroup(GroupKey("B", 2007), 3, "zero-median"),
+            ],
         )
         assert report.unevaluated_categories == ("B",)
         (c,) = report.per_category
         assert c.n_skipped_records == 1
+
+    def test_every_group_skipped_gives_an_empty_ranking(self):
+        report = top_share(
+            {},
+            0.10,
+            method=ScalingMethod.MEDIAN,
+            skipped=[
+                SkippedGroup(GroupKey("B", 2003), 5, "zero-median"),
+                SkippedGroup(GroupKey("A", 2003), 2, "zero-median"),
+            ],
+        )
+        assert report.cutoff is None
+        assert report.unevaluated_categories == ("A", "B")
+        assert (report.n_records, report.n_top, report.per_category) == (0, 0, ())
 
 
 class TestMethodComparison:
@@ -151,18 +169,3 @@ class TestMethodComparison:
         assert median.n_records == 6  # category A dropped entirely
         assert median.unevaluated_categories == ("A",)
         assert median.n_categories_evaluated == 1
-
-    def test_year_filter(self):
-        raw = scores_from({"A": [1, 2, 3, 4]})
-        raw.update(scores_from({"A": [0, 0, 0, 50]}, year=2007))
-        full = compare(raw, [ScalingMethod.MEDIAN])
-        only2003 = compare(raw, [ScalingMethod.MEDIAN], years=[2003])
-        assert [r.n_records for r in full] == [8, 4]
-        assert [r.n_records for r in only2003] == [4, 4]
-        # the 2007 group's undefined median counts only where 2007 is ranked
-        assert full[1].per_category[0].n_skipped_records == 4
-        assert only2003[1].per_category[0].n_skipped_records == 0
-
-    def test_year_filter_too_narrow(self):
-        with pytest.raises(EmptyCorpusError):
-            compare(scores_from({"A": [1, 2]}), [], years=[1999])
