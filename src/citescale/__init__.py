@@ -26,7 +26,6 @@ from .errors import (
     DuplicateRecordError,
     EmptyCorpusError,
     EmptyGroupError,
-    InsufficientSampleError,
     ScenarioError,
 )
 from .gof import ad_lognormal
@@ -51,7 +50,7 @@ __all__ = [
     # errors
     "CitescaleError", "CorpusFormatError", "CorpusValueError",
     "DegenerateLikelihoodError", "DuplicateRecordError", "EmptyCorpusError",
-    "EmptyGroupError", "InsufficientSampleError", "ScenarioError",
+    "EmptyGroupError", "ScenarioError",
     # diagnostics
     "describe", "ScalingMethod", "scale_corpus", "collapse_metrics",
     "method_comparison", "top_share", "ad_lognormal",

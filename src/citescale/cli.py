@@ -43,7 +43,7 @@ from .corpus import (
     ingest_csv,
     write_csv,
 )
-from .errors import CitescaleError, EmptyCorpusError, InsufficientSampleError
+from .errors import CitescaleError, EmptyCorpusError
 from .gof import DEFAULT_THRESHOLD, ad_lognormal
 from .scaling import ScalingMethod, scale_corpus
 from .stats import describe
@@ -230,21 +230,15 @@ def _write_gof(
     threshold: float,
     out: Path,
 ) -> list[Path]:
-    rows = []
-    n_skipped = 0
-    for key in vectors:
-        try:
-            rep = ad_lognormal(vectors[key], threshold=threshold)
-        except InsufficientSampleError:
-            n_skipped += 1
-            continue
-        rows.append(
-            (key.category, key.year, rep.n_used, rep.threshold, rep.mu_hat,
-             rep.sigma_hat, rep.a_squared, rep.a_squared_star, rep.p_bracket)
-        )
-    if n_skipped:
+    reports, skipped = ad_lognormal(vectors, threshold=threshold)
+    rows = (
+        (key.category, key.year, rep.n_used, rep.threshold, rep.mu_hat,
+         rep.sigma_hat, rep.a_squared, rep.a_squared_star, rep.p_bracket)
+        for key, rep in reports.items()
+    )
+    if skipped:
         print(
-            f"note: {n_skipped} groups below the minimum sample for "
+            f"note: {len(skipped)} groups below the minimum sample for "
             f"gof_{method.value}",
             file=sys.stderr,
         )

@@ -38,9 +38,5 @@ class DegenerateLikelihoodError(CitescaleError):
     equal, or fewer than three observations)."""
 
 
-class InsufficientSampleError(CitescaleError):
-    """Too few usable values remain for the goodness-of-fit statistic."""
-
-
 class ScenarioError(CitescaleError):
     """A synthetic-corpus scenario holds invalid family parameters."""

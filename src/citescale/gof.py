@@ -15,16 +15,23 @@ approximation-dependent.
 
 The threshold filter is applied before fitting, with no truncated-likelihood
 correction; the fit therefore describes the surviving values only.
+
+:func:`ad_lognormal` tests every group of one method at once: each group is
+fitted and summed on its own, and only the normal log-CDF, :func:`log_ndtr`,
+runs once over the standardized logs of all groups.  ``log_ndtr`` is plain
+numpy, from the rational approximations of erf and erfc in Cephes
+``ndtr.c`` (S. L. Moshier, after W. J. Cody, Math. Comp. 23, 1969).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
-from scipy.special import log_ndtr
 
-from .errors import InsufficientSampleError
+from .corpus import GroupKey
+from .scaling import SkippedGroup
 
 DEFAULT_THRESHOLD = 0.1
 MIN_SAMPLE = 8
@@ -43,6 +50,24 @@ _BRACKETS: tuple[tuple[float, str], ...] = (
 _SMALLEST_BRACKET = "<0.005"
 
 P_BRACKETS = tuple(label for _, label in _BRACKETS) + (_SMALLEST_BRACKET,)
+
+# Cephes ndtr.c coefficients, highest power first: erf(t) = t T(t^2) / U(t^2)
+# for |t| < 1; erfc(u) e^(u^2) = P(u) / Q(u) for 1 <= u < 8, R(u) / S(u) beyond.
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_U_CAP = 1e20  # past it, u^2 swamps log(R/S); the cap keeps R and S finite
 
 
 @dataclass(frozen=True)
@@ -66,42 +91,82 @@ def p_bracket(a_squared_star: float) -> str:
     return _SMALLEST_BRACKET
 
 
-def ad_lognormal(values, threshold: float = DEFAULT_THRESHOLD) -> GofReport:
-    """Anderson-Darling lognormal test on the values at or above ``threshold``.
+def _horner(coef: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    y = np.full_like(x, coef[0])
+    for c in coef[1:]:
+        y *= x
+        y += c
+    return y
 
-    Needs at least 8 surviving values, all positive (they are logged).
-    Order of the input does not matter.
+
+def log_ndtr(x) -> np.ndarray:
+    """log Phi(x) of the standard normal, elementwise, with ``t = x / sqrt(2)``:
+    ``log(erfc(u) e^(u^2) / 2) - u^2`` with ``u = -t`` below x = -1, so
+    nothing underflows, and ``log1p(-erfc(t) / 2)`` elsewhere.  This is the
+    split of ``scipy.special.log_ndtr``; the two agree to a few units in the
+    last place of ``max(1, |log Phi(x)|)``, not bit for bit.
     """
-    v = np.asarray(values, dtype=np.float64)
-    used = np.sort(v[v >= threshold])
-    n = int(used.size)
-    if n < MIN_SAMPLE:
-        raise InsufficientSampleError(
-            f"only {n} values >= {threshold!r}; need at least {MIN_SAMPLE}"
-        )
-    if used[0] <= 0.0:
-        raise ValueError(
-            "values must be positive after thresholding to fit a lognormal"
-        )
-    logs = np.log(used)
-    mu = float(logs.mean())
-    sigma = float(logs.std(ddof=1))
-    if sigma == 0.0:
-        raise InsufficientSampleError(
-            "all values equal after thresholding; lognormal fit is degenerate"
-        )
-    z = (logs - mu) / sigma
-    log_cdf = log_ndtr(z)  # log Phi(z), as scipy.stats.norm.logcdf computes it
-    log_sf = log_ndtr(-z)  # log(1 - Phi(z)), as norm.logsf computes it
-    i = np.arange(1, n + 1, dtype=np.float64)
-    a2 = -n - float(((2.0 * i - 1.0) * (log_cdf + log_sf[::-1])).sum()) / n
-    a2_star = a2 * (1.0 + 0.75 / n + 2.25 / n**2)
-    return GofReport(
-        n_used=n,
-        threshold=threshold,
-        mu_hat=mu,
-        sigma_hat=sigma,
-        a_squared=a2,
-        a_squared_star=a2_star,
-        p_bracket=p_bracket(a2_star),
+    x = np.asarray(x, dtype=np.float64)
+    t = x * np.sqrt(0.5)
+    with np.errstate(over="ignore", invalid="ignore"):  # |t| >= 1 is redone below
+        s = t * t
+        erf = t * _horner(_T, s) / _horner(_U, s)
+        out = np.log1p(-0.5 * (1.0 - erf))
+    part = (x < -1.0) & (t > -1.0)
+    out[part] = np.log(0.5 * (1.0 + erf[part]))
+    tail = np.abs(t) >= 1.0
+    tf, s = t[tail], s[tail]
+    v = np.minimum(np.abs(tf), _U_CAP)
+    ratio = np.where(
+        v < 8.0, _horner(_P, v) / _horner(_Q, v), _horner(_R, v) / _horner(_S, v)
     )
+    out[tail] = np.where(
+        tf < 0.0, np.log(0.5 * ratio) - s, np.log1p(-0.5 * ratio * np.exp(-s))
+    )
+    return out
+
+
+def ad_lognormal(
+    scores: Mapping[GroupKey, np.ndarray], threshold: float = DEFAULT_THRESHOLD
+) -> tuple[dict[GroupKey, GofReport], list[SkippedGroup]]:
+    """Anderson-Darling lognormal test of each group's values at or above
+    ``threshold``, in the order of ``scores``.
+
+    A group with fewer than 8 surviving values, or only equal ones, has no
+    test and comes back as skipped, with a reason.  Surviving values must be
+    positive (they are logged); one at or below 0 raises ``ValueError``
+    naming the group.  A group's report depends on its values alone, not on
+    their order or on the other groups.
+    """
+    skipped: list[SkippedGroup] = []
+    fits = []
+    for key, values in scores.items():
+        v = np.asarray(values, dtype=np.float64)
+        used = np.sort(v[v >= threshold])
+        if used.size < MIN_SAMPLE:
+            skipped.append(SkippedGroup(key, v.size, "too-few-values"))
+            continue
+        if used[0] <= 0.0:
+            raise ValueError(f"group {key}: values must be positive after thresholding")
+        logs = np.log(used)
+        mu = float(logs.mean())
+        sigma = float(logs.std(ddof=1))
+        if sigma == 0.0:
+            skipped.append(SkippedGroup(key, v.size, "all-values-equal"))
+            continue
+        fits.append((key, mu, sigma, (logs - mu) / sigma))
+    z = np.concatenate([fit[3] for fit in fits]) if fits else np.empty(0)
+    log_cdf = log_ndtr(z)  # log Phi(z)
+    log_sf = log_ndtr(-z)  # log(1 - Phi(z)), one pass each over every group
+    reports: dict[GroupKey, GofReport] = {}
+    end = 0
+    for key, mu, sigma, zk in fits:
+        n = zk.size
+        part = slice(end, end + n)
+        end += n
+        i = np.arange(1, n + 1, dtype=np.float64)
+        terms = (2.0 * i - 1.0) * (log_cdf[part] + log_sf[part][::-1])
+        a2 = -n - float(terms.sum()) / n
+        a2_star = a2 * (1.0 + 0.75 / n + 2.25 / n**2)
+        reports[key] = GofReport(n, threshold, mu, sigma, a2, a2_star, p_bracket(a2_star))
+    return reports, skipped

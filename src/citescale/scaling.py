@@ -89,7 +89,7 @@ class ScalingFactorSet:
 
 @dataclass(frozen=True)
 class SkippedGroup:
-    """One group left unscaled because its statistic was undefined."""
+    """One group left out: its scaling divisor or lognormal test is undefined."""
 
     group: GroupKey
     n_records: int

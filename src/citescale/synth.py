@@ -151,20 +151,20 @@ def generate(scenario: Scenario) -> Corpus:
     families) and multiplied by ``count_scale`` in exact integer arithmetic.
     pub_ids are ``<category>-<year>-<index>`` with a zero-padded index.
 
-    Raises :class:`~citescale.errors.ScenarioError` naming the spec when the
-    family cannot be drawn from, when a lognormal draw reaches 2**63 or
-    when a scaled count is beyond what float64, the type every score is
-    computed in, can hold.
+    Raises :class:`~citescale.errors.ScenarioError` naming the spec when its
+    ``n`` values or its family cannot be drawn, when a lognormal draw
+    reaches 2**63 or when a scaled count is beyond what float64, the type
+    every score is computed in, can hold.
     """
     scenario.validate()
     pub_ids, years, categories, counts = [], [], [], []  # columns, counts per spec
     for spec in scenario.specs:
         where = f"spec {spec.category}/{spec.year}"
         rng = _spec_rng(scenario.seed, spec)
-        u = rng.random(spec.n)
         try:
+            u = rng.random(spec.n)
             fam = _draw_family(rng, spec)
-        except ValueError as exc:  # undrawable parameters, or draws beyond int64
+        except ValueError as exc:  # undrawable n or parameters, or draws beyond int64
             raise ScenarioError(f"{where}: {exc}") from None
         drawn = np.where(u < spec.zero_inflation, 0, fam)
         top = int(drawn.max()) * spec.count_scale
@@ -249,22 +249,28 @@ def _real(value, key: str) -> float:
         raise ScenarioError(f"{key} is beyond the float64 range") from None
 
 
+def _spec_from_dict(d: dict) -> CategorySpec:
+    return CategorySpec(
+        category=d["category"],
+        year=_integer(d, "year"),
+        n=_integer(d, "n"),
+        family=d["family"],
+        family_params=tuple(_real(x, "family_params") for x in d["family_params"]),
+        zero_inflation=_real(d.get("zero_inflation", 0.0), "zero_inflation"),
+        count_scale=_integer(d, "count_scale", 1),
+        seed_salt=d.get("seed_salt"),
+    )
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     try:
-        specs = tuple(
-            CategorySpec(
-                category=d["category"],
-                year=_integer(d, "year"),
-                n=_integer(d, "n"),
-                family=d["family"],
-                family_params=tuple(_real(x, "family_params") for x in d["family_params"]),
-                zero_inflation=_real(d.get("zero_inflation", 0.0), "zero_inflation"),
-                count_scale=_integer(d, "count_scale", 1),
-                seed_salt=d.get("seed_salt"),
-            )
-            for d in data["specs"]
-        )
-        scenario = Scenario(seed=_integer(data, "seed"), specs=specs)
+        specs = []
+        for i, d in enumerate(data["specs"]):
+            try:
+                specs.append(_spec_from_dict(d))
+            except ScenarioError as exc:  # a field of the wrong JSON type
+                raise ScenarioError(f"specs[{i}]: {exc}") from None
+        scenario = Scenario(seed=_integer(data, "seed"), specs=tuple(specs))
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
     scenario.validate()

@@ -190,19 +190,21 @@ def test_criterion_4_lambda_recovery():
 @criterion(5, "goodness-of-fit statistic correctness")
 def test_criterion_5_anderson_darling():
     pinned = [0.31, 0.5, 0.77, 1.02, 1.3, 1.3, 2.4, 3.8, 5.9, 14.2]
-    report = ad_lognormal(pinned, threshold=0.1)
+    key = GroupKey("P", 2003)
+    report = ad_lognormal({key: pinned}, threshold=0.1)[0][key]
     assert abs(report.a_squared - a2_naive(pinned, 0.1)) <= 1e-9
 
     assert p_bracket(3.291) == "<0.005"
 
     rng = np.random.default_rng(5)
-    rejections = 0
     trials = 1000
-    for _ in range(trials):
-        sample = np.exp(rng.normal(1.0, 0.6, size=200))
-        rep = ad_lognormal(sample, threshold=0.1)
-        if rep.a_squared_star > 0.752:  # p < 0.05 region
-            rejections += 1
+    samples = {
+        GroupKey("S", t): np.exp(rng.normal(1.0, 0.6, size=200)) for t in range(trials)
+    }
+    reports, skipped = ad_lognormal(samples, threshold=0.1)
+    assert len(reports) == trials and skipped == []
+    # p < 0.05 region
+    rejections = sum(rep.a_squared_star > 0.752 for rep in reports.values())
     rate = rejections / trials
     assert 0.03 <= rate <= 0.08, f"rejection rate {rate:.3f}"
 

@@ -405,24 +405,29 @@ class TestSimulate:
 
     @pytest.mark.parametrize("spec, message", [
         ({**_SPEC, "zero_inflation": "0.1"},
-         "zero_inflation must be a JSON number, got '0.1'"),
+         "error: specs[1]: zero_inflation must be a JSON number, got '0.1'"),
         ({**_SPEC, "family_params": ["1.0", "1.0"]},
-         "family_params must be a JSON number, got '1.0'"),
+         "error: specs[1]: family_params must be a JSON number, got '1.0'"),
         ({**_SPEC, "family_params": [True, 1.0]},
-         "family_params must be a JSON number, got True"),
-        ({**_SPEC, "n": True}, "n must be a JSON integer, got True"),
+         "error: specs[1]: family_params must be a JSON number, got True"),
+        ({**_SPEC, "n": True}, "error: specs[1]: n must be a JSON integer, got True"),
         ({**_SPEC, "family_params": [10**400, 0.3]},
-         "family_params is beyond the float64 range"),
+         "error: specs[1]: family_params is beyond the float64 range"),
         ({**_LOGNORMAL, "family_params": [math.nan, 1.0]},
-         "spec A/2003: family_params must be finite, got (nan, 1.0)"),
+         "error: spec A/2003: family_params must be finite, got (nan, 1.0)"),
         ({**_LOGNORMAL, "family_params": [1.0, math.inf]},
-         "spec A/2003: family_params must be finite, got (1.0, inf)"),
+         "error: spec A/2003: family_params must be finite, got (1.0, inf)"),
         ({**_ZIPF, "family_params": [1.5, math.inf]},
-         "spec A/2003: family_params must be finite, got (1.5, inf)"),
+         "error: spec A/2003: family_params must be finite, got (1.5, inf)"),
+        # beyond numpy's largest array dimension, so nothing is allocated
+        ({**_SPEC, "n": 10**30}, "error: spec A/2003: "),
     ], ids=["zero-inflation-str", "params-str", "params-bool", "n-bool",
-            "params-beyond-float64", "mu-nan", "sigma-inf", "c-max-inf"])
+            "params-beyond-float64", "mu-nan", "sigma-inf", "c-max-inf",
+            "n-beyond-array-size"])
     def test_unusable_scenario_number_exits_one(self, spec, message, tmp_path, capsys):
-        assert _scenario_exit_code(tmp_path, {"seed": 1, "specs": [spec]}) == 1
+        # the unusable spec comes second, after one that draws fine
+        specs = [{**_SPEC, "category": "Z"}, spec]
+        assert _scenario_exit_code(tmp_path, {"seed": 1, "specs": specs}) == 1
         assert message in capsys.readouterr().err
         for valid in (_LOGNORMAL, _ZIPF):
             assert _scenario_exit_code(tmp_path, {"seed": 1, "specs": [valid]}) == 0

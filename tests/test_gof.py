@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.special import log_ndtr as scipy_log_ndtr
 
-from citescale.errors import InsufficientSampleError
+from citescale.corpus import GroupKey
 from citescale.gof import P_BRACKETS, ad_lognormal, log_ndtr, p_bracket
+from citescale.scaling import SkippedGroup
 
 
 def a2_naive(values, threshold):
@@ -27,11 +30,19 @@ def a2_naive(values, threshold):
 
 
 PINNED = [0.31, 0.5, 0.77, 1.02, 1.3, 1.3, 2.4, 3.8, 5.9, 14.2]
+KEY = GroupKey("A", 2003)
+
+
+def ad_one(values, threshold):
+    """The report of one group tested on its own."""
+    reports, skipped = ad_lognormal({KEY: values}, threshold)
+    assert skipped == []
+    return reports[KEY]
 
 
 class TestStatistic:
     def test_pinned_sample_matches_direct_formula(self):
-        report = ad_lognormal(PINNED, threshold=0.1)
+        report = ad_one(PINNED, threshold=0.1)
         assert report.a_squared == pytest.approx(
             a2_naive(PINNED, 0.1), abs=1e-9
         )
@@ -42,48 +53,82 @@ class TestStatistic:
 
     def test_threshold_filters_before_fitting(self):
         values = [0.01, 0.05] + PINNED
-        report = ad_lognormal(values, threshold=0.1)
+        report = ad_one(values, threshold=0.1)
         assert report.n_used == 10
         assert report.a_squared == pytest.approx(a2_naive(PINNED, 0.1), abs=1e-9)
 
     def test_sorting_invariance_exact(self):
         shuffled = [PINNED[i] for i in (7, 2, 9, 0, 4, 1, 8, 3, 6, 5)]
-        a = ad_lognormal(PINNED, 0.1)
-        b = ad_lognormal(shuffled, 0.1)
+        a = ad_one(PINNED, 0.1)
+        b = ad_one(shuffled, 0.1)
         assert a.a_squared == b.a_squared
         assert a.mu_hat == b.mu_hat and a.sigma_hat == b.sigma_hat
 
     def test_scale_invariance(self):
-        a = ad_lognormal(PINNED, 0.1)
+        a = ad_one(PINNED, 0.1)
         scaled = [17.0 * v for v in PINNED]
-        b = ad_lognormal(scaled, 17.0 * 0.1)
+        b = ad_one(scaled, 17.0 * 0.1)
         assert b.a_squared == pytest.approx(a.a_squared, abs=1e-9)
         assert b.p_bracket == a.p_bracket
         assert b.sigma_hat == pytest.approx(a.sigma_hat, abs=1e-12)
         assert b.mu_hat == pytest.approx(a.mu_hat + math.log(17.0), abs=1e-12)
 
     def test_insufficient_sample(self):
-        with pytest.raises(InsufficientSampleError):
-            ad_lognormal([1.0] * 7 + [0.01], threshold=0.1)
+        reports, skipped = ad_lognormal({KEY: [1.0] * 7 + [0.01]}, threshold=0.1)
+        assert reports == {}
+        assert skipped == [SkippedGroup(KEY, 8, "too-few-values")]
 
     def test_degenerate_equal_values(self):
-        with pytest.raises(InsufficientSampleError):
-            ad_lognormal([2.0] * 12, threshold=0.1)
+        reports, skipped = ad_lognormal({KEY: [2.0] * 12}, threshold=0.1)
+        assert reports == {}
+        assert skipped == [SkippedGroup(KEY, 12, "all-values-equal")]
 
     def test_non_positive_after_filter(self):
-        with pytest.raises(ValueError):
-            ad_lognormal([0.0, 1.0, 2.0] + [1.0] * 8, threshold=0.0)
+        with pytest.raises(ValueError, match="group A/2003: values must be positive"):
+            ad_lognormal({KEY: [0.0, 1.0, 2.0] + [1.0] * 8}, threshold=0.0)
 
     def test_lognormal_sample_usually_accepted(self):
         rng = np.random.default_rng(8)
         values = np.exp(rng.normal(1.0, 0.6, size=500))
-        report = ad_lognormal(values, threshold=0.1)
+        report = ad_one(values, threshold=0.1)
         assert report.p_bracket in (">0.25", "0.10-0.25")
 
     def test_grossly_non_lognormal_rejected(self):
         values = [0.5] * 100 + [80.0] * 100
-        report = ad_lognormal(values, threshold=0.1)
+        report = ad_one(values, threshold=0.1)
         assert report.p_bracket == "<0.005"
+
+    def test_groups_keep_input_order_and_skips_are_listed(self):
+        scores = {
+            GroupKey("B", 2007): [2.0] * 9,
+            GroupKey("A", 2007): PINNED,
+            GroupKey("A", 2003): [1.0, 3.0],
+            GroupKey("B", 2003): [17.0 * v for v in PINNED],
+        }
+        reports, skipped = ad_lognormal(scores, 0.1)
+        assert list(reports) == [GroupKey("A", 2007), GroupKey("B", 2003)]
+        assert reports[GroupKey("A", 2007)] == ad_one(PINNED, 0.1)
+        assert [(sk.group, sk.reason) for sk in skipped] == [
+            (GroupKey("B", 2007), "all-values-equal"),
+            (GroupKey("A", 2003), "too-few-values"),
+        ]
+        assert ad_lognormal({}, 0.1) == ({}, [])
+
+    @given(
+        st.lists(
+            st.lists(st.floats(0.05, 1e4), min_size=0, max_size=40),
+            min_size=1, max_size=6,
+        ),
+        st.integers(0, 5),
+    )
+    def test_report_does_not_depend_on_the_other_groups(self, groups, pick):
+        pick %= len(groups)
+        key = GroupKey("G", pick)
+        batch = {GroupKey("G", j): np.array(v) for j, v in enumerate(groups)}
+        alone = ad_lognormal({key: batch[key]}, 0.1)
+        together = ad_lognormal(batch, 0.1)
+        assert alone[0].get(key) == together[0].get(key)
+        assert alone[1] == [sk for sk in together[1] if sk.group == key]
 
 
 class TestBrackets:
@@ -111,18 +156,40 @@ class TestCalibration:
         trials = 400
         for _ in range(trials):
             values = np.exp(rng.normal(1.0, 0.6, size=200))
-            report = ad_lognormal(values, threshold=0.1)
+            report = ad_one(values, threshold=0.1)
             if report.a_squared_star > 0.752:
                 rejections += 1
         assert 0.02 <= rejections / trials <= 0.09
 
 
+def assert_close_to_scipy(x):
+    """log_ndtr against scipy.special.log_ndtr, within 8 units in the last
+    place of max(1, |reference|): the two use different erfc approximations,
+    so bit identity is not expected."""
+    ours, ref = log_ndtr(x), scipy_log_ndtr(x)
+    tolerance = 8.0 * np.spacing(np.maximum(1.0, np.abs(ref)))
+    worst = np.argmax(np.abs(ours - ref) / tolerance)
+    assert np.all(np.abs(ours - ref) <= tolerance), (x[worst], ours[worst], ref[worst])
+
+
 class TestLogNdtr:
-    def test_matches_scipy_stats_norm_byte_for_byte(self):
-        # the test evaluates log Phi(z) and log(1 - Phi(z)) through
-        # scipy.special; scipy.stats.norm computes the same with more overhead
+    def test_matches_scipy_on_a_dense_grid(self):
+        assert_close_to_scipy(np.linspace(-40.0, 40.0, 160_001))
+
+    def test_matches_scipy_on_normal_draws(self):
+        # log Phi(z) and log(1 - Phi(z)) = log Phi(-z), as ad_lognormal uses them
         rng = np.random.default_rng(1974)
         for scale in (0.5, 1.0, 3.0, 10.0, 40.0):
             z = rng.normal(0.0, scale, size=2000)
-            assert log_ndtr(z).tobytes() == norm.logcdf(z).tobytes()
-            assert log_ndtr(-z).tobytes() == norm.logsf(z).tobytes()
+            assert_close_to_scipy(z)
+            assert_close_to_scipy(-z)
+
+    @given(st.lists(st.floats(-1000.0, 1000.0), min_size=1, max_size=50))
+    def test_matches_scipy_on_finite_values(self, z):
+        assert_close_to_scipy(np.array(z))
+
+    def test_limits(self):
+        got = log_ndtr(np.array([-np.inf, -1e300, np.nan, 1e300, np.inf]))
+        assert got[:2].tolist() == [-np.inf, -np.inf]
+        assert np.isnan(got[2])
+        assert got[3:].tolist() == [0.0, 0.0]
