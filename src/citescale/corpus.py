@@ -10,7 +10,9 @@ is one slice of them and grouping, scoring and emission read one order.
 CSV wire format (canonical form):
     header ``pub_id,year,category,citations``, comma separated, LF line
     endings, no quoting; emission sorts rows by (category, year, pub_id).
-    Since nothing is quoted and ingestion strips cells, ``pub_id`` and
+    Ingestion reads what the csv module reads (quoted cells, CRLF, blank
+    lines) but rejects a cell beyond ``csv.field_size_limit()``.  Since
+    emission quotes nothing and ingestion strips cells, ``pub_id`` and
     ``category`` may not be empty, hold a comma, a double quote or a line
     break, or start or end with whitespace; the file is UTF-8, so no text
     may hold a lone surrogate.
@@ -22,7 +24,9 @@ import csv
 import io
 import operator
 import re
+from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +42,10 @@ CSV_HEADER = ("pub_id", "year", "category", "citations")
 # A comma, double quote or line break breaks an unquoted cell; a lone
 # surrogate cannot be written as UTF-8.
 _UNREADABLE = re.compile('[,"\r\n\ud800-\udfff]')
+# What ingestion strips from a text cell: every str.isspace() character but
+# CR and LF, so that a line break at a quoted cell's edge reaches the Corpus.
+_PAD = ("\t\x0b\x0c\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+        "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
 
 
 @dataclass(frozen=True, order=True)
@@ -51,21 +59,24 @@ class GroupKey:
         return f"{self.category}/{self.year}"
 
 
-def _integers(values):
-    """``values`` as they are when they are all integers (an int64 array
-    passes untouched), else :class:`CorpusValueError`."""
+def _integers(values, name: str):
+    """``values`` as they are when all are integers (an int64 array passes
+    untouched), else :class:`CorpusValueError` naming the first that is not."""
     if isinstance(values, np.ndarray) and values.dtype.kind == "i":
         return values
     items = values.tolist() if isinstance(values, np.ndarray) else values
     try:
         return list(map(operator.index, items))
     except TypeError:
-        raise CorpusValueError("years and citations must be integers") from None
+        row = next(i for i, x in enumerate(items) if not hasattr(type(x), "__index__"))
+    raise CorpusValueError(
+        f"column {name!r} must hold integers, got {items[row]!r}", row=row
+    )
 
 
 def _check_text(column: np.ndarray, name: str) -> None:
     """:class:`CorpusValueError` unless every value of an object column is
-    CSV text; whole-column checks, then one value at a time to name it."""
+    CSV text; whole-column checks, then one value at a time to name its row."""
     values = column.tolist()
     try:
         if all(values) and list(map(str.strip, values)) == values:
@@ -73,13 +84,16 @@ def _check_text(column: np.ndarray, name: str) -> None:
                 return
     except TypeError:  # a value that is not a str
         pass
-    for value in values:
+    for row, value in enumerate(values):
+        if isinstance(value, str) and not value:
+            raise CorpusValueError(f"empty {name}", row=row)
         readable = isinstance(value, str) and value and value == value.strip()
         if not readable or _UNREADABLE.search(value):
             raise CorpusValueError(
                 f"{name} {value!r} would not read back from CSV: it must be a "
                 "non-empty, unpadded str with no comma, double quote, line "
-                "break or lone surrogate"
+                "break or lone surrogate",
+                row=row,
             )
 
 
@@ -104,7 +118,7 @@ class Corpus:
     ``pub_id`` and ``category`` is a non-empty ``str`` with no comma, double
     quote, line break, lone surrogate or leading or trailing whitespace, so
     that its CSV cell reads back the same, and every count fits in float64,
-    the type every score is computed in.
+    the type every score is computed in; a value error's ``row`` is the row at fault.
     """
 
     pub_id: np.ndarray
@@ -117,10 +131,12 @@ class Corpus:
         pub = np.array(self.pub_id, dtype=object)
         cat = np.array(self.category, dtype=object)
         try:
-            year = np.array(_integers(self.year), dtype=np.int64)
+            year = np.array(_integers(self.year, "year"), dtype=np.int64)
         except OverflowError:
-            raise CorpusValueError("years must fit in int64") from None
-        cites = _integers(self.citations)
+            years = _integers(self.year, "year")
+            row = next(i for i, y in enumerate(years) if not -(2**63) <= y < 2**63)
+            raise CorpusValueError("year is beyond the int64 range", row=row) from None
+        cites = _integers(self.citations, "citations")
         try:
             cites = np.array(cites, dtype=np.int64)
         except OverflowError:  # exact Python ints beyond int64
@@ -129,22 +145,26 @@ class Corpus:
         if not len(year) == len(cat) == len(cites) == n:
             raise ValueError("corpus columns must have equal lengths")
         if n and cites.min() < 0:
-            raise CorpusValueError(f"citations must be >= 0, got {cites.min()}")
-        if cites.dtype == object:
-            try:
-                float(cites.max())
-            except OverflowError:
-                raise CorpusValueError("citations exceed the float64 range") from None
+            row = int(np.argmax(cites < 0))
+            raise CorpusValueError(f"citations must be >= 0, got {cites[row]}", row=row)
+        if cites.dtype == object and (beyond := cites >= 2**1024 - 2**970).any():
+            raise CorpusValueError(  # float() rounds these counts up to 2**1024
+                "citations exceed the float64 range", row=int(np.argmax(beyond))
+            )
 
         _check_text(cat, "category")
         _check_text(pub, "pub_id")
         cat_rank, pub_rank = _ranks(cat), _ranks(pub)
         pairs = cat_rank * n + pub_rank
         ordered = np.sort(pairs)
-        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-        if repeated.size:
-            i = int(np.argmax(pairs == repeated[0]))
-            raise CorpusValueError(f"duplicate (pub_id, category) {(pub[i], cat[i])!r}")
+        if (ordered[1:] == ordered[:-1]).any():
+            by_pair = np.argsort(pairs, kind="stable")  # equal pairs in row order
+            i = int(by_pair[1:][ordered[1:] == ordered[:-1]].min())  # first repeat
+            error = DuplicateRecordError(
+                f"duplicate (pub_id, category) {(pub[i], cat[i])!r}", row=i
+            )
+            error.keys = pairs  # per input row, equal where (pub_id, category) is
+            raise error
 
         order = np.lexsort((pub_rank, year, cat_rank))
         for name, column in zip(CSV_HEADER, (pub, year, cat, cites)):
@@ -177,61 +197,48 @@ class IngestResult:
     n_warnings: int
 
 
-def _parse_int(raw: str, column: str, line_no: int) -> int:
-    try:
-        return int(raw.strip())
-    except ValueError:
-        raise CorpusValueError(
-            f"line {line_no}: column {column!r} must be an integer, got {raw!r}"
-        ) from None
-
-
-def _raise_first_bad_row(path: Path, text: str, strict: bool) -> None:
-    """Raise the error of the first bad line, reading the rows one by one:
-    the slow path, taken only once a whole-column check failed."""
+def _split(path: Path, text: str) -> tuple:
+    """Split corpus text into the header's cells, the data rows' cells in
+    one flat list, each row's file line and the error of the line that ended
+    the split early (or None).  Only text with a double quote, CR, blank or
+    ragged line, or a line beyond the csv field limit goes through csv."""
+    lines = text.rstrip("\n").split("\n")  # blank lines at the end hold no rows
+    plain = '"' not in text and "\r" not in text
+    if plain and max(map(len, lines)) <= csv.field_size_limit():
+        if set(map(str.count, lines, repeat(","))) == {len(CSV_HEADER) - 1}:
+            cells = ",".join(lines).split(",")
+            return cells[:4], cells[4:], range(2, len(lines) + 1), None
     reader = csv.reader(io.StringIO(text, newline=""))
-    seen: set[tuple[str, str]] = set()
+    header, cells, line_nos, stop = None, [], [], None
     try:
-        next(reader)  # the header, checked already
-        for line_no, row in enumerate(reader, start=2):
-            where = f"{path}, line {line_no}"
-            if not row:  # tolerate blank lines
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise CorpusFormatError(
-                    f"{where}: expected {len(CSV_HEADER)} columns, got {len(row)}"
+        header = next(reader, [])
+        start = reader.line_num + 1
+        for row in reader:
+            line, start = start, reader.line_num + 1
+            if row and len(row) != len(CSV_HEADER):
+                stop = CorpusFormatError(
+                    f"{path}, line {line}: expected {len(CSV_HEADER)} columns, "
+                    f"got {len(row)}"
                 )
-            pub_id, category = row[0].strip(), row[2].strip()
-            if not pub_id:
-                raise CorpusValueError(f"{where}: empty pub_id")
-            if _UNREADABLE.search(row[0]) or _UNREADABLE.search(row[2]):
-                raise CorpusValueError(
-                    f"{where}: pub_id and category must not contain commas, "
-                    "double quotes or line breaks"
-                )
-            if not -(2**63) <= _parse_int(row[1], "year", line_no) < 2**63:
-                raise CorpusValueError(f"{where}: year is beyond the int64 range")
-            if not category:
-                raise CorpusValueError(f"{where}: empty category")
-            citations = _parse_int(row[3], "citations", line_no)
-            if citations < 0:
-                raise CorpusValueError(
-                    f"{where}: citations must be >= 0, got {citations}"
-                )
-            try:
-                float(citations)  # every score is computed in float64
-            except OverflowError:
-                raise CorpusValueError(
-                    f"{where}: citations exceed the float64 range"
-                ) from None
-            if strict and (pub_id, category) in seen:
-                raise DuplicateRecordError(
-                    f"{where}: duplicate (pub_id, category) {(pub_id, category)!r}"
-                )
-            seen.add((pub_id, category))
+                break
+            if row:  # not a blank line
+                cells += row
+                line_nos.append(line)
     except csv.Error as exc:
-        raise CorpusFormatError(f"{path}, line {reader.line_num}: {exc}") from None
-    raise AssertionError("a column check failed but every row is good")
+        stop = CorpusFormatError(f"{path}, line {reader.line_num}: {exc}")
+        if header is None:
+            raise stop from None
+    return header, cells, line_nos, stop
+
+
+def _parse_ints(cells: list[str]) -> list:
+    """``int(cell.strip())`` of each cell, each distinct string parsed once;
+    a cell that is no integer stays a str, for the Corpus to reject."""
+    values = {}
+    for cell in set(cells):
+        with suppress(ValueError):
+            values[cell] = int(cell.strip())
+    return list(map(values.get, cells, cells))
 
 
 def ingest_csv(path: str | Path, strict: bool = False) -> IngestResult:
@@ -254,55 +261,41 @@ def ingest_csv(path: str | Path, strict: bool = False) -> IngestResult:
     except UnicodeDecodeError as exc:
         line_no = data.count(b"\n", 0, exc.start) + 1
         raise CorpusFormatError(f"{path}, line {line_no}: not valid UTF-8") from None
+    if not text:
+        raise EmptyCorpusError(f"{path}: file is empty")
+    header, cells, line_nos, error = _split(path, text)
+    if tuple(map(str.strip, header)) != CSV_HEADER:
+        raise CorpusFormatError(
+            f"{path}, line 1: expected header {','.join(CSV_HEADER)!r}, "
+            f"got {','.join(header)!r}"
+        )
+    pub, year, cat, cites = (cells[i::4] for i in range(4))
+    pub, cat = (list(map(str.strip, column, repeat(_PAD))) for column in (pub, cat))
+    columns = [pub, _parse_ints(year), cat, _parse_ints(cites)]
+    del data, text, cells, year, cites  # raw text: not held while the Corpus builds
 
-    # Stream the rows into four columns and check whole columns; when a
-    # check fails, _raise_first_bad_row reads the rows again to name the line.
-    raw: list[list[str]] = [[], [], [], []]
-    add_pub, add_year, add_cat, add_cites = (col.append for col in raw)
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise EmptyCorpusError(f"{path}: file is empty")
-        if tuple(h.strip() for h in header) != CSV_HEADER:
-            raise CorpusFormatError(
-                f"{path}, line 1: expected header {','.join(CSV_HEADER)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        for pub_id, year, category, citations in filter(None, reader):  # no blanks
-            add_pub(pub_id)
-            add_year(year)
-            add_cat(category)
-            add_cites(citations)
-        pub = list(map(str.strip, raw[0]))
-        cat = list(map(str.strip, raw[2]))
-        years = np.fromiter(map(int, map(str.strip, raw[1])), np.int64, len(pub))
-        cites = list(map(int, map(str.strip, raw[3])))
-        float(max(cites, default=0))  # every score is computed in float64
-        # The Corpus sees stripped text of kept rows only: check every count,
-        # and a line break that stripping hides at a quoted cell's edge, here.
-        cells = "".join(raw[0] + raw[2]) if '"' in text else ""
-        ok = min(cites, default=0) >= 0 and "\r" not in cells and "\n" not in cells
-    except (csv.Error, ValueError, OverflowError):  # a ragged row fails to unpack
-        ok = False
-    n = len(raw[0])
-    # "pub_id,category" keys an assignment: two rows collide otherwise only
-    # when both hold a comma, which the Corpus rejects in the row kept.
-    last = dict(zip([p + "," + c for p, c in zip(pub, cat)], range(n))) if ok else {}
-    n_warnings = n - len(last)  # the last row wins
-    if not ok or (strict and n_warnings):
-        _raise_first_bad_row(path, text, strict)
-    if not n:
+    # `error` belongs to row `end`, and the Corpus checks the rows before
+    # it; each error it finds there moves `end` back, until none is left.
+    end = len(line_nos)
+    while True:
+        columns = [column[:end] for column in columns]
+        try:
+            corpus = Corpus(*columns)
+        except CorpusValueError as exc:
+            if strict or not isinstance(exc, DuplicateRecordError):
+                end = exc.row
+                error = type(exc)(f"{path}, line {line_nos[end]}: {exc}")
+                continue
+            if error is None:  # values are checked before duplicates: last row wins
+                last = np.unique(exc.keys[::-1], return_index=True)[1]
+                keep = (end - 1 - last).tolist()
+                corpus = Corpus(*(list(map(col.__getitem__, keep)) for col in columns))
+        break
+    if error is not None:
+        raise error
+    if not end:
         raise EmptyCorpusError(f"{path}: no data rows")
-    columns = [pub, years, cat, cites]
-    if n_warnings:
-        keep = list(last.values())
-        columns = [[col[i] for i in keep] for col in columns]
-    try:
-        corpus = Corpus(*columns)
-    except CorpusValueError:
-        _raise_first_bad_row(path, text, strict)
-    return IngestResult(corpus=corpus, n_rows=n, n_warnings=n_warnings)
+    return IngestResult(corpus=corpus, n_rows=end, n_warnings=end - len(corpus))
 
 
 def write_csv(path: str | Path, header, template: str, rows) -> None:

@@ -18,11 +18,15 @@ class CorpusFormatError(CitescaleError):
 
 
 class CorpusValueError(CitescaleError):
-    """A cell holds an unusable value (negative or non-integer citations...)."""
+    """A cell holds an unusable value, in input row ``row`` when one is to blame."""
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 class DuplicateRecordError(CorpusValueError):
-    """Strict-mode ingestion found a repeated (pub_id, category) row."""
+    """A (pub_id, category) pair occurs twice in a Corpus or a strict CSV."""
 
 
 class EmptyCorpusError(CitescaleError):

@@ -152,9 +152,9 @@ def generate(scenario: Scenario) -> Corpus:
     pub_ids are ``<category>-<year>-<index>`` with a zero-padded index.
 
     Raises :class:`~citescale.errors.ScenarioError` naming the spec when its
-    ``n`` values or its family cannot be drawn, when a lognormal draw
-    reaches 2**63 or when a scaled count is beyond what float64, the type
-    every score is computed in, can hold.
+    ``n`` values or its family cannot be drawn or held in memory, when a
+    lognormal draw reaches 2**63 or when a scaled count is beyond what
+    float64, the type every score is computed in, can hold.
     """
     scenario.validate()
     pub_ids, years, categories, counts = [], [], [], []  # columns, counts per spec
@@ -164,7 +164,7 @@ def generate(scenario: Scenario) -> Corpus:
         try:
             u = rng.random(spec.n)
             fam = _draw_family(rng, spec)
-        except ValueError as exc:  # undrawable n or parameters, or draws beyond int64
+        except (ValueError, MemoryError) as exc:  # undrawable, or beyond memory
             raise ScenarioError(f"{where}: {exc}") from None
         drawn = np.where(u < spec.zero_inflation, 0, fam)
         top = int(drawn.max()) * spec.count_scale
@@ -270,6 +270,8 @@ def scenario_from_dict(data: dict) -> Scenario:
                 specs.append(_spec_from_dict(d))
             except ScenarioError as exc:  # a field of the wrong JSON type
                 raise ScenarioError(f"specs[{i}]: {exc}") from None
+            except (KeyError, TypeError, ValueError) as exc:  # a missing key, a non-list
+                raise ScenarioError(f"specs[{i}]: malformed spec: {exc}") from None
         scenario = Scenario(seed=_integer(data, "seed"), specs=tuple(specs))
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc

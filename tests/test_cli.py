@@ -5,7 +5,10 @@ import random
 import pytest
 
 from citescale.cli import main
-from citescale.synth import Scenario, CategorySpec, save_scenario
+from citescale.corpus import emit_csv, ingest_csv
+from citescale.synth import (
+    Scenario, CategorySpec, benchmark_scenario, generate, save_scenario,
+)
 
 from conftest import write_corpus_csv
 
@@ -322,6 +325,19 @@ class TestSimulate:
         main(["simulate", "--scenario", str(small_scenario_json), "--out", str(out2)])
         assert (out2 / "corpus.csv").read_bytes() == first
 
+    def test_frozen_corpus_csv_reads_back(self, tmp_path):
+        # the benchmark's own traffic: 27,345 rows of the frozen scenario
+        scenario = benchmark_scenario()
+        save_scenario(scenario, tmp_path / "frozen.json")
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(tmp_path / "frozen.json"),
+                     "--out", str(out)]) == 0
+        result = ingest_csv(out / "corpus.csv")
+        assert result.corpus == generate(scenario)
+        assert (result.n_rows, result.n_warnings) == (27345, 0)
+        emit_csv(result.corpus, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == (out / "corpus.csv").read_bytes()
+
     @staticmethod
     def simulate_one_spec(tmp_path, family_params, count_scale):
         path = tmp_path / "scenario.json"
@@ -431,6 +447,22 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         for valid in (_LOGNORMAL, _ZIPF):
             assert _scenario_exit_code(tmp_path, {"seed": 1, "specs": [valid]}) == 0
+
+    @pytest.mark.parametrize("spec, message", [
+        # allocations that fail at once: 8 EB of draws, an 8 EB zipf support
+        ({**_SPEC, "n": 10**18}, "error: spec A/2003: "),
+        ({**_ZIPF, "family_params": [1.5, 1e18]}, "error: spec A/2003: "),
+        ({k: v for k, v in _SPEC.items() if k != "n"},
+         "error: specs[1]: malformed spec: 'n'"),
+        ({**_SPEC, "family_params": 7},
+         "error: specs[1]: malformed spec: 'int' object is not iterable"),
+    ], ids=["n-beyond-memory", "c-max-beyond-memory", "n-missing", "params-not-list"])
+    def test_spec_that_cannot_be_read_or_drawn_is_named(
+        self, spec, message, tmp_path, capsys
+    ):
+        specs = [{**_SPEC, "category": "Z"}, spec]
+        assert _scenario_exit_code(tmp_path, {"seed": 1, "specs": specs}) == 1
+        assert message in capsys.readouterr().err
 
 
 class TestReport:

@@ -1,13 +1,18 @@
 import csv
+import io
+import re
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citescale.corpus import (
+    _PAD,
+    CSV_HEADER,
     Corpus,
     GroupKey,
     emit_csv,
@@ -181,6 +186,22 @@ class TestRecords:
         rows = [("p1", 2003, "A", 1), ("p2", 2003, "A", 1), ("p1", 2004, "A", 2)]
         with pytest.raises(CorpusValueError, match="'p1', 'A'"):
             corpus_of(rows)
+
+    @pytest.mark.parametrize("rows, row, message", [
+        ([("a", 2003, "A", 1), ("b", 2003, "A", -2), ("c", 2003, "A", -1)],
+         1, "citations must be >= 0, got -2"),
+        ([("a", 2003, "A", 1), ("b", 2**63, "A", 1)], 1, "year is beyond the int64 range"),
+        ([("a", 2003, "A", 1), ("b", 2003, "A", 10**400)], 1, "float64"),
+        ([("a", 2003, "A", 1), ("b", 2003, "", 1)], 1, "empty category"),
+        ([("a", 2003, "A", 1), ("a ", 2003, "A", 1)], 1, "pub_id 'a '"),
+        # the row that repeats an earlier one is named, not the first of them
+        ([("b", 2003, "A", 1), ("a", 2004, "A", 1), ("b", 2007, "A", 2)],
+         2, "duplicate (pub_id, category) ('b', 'A')"),
+    ])
+    def test_value_error_names_its_row(self, rows, row, message):
+        with pytest.raises(CorpusValueError) as exc:
+            corpus_of(rows)
+        assert exc.value.row == row and message in str(exc.value)
 
     def test_group_key_ordering(self):
         keys = [GroupKey("B", 2003), GroupKey("A", 2007), GroupKey("A", 2003)]
@@ -417,6 +438,22 @@ class TestFirstBadLine:
         with pytest.raises(CitescaleError, match=message):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("body, message", [
+        # a value error comes before a later cell beyond the csv field limit
+        (f"p1,2003,A,-1\np2,2003,{'A' * 200_000},5\n", "line 2: citations"),
+        (f"p1,2003,A,1\n\np2,2003,{'A' * 200_000},5\n", "line 4: field larger"),
+        # a quoted cell's line break moves the lines of the rows after it
+        ('p1,2003,A,"5\n"\np2,2003,A,-1\n', "line 4: citations"),
+        ('p1,2003,"A\n\nB",1\r\np2,2003,A,-1\r\n', "line 2: category 'A\\n\\nB'"),
+        ('p1,2003,A,1\r\n\r\np2,2003,A,-1\r\n', "line 4: citations"),
+        ('p1,2003,A,1\n"p2\n",2003,A,1\np3,2003,A,x\n', "line 3: pub_id 'p2\\n'"),
+    ])
+    def test_first_bad_line_of_quoted_or_long_text(self, tmp_path, body, message):
+        path = tmp_path / "c.csv"
+        path.write_text("pub_id,year,category,citations\n" + body, newline="")
+        with pytest.raises(CitescaleError, match=re.escape(message)):
+            ingest_csv(path)
+
     def test_strict_duplicate_before_later_bad_value(self, tmp_path):
         path = write_corpus_csv(
             tmp_path / "c.csv", [("p1", 2003, "A", 1), ("p1", 2003, "A", 2),
@@ -426,3 +463,133 @@ class TestFirstBadLine:
             ingest_csv(path, strict=True)
         with pytest.raises(CorpusValueError, match="line 4"):
             ingest_csv(path)
+
+
+def _reference_ingest(text, strict):
+    """What ingest_csv must return for ``text``, read one row at a time with
+    csv.reader, stripped, checked row by row, kept in a last-wins dict and
+    built into a Corpus: ``(corpus, n_rows, n_warnings)``, or the kind of
+    error and the line it names."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    last, n_rows = {}, 0
+    try:
+        header = next(reader, None)
+        if header is None:
+            return "empty", None
+        if tuple(cell.strip() for cell in header) != CSV_HEADER:
+            return "format", 1
+        start = reader.line_num + 1
+        for row in reader:
+            line, start = start, reader.line_num + 1
+            if not row:
+                continue
+            if len(row) != len(CSV_HEADER):
+                return "format", line
+            pub, year, cat, cites = row
+            if set(pub + cat) & set("\r\n"):  # stripping must not hide a line break
+                return "value", line
+            try:
+                record = (pub.strip(), int(year.strip()), cat.strip(), int(cites.strip()))
+                Corpus(*([value] for value in record))
+            except (ValueError, CorpusValueError):
+                return "value", line
+            if strict and (record[0], record[2]) in last:
+                return "value", line
+            last[record[0], record[2]] = record
+            n_rows += 1
+    except csv.Error:
+        return "format", reader.line_num
+    if not n_rows:
+        return "empty", None
+    return corpus_of(list(last.values())), n_rows, n_rows - len(last)
+
+
+def _ingested(path, strict):
+    try:
+        result = ingest_csv(path, strict=strict)
+    except CitescaleError as exc:
+        kind = {CorpusFormatError: "format", EmptyCorpusError: "empty"}.get(
+            type(exc), "value"
+        )
+        line = re.search(r", line (\d+): ", str(exc))
+        return kind, line and int(line.group(1))
+    return result.corpus, result.n_rows, result.n_warnings
+
+
+# per column, cells that read (padded, NUL-holding, non-ASCII digits) and
+# cells that do not, or that read only when quoted
+_GOOD = (
+    ["p1", "p2", " p1 ", "p1\x00", "é"],
+    ["2003", "2007", " 2007\t", "2_003", "\x1c2003", "٢٠"],
+    ["A", "B", " B\x0c", "A\x00"],
+    ["0", "5", " 7 ", "1" + "0" * 25],
+)
+_BAD = (
+    ["", "a,b", 'a"b', "p\nq", "p2\n"],
+    ["x", "99999999999999999999"],
+    ["", "A\r"],
+    ["-1", "1.5", "1" + "0" * 400, "5\n"],
+)
+
+
+@st.composite
+def _corpus_texts(draw):
+    """CSV text mixing blank lines, CRLF endings, quoted, padded and
+    NUL-holding cells, duplicate rows, ragged rows and bad values."""
+    header = draw(st.sampled_from(["pub_id,year,category,citations"] * 4 + [
+        '"pub_id",year, category ,citations', "pub_id,year,category",
+    ]))
+    quoting, crlf = draw(st.booleans()), draw(st.booleans())
+    lines = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 6)) == 0:
+            lines.append("")
+            continue
+        cells = [
+            draw(st.sampled_from(bad if draw(st.integers(0, 24)) == 0 else good))
+            for good, bad in zip(_GOOD, _BAD)
+        ]
+        cells = (cells + ["1"])[: draw(st.sampled_from([4] * 12 + [3, 5]))]
+        lines.append(",".join(
+            '"' + c.replace('"', '""') + '"' if quoting and draw(st.booleans()) else c
+            for c in cells
+        ))
+    endings = [draw(st.sampled_from(["\n", "\r\n"])) if crlf else "\n" for _ in lines]
+    text = "".join(map(str.__add__, lines, endings))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+class TestSplitters:
+    """The split on line breaks and commas and the csv-module split must
+    read every file as csv.reader and a row-by-row check would."""
+
+    @settings(max_examples=400)
+    @given(_corpus_texts(), st.booleans())
+    def test_both_splitters_agree_with_a_row_by_row_reader(self, text, strict):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            assert _ingested(path, strict) == _reference_ingest(text, strict)
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: "".join(
+            ",".join(f'"{cell}"' for cell in line.split(",")) + "\n"
+            for line in text.splitlines()
+        ),
+    ], ids=["crlf", "all-quoted"])
+    def test_crlf_and_quoted_copies_read_as_the_plain_file(self, tmp_path, rewrite):
+        rows = [("z9", 2007, "B", 3), ("a1", 2003, "B", 0), ("m5", 2003, "A", 12),
+                ("a1", 2003, "A", 7), ("a\x00", 2003, "A", 10**20)]
+        plain = write_corpus_csv(tmp_path / "plain.csv", rows)
+        copy = tmp_path / "copy.csv"
+        copy.write_text(rewrite(plain.read_text()), newline="")
+        assert copy.read_bytes() != plain.read_bytes()
+        expected = ingest_csv(plain)
+        result = ingest_csv(copy)
+        assert result.corpus == expected.corpus == corpus_of(rows)
+        assert (result.n_rows, result.n_warnings) == (5, 0)
+
+    def test_pad_is_all_whitespace_but_line_breaks(self):
+        spaces = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
+        assert set(_PAD) == spaces - {"\r", "\n"} and len(_PAD) == len(set(_PAD))
