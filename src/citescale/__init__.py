@@ -41,7 +41,7 @@ from .synth import (
     save_scenario,
     scaled_copy_scenario,
 )
-from .topshare import method_comparison, top_share
+from .topshare import top_share
 
 __all__ = [
     "__version__",
@@ -53,7 +53,7 @@ __all__ = [
     "EmptyGroupError", "ScenarioError",
     # diagnostics
     "describe", "ScalingMethod", "scale_corpus", "collapse_metrics",
-    "method_comparison", "top_share", "ad_lognormal",
+    "top_share", "ad_lognormal",
     # synth
     "CategorySpec", "Scenario", "generate", "load_scenario",
     "benchmark_scenario", "save_scenario", "scaled_copy_scenario",

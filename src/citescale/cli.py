@@ -12,6 +12,13 @@ Subcommands::
     report         the full pipeline for raw plus all six methods, with a
                    hash manifest of every artifact
 
+Every subcommand but ``ingest-check`` and ``simulate`` is one pipeline,
+:func:`_run`: load the corpus, group it once, keep the ``--year`` groups,
+score each selected method once, then run the writers that the subparser
+names in ``set_defaults`` (the parser is the table of writers).  ``report``
+selects all six methods and every writer, and adds the generated
+``corpus.csv`` and a hash manifest.
+
 Exit codes: 0 success, 1 data error, 2 usage error (including flag values
 that could not work, such as a non-positive goodness-of-fit threshold).
 All numeric output is locale-independent with '.' as decimal separator and
@@ -48,7 +55,7 @@ from .gof import DEFAULT_THRESHOLD, ad_lognormal
 from .scaling import ScalingMethod, scale_corpus
 from .stats import describe
 from .survival import binned_survival, collapse_metrics, log_binned_thresholds
-from .topshare import DEFAULT_TOP_FRACTION, method_comparison
+from .topshare import DEFAULT_TOP_FRACTION, top_share
 from .synth import generate, load_scenario, prng_metadata
 
 METHOD_NAMES = tuple(m.value for m in ScalingMethod)
@@ -86,9 +93,9 @@ def _positive(text: str) -> float:
 
 
 def _load_corpus(args: argparse.Namespace) -> Corpus:
-    if getattr(args, "scenario", None):
+    if args.scenario is not None:
         return generate(load_scenario(args.scenario))
-    result = ingest_csv(args.input, strict=getattr(args, "strict", False))
+    result = ingest_csv(args.input, strict=args.strict)
     if result.n_warnings:
         print(
             f"warning: {result.n_warnings} duplicate (pub_id, category) rows replaced",
@@ -97,13 +104,17 @@ def _load_corpus(args: argparse.Namespace) -> Corpus:
     return result.corpus
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# --- artifact writers: each takes (args, out, corpus, raw, scored) ----------
+# ``raw`` maps each (category, year) group to its citation counts, ``scored``
+# each selected method to its scale_corpus result, in the order given.  A
+# writer returns the paths it wrote.
 
+def _named(raw: dict[GroupKey, np.ndarray], scored: dict):
+    """(name, vectors, skipped) of the raw counts, then of each method."""
+    yield "raw", raw, ()
+    for method, (scores, skipped) in scored.items():
+        yield method.value, scores, skipped
 
-# --- artifact writers (shared by single subcommands and `report`) ----------
 
 STATS_HEADER = (
     "category", "year", "n", "mean", "median", "stddev", "skewness",
@@ -112,68 +123,66 @@ STATS_HEADER = (
 )
 
 
-def _write_stats(citations: dict[GroupKey, np.ndarray], path: Path) -> None:
-    rows = []
-    for key, values in citations.items():
-        st = describe(values)
-        rows.append(
-            (
-                key.category, key.year, st.n, st.mean, st.median, _opt(st.stddev),
-                _opt(st.skewness), _opt(st.kurtosis), st.n_nonzero,
-                _opt(st.mean_nonzero), _opt(st.median_nonzero), "excess",
-            )
-        )
+def _write_stats(args, out: Path, corpus, raw, scored) -> list[Path]:
+    rows = (
+        (key.category, key.year, st.n, st.mean, st.median, _opt(st.stddev),
+         _opt(st.skewness), _opt(st.kurtosis), st.n_nonzero,
+         _opt(st.mean_nonzero), _opt(st.median_nonzero), "excess")
+        for key, st in zip(raw, map(describe, raw.values()))
+    )
+    path = out / "stats.csv"
     write_csv(path, STATS_HEADER, "%s,%d,%d,%.10g,%.10g,%s,%s,%s,%d,%s,%s,%s\n", rows)
+    return [path]
 
 
-def _write_scaled(corpus: Corpus, method: ScalingMethod, out: Path) -> list[Path]:
-    scores, skipped = scale_corpus(group_records(corpus), method)
+def _write_scaled(args, out: Path, corpus: Corpus, raw, scored) -> list[Path]:
     columns = (corpus.pub_id, corpus.year, corpus.category, corpus.citations)
-    rows: list[tuple] = []
-    for key, aii in scores.items():
-        part = corpus.group_slices[key]
-        rows += zip(
-            *(c[part].tolist() for c in columns), repeat(method.value), aii.tolist()
+    paths = []
+    for method, (scores, skipped) in scored.items():
+        rows: list[tuple] = []
+        for key, aii in scores.items():
+            part = corpus.group_slices[key]
+            rows += zip(
+                *(c[part].tolist() for c in columns), repeat(method.value), aii.tolist()
+            )
+        paths.append(out / f"scaled_{method.value}.csv")
+        write_csv(
+            paths[-1],
+            ("pub_id", "year", "category", "citations", "method", "aii"),
+            "%s,%d,%s,%d,%s,%.10g\n",
+            rows,
         )
-    scaled_path = out / f"scaled_{method.value}.csv"
-    write_csv(
-        scaled_path,
-        ("pub_id", "year", "category", "citations", "method", "aii"),
-        "%s,%d,%s,%d,%s,%.10g\n",
-        rows,
-    )
-    skipped_path = out / f"skipped_{method.value}.csv"
-    write_csv(
-        skipped_path,
-        ("category", "year", "n_records", "reason"),
-        "%s,%d,%d,%s\n",
-        ((sk.group.category, sk.group.year, sk.n_records, sk.reason) for sk in skipped),
-    )
-    return [scaled_path, skipped_path]
+        paths.append(out / f"skipped_{method.value}.csv")
+        write_csv(
+            paths[-1],
+            ("category", "year", "n_records", "reason"),
+            "%s,%d,%d,%s\n",
+            ((s.group.category, s.group.year, s.n_records, s.reason) for s in skipped),
+        )
+    return paths
 
 
-def _write_survival(
-    vectors: dict[GroupKey, np.ndarray], method: ScalingMethod | None, out: Path
-) -> list[Path]:
-    """Curves and collapse metrics of one method's scores (raw counts when
-    ``method`` is None)."""
-    name = "raw" if method is None else method.value
-    keys = list(vectors)
-    thresholds = log_binned_thresholds(vectors[k] for k in keys)
-    values = thresholds.tolist()
-    rows: list[tuple] = []
-    for key in keys:
-        probs = binned_survival(vectors[key], thresholds).tolist()
-        rows += zip(repeat(key.category), repeat(key.year), values, probs)
-    curve_path = out / f"survival_{name}.csv"
-    write_csv(
-        curve_path, ("category", "year", "value", "prob"), "%s,%d,%.10g,%.10g\n", rows
-    )
-
-    collapse_path = out / f"collapse_{name}.json"
-    report = collapse_metrics(vectors)
-    _write_json(collapse_path, {"method": name, **dataclasses.asdict(report)})
-    return [curve_path, collapse_path]
+def _write_survival(args, out: Path, corpus, raw, scored) -> list[Path]:
+    """Curves and collapse metrics of the raw counts and of each method."""
+    paths = []
+    for name, vectors, _ in _named(raw, scored):
+        thresholds = log_binned_thresholds(vectors.values())
+        values = thresholds.tolist()
+        rows: list[tuple] = []
+        for key, v in vectors.items():
+            probs = binned_survival(v, thresholds).tolist()
+            rows += zip(repeat(key.category), repeat(key.year), values, probs)
+        paths.append(out / f"survival_{name}.csv")
+        write_csv(
+            paths[-1],
+            ("category", "year", "value", "prob"),
+            "%s,%d,%.10g,%.10g\n",
+            rows,
+        )
+        paths.append(out / f"collapse_{name}.json")
+        report = collapse_metrics(vectors)
+        _write_json(paths[-1], {"method": name, **dataclasses.asdict(report)})
+    return paths
 
 
 TOPSHARE_HEADER = (
@@ -182,19 +191,15 @@ TOPSHARE_HEADER = (
 )
 
 
-def _write_topshare(
-    raw: dict[GroupKey, np.ndarray],
-    scored: dict,
-    top_fraction: float,
-    out: Path,
-) -> list[Path]:
-    reports = method_comparison(raw, scored, top_fraction)
+def _write_topshare(args, out: Path, corpus, raw, scored) -> list[Path]:
+    """The raw ranking, then one per method, and a summary of them all."""
     paths = []
-    summary: dict = {"top_fraction": top_fraction, "methods": {}}
-    for report in reports:
-        path = out / f"topshare_{report.method_name}.csv"
+    summary: dict = {"top_fraction": args.top_fraction, "methods": {}}
+    for name, scores, skipped in _named(raw, scored):
+        report = top_share(scores, args.top_fraction, skipped)
+        paths.append(out / f"topshare_{name}.csv")
         write_csv(
-            path,
+            paths[-1],
             TOPSHARE_HEADER,
             "%s,%d,%d,%.10g,%.10g,%.10g,%s,%d\n",
             (
@@ -203,8 +208,7 @@ def _write_topshare(
                 for c in report.per_category
             ),
         )
-        paths.append(path)
-        summary["methods"][report.method_name] = {
+        summary["methods"][name] = {
             "n_within_band": report.n_within_band,
             "n_categories_evaluated": report.n_categories_evaluated,
             "n_records": report.n_records,
@@ -212,9 +216,8 @@ def _write_topshare(
             "cutoff": report.cutoff,
             "unevaluated_categories": list(report.unevaluated_categories),
         }
-    summary_path = out / "topshare_summary.json"
-    _write_json(summary_path, summary)
-    paths.append(summary_path)
+    paths.append(out / "topshare_summary.json")
+    _write_json(paths[-1], summary)
     return paths
 
 
@@ -224,30 +227,86 @@ GOF_HEADER = (
 )
 
 
-def _write_gof(
-    vectors: dict[GroupKey, np.ndarray],
-    method: ScalingMethod,
-    threshold: float,
-    out: Path,
-) -> list[Path]:
-    reports, skipped = ad_lognormal(vectors, threshold=threshold)
-    rows = (
-        (key.category, key.year, rep.n_used, rep.threshold, rep.mu_hat,
-         rep.sigma_hat, rep.a_squared, rep.a_squared_star, rep.p_bracket)
-        for key, rep in reports.items()
-    )
-    if skipped:
-        print(
-            f"note: {len(skipped)} groups below the minimum sample for "
-            f"gof_{method.value}",
-            file=sys.stderr,
+def _write_gof(args, out: Path, corpus, raw, scored) -> list[Path]:
+    paths = []
+    for method, (scores, _) in scored.items():
+        reports, skipped = ad_lognormal(scores, threshold=args.gof_threshold)
+        rows = (
+            (key.category, key.year, rep.n_used, rep.threshold, rep.mu_hat,
+             rep.sigma_hat, rep.a_squared, rep.a_squared_star, rep.p_bracket)
+            for key, rep in reports.items()
         )
-    path = out / f"gof_{method.value}.csv"
-    write_csv(path, GOF_HEADER, "%s,%d,%d,%.10g,%.10g,%.10g,%.10g,%.10g,%s\n", rows)
-    return [path]
+        if skipped:
+            print(
+                f"note: {len(skipped)} groups below the minimum sample for "
+                f"gof_{method.value}",
+                file=sys.stderr,
+            )
+        paths.append(out / f"gof_{method.value}.csv")
+        write_csv(
+            paths[-1], GOF_HEADER, "%s,%d,%d,%.10g,%.10g,%.10g,%.10g,%.10g,%s\n", rows
+        )
+    return paths
+
+
+def _write_manifest(args, out: Path, artifacts: list[Path]) -> None:
+    entries = [
+        {"path": path.name, "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+         "bytes": path.stat().st_size}
+        for path in sorted(artifacts, key=lambda p: p.name)
+    ]
+    content_hash = hashlib.sha256(
+        "\n".join(f"{e['path']}:{e['sha256']}" for e in entries).encode("utf-8")
+    ).hexdigest()
+    manifest = {
+        "metadata": {
+            "created_utc": datetime.now(timezone.utc).isoformat(),
+            "tool": "citescale",
+            "version": __version__,
+            "source": str(args.input if args.scenario is None else args.scenario),
+            "top_fraction": args.top_fraction,
+            "gof_threshold": args.gof_threshold,
+            **prng_metadata(),
+        },
+        "artifacts": entries,
+        "content_hash": content_hash,
+    }
+    _write_json(out / "manifest.json", manifest)
+    print(f"report written to {out} ({len(entries)} artifacts, hash {content_hash[:12]})")
 
 
 # --- subcommand entry points ------------------------------------------------
+
+def _run(args: argparse.Namespace) -> int:
+    """The pipeline of the module docstring; ``--out`` is made only once the
+    corpus has loaded and ``--year``, if given, has matched a group."""
+    corpus = _load_corpus(args)
+    years = set(getattr(args, "year", None) or ())
+    if years and not any(key.year in years for key in corpus.group_slices):
+        raise EmptyCorpusError(f"no records in years {sorted(years)}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = []
+    if args.command == "report" and args.scenario is not None:
+        # a generated corpus is an artifact of the run; written before
+        # grouping, its formatted rows share memory with no counts or scores
+        paths.append(out / "corpus.csv")
+        emit_csv(corpus, paths[-1])
+    raw = group_records(corpus)
+    if years:  # each group is scored on its own: select before scoring
+        raw = {key: v for key, v in raw.items() if key.year in years}
+    names = getattr(args, "method", None) or ()
+    if isinstance(names, str):  # scale and gof take exactly one --method
+        names = (names,)
+    scored = {
+        method: scale_corpus(raw, method)
+        for method in dict.fromkeys(ScalingMethod(m) for m in names)
+    }
+    paths += [p for write in args.writers for p in write(args, out, corpus, raw, scored)]
+    if args.command == "report":
+        _write_manifest(args, out, paths)
+    return 0
+
 
 def _cmd_ingest_check(args: argparse.Namespace) -> int:
     result = ingest_csv(args.input, strict=args.strict)
@@ -258,121 +317,20 @@ def _cmd_ingest_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    citations = group_records(_load_corpus(args))
-    out = _out_dir(args)
-    _write_stats(citations, out / "stats.csv")
-    return 0
-
-
-def _cmd_scale(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args)
-    out = _out_dir(args)
-    _write_scaled(corpus, ScalingMethod(args.method), out)
-    return 0
-
-
-def _cmd_survival(args: argparse.Namespace) -> int:
-    raw = group_records(_load_corpus(args))
-    out = _out_dir(args)
-    _write_survival(raw, None, out)
-    for method in dict.fromkeys(ScalingMethod(m) for m in args.method or []):
-        _write_survival(scale_corpus(raw, method)[0], method, out)
-    return 0
-
-
-def _cmd_topshare(args: argparse.Namespace) -> int:
-    raw = group_records(_load_corpus(args))
-    if args.year:  # each group is scored on its own: select before scoring
-        years = set(args.year)
-        raw = {key: v for key, v in raw.items() if key.year in years}
-        if not raw:
-            raise EmptyCorpusError(f"no records in years {sorted(years)}")
-    out = _out_dir(args)
-    scored = {
-        method: scale_corpus(raw, method)
-        for method in dict.fromkeys(ScalingMethod(m) for m in args.method or [])
-    }
-    _write_topshare(raw, scored, args.top_fraction, out)
-    return 0
-
-
-def _cmd_gof(args: argparse.Namespace) -> int:
-    raw = group_records(_load_corpus(args))
-    out = _out_dir(args)
-    method = ScalingMethod(args.method)
-    _write_gof(scale_corpus(raw, method)[0], method, args.gof_threshold, out)
-    return 0
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     corpus = generate(scenario)
-    out = _out_dir(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     emit_csv(corpus, out / "corpus.csv")
-    meta = prng_metadata()
-    meta.update(
-        {
-            "seed": scenario.seed,
-            "n_specs": len(scenario.specs),
-            "n_records": len(corpus),
-            "total_citations": sum(corpus.citations.tolist()),  # exact, never int64
-        }
-    )
-    _write_json(out / "scenario_meta.json", meta)
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
-    artifacts: list[Path] = []
-    corpus = _load_corpus(args)
-    if args.scenario:  # a generated corpus is an artifact of the run
-        artifacts.append(out / "corpus.csv")
-        emit_csv(corpus, artifacts[-1])
-    source = str(args.scenario or args.input)
-
-    raw = group_records(corpus)
-    stats_path = out / "stats.csv"
-    _write_stats(raw, stats_path)
-    artifacts.append(stats_path)
-
-    # every diagnostic reads the same score vectors: one scoring per method
-    scored = {method: scale_corpus(raw, method) for method in ScalingMethod}
-    artifacts.extend(_write_survival(raw, None, out))
-    for method, (scores, _) in scored.items():
-        artifacts.extend(_write_survival(scores, method, out))
-        artifacts.extend(_write_gof(scores, method, args.gof_threshold, out))
-    artifacts.extend(_write_topshare(raw, scored, args.top_fraction, out))
-
-    entries = []
-    for path in sorted(artifacts, key=lambda p: p.name):
-        data = path.read_bytes()
-        entries.append(
-            {
-                "path": path.name,
-                "sha256": hashlib.sha256(data).hexdigest(),
-                "bytes": len(data),
-            }
-        )
-    content_hash = hashlib.sha256(
-        "\n".join(f"{e['path']}:{e['sha256']}" for e in entries).encode("utf-8")
-    ).hexdigest()
-    manifest = {
-        "metadata": {
-            "created_utc": datetime.now(timezone.utc).isoformat(),
-            "tool": "citescale",
-            "version": __version__,
-            "source": source,
-            "top_fraction": args.top_fraction,
-            "gof_threshold": args.gof_threshold,
-            **prng_metadata(),
-        },
-        "artifacts": entries,
-        "content_hash": content_hash,
+    meta = {
+        **prng_metadata(),
+        "seed": scenario.seed,
+        "n_specs": len(scenario.specs),
+        "n_records": len(corpus),
+        "total_citations": sum(corpus.citations.tolist()),  # exact, never int64
     }
-    _write_json(out / "manifest.json", manifest)
-    print(f"report written to {out} ({len(entries)} artifacts, hash {content_hash[:12]})")
+    _write_json(out / "scenario_meta.json", meta)
     return 0
 
 
@@ -405,13 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="per-group descriptive statistics")
     _add_input_args(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_stats)
+    p.set_defaults(func=_run, writers=(_write_stats,))
 
     p = sub.add_parser("scale", help="score records under one method")
     _add_input_args(p)
     p.add_argument("--method", required=True, choices=METHOD_NAMES)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_scale)
+    p.set_defaults(func=_run, writers=(_write_scaled,))
 
     p = sub.add_parser("survival", help="survival curves and collapse metrics")
     _add_input_args(p)
@@ -420,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="scaling method(s) to add beside the raw curves (repeatable)",
     )
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_survival)
+    p.set_defaults(func=_run, writers=(_write_survival,))
 
     p = sub.add_parser("topshare", help="global top-share admissibility report")
     _add_input_args(p)
@@ -434,14 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="score and rank only the groups of these publication years (repeatable)",
     )
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_topshare)
+    p.set_defaults(func=_run, writers=(_write_topshare,))
 
     p = sub.add_parser("gof", help="lognormal goodness of fit per group")
     _add_input_args(p)
     p.add_argument("--method", required=True, choices=METHOD_NAMES)
     p.add_argument("--gof-threshold", type=_positive, default=DEFAULT_THRESHOLD)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_gof)
+    p.set_defaults(func=_run, writers=(_write_gof,))
 
     p = sub.add_parser("simulate", help="draw a synthetic corpus from a scenario")
     p.add_argument("--scenario", required=True, help="scenario JSON")
@@ -453,7 +411,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-fraction", type=_fraction, default=DEFAULT_TOP_FRACTION)
     p.add_argument("--gof-threshold", type=_positive, default=DEFAULT_THRESHOLD)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_report)
+    p.set_defaults(
+        func=_run,
+        method=METHOD_NAMES,
+        writers=(_write_stats, _write_survival, _write_gof, _write_topshare),
+    )
 
     return parser
 

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .corpus import GroupKey
 from .errors import EmptyCorpusError
-from .scaling import ScalingMethod, SkippedGroup
+from .scaling import SkippedGroup
 
 DEFAULT_TOP_FRACTION = 0.10
 
@@ -50,17 +50,12 @@ class CategoryShare:
 class TopShareReport:
     """Per-category shares of the global top set for one scoring method."""
 
-    method: ScalingMethod | None
     top_fraction: float
     cutoff: float | None
     n_records: int
     n_top: int
     per_category: tuple[CategoryShare, ...]
     unevaluated_categories: tuple[str, ...] = ()
-
-    @property
-    def method_name(self) -> str:
-        return "raw" if self.method is None else self.method.value
 
     @property
     def n_categories_evaluated(self) -> int:
@@ -84,7 +79,6 @@ def _top_rank(top_fraction: float, n: int) -> int:
 def top_share(
     scores: Mapping[GroupKey, np.ndarray],
     top_fraction: float = DEFAULT_TOP_FRACTION,
-    method: ScalingMethod | None = None,
     skipped: Iterable[SkippedGroup] = (),
 ) -> TopShareReport:
     """Rank the pooled scores of all groups and report each category's top share.
@@ -143,7 +137,6 @@ def top_share(
         )
     unevaluated = tuple(sorted(cat for cat in n_skipped if cat not in n_by_cat))
     return TopShareReport(
-        method=method,
         top_fraction=top_fraction,
         cutoff=cutoff,
         n_records=n,
@@ -151,24 +144,3 @@ def top_share(
         per_category=tuple(per_category),
         unevaluated_categories=unevaluated,
     )
-
-
-def method_comparison(
-    raw: Mapping[GroupKey, np.ndarray],
-    scored: Mapping[
-        ScalingMethod,
-        tuple[Mapping[GroupKey, np.ndarray], Sequence[SkippedGroup]],
-    ],
-    top_fraction: float = DEFAULT_TOP_FRACTION,
-) -> list[TopShareReport]:
-    """Raw ranking plus one report per scaling method, in the order given.
-
-    ``raw`` holds each group's citation counts and ``scored`` each method's
-    :func:`~citescale.scaling.scale_corpus` result.  Every group of ``raw``
-    is pooled into one global ranking; select groups before scoring to rank
-    a subset.
-    """
-    reports = [top_share(raw, top_fraction)]
-    for method, (scores, skipped) in scored.items():
-        reports.append(top_share(scores, top_fraction, method, skipped))
-    return reports

@@ -18,14 +18,14 @@ PUBLIC_API = {
     "DegenerateLikelihoodError", "DuplicateRecordError", "EmptyCorpusError",
     "EmptyGroupError", "ScenarioError",
     "describe", "ScalingMethod", "scale_corpus", "collapse_metrics",
-    "method_comparison", "top_share", "ad_lognormal",
+    "top_share", "ad_lognormal",
     "CategorySpec", "Scenario", "generate", "load_scenario",
     "benchmark_scenario", "save_scenario", "scaled_copy_scenario",
 }
 
 
 def test_public_api_is_exactly_the_pinned_names():
-    assert len(citescale.__all__) == len(PUBLIC_API) == 28
+    assert len(citescale.__all__) == len(PUBLIC_API) == 27
     assert set(citescale.__all__) == PUBLIC_API
     for name in citescale.__all__:
         assert getattr(citescale, name) is not None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -518,3 +519,86 @@ class TestReport:
         rows += [(f"q{i}", 2003, "B", c) for i, c in enumerate(range(1, 13))]
         path = write_corpus_csv(tmp_path / "big.csv", rows)
         assert main(["report", "--input", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
+METHODS = ("max", "mean", "mean0", "boxcox", "median", "median0")
+EVERY_METHOD = [arg for m in METHODS for arg in ("--method", m)]
+
+
+class TestOnePipeline:
+    """Every subcommand is a slice of `report`: same inputs, same bytes."""
+
+    @pytest.mark.parametrize("argv, n_files", [
+        (["stats"], 1),
+        (["survival", *EVERY_METHOD], 14),
+        (["topshare", *EVERY_METHOD], 8),
+        *((["gof", "--method", m], 1) for m in METHODS),
+    ], ids=["stats", "survival", "topshare", *(f"gof-{m}" for m in METHODS)])
+    def test_subcommand_writes_the_report_bytes(
+        self, argv, n_files, small_scenario_json, tmp_path
+    ):
+        scenario = ["--scenario", str(small_scenario_json)]
+        report = tmp_path / "report"
+        assert main(["report", *scenario, "--out", str(report)]) == 0
+        out = tmp_path / "sub"
+        assert main([*argv, *scenario, "--out", str(out)]) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert len(names) == n_files
+        for name in names:
+            assert (out / name).read_bytes() == (report / name).read_bytes(), name
+
+    # sha256 of scaled_<method>.csv followed by skipped_<method>.csv on the
+    # small scenario (first 16 hex digits), as written before the CLI became
+    # one pipeline
+    SCALED_SHA256 = {
+        "max": "3bdcd97a818dc12f",
+        "mean": "8e38d9d333385407",
+        "mean0": "3cd7da4e55ab9c31",
+        "boxcox": "750c56099ba25aea",
+        "median": "c4efbf5973bd7d98",
+        "median0": "e63570b8dcbbe8b9",
+    }
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_scale_writes_the_pinned_bytes(self, method, small_scenario_json, tmp_path):
+        out = tmp_path / "out"
+        assert main(["scale", "--scenario", str(small_scenario_json),
+                     "--method", method, "--out", str(out)]) == 0
+        scaled, skipped = out / f"scaled_{method}.csv", out / f"skipped_{method}.csv"
+        assert sorted(out.iterdir()) == [scaled, skipped]
+        digest = hashlib.sha256(scaled.read_bytes() + skipped.read_bytes()).hexdigest()
+        assert digest[:16] == self.SCALED_SHA256[method]
+
+    def test_gof_notes_are_the_report_notes_in_method_order(self, tmp_path, capsys):
+        rows = [(f"a{i}", 2003, "A", i % 9) for i in range(30)]
+        rows += [(f"b{i}", 2003, "B", c) for i, c in enumerate([0, 1, 3, 3, 8])]
+        path = write_corpus_csv(tmp_path / "c.csv", rows)
+        assert main(["report", "--input", str(path), "--out", str(tmp_path / "r")]) == 0
+        notes = capsys.readouterr().err.splitlines()
+        assert notes == [
+            f"note: 1 groups below the minimum sample for gof_{m}" for m in METHODS
+        ]
+        for m, note in zip(METHODS, notes):
+            assert main(["gof", "--input", str(path), "--method", m,
+                         "--out", str(tmp_path / m)]) == 0
+            assert capsys.readouterr().err == note + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["stats"], ["scale", "--method", "mean"], ["survival"], ["topshare"],
+        ["gof", "--method", "mean"], ["report"],
+    ], ids=lambda argv: argv[0])
+    def test_empty_scenario_path_exits_one_and_writes_nothing(
+        self, argv, tmp_path, capsys
+    ):
+        out = tmp_path / "o"
+        assert main([*argv, "--scenario", "", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_unreadable_input_leaves_no_report_directory(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        out = tmp_path / "o"
+        assert main(["report", "--input", str(empty), "--out", str(out)]) == 1
+        assert "empty" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,12 +1,14 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from citescale.corpus import GroupKey
 from citescale.errors import EmptyCorpusError
 from citescale.scaling import ScalingMethod, SkippedGroup, scale_corpus
-from citescale.topshare import _top_rank, method_comparison, top_share
+from citescale.topshare import _top_rank, top_share
 
 
 def scores_from(spec, year=2003):
@@ -15,11 +17,6 @@ def scores_from(spec, year=2003):
         GroupKey(cat, year): np.asarray(values, dtype=np.float64)
         for cat, values in spec.items()
     }
-
-
-def compare(raw, methods):
-    scored = {method: scale_corpus(raw, method) for method in methods}
-    return method_comparison(raw, scored)
 
 
 def brute_force_shares(spec, top_fraction):
@@ -131,7 +128,6 @@ class TestTopShare:
         report = top_share(
             {},
             0.10,
-            method=ScalingMethod.MEDIAN,
             skipped=[
                 SkippedGroup(GroupKey("B", 2003), 5, "zero-median"),
                 SkippedGroup(GroupKey("A", 2003), 2, "zero-median"),
@@ -142,30 +138,50 @@ class TestTopShare:
         assert (report.n_records, report.n_top, report.per_category) == (0, 0, ())
 
 
-class TestMethodComparison:
-    def _corpus(self):
-        rng = np.random.default_rng(5)
-        return scores_from({
-            cat: np.floor(np.exp(rng.normal(1.0 + 0.4 * j, 1.0, 80 + 20 * j)))
-            for j, cat in enumerate("ABCD")
-        })
-
-    def test_raw_only_with_empty_method_list(self):
-        reports = compare(self._corpus(), [])
-        assert len(reports) == 1
-        assert reports[0].method is None
-        assert reports[0].method_name == "raw"
-
-    def test_one_report_per_method_plus_raw_in_order(self):
-        methods = [ScalingMethod.MEAN, ScalingMethod.MEDIAN]
-        reports = compare(self._corpus(), methods)
-        assert [r.method for r in reports] == [None, *methods]
-
     def test_undefined_groups_excluded_and_flagged(self):
         raw = scores_from({"A": [0, 0, 0, 1], "B": [1, 2, 3, 4, 5, 6]})
-        reports = compare(raw, [ScalingMethod.MEDIAN])
-        raw, median = reports
-        assert raw.n_records == 10
+        scores, skipped = scale_corpus(raw, ScalingMethod.MEDIAN)
+        median = top_share(scores, 0.10, skipped)
+        assert top_share(raw, 0.10).n_records == 10
         assert median.n_records == 6  # category A dropped entirely
         assert median.unevaluated_categories == ("A",)
         assert median.n_categories_evaluated == 1
+
+
+# Small (category, year) groups, some all-zero and many zero-heavy, so that
+# every method leaves some groups undefined on some draws.
+_groups = st.dictionaries(
+    st.builds(GroupKey, st.sampled_from("ABCD"), st.integers(2000, 2002)),
+    st.one_of(
+        st.lists(st.just(0), min_size=1, max_size=6),
+        st.lists(st.sampled_from([0, 0, 0, 1, 2, 7, 40]), min_size=1, max_size=12),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestAccounting:
+    @settings(max_examples=150, deadline=None)
+    @given(_groups)
+    def test_every_record_is_ranked_or_counted_as_skipped(self, groups):
+        raw = {key: np.asarray(v, dtype=np.float64) for key, v in groups.items()}
+        records = Counter()
+        for key, values in groups.items():
+            records[key.category] += len(values)
+        for method in (None, *ScalingMethod):
+            if method is None:
+                scores, skipped = raw, []
+            else:
+                scores, skipped = scale_corpus(raw, method)
+            report = top_share(scores, 0.10, skipped)
+            per_category = {c.category: c for c in report.per_category}
+            for cat, c in per_category.items():
+                assert c.n + c.n_skipped_records == records[cat], (method, cat)
+            scored_categories = {key.category for key in scores}
+            assert set(per_category) == scored_categories, method
+            assert report.unevaluated_categories == tuple(
+                sorted(set(records) - scored_categories)
+            ), method
+            unranked = sum(sk.n_records for sk in skipped)
+            assert report.n_records + unranked == sum(records.values()), method
