@@ -92,6 +92,12 @@ def _positive(text: str) -> float:
     return value
 
 
+def _path(text: str) -> str:
+    if not text:  # Path("") is the working directory
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _load_corpus(args: argparse.Namespace) -> Corpus:
     if args.scenario is not None:
         return generate(load_scenario(args.scenario))
@@ -336,13 +342,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 # --- parser ------------------------------------------------------------------
 
-def _add_input_args(parser: argparse.ArgumentParser, scenario_ok: bool = True) -> None:
-    if scenario_ok:
+def _add_input_args(parser: argparse.ArgumentParser, pipeline: bool = True) -> None:
+    """--input and --strict, and for a :func:`_run` subcommand --scenario and --out."""
+    if pipeline:
         src = parser.add_mutually_exclusive_group(required=True)
-        src.add_argument("--input", help="corpus CSV to read")
-        src.add_argument("--scenario", help="scenario JSON to generate a corpus from")
+        src.add_argument("--input", type=_path, help="corpus CSV")
+        src.add_argument("--scenario", type=_path, help="scenario JSON to generate from")
+        parser.add_argument("--out", required=True, type=_path, help="output directory")
     else:
-        parser.add_argument("--input", required=True, help="corpus CSV to read")
+        parser.add_argument("--input", required=True, type=_path, help="corpus CSV")
     parser.add_argument(
         "--strict", action="store_true",
         help="reject duplicate (pub_id, category) rows instead of last-wins",
@@ -357,18 +365,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest-check", help="validate a corpus CSV")
-    _add_input_args(p, scenario_ok=False)
+    _add_input_args(p, pipeline=False)
     p.set_defaults(func=_cmd_ingest_check)
 
     p = sub.add_parser("stats", help="per-group descriptive statistics")
     _add_input_args(p)
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_run, writers=(_write_stats,))
 
     p = sub.add_parser("scale", help="score records under one method")
     _add_input_args(p)
     p.add_argument("--method", required=True, choices=METHOD_NAMES)
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_run, writers=(_write_scaled,))
 
     p = sub.add_parser("survival", help="survival curves and collapse metrics")
@@ -377,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", action="append", choices=METHOD_NAMES,
         help="scaling method(s) to add beside the raw curves (repeatable)",
     )
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_run, writers=(_write_survival,))
 
     p = sub.add_parser("topshare", help="global top-share admissibility report")
@@ -391,26 +396,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--year", action="append", type=int,
         help="score and rank only the groups of these publication years (repeatable)",
     )
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_run, writers=(_write_topshare,))
 
     p = sub.add_parser("gof", help="lognormal goodness of fit per group")
     _add_input_args(p)
     p.add_argument("--method", required=True, choices=METHOD_NAMES)
     p.add_argument("--gof-threshold", type=_positive, default=DEFAULT_THRESHOLD)
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_run, writers=(_write_gof,))
 
     p = sub.add_parser("simulate", help="draw a synthetic corpus from a scenario")
-    p.add_argument("--scenario", required=True, help="scenario JSON")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--scenario", required=True, type=_path, help="scenario JSON")
+    p.add_argument("--out", required=True, type=_path, help="output directory")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("report", help="full pipeline: raw plus all six methods")
     _add_input_args(p)
     p.add_argument("--top-fraction", type=_fraction, default=DEFAULT_TOP_FRACTION)
     p.add_argument("--gof-threshold", type=_positive, default=DEFAULT_THRESHOLD)
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(
         func=_run,
         method=METHOD_NAMES,

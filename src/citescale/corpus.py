@@ -160,11 +160,9 @@ class Corpus:
         if (ordered[1:] == ordered[:-1]).any():
             by_pair = np.argsort(pairs, kind="stable")  # equal pairs in row order
             i = int(by_pair[1:][ordered[1:] == ordered[:-1]].min())  # first repeat
-            error = DuplicateRecordError(
+            raise DuplicateRecordError(
                 f"duplicate (pub_id, category) {(pub[i], cat[i])!r}", row=i
             )
-            error.keys = pairs  # per input row, equal where (pub_id, category) is
-            raise error
 
         order = np.lexsort((pub_rank, year, cat_rank))
         for name, column in zip(CSV_HEADER, (pub, year, cat, cites)):
@@ -287,8 +285,7 @@ def ingest_csv(path: str | Path, strict: bool = False) -> IngestResult:
                 error = type(exc)(f"{path}, line {line_nos[end]}: {exc}")
                 continue
             if error is None:  # values are checked before duplicates: last row wins
-                last = np.unique(exc.keys[::-1], return_index=True)[1]
-                keep = (end - 1 - last).tolist()
+                keep = dict(zip(zip(columns[0], columns[2]), range(end))).values()
                 corpus = Corpus(*(list(map(col.__getitem__, keep)) for col in columns))
         break
     if error is not None:

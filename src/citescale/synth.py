@@ -2,11 +2,11 @@
 
 Each category-year gets its own count distribution (a heavy-tailed family
 plus an explicit zero-inflation mass that mimics short citation windows) and
-its own PRNG stream, derived from the scenario seed and a per-spec salt.
-Identical scenario and seed reproduce the corpus bit for bit; the salt
-indirection also lets two categories share one stream, which is how
-``scaled_copy_scenario`` builds an exact k-fold rescaled twin of a category
-for collapse and normalization fixtures.
+its own PRNG stream, derived from the scenario seed and a per-spec salt: the
+same scenario reproduces the corpus bit for bit, and two categories that
+share a salt share draws (``scaled_copy_scenario``).  The frozen dataclasses
+:class:`CategorySpec` and :class:`Scenario` are the scenario JSON schema:
+each checks its fields when built, and the JSON keys are their field names.
 
 Continuous draws are discretized by flooring, which preserves both the zero
 class and the heavy tail.  The PRNG is numpy's PCG64; name and version are
@@ -18,8 +18,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
+import operator
 import re
-from dataclasses import dataclass, replace
+from contextlib import suppress
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +37,24 @@ _INT64_MAX = (1 << 63) - 1
 _SURROGATE = re.compile("[\ud800-\udfff]")  # the one thing UTF-8 cannot encode
 
 
+def _integer(value, name: str) -> int:
+    """``value`` if it is an integer, numpy's too: never truncated or a bool."""
+    if not isinstance(value, bool):
+        with suppress(TypeError):
+            return operator.index(value)
+    raise ScenarioError(f"{name} must be a JSON integer, got {value!r}")
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float if it is a real number: never a bool or a str."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScenarioError(f"{name} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond float64
+        raise ScenarioError(f"{name} is beyond the float64 range") from None
+
+
 @dataclass(frozen=True)
 class CategorySpec:
     """Recipe for one (category, year) group of synthetic records.
@@ -45,6 +66,9 @@ class CategorySpec:
     exist so rescaled-copy scenarios stay expressible as plain data.
     ``category`` and ``seed_salt`` are str that encode as UTF-8, the form
     in which the PRNG salt is hashed and the corpus is written.
+
+    A bad spec raises :class:`~citescale.errors.ScenarioError` when built;
+    integer fields are stored as int and real ones as float.
     """
 
     category: str
@@ -56,9 +80,16 @@ class CategorySpec:
     count_scale: int = 1
     seed_salt: str | None = None
 
-    def validate(self) -> None:
-        salt = "" if self.seed_salt is None else self.seed_salt
-        for name, text in (("category", self.category), ("seed_salt", salt)):
+    def __post_init__(self) -> None:
+        for name, number in (("year", _integer), ("n", _integer),
+                             ("count_scale", _integer), ("zero_inflation", _real)):
+            object.__setattr__(self, name, number(getattr(self, name), name))
+        p = self.family_params
+        if not isinstance(p, (list, tuple)):
+            raise ScenarioError(f"family_params must be a JSON list, got {p!r}")
+        p = tuple(_real(x, "family_params") for x in p)
+        object.__setattr__(self, "family_params", p)
+        for name, text in (("category", self.category), ("seed_salt", self.salt)):
             if not isinstance(text, str) or _SURROGATE.search(text):
                 raise ScenarioError(
                     f"spec {self.category!r}/{self.year}: {name} must be a str "
@@ -77,7 +108,6 @@ class CategorySpec:
             )
         if self.family not in FAMILIES:
             raise ScenarioError(f"{where}: unknown family {self.family!r}")
-        p = self.family_params
         if len(p) != 2:
             raise ScenarioError(f"{where}: family {self.family!r} takes 2 parameters")
         if not all(math.isfinite(x) for x in p):
@@ -97,27 +127,37 @@ class CategorySpec:
                     f"got alpha={p[0]}, c_max={p[1]}"
                 )
 
+    @property
+    def salt(self) -> str:
+        """The PRNG stream identity: ``seed_salt``, by default ``category|year``."""
+        default = f"{self.category}|{self.year}"
+        return default if self.seed_salt is None else self.seed_salt
+
 
 @dataclass(frozen=True)
 class Scenario:
-    """Seed plus at least one spec, one per (category, year)."""
+    """Seed plus at least one spec, one per (category, year), checked when built."""
 
     seed: int
     specs: tuple[CategorySpec, ...]
 
-    def validate(self) -> None:
-        if not self.specs:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        specs = self.specs
+        if not isinstance(specs, (list, tuple)) or not all(
+            isinstance(s, CategorySpec) for s in specs
+        ):
+            raise ScenarioError(f"specs must be a list of specs, got {specs!r}")
+        object.__setattr__(self, "specs", tuple(specs))
+        if not specs:
             raise ScenarioError("scenario has no specs")
-        keys = [(s.category, s.year) for s in self.specs]
+        keys = [(s.category, s.year) for s in specs]
         if len(set(keys)) != len(keys):
             raise ScenarioError("scenario has duplicate (category, year) specs")
-        for spec in self.specs:
-            spec.validate()
 
 
 def _spec_rng(seed: int, spec: CategorySpec) -> np.random.Generator:
-    salt = spec.seed_salt if spec.seed_salt is not None else f"{spec.category}|{spec.year}"
-    digest = hashlib.sha256(salt.encode("utf-8")).digest()
+    digest = hashlib.sha256(spec.salt.encode("utf-8")).digest()
     salt_int = int.from_bytes(digest[:8], "big")
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([seed & _SEED_MASK, salt_int]))
@@ -156,7 +196,6 @@ def generate(scenario: Scenario) -> Corpus:
     lognormal draw reaches 2**63 or when a scaled count is beyond what
     float64, the type every score is computed in, can hold.
     """
-    scenario.validate()
     pub_ids, years, categories, counts = [], [], [], []  # columns, counts per spec
     for spec in scenario.specs:
         where = f"spec {spec.category}/{spec.year}"
@@ -188,20 +227,16 @@ def scaled_copy_scenario(base: CategorySpec, k: int, seed: int = 0) -> Scenario:
     """Two-category scenario: the base spec plus an exact k-fold copy.
 
     Both categories share one PRNG stream, so the copy's citation counts are
-    element-wise k times the base's on the same draws.
+    element-wise k times the base's on the same draws.  A k below 1 makes
+    the copy's ``count_scale`` a :class:`~citescale.errors.ScenarioError`.
     """
-    if k < 1:
-        raise ScenarioError(f"scale factor must be >= 1, got {k}")
-    base.validate()
-    salt = base.seed_salt if base.seed_salt is not None else f"{base.category}|{base.year}"
-    original = replace(base, seed_salt=salt)
     copy = replace(
         base,
         category=f"{base.category}-x{k}",
         count_scale=base.count_scale * k,
-        seed_salt=salt,
+        seed_salt=base.salt,
     )
-    return Scenario(seed=seed, specs=(original, copy))
+    return Scenario(seed=seed, specs=(base, copy))
 
 
 def prng_metadata() -> dict:
@@ -211,72 +246,36 @@ def prng_metadata() -> dict:
 
 # --- scenario JSON ---------------------------------------------------------
 
+_NEUTRAL = {("count_scale", 1), ("seed_salt", None)}
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
-    specs = []
-    for s in scenario.specs:
-        d: dict = {
-            "category": s.category,
-            "year": s.year,
-            "n": s.n,
-            "family": s.family,
-            "family_params": list(s.family_params),
-            "zero_inflation": s.zero_inflation,
-        }
-        if s.count_scale != 1:
-            d["count_scale"] = s.count_scale
-        if s.seed_salt is not None:
-            d["seed_salt"] = s.seed_salt
-        specs.append(d)
-    return {"seed": scenario.seed, "specs": specs}
+    """The fields of a scenario and of its specs, leaving out a neutral
+    ``count_scale`` or ``seed_salt``."""
+    data = asdict(scenario)
+    data["specs"] = [
+        {k: v for k, v in spec.items() if (k, v) not in _NEUTRAL}
+        for spec in data["specs"]
+    ]
+    return data
 
 
-def _integer(data: dict, key: str, default: int | None = None) -> int:
-    """``data[key]``, or ``default`` when absent, if it is a JSON integer:
-    never truncated, and never a bool."""
-    value = data[key] if default is None else data.get(key, default)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ScenarioError(f"{key} must be a JSON integer, got {value!r}")
-
-
-def _real(value, key: str) -> float:
-    """``value`` as a float if it is a JSON number: never a bool or a str."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{key} must be a JSON number, got {value!r}")
+def _from_json(cls, data, where: str):
+    """``cls(**data)`` with the JSON object ``data``; errors start with ``where``."""
     try:
-        return float(value)
-    except OverflowError:  # an integer literal beyond float64
-        raise ScenarioError(f"{key} is beyond the float64 range") from None
-
-
-def _spec_from_dict(d: dict) -> CategorySpec:
-    return CategorySpec(
-        category=d["category"],
-        year=_integer(d, "year"),
-        n=_integer(d, "n"),
-        family=d["family"],
-        family_params=tuple(_real(x, "family_params") for x in d["family_params"]),
-        zero_inflation=_real(d.get("zero_inflation", 0.0), "zero_inflation"),
-        count_scale=_integer(d, "count_scale", 1),
-        seed_salt=d.get("seed_salt"),
-    )
+        return cls(**data)
+    except (TypeError, ScenarioError) as exc:  # TypeError: a missing or unknown key,
+        raise ScenarioError(f"{where}{exc}") from None  # as __post_init__ raises none
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    try:
-        specs = []
-        for i, d in enumerate(data["specs"]):
-            try:
-                specs.append(_spec_from_dict(d))
-            except ScenarioError as exc:  # a field of the wrong JSON type
-                raise ScenarioError(f"specs[{i}]: {exc}") from None
-            except (KeyError, TypeError, ValueError) as exc:  # a missing key, a non-list
-                raise ScenarioError(f"specs[{i}]: malformed spec: {exc}") from None
-        scenario = Scenario(seed=_integer(data, "seed"), specs=tuple(specs))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"malformed scenario: {exc}") from exc
-    scenario.validate()
-    return scenario
+    """The scenario a JSON object holds: its keys, and each spec's, are field names."""
+    if isinstance(data, dict) and isinstance(data.get("specs"), list):
+        specs = data["specs"]
+        data = {**data, "specs": [
+            _from_json(CategorySpec, d, f"specs[{i}]: ") for i, d in enumerate(specs)
+        ]}
+    return _from_json(Scenario, data, "")
 
 
 def load_scenario(path: str | Path) -> Scenario:

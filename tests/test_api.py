@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import shlex
@@ -7,7 +8,9 @@ from pathlib import Path
 
 import citescale
 from citescale.cli import build_parser
-from citescale.synth import CategorySpec, Scenario, save_scenario
+from citescale.synth import (
+    CategorySpec, Scenario, load_scenario, save_scenario, scenario_to_dict,
+)
 
 from conftest import write_corpus_csv
 
@@ -52,6 +55,17 @@ def test_readme_cli_lines_parse():
     for line in lines:
         argv = shlex.split(line.replace("[", "").replace("]", ""))[1:]
         parser.parse_args(argv)  # exits 2 on an unknown flag or a bad value
+
+
+def test_readme_scenario_json_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## Scenario JSON\n\n```json\n(.*?)^```", readme, re.S | re.M)
+    assert block, "README.md has no json block under '## Scenario JSON'"
+    (tmp_path / "scenario.json").write_text(block.group(1))
+    scenario = load_scenario(tmp_path / "scenario.json")
+    # its keys are exactly the fields, the neutral optional ones left out
+    written = json.loads(json.dumps(scenario_to_dict(scenario)))
+    assert written == json.loads(block.group(1))
 
 
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):

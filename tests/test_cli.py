@@ -396,7 +396,14 @@ class TestSimulate:
          "spec None/2003: category must be a str that encodes as UTF-8, got None"),
         ({"seed": 1, "specs": [{**_SPEC, "category": "A\ud800"}]},
          "category must be a str that encodes as UTF-8, got 'A\\ud800'"),
-    ], ids=["no-specs", "salt-not-str", "category-null", "category-lone-surrogate"])
+        # keys are exactly the fields: a misspelt one is neither dropped nor defaulted
+        ({"seed": 1, "specs": [{**_SPEC, "zero_inflaton": 0.9}]},
+         "error: specs[0]: CategorySpec.__init__() got an unexpected keyword "
+         "argument 'zero_inflaton'"),
+        ({"seed": 1, "specs": [_SPEC], "sede": 2},
+         "error: Scenario.__init__() got an unexpected keyword argument 'sede'"),
+    ], ids=["no-specs", "salt-not-str", "category-null", "category-lone-surrogate",
+            "spec-key-unknown", "top-level-key-unknown"])
     def test_unusable_scenario_exits_one(self, scenario, message, tmp_path, capsys):
         assert _scenario_exit_code(tmp_path, scenario) == 1
         assert message in capsys.readouterr().err
@@ -431,11 +438,11 @@ class TestSimulate:
         ({**_SPEC, "family_params": [10**400, 0.3]},
          "error: specs[1]: family_params is beyond the float64 range"),
         ({**_LOGNORMAL, "family_params": [math.nan, 1.0]},
-         "error: spec A/2003: family_params must be finite, got (nan, 1.0)"),
+         "error: specs[1]: spec A/2003: family_params must be finite, got (nan, 1.0)"),
         ({**_LOGNORMAL, "family_params": [1.0, math.inf]},
-         "error: spec A/2003: family_params must be finite, got (1.0, inf)"),
+         "error: specs[1]: spec A/2003: family_params must be finite, got (1.0, inf)"),
         ({**_ZIPF, "family_params": [1.5, math.inf]},
-         "error: spec A/2003: family_params must be finite, got (1.5, inf)"),
+         "error: specs[1]: spec A/2003: family_params must be finite, got (1.5, inf)"),
         # beyond numpy's largest array dimension, so nothing is allocated
         ({**_SPEC, "n": 10**30}, "error: spec A/2003: "),
     ], ids=["zero-inflation-str", "params-str", "params-bool", "n-bool",
@@ -454,9 +461,10 @@ class TestSimulate:
         ({**_SPEC, "n": 10**18}, "error: spec A/2003: "),
         ({**_ZIPF, "family_params": [1.5, 1e18]}, "error: spec A/2003: "),
         ({k: v for k, v in _SPEC.items() if k != "n"},
-         "error: specs[1]: malformed spec: 'n'"),
+         "error: specs[1]: CategorySpec.__init__() missing 1 required positional "
+         "argument: 'n'"),
         ({**_SPEC, "family_params": 7},
-         "error: specs[1]: malformed spec: 'int' object is not iterable"),
+         "error: specs[1]: family_params must be a JSON list, got 7"),
     ], ids=["n-beyond-memory", "c-max-beyond-memory", "n-missing", "params-not-list"])
     def test_spec_that_cannot_be_read_or_drawn_is_named(
         self, spec, message, tmp_path, capsys
@@ -583,17 +591,26 @@ class TestOnePipeline:
                          "--out", str(tmp_path / m)]) == 0
             assert capsys.readouterr().err == note + "\n"
 
+    @pytest.mark.parametrize("flag", ["--input", "--scenario", "--out"],
+                             ids=lambda flag: flag[2:])
     @pytest.mark.parametrize("argv", [
         ["stats"], ["scale", "--method", "mean"], ["survival"], ["topshare"],
         ["gof", "--method", "mean"], ["report"],
     ], ids=lambda argv: argv[0])
-    def test_empty_scenario_path_exits_one_and_writes_nothing(
-        self, argv, tmp_path, capsys
+    def test_empty_path_is_usage_error_and_writes_nothing(
+        self, argv, flag, tmp_path, monkeypatch, capsys
     ):
-        out = tmp_path / "o"
-        assert main([*argv, "--scenario", "", "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not out.exists()
+        # Path("") is the working directory: read as a file, or written into
+        monkeypatch.chdir(tmp_path)
+        paths = {"--input": "c.csv", "--out": "o"}  # parsing fails before any use
+        if flag == "--scenario":
+            del paths["--input"]
+        paths[flag] = ""
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *(arg for item in paths.items() for arg in item)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must not be empty" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_unreadable_input_leaves_no_report_directory(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

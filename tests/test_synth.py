@@ -1,7 +1,11 @@
+import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from citescale.corpus import GroupKey, group_records
 from citescale.errors import ScenarioError
@@ -9,6 +13,7 @@ from citescale.scaling import ScalingMethod, scale_corpus
 from citescale.synth import (
     BENCHMARK_SEED,
     BENCHMARK_SUMMARY,
+    FAMILIES,
     CategorySpec,
     Scenario,
     generate,
@@ -99,37 +104,57 @@ class TestGenerate:
 class TestValidation:
     def test_bad_n(self):
         with pytest.raises(ScenarioError, match="A/2003"):
-            Scenario(seed=1, specs=(lognormal_spec(n=0),)).validate()
+            lognormal_spec(n=0)
 
     def test_bad_zero_inflation(self):
         with pytest.raises(ScenarioError):
-            Scenario(seed=1, specs=(lognormal_spec(zero_inflation=1.0),)).validate()
+            lognormal_spec(zero_inflation=1.0)
 
     def test_unknown_family(self):
         with pytest.raises(ScenarioError, match="family"):
-            Scenario(seed=1, specs=(lognormal_spec(family="pareto"),)).validate()
+            lognormal_spec(family="pareto")
 
     def test_bad_sigma(self):
         with pytest.raises(ScenarioError, match="sigma"):
-            Scenario(seed=1, specs=(
-                lognormal_spec(family_params=(1.0, 0.0)),
-            )).validate()
+            lognormal_spec(family_params=(1.0, 0.0))
 
     def test_bad_negative_binomial(self):
         with pytest.raises(ScenarioError):
-            Scenario(seed=1, specs=(
-                lognormal_spec(family="negative-binomial", family_params=(2.0, 1.5)),
-            )).validate()
+            lognormal_spec(family="negative-binomial", family_params=(2.0, 1.5))
 
     def test_bad_zipf_cutoff(self):
         with pytest.raises(ScenarioError):
-            Scenario(seed=1, specs=(
-                lognormal_spec(family="zipf-with-cutoff", family_params=(1.0, 0)),
-            )).validate()
+            lognormal_spec(family="zipf-with-cutoff", family_params=(1.0, 0))
 
     def test_duplicate_keys(self):
         with pytest.raises(ScenarioError, match="duplicate"):
-            Scenario(seed=1, specs=(lognormal_spec(), lognormal_spec())).validate()
+            Scenario(seed=1, specs=(lognormal_spec(), lognormal_spec()))
+
+    def test_fields_are_stored_as_int_and_float(self):
+        spec = lognormal_spec(year=np.int64(2003), n=np.uint16(7), zero_inflation=0,
+                              family_params=[np.float32(1.5), 1], count_scale=np.int8(2))
+        assert spec == lognormal_spec(n=7, zero_inflation=0.0,
+                                      family_params=(1.5, 1.0), count_scale=2)
+        assert [type(getattr(spec, f)) for f in ("year", "n", "count_scale")] == [int] * 3
+        assert {type(x) for x in (spec.zero_inflation, *spec.family_params)} == {float}
+        scenario = Scenario(seed=np.int64(3), specs=[spec])
+        assert type(scenario.seed) is int and scenario.specs == (spec,)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"n": True}, "n must be a JSON integer, got True"),
+        ({"year": "2003"}, "year must be a JSON integer, got '2003'"),
+        ({"zero_inflation": False}, "zero_inflation must be a JSON number, got False"),
+        ({"family_params": (1.0, "1")}, "family_params must be a JSON number, got '1'"),
+        ({"family_params": "1, 1"}, "family_params must be a JSON list, got '1, 1'"),
+    ])
+    def test_bools_and_strings_are_no_numbers(self, overrides, message):
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            lognormal_spec(**overrides)
+
+    def test_specs_must_be_specs(self):
+        for specs in (lognormal_spec(), [{"category": "A"}], ()):
+            with pytest.raises(ScenarioError):
+                Scenario(seed=1, specs=specs)
 
     def test_undrawable_parameters_are_scenario_errors(self):
         spec = lognormal_spec(family="negative-binomial", family_params=(1e-300, 1e-300))
@@ -137,8 +162,9 @@ class TestValidation:
             generate(Scenario(seed=1, specs=(spec,)))
 
     def test_generate_validates(self):
+        # generate is only ever given built scenarios, and replace() builds anew
         with pytest.raises(ScenarioError):
-            generate(Scenario(seed=1, specs=(lognormal_spec(n=-1),)))
+            generate(Scenario(seed=1, specs=(replace(lognormal_spec(), n=-1),)))
 
 
 class TestScaledCopy:
@@ -169,7 +195,40 @@ class TestScaledCopy:
             scaled_copy_scenario(lognormal_spec(), k=0)
 
 
+_REAL = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_FAMILY_PARAMS = {
+    "discretized-lognormal": st.tuples(_REAL, _POSITIVE),
+    "negative-binomial": st.tuples(_POSITIVE, st.floats(0.0, 1.0, exclude_min=True)),
+    "zipf-with-cutoff": st.tuples(_POSITIVE, st.integers(1, 10**6)),
+}
+_BIG = 2**80  # beyond int64, well within what json reads back
+_SPECS = st.sampled_from(FAMILIES).flatmap(lambda family: st.builds(
+    CategorySpec,
+    category=st.text(max_size=6),
+    year=st.integers(-_BIG, _BIG),
+    n=st.integers(1, _BIG),
+    family=st.just(family),
+    family_params=_FAMILY_PARAMS[family],
+    zero_inflation=st.floats(0.0, 1.0, exclude_max=True),
+    count_scale=st.integers(1, _BIG),
+    seed_salt=st.none() | st.text(max_size=6),
+))
+_SCENARIOS = st.builds(
+    Scenario,
+    seed=st.integers(-_BIG, _BIG),
+    specs=st.lists(
+        _SPECS, min_size=1, max_size=4, unique_by=lambda s: (s.category, s.year)
+    ),
+)
+
+
 class TestScenarioJson:
+    @given(_SCENARIOS)
+    def test_json_round_trip_gives_back_the_scenario(self, scenario):
+        text = json.dumps(scenario_to_dict(scenario))
+        assert scenario_from_dict(json.loads(text)) == scenario
+
     def test_round_trip_dict(self):
         scenario = scaled_copy_scenario(lognormal_spec(n=20), k=3, seed=77)
         assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
