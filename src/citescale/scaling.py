@@ -16,6 +16,15 @@ with ``T(c) = ((c+1)**lam - 1) / lam`` for ``lam != 0`` and ``log(c+1)`` at
 ``lam == 0``; ``lam`` is fitted per group by maximum likelihood within
 [-3, +3].  All six map zero citations to a score of zero.
 
+``scale_corpus`` fits ``lam`` for all of its groups together.  Their
+``log1p`` values sit in one packed buffer, and every step of the search (the
+exact grid candidates, each golden-section iteration, the final check) is one
+set of array operations over all groups still searching.  Each group's
+result equals, bit for bit, that of fitting it alone: the arithmetic is
+elementwise, each group's sums come from ``np.add.reduceat`` over a segment
+led by a 0.0 slot (which then equals ``np.add.reduce``, as ``ndarray.var``
+uses), and each variance's logarithm is ``math.log``.
+
 A statistic can be undefined on real data (a zero median when more than half
 the group is uncited, a zero range, an all-zero group).  Undefinedness is
 data, not failure: ``fit_factors`` returns a factor set with a reason, and
@@ -48,9 +57,10 @@ LAMBDA_BOUNDS = (-3.0, 3.0)
 _GRID_STEP = 0.01
 _GOLDEN_TOL = 1e-8
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Grid screen in fit_lambda: elements per row block (bounds its memory), the
-# smallest certified variance relative to mean**2, and the log-likelihood
-# margin per value within which a grid point stays a candidate.
+# Elements per block of the grid screen and of the exact likelihood (bounds
+# their memory), the smallest certified screen variance relative to mean**2,
+# and the log-likelihood margin per value within which a grid point stays a
+# candidate.
 _SCREEN_CELLS = 1 << 16
 _SCREEN_REL_VAR = 1e-6
 _SCREEN_MARGIN = 1e-6
@@ -108,41 +118,115 @@ def boxcox_transform(citations, lam: float):
     return np.expm1(lam * np.log1p(c)) / lam
 
 
-def _profile_loglik(log1p_c: np.ndarray, sum_log1p: float, lam: float) -> float:
-    """Profile log-likelihood of the shifted power transform, over precomputed
-    ``log1p(c)`` and its sum.
+@dataclass(frozen=True)
+class _Packed:
+    """The ``log1p`` values of many groups in one buffer, each group's segment
+    led by one 0.0 slot: group ``g`` holds
+    ``log1p[start[g] + 1 : start[g] + 1 + size[g]]``, and ``sum_log1p[g]``
+    is their sum."""
 
-    ``LL(lam) = -(n/2) * ln(var(T(c))) + (lam - 1) * sum(ln(c + 1))`` where
-    the variance is the maximum-likelihood (n-denominator) variance of the
-    transformed values.
+    log1p: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+    sum_log1p: np.ndarray
+
+    @classmethod
+    def of(cls, vectors: list[np.ndarray]) -> "_Packed":
+        size = np.array([v.size for v in vectors])
+        start = np.cumsum(size + 1) - (size + 1)
+        zero = np.zeros(1)
+        log1p = np.log1p(np.concatenate([p for v in vectors for p in (zero, v)]))
+        return cls(log1p, start, size, np.add.reduceat(log1p, start))
+
+    def segment(self, g: int) -> np.ndarray:
+        return self.log1p[self.start[g] + 1:self.start[g] + 1 + self.size[g]]
+
+
+def _batch_var(packed: _Packed, groups: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Maximum-likelihood (n-denominator) variance of the transformed values
+    of group ``groups[k]`` at ``lams[k]``, for every k.
+
+    Each variance is bit for bit ``T.var()`` of the group alone.  ``expm1``,
+    ``*`` and ``/`` are elementwise, so a per-element ``lam`` changes no
+    bits.  ``np.add.reduceat`` adds a segment's first element to the pairwise
+    sum of the rest, so each segment starts with its 0.0 slot, zeroed again
+    after the mean is subtracted: the sums then equal ``np.add.reduce``.
+    Pairs are taken in blocks of about ``_SCREEN_CELLS`` elements, at least
+    one pair each, so memory does not grow with the number of pairs.
     """
-    t = log1p_c if lam == 0.0 else np.expm1(lam * log1p_c) / lam
-    var = float(t.var())
-    if var <= 0.0 or not np.isfinite(var):
-        return -math.inf
-    return -0.5 * log1p_c.size * math.log(var) + (lam - 1.0) * sum_log1p
+    var = np.empty(groups.size)
+    lens = packed.size[groups] + 1
+    ends = np.cumsum(lens)
+    lo = 0
+    with np.errstate(all="ignore"):
+        while lo < groups.size:
+            limit = ends[lo] - lens[lo] + _SCREEN_CELLS
+            hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
+            g, lam, ln = groups[lo:hi], lams[lo:hi], lens[lo:hi]
+            first = np.cumsum(ln) - ln
+            x = packed.log1p[np.arange(ln.sum()) + np.repeat(packed.start[g] - first, ln)]
+            lam_x = np.repeat(lam, ln)
+            t = np.expm1(lam_x * x) / lam_x
+            at_zero = lam == 0.0
+            if at_zero.any():
+                at_zero = np.repeat(at_zero, ln)
+                t[at_zero] = x[at_zero]
+            t[first] = 0.0
+            size = packed.size[g]
+            d = np.square(t - np.repeat(np.add.reduceat(t, first) / size, ln))
+            d[first] = 0.0
+            var[lo:hi] = np.add.reduceat(d, first) / size
+            lo = hi
+    return var
 
 
-def _golden_max(f, a: float, b: float) -> float:
+def _batch_loglik(packed: _Packed, groups: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Profile log-likelihood of the shifted power transform of group
+    ``groups[k]`` at ``lams[k]``, for every k.
+
+    ``LL(lam) = -(n/2) * ln(var(T(c))) + (lam - 1) * sum(ln(c + 1))`` with
+    the variance of :func:`_batch_var`, and ``-inf`` where that is zero or
+    not finite.  The logarithm is ``math.log``, which ``np.log`` does not
+    match in the last bit, so each value is that of the group alone.
+    """
+    var = _batch_var(packed, groups, lams)
+    ok = (var > 0.0) & np.isfinite(var)
+    g = groups[ok]
+    log_var = np.array([math.log(v) for v in var[ok].tolist()])
+    ll = np.full(groups.size, -math.inf)
+    ll[ok] = -0.5 * packed.size[g] * log_var + (lams[ok] - 1.0) * packed.sum_log1p[g]
+    return ll
+
+
+def _golden_lockstep(loglik, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Golden-section maximum of ``loglik`` on each bracket ``[a[g], b[g]]``.
+
+    Every bracket takes exactly the steps of a scalar search on its own; a
+    bracket narrower than ``_GOLDEN_TOL`` stops while the others go on, and
+    each iteration makes one ``loglik`` call for all brackets still open.
+    """
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > _GOLDEN_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
+    every = np.arange(a.size)
+    fc, fd = np.split(loglik(np.concatenate([every, every]), np.concatenate([c, d])), 2)
+    while (live := np.flatnonzero((b - a) > _GOLDEN_TOL)).size:
+        left = fc[live] >= fd[live]
+        l, r = live[left], live[~left]
+        b[l], d[l], fd[l] = d[l], c[l], fc[l]
+        c[l] = b[l] - _INV_PHI * (b[l] - a[l])
+        a[r], c[r], fc[r] = c[r], d[r], fd[r]
+        d[r] = a[r] + _INV_PHI * (b[r] - a[r])
+        fc[l], fd[r] = np.split(
+            loglik(np.concatenate([l, r]), np.concatenate([c[l], d[r]])), [l.size]
+        )
     return 0.5 * (a + b)
 
 
 def _grid_candidates(
     log1p_v: np.ndarray, sum_log1p: float, grid: np.ndarray
 ) -> np.ndarray:
-    """Grid indices that can hold the first maximum of :func:`_profile_loglik`.
+    """Grid indices that can hold the first maximum of the profile
+    log-likelihood (see :func:`_batch_loglik`).
 
     Screens the whole grid over the D distinct values of ``log1p(v)`` with
     their multiplicities, in row blocks of at most ``_SCREEN_CELLS`` elements.
@@ -176,6 +260,52 @@ def _grid_candidates(
     return np.flatnonzero(approx >= approx.max() - _SCREEN_MARGIN * n)
 
 
+def _degeneracy(v: np.ndarray) -> str | None:
+    """Why the transform likelihood of ``v`` carries no information, or None."""
+    if v.size < 3:
+        return f"need at least 3 values to fit the transform, got {v.size}"
+    if np.all(v == v[0]):
+        return "all values equal: transform likelihood is degenerate"
+    return None
+
+
+def _fit_lambdas(vectors) -> list[float | None]:
+    """:func:`fit_lambda` of every vector, all fitted together; None for a
+    degenerate vector.  Only the grid screen runs per group, since its
+    certification is per group."""
+    vs = [np.asarray(v, dtype=np.float64) for v in vectors]
+    fit = [i for i, v in enumerate(vs) if _degeneracy(v) is None]
+    lams: list[float | None] = [None] * len(vs)
+    if not fit:
+        return lams
+    packed = _Packed.of([vs[i] for i in fit])
+    loglik = functools.partial(_batch_loglik, packed)
+    lo, hi = LAMBDA_BOUNDS
+    grid = np.linspace(lo, hi, int(round((hi - lo) / _GRID_STEP)) + 1)
+
+    every = np.arange(len(fit))
+    cands = [
+        _grid_candidates(packed.segment(g), float(packed.sum_log1p[g]), grid)
+        for g in every
+    ]
+    sizes = np.array([c.size for c in cands])
+    starts = np.cumsum(sizes) - sizes
+    cols = np.concatenate(cands)
+    ll = loglik(np.repeat(every, sizes), grid[cols])
+    top = np.maximum.reduceat(ll, starts)
+    # each group's first grid point at its maximum, or 0 where every
+    # candidate is -inf: the argmax over the full grid in both cases
+    at_top = np.where(ll == np.repeat(top, sizes), np.arange(ll.size), ll.size)
+    best = np.where(top > -math.inf, cols[np.minimum.reduceat(at_top, starts)], 0)
+    a = grid[np.maximum(best - 1, 0)]
+    b = grid[np.minimum(best + 1, grid.size - 1)]
+    refined = _golden_lockstep(loglik, a, b)
+    refined = np.where(loglik(every, refined) < top, grid[best], refined)
+    for i, lam in zip(fit, np.clip(refined, lo, hi).tolist()):
+        lams[i] = lam
+    return lams
+
+
 def fit_lambda(values) -> float:
     """Maximum-likelihood transform parameter, clamped to [-3, +3].
 
@@ -192,36 +322,21 @@ def fit_lambda(values) -> float:
     its likelihood and hence the result equal those of an exact scan of the
     full grid bit for bit.
 
+    This is the one-vector case of the batch that :func:`scale_corpus` runs
+    over all of its groups: one exact evaluation for every group's grid
+    candidates, then golden-section brackets stepped in lockstep, one exact
+    evaluation per step for every bracket still open.  Each group's result
+    is bit for bit the one it gets alone (see the module docstring for the
+    arithmetic that guarantees it).
+
     Requires at least three values with at least two distinct; otherwise the
     likelihood carries no information and
     :class:`~citescale.errors.DegenerateLikelihoodError` is raised.
     """
     v = np.asarray(values, dtype=np.float64)
-    if v.size < 3:
-        raise DegenerateLikelihoodError(
-            f"need at least 3 values to fit the transform, got {v.size}"
-        )
-    if np.all(v == v[0]):
-        raise DegenerateLikelihoodError(
-            "all values equal: transform likelihood is degenerate"
-        )
-    lo, hi = LAMBDA_BOUNDS
-    n_steps = int(round((hi - lo) / _GRID_STEP))
-    grid = np.linspace(lo, hi, n_steps + 1)
-
-    log1p_v = np.log1p(v)
-    sum_log1p = float(log1p_v.sum())
-    loglik = functools.partial(_profile_loglik, log1p_v, sum_log1p)
-    ll = np.full(grid.size, -math.inf)
-    for i in _grid_candidates(log1p_v, sum_log1p, grid):
-        ll[i] = loglik(grid[i])
-    best = int(np.argmax(ll))
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, grid.size - 1)]
-    refined = _golden_max(loglik, float(a), float(b))
-    if loglik(refined) < ll[best]:
-        refined = float(grid[best])
-    return float(min(max(refined, lo), hi))
+    if reason := _degeneracy(v):
+        raise DegenerateLikelihoodError(reason)
+    return _fit_lambdas([v])[0]
 
 
 def fit_factors(group: GroupKey, values, method: ScalingMethod) -> ScalingFactorSet:
@@ -231,9 +346,18 @@ def fit_factors(group: GroupKey, values, method: ScalingMethod) -> ScalingFactor
     undefinedness instead.
     """
     v = np.asarray(values)
+    lam = _fit_lambdas([v])[0] if method is ScalingMethod.BOX_COX_MEAN else None
+    return _factors(group, v, method, lam)
+
+
+def _factors(
+    group: GroupKey, v: np.ndarray, method: ScalingMethod, lam: float | None
+) -> ScalingFactorSet:
+    """:func:`fit_factors` given the group's fitted ``lam``, None for the
+    ratio methods or a degenerate likelihood."""
     if v.size == 0:
         raise EmptyGroupError(f"group {group}: empty citation vector")
-    den, lam = 1.0, None
+    den = 1.0
     if method is ScalingMethod.MAX_RANGE:
         num, zero = float(v.max() - v.min()), "zero-range"
     elif method is ScalingMethod.MEAN:
@@ -247,9 +371,7 @@ def fit_factors(group: GroupKey, values, method: ScalingMethod) -> ScalingFactor
         else:
             num = _median(np.sort(nz)) if nz.size else 0.0
     elif method is ScalingMethod.BOX_COX_MEAN:
-        try:
-            lam = fit_lambda(v)
-        except DegenerateLikelihoodError:
+        if lam is None:
             return ScalingFactorSet(reason="degenerate-boxcox")
         num, zero = float(boxcox_transform(v, lam).mean()), "zero-boxcox-mean"
     else:
@@ -268,13 +390,19 @@ def scale_corpus(
     (see :func:`~citescale.corpus.group_records`).  The result holds one
     float64 score vector per defined group, in key order, each in the order
     of its input counts.  Groups with an undefined statistic are reported,
-    never imputed.
+    never imputed.  For ``boxcox`` every group's parameter is fitted in one
+    batch.
     """
+    keys = sorted(citations)
+    vectors = [np.asarray(citations[key], dtype=np.float64) for key in keys]
+    if method is ScalingMethod.BOX_COX_MEAN:
+        lams = _fit_lambdas(vectors)
+    else:
+        lams = [None] * len(keys)
     scores: dict[GroupKey, np.ndarray] = {}
     skipped: list[SkippedGroup] = []
-    for key in sorted(citations):
-        c = np.asarray(citations[key], dtype=np.float64)
-        f = fit_factors(key, c, method)
+    for key, c, lam in zip(keys, vectors, lams):
+        f = _factors(key, c, method, lam)
         if not f.defined:
             skipped.append(SkippedGroup(key, c.size, f.reason))
             continue

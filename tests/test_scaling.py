@@ -2,20 +2,26 @@ import functools
 import math
 import tracemalloc
 from fractions import Fraction
+from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from citescale import scaling
 from citescale.corpus import GroupKey
 from citescale.errors import DegenerateLikelihoodError, EmptyGroupError
 from citescale.scaling import (
+    _GOLDEN_TOL,
+    _INV_PHI,
     LAMBDA_BOUNDS,
     ScalingMethod,
-    _golden_max,
-    _profile_loglik,
+    _batch_loglik,
+    _batch_var,
+    _fit_lambdas,
+    _grid_candidates,
+    _Packed,
     boxcox_transform,
     fit_factors,
     fit_lambda,
@@ -51,9 +57,41 @@ def naive_loglik(values, lam):
     )
 
 
+def _profile_loglik(log1p_c: np.ndarray, sum_log1p: float, lam: float) -> float:
+    """Profile log-likelihood of the shifted power transform, over precomputed
+    ``log1p(c)`` and its sum.
+
+    ``LL(lam) = -(n/2) * ln(var(T(c))) + (lam - 1) * sum(ln(c + 1))`` where
+    the variance is the maximum-likelihood (n-denominator) variance of the
+    transformed values.
+    """
+    t = log1p_c if lam == 0.0 else np.expm1(lam * log1p_c) / lam
+    var = float(t.var())
+    if var <= 0.0 or not np.isfinite(var):
+        return -math.inf
+    return -0.5 * log1p_c.size * math.log(var) + (lam - 1.0) * sum_log1p
+
+
+def _golden_max(f, a: float, b: float) -> float:
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > _GOLDEN_TOL:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
 def reference_fit_lambda(values):
-    """Exact 601-point grid scan plus golden refinement: the oracle that
-    fit_lambda must reproduce bit for bit."""
+    """Exact 601-point grid scan plus scalar golden refinement, one group at
+    a time with ``ndarray.var``: the oracle that fit_lambda must reproduce
+    bit for bit."""
     v = np.asarray(values, dtype=np.float64)
     lo, hi = LAMBDA_BOUNDS
     grid = np.linspace(lo, hi, 601)
@@ -381,27 +419,43 @@ class TestFitLambda:
         assert_fit_equals_reference(values)
 
     def test_exact_likelihood_budget(self, monkeypatch):
+        # one exact-likelihood call per search step, however many groups
         rng = np.random.default_rng(2)
         values = np.floor(np.exp(rng.normal(2.0, 1.0, size=700)))
+        groups = [
+            np.floor(np.exp(rng.normal(2.0, 1.0, size=int(rng.integers(40, 100)))))
+            for _ in range(120)
+        ]
         calls = []
 
         def counting(*args):
-            calls.append(args[-1])
-            return _profile_loglik(*args)
+            calls.append(args[1].size)
+            return _batch_loglik(*args)
 
-        monkeypatch.setattr(scaling, "_profile_loglik", counting)
+        monkeypatch.setattr(scaling, "_batch_loglik", counting)
         assert fit_lambda(values) == reference_fit_lambda(values)
-        assert len(calls) <= 40
+        one = len(calls)
+        calls.clear()
+        _fit_lambdas(groups)
+        assert len(calls) <= min(one + 2, 40)
 
     def test_screen_memory_is_bounded_by_row_blocks(self):
-        values = np.random.default_rng(4).permutation(30_000).astype(np.float64)
-        tracemalloc.start()
-        try:
-            fit_lambda(values)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
+        rng = np.random.default_rng(4)
+        spread = rng.permutation(30_000).astype(np.float64)
+        # grid variances cancel to a few ulps, so all 601 points are exact
+        # candidates: 601 x 30,000 values must be taken in blocks
+        near_constant = 9e12 + rng.integers(0, 50, size=30_000).astype(np.float64)
+        log1p_v = np.log1p(near_constant)
+        grid = np.linspace(*LAMBDA_BOUNDS, 601)
+        assert _grid_candidates(log1p_v, float(log1p_v.sum()), grid).size == 601
+        for values in (spread, near_constant):
+            tracemalloc.start()
+            try:
+                fit_lambda(values)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**20
 
     def test_reproducible(self, rng):
         values = rng.integers(0, 300, size=200)
@@ -409,11 +463,72 @@ class TestFitLambda:
 
     def test_loglik_matches_naive(self, rng):
         values = rng.integers(0, 100, size=50)
-        log1p_v = np.log1p(values.astype(np.float64))
-        for lam in (-2.5, -1.0, 0.0, 0.5, 2.0):
-            assert _profile_loglik(log1p_v, float(log1p_v.sum()), lam) == pytest.approx(
-                naive_loglik(values.tolist(), lam), rel=1e-9
-            )
+        lams = np.array([-2.5, -1.0, 0.0, 0.5, 2.0])
+        ll = _batch_loglik(_Packed.of([values.astype(np.float64)]), np.zeros(5, int), lams)
+        for lam, got in zip(lams, ll):
+            assert got == pytest.approx(naive_loglik(values.tolist(), lam), rel=1e-9)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.lists(st.integers(0, 60), min_size=3, max_size=60),
+                st.lists(st.integers(0, 10**6), min_size=3, max_size=60),
+                st.lists(st.floats(1e110, 1e300), min_size=3, max_size=20),
+                # fits at a bound of the interval, whose bracket is half-width
+                st.lists(st.integers(0, 1), min_size=3, max_size=9),
+                st.lists(st.integers(0, 60), min_size=1, max_size=2),
+                st.builds(lambda c, n: [c] * n, st.integers(0, 100), st.integers(3, 9)),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    # the first fit lies inside the half-width bracket at the lower bound,
+    # whose search ends two steps before the others'
+    @example([[0.291, 0.206, 0.495, 0.209, 1.166, 0.563], [0, 1, 2, 5, 12, 40]], Random(0))
+    def test_batch_equals_each_vector_alone(self, vectors, random):
+        def alone(values):
+            try:
+                return fit_lambda(values)
+            except DegenerateLikelihoodError:
+                return None
+
+        order = list(range(len(vectors)))
+        random.shuffle(order)
+        with np.errstate(all="ignore"):
+            want = [alone(v) for v in vectors]
+            batched = _fit_lambdas([vectors[i] for i in order])
+            assert [batched[order.index(i)] for i in range(len(vectors))] == want
+            keys = [GroupKey("A", 2000 + i) for i in range(len(vectors))]
+            _, skipped = scale_corpus(dict(zip(keys, vectors)), ScalingMethod.BOX_COX_MEAN)
+        degenerate = {s.group for s in skipped if s.reason == "degenerate-boxcox"}
+        assert degenerate == {k for k, lam in zip(keys, want) if lam is None}
+
+
+class TestPackedArithmetic:
+    """The numpy facts that make the batched fit equal the per-group one."""
+
+    LENGTHS = [*range(1, 301), 1000, 5000]
+
+    def test_reduceat_over_a_zero_led_segment_is_reduce(self):
+        rng = np.random.default_rng(8)
+        parts = [rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7) for n in self.LENGTHS]
+        lens = np.array(self.LENGTHS) + 1
+        buf = np.concatenate([p for x in parts for p in (np.zeros(1), x)])
+        sums = np.add.reduceat(buf, np.cumsum(lens) - lens)
+        assert sums.tolist() == [np.add.reduce(x) for x in parts]
+
+    def test_batch_variance_is_ndarray_var(self):
+        rng = np.random.default_rng(9)
+        vectors = [np.floor(np.exp(rng.normal(2.0, 1.5, n))) for n in self.LENGTHS]
+        lams = rng.uniform(*LAMBDA_BOUNDS, len(vectors))
+        lams[::7] = 0.0
+        var = _batch_var(_Packed.of(vectors), np.arange(len(vectors)), lams)
+        want = [
+            float(boxcox_transform(v, lam).var()) for v, lam in zip(vectors, lams)
+        ]
+        assert var.tolist() == want
 
 
 class TestScaleCorpus:
