@@ -334,30 +334,28 @@ def fit_lambda(values) -> float:
     :class:`~citescale.errors.DegenerateLikelihoodError` is raised.
     """
     v = np.asarray(values, dtype=np.float64)
-    if reason := _degeneracy(v):
-        raise DegenerateLikelihoodError(reason)
-    return _fit_lambdas([v])[0]
+    (lam,) = _fit_lambdas([v])
+    if lam is None:
+        raise DegenerateLikelihoodError(_degeneracy(v))
+    return lam
 
 
-def fit_factors(group: GroupKey, values, method: ScalingMethod) -> ScalingFactorSet:
+def fit_factors(
+    group: GroupKey, values, method: ScalingMethod, lam: float | None = None
+) -> ScalingFactorSet:
     """Fit one method's scaling statistic on a group's citation vector.
+
+    For ``boxcox``, ``lam`` is the group's transform parameter if the caller
+    has already fitted it (:func:`scale_corpus` fits all of its groups in one
+    batch); otherwise it is fitted here.  The ratio methods ignore ``lam``.
 
     Never raises on degenerate data; the result's ``reason`` reports
     undefinedness instead.
     """
     v = np.asarray(values)
-    lam = _fit_lambdas([v])[0] if method is ScalingMethod.BOX_COX_MEAN else None
-    return _factors(group, v, method, lam)
-
-
-def _factors(
-    group: GroupKey, v: np.ndarray, method: ScalingMethod, lam: float | None
-) -> ScalingFactorSet:
-    """:func:`fit_factors` given the group's fitted ``lam``, None for the
-    ratio methods or a degenerate likelihood."""
     if v.size == 0:
         raise EmptyGroupError(f"group {group}: empty citation vector")
-    den = 1.0
+    den, fitted = 1.0, None
     if method is ScalingMethod.MAX_RANGE:
         num, zero = float(v.max() - v.min()), "zero-range"
     elif method is ScalingMethod.MEAN:
@@ -371,14 +369,15 @@ def _factors(
         else:
             num = _median(np.sort(nz)) if nz.size else 0.0
     elif method is ScalingMethod.BOX_COX_MEAN:
-        if lam is None:
+        fitted = _fit_lambdas([v])[0] if lam is None else lam
+        if fitted is None:
             return ScalingFactorSet(reason="degenerate-boxcox")
-        num, zero = float(boxcox_transform(v, lam).mean()), "zero-boxcox-mean"
+        num, zero = float(boxcox_transform(v, fitted).mean()), "zero-boxcox-mean"
     else:
         raise ValueError(f"unknown scaling method {method!r}")
     if num <= 0.0:  # counts are >= 0, so this is num == 0.0
         return ScalingFactorSet(reason=zero)
-    return ScalingFactorSet(denom_num=num, denom_den=den, lam=lam)
+    return ScalingFactorSet(denom_num=num, denom_den=den, lam=fitted)
 
 
 def scale_corpus(
@@ -402,7 +401,7 @@ def scale_corpus(
     scores: dict[GroupKey, np.ndarray] = {}
     skipped: list[SkippedGroup] = []
     for key, c, lam in zip(keys, vectors, lams):
-        f = _factors(key, c, method, lam)
+        f = fit_factors(key, c, method, lam)
         if not f.defined:
             skipped.append(SkippedGroup(key, c.size, f.reason))
             continue

@@ -419,6 +419,7 @@ class TestFitLambda:
         assert_fit_equals_reference(values)
 
     def test_exact_likelihood_budget(self, monkeypatch):
+        # the screen leaves few exact grid evaluations, and the batch makes
         # one exact-likelihood call per search step, however many groups
         rng = np.random.default_rng(2)
         values = np.floor(np.exp(rng.normal(2.0, 1.0, size=700)))
@@ -434,10 +435,13 @@ class TestFitLambda:
 
         monkeypatch.setattr(scaling, "_batch_loglik", counting)
         assert fit_lambda(values) == reference_fit_lambda(values)
+        # grid candidates + 2 + one per golden step + 1 exact evaluations
+        assert sum(calls) <= 40
         one = len(calls)
         calls.clear()
         _fit_lambdas(groups)
         assert len(calls) <= min(one + 2, 40)
+        assert sum(calls) <= 40 * len(groups)
 
     def test_screen_memory_is_bounded_by_row_blocks(self):
         rng = np.random.default_rng(4)
