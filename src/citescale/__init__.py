@@ -22,7 +22,6 @@ from .errors import (
     CitescaleError,
     CorpusFormatError,
     CorpusValueError,
-    DegenerateLikelihoodError,
     DuplicateRecordError,
     EmptyCorpusError,
     EmptyGroupError,
@@ -49,8 +48,8 @@ __all__ = [
     "Corpus", "GroupKey", "emit_csv", "group_records", "ingest_csv",
     # errors
     "CitescaleError", "CorpusFormatError", "CorpusValueError",
-    "DegenerateLikelihoodError", "DuplicateRecordError", "EmptyCorpusError",
-    "EmptyGroupError", "ScenarioError",
+    "DuplicateRecordError", "EmptyCorpusError", "EmptyGroupError",
+    "ScenarioError",
     # diagnostics
     "describe", "ScalingMethod", "scale_corpus", "collapse_metrics",
     "top_share", "ad_lognormal",

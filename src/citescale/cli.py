@@ -302,8 +302,6 @@ def _run(args: argparse.Namespace) -> int:
     if years:  # each group is scored on its own: select before scoring
         raw = {key: v for key, v in raw.items() if key.year in years}
     names = getattr(args, "method", None) or ()
-    if isinstance(names, str):  # scale and gof take exactly one --method
-        names = (names,)
     scored = {
         method: scale_corpus(raw, method)
         for method in dict.fromkeys(ScalingMethod(m) for m in names)
@@ -374,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scale", help="score records under one method")
     _add_input_args(p)
-    p.add_argument("--method", required=True, choices=METHOD_NAMES)
+    p.add_argument("--method", required=True, nargs=1, choices=METHOD_NAMES)
     p.set_defaults(func=_run, writers=(_write_scaled,))
 
     p = sub.add_parser("survival", help="survival curves and collapse metrics")
@@ -400,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gof", help="lognormal goodness of fit per group")
     _add_input_args(p)
-    p.add_argument("--method", required=True, choices=METHOD_NAMES)
+    p.add_argument("--method", required=True, nargs=1, choices=METHOD_NAMES)
     p.add_argument("--gof-threshold", type=_positive, default=DEFAULT_THRESHOLD)
     p.set_defaults(func=_run, writers=(_write_gof,))
 

@@ -5,7 +5,8 @@ CLI maps only these and :class:`OSError` to exit code 1, while argparse
 keeps owning usage errors (exit code 2); any other exception is a library
 bug and surfaces as a traceback.  Parameter misuse inside the library
 (a fraction outside (0, 1), an unknown scaling method, ...) raises plain
-:class:`ValueError`.
+:class:`ValueError`.  An undefined statistic is data, not an error:
+:func:`~citescale.scaling.scale_corpus` skips its group with a reason.
 """
 
 
@@ -35,11 +36,6 @@ class EmptyCorpusError(CitescaleError):
 
 class EmptyGroupError(CitescaleError):
     """A statistic was requested on an empty citation vector."""
-
-
-class DegenerateLikelihoodError(CitescaleError):
-    """The power-transform likelihood has no interior information (all values
-    equal, or fewer than three observations)."""
 
 
 class ScenarioError(CitescaleError):

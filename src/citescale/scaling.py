@@ -28,7 +28,8 @@ uses), and each variance's logarithm is ``math.log``.
 A statistic can be undefined on real data (a zero median when more than half
 the group is uncited, a zero range, an all-zero group).  Undefinedness is
 data, not failure: ``fit_factors`` returns a factor set with a reason, and
-``scale_corpus`` skips those groups while accounting for them.
+``scale_corpus`` skips those groups while accounting for them, as it does a
+group whose scores leave float64 (counts near 2**1024).
 
 Every variant is one rescaling ``c / c0`` (Radicchi, Fortunato & Castellano,
 PNAS 2008), scored as ``(T(c) * denom_den) / denom_num`` with ``T`` the
@@ -50,7 +51,7 @@ from typing import Mapping
 import numpy as np
 
 from .corpus import GroupKey
-from .errors import DegenerateLikelihoodError, EmptyGroupError
+from .errors import EmptyGroupError
 from .stats import _median
 
 LAMBDA_BOUNDS = (-3.0, 3.0)
@@ -99,7 +100,7 @@ class ScalingFactorSet:
 
 @dataclass(frozen=True)
 class SkippedGroup:
-    """One group left out: its scaling divisor or lognormal test is undefined."""
+    """One group left out: its divisor, scores or lognormal test are undefined."""
 
     group: GroupKey
     n_records: int
@@ -225,7 +226,7 @@ def _golden_lockstep(loglik, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _grid_candidates(
     log1p_v: np.ndarray, sum_log1p: float, grid: np.ndarray
 ) -> np.ndarray:
-    """Grid indices that can hold the first maximum of the profile
+    """Mask of the grid points that can hold the first maximum of the profile
     log-likelihood (see :func:`_batch_loglik`).
 
     Screens the whole grid over the D distinct values of ``log1p(v)`` with
@@ -235,9 +236,9 @@ def _grid_candidates(
     then agree to within a few ulps times ``mean / sqrt(var) <= 1e3`` plus the
     summation error, and a relative variance error ``e`` moves the
     log-likelihood by about ``n * e / 2``: far inside the margin of
-    ``_SCREEN_MARGIN * n``, so the indices within that margin of the screened
+    ``_SCREEN_MARGIN * n``, so the points within that margin of the screened
     maximum include the exact first maximum.  Otherwise (cancellation or
-    overflow) every index is returned.
+    overflow) the mask is all True.
     """
     u, counts = np.unique(log1p_v, return_counts=True)
     w = counts.astype(np.float64)
@@ -253,28 +254,28 @@ def _grid_candidates(
             var = np.square(t - m[:, None]) @ w / n
             certified = np.isfinite(var) & (var > _SCREEN_REL_VAR * m * m)
             if not certified.all():
-                return np.arange(grid.size)
+                return np.ones(grid.size, dtype=bool)
             approx[start:start + rows] = (
                 -0.5 * n * np.log(var) + (lam - 1.0) * sum_log1p
             )
-    return np.flatnonzero(approx >= approx.max() - _SCREEN_MARGIN * n)
-
-
-def _degeneracy(v: np.ndarray) -> str | None:
-    """Why the transform likelihood of ``v`` carries no information, or None."""
-    if v.size < 3:
-        return f"need at least 3 values to fit the transform, got {v.size}"
-    if np.all(v == v[0]):
-        return "all values equal: transform likelihood is degenerate"
-    return None
+    return approx >= approx.max() - _SCREEN_MARGIN * n
 
 
 def _fit_lambdas(vectors) -> list[float | None]:
-    """:func:`fit_lambda` of every vector, all fitted together; None for a
-    degenerate vector.  Only the grid screen runs per group, since its
-    certification is per group."""
+    """Maximum-likelihood transform parameter of every vector, clamped to
+    [-3, +3]; None where the likelihood carries no information (fewer than
+    three values, or all equal).
+
+    Each vector's best point of a 0.01-step grid is refined by golden-section
+    search on its bracket; the two stages avoid local traps on flat
+    likelihoods.  The exact likelihood is evaluated only at the grid points
+    that the screen of :func:`_grid_candidates` cannot rule out (all of them
+    if it is not certified), so the grid maximum is that of an exact full
+    scan, bit for bit.  All vectors share each exact evaluation; each result
+    is bit for bit its vector's alone (see the module docstring).
+    """
     vs = [np.asarray(v, dtype=np.float64) for v in vectors]
-    fit = [i for i, v in enumerate(vs) if _degeneracy(v) is None]
+    fit = [i for i, v in enumerate(vs) if v.size >= 3 and np.any(v != v[0])]
     lams: list[float | None] = [None] * len(vs)
     if not fit:
         return lams
@@ -284,19 +285,19 @@ def _fit_lambdas(vectors) -> list[float | None]:
     grid = np.linspace(lo, hi, int(round((hi - lo) / _GRID_STEP)) + 1)
 
     every = np.arange(len(fit))
-    cands = [
+    mask = np.array([
         _grid_candidates(packed.segment(g), float(packed.sum_log1p[g]), grid)
         for g in every
-    ]
-    sizes = np.array([c.size for c in cands])
-    starts = np.cumsum(sizes) - sizes
-    cols = np.concatenate(cands)
-    ll = loglik(np.repeat(every, sizes), grid[cols])
-    top = np.maximum.reduceat(ll, starts)
-    # each group's first grid point at its maximum, or 0 where every
-    # candidate is -inf: the argmax over the full grid in both cases
-    at_top = np.where(ll == np.repeat(top, sizes), np.arange(ll.size), ll.size)
-    best = np.where(top > -math.inf, cols[np.minimum.reduceat(at_top, starts)], 0)
+    ])
+    rows, cols = np.nonzero(mask)
+    ll = loglik(rows, grid[cols])
+    # made after the exact evaluation and freed before the golden steps, so
+    # the table never adds to the memory of their blocks
+    table = np.full(mask.shape, -math.inf)
+    table[rows, cols] = ll
+    best = table.argmax(axis=1)
+    top = table[every, best]
+    del table
     a = grid[np.maximum(best - 1, 0)]
     b = grid[np.minimum(best + 1, grid.size - 1)]
     refined = _golden_lockstep(loglik, a, b)
@@ -306,40 +307,6 @@ def _fit_lambdas(vectors) -> list[float | None]:
     return lams
 
 
-def fit_lambda(values) -> float:
-    """Maximum-likelihood transform parameter, clamped to [-3, +3].
-
-    Finds the best point of a 0.01-step grid over the full interval, then
-    refines its bracket by golden-section search; the two-stage search avoids
-    local traps on flat likelihoods and is deterministic.
-
-    The grid maximum is found by screen, certification and exact step.  The
-    screen approximates the likelihood at all 601 grid points in array passes
-    over the distinct values and their multiplicities.  It is certified only
-    when no grid variance overflows or loses its digits to cancellation.  The
-    exact likelihood is then evaluated at each grid point the screen cannot
-    rule out (every point if it is not certified), so the chosen grid point,
-    its likelihood and hence the result equal those of an exact scan of the
-    full grid bit for bit.
-
-    This is the one-vector case of the batch that :func:`scale_corpus` runs
-    over all of its groups: one exact evaluation for every group's grid
-    candidates, then golden-section brackets stepped in lockstep, one exact
-    evaluation per step for every bracket still open.  Each group's result
-    is bit for bit the one it gets alone (see the module docstring for the
-    arithmetic that guarantees it).
-
-    Requires at least three values with at least two distinct; otherwise the
-    likelihood carries no information and
-    :class:`~citescale.errors.DegenerateLikelihoodError` is raised.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    (lam,) = _fit_lambdas([v])
-    if lam is None:
-        raise DegenerateLikelihoodError(_degeneracy(v))
-    return lam
-
-
 def fit_factors(
     group: GroupKey, values, method: ScalingMethod, lam: float | None = None
 ) -> ScalingFactorSet:
@@ -347,7 +314,8 @@ def fit_factors(
 
     For ``boxcox``, ``lam`` is the group's transform parameter if the caller
     has already fitted it (:func:`scale_corpus` fits all of its groups in one
-    batch); otherwise it is fitted here.  The ratio methods ignore ``lam``.
+    batch); otherwise it is fitted here, as one vector alone.  The ratio
+    methods ignore ``lam``.
 
     Never raises on degenerate data; the result's ``reason`` reports
     undefinedness instead.
@@ -388,9 +356,9 @@ def scale_corpus(
     ``citations`` maps each (category, year) group to its citation counts
     (see :func:`~citescale.corpus.group_records`).  The result holds one
     float64 score vector per defined group, in key order, each in the order
-    of its input counts.  Groups with an undefined statistic are reported,
-    never imputed.  For ``boxcox`` every group's parameter is fitted in one
-    batch.
+    of its input counts.  Groups with an undefined statistic, or a score
+    beyond float64, are reported, never imputed.  For ``boxcox`` every
+    group's parameter is fitted in one batch.
     """
     keys = sorted(citations)
     vectors = [np.asarray(citations[key], dtype=np.float64) for key in keys]
@@ -400,11 +368,15 @@ def scale_corpus(
         lams = [None] * len(keys)
     scores: dict[GroupKey, np.ndarray] = {}
     skipped: list[SkippedGroup] = []
-    for key, c, lam in zip(keys, vectors, lams):
-        f = fit_factors(key, c, method, lam)
-        if not f.defined:
-            skipped.append(SkippedGroup(key, c.size, f.reason))
-            continue
-        t = c if f.lam is None else boxcox_transform(c, f.lam)
-        scores[key] = (t * f.denom_den) / f.denom_num
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as "overflow"
+        for key, c, lam in zip(keys, vectors, lams):
+            f = fit_factors(key, c, method, lam)
+            if f.defined:
+                t = c if f.lam is None else boxcox_transform(c, f.lam)
+                s = (t * f.denom_den) / f.denom_num
+                # a score beyond float64 (inf, or NaN from inf / inf) is the max
+                if math.isfinite(s.max()):
+                    scores[key] = s
+                    continue
+            skipped.append(SkippedGroup(key, c.size, f.reason or "overflow"))
     return scores, skipped

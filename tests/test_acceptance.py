@@ -23,7 +23,7 @@ from citescale.corpus import (
     ingest_csv,
 )
 from citescale.gof import ad_lognormal, p_bracket
-from citescale.scaling import ScalingMethod, fit_factors, fit_lambda, scale_corpus
+from citescale.scaling import ScalingMethod, fit_factors, scale_corpus
 from citescale.stats import describe
 from citescale.survival import collapse_metrics
 from citescale.synth import (
@@ -181,7 +181,8 @@ def test_criterion_4_lambda_recovery():
         rng = np.random.default_rng(int(1000 * (true_lam + 4)))
         values = make(rng)
         assert np.all(values >= 0)
-        lam_hat = fit_lambda(values)
+        box_cox = fit_factors(GroupKey("L", 2003), values, ScalingMethod.BOX_COX_MEAN)
+        lam_hat = box_cox.lam
         assert abs(lam_hat - true_lam) <= 0.05, (true_lam, lam_hat)
         ll_hat = _oracle_loglik(values, lam_hat)
         ll_grid = max(_oracle_loglik(values, g) for g in grid)

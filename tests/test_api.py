@@ -8,6 +8,8 @@ from pathlib import Path
 
 import citescale
 from citescale.cli import build_parser
+from citescale.corpus import GroupKey
+from citescale.scaling import ScalingMethod, scale_corpus
 from citescale.synth import (
     CategorySpec, Scenario, load_scenario, save_scenario, scenario_to_dict,
 )
@@ -18,8 +20,8 @@ PUBLIC_API = {
     "__version__",
     "Corpus", "GroupKey", "emit_csv", "group_records", "ingest_csv",
     "CitescaleError", "CorpusFormatError", "CorpusValueError",
-    "DegenerateLikelihoodError", "DuplicateRecordError", "EmptyCorpusError",
-    "EmptyGroupError", "ScenarioError",
+    "DuplicateRecordError", "EmptyCorpusError", "EmptyGroupError",
+    "ScenarioError",
     "describe", "ScalingMethod", "scale_corpus", "collapse_metrics",
     "top_share", "ad_lognormal",
     "CategorySpec", "Scenario", "generate", "load_scenario",
@@ -28,7 +30,7 @@ PUBLIC_API = {
 
 
 def test_public_api_is_exactly_the_pinned_names():
-    assert len(citescale.__all__) == len(PUBLIC_API) == 27
+    assert len(citescale.__all__) == len(PUBLIC_API) == 26
     assert set(citescale.__all__) == PUBLIC_API
     for name in citescale.__all__:
         assert getattr(citescale, name) is not None
@@ -43,6 +45,33 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(example.group(1), {})
     assert capsys.readouterr().out.strip() == "2 / 2"
+
+
+# one group, and the method that skips it, for each skip reason
+SKIP_CASES = {
+    "zero-range": ("max", [5, 5, 5]),
+    "all-zero": ("mean", [0, 0, 0]),
+    "no-nonzero": ("mean0", [0, 0, 0]),
+    "zero-median": ("median", [0, 0, 0, 4]),
+    "degenerate-boxcox": ("boxcox", [3, 3]),
+    "zero-boxcox-mean": ("boxcox", [0.0, 0.0, 5e-324]),
+    "overflow": ("median", [0, 0, 1, 1.7e308]),
+}
+
+
+def test_readme_lists_every_skip_reason():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = re.search(r"^## Scaling variants\n(.*?)^## ", readme, re.S | re.M)
+    assert section, "README.md has no '## Scaling variants' section"
+    table = section.group(1).split("| reason ", 1)[1]
+    listed = re.findall(r"^\| `([a-z0-9-]+)` ", table, re.M)
+    returned = set()
+    for reason, (method, values) in SKIP_CASES.items():
+        key = GroupKey(reason, 2000)
+        scored, skipped = scale_corpus({key: values}, ScalingMethod(method))
+        assert not scored and [s.group for s in skipped] == [key]
+        returned.add(skipped[0].reason)
+    assert returned == set(listed) and len(listed) == len(SKIP_CASES)
 
 
 def test_readme_cli_lines_parse():

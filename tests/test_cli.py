@@ -528,6 +528,29 @@ class TestReport:
         path = write_corpus_csv(tmp_path / "big.csv", rows)
         assert main(["report", "--input", str(path), "--out", str(tmp_path / "o")]) == 0
 
+    def test_scores_beyond_float64_are_skipped_not_nan(self, tmp_path):
+        # X's mean overflows: its scores would be 0 and NaN
+        counts = [2**1023, 2**1023, *range(2, 10)]
+        rows = [(f"x{i}", 2000, "X", c) for i, c in enumerate(counts)]
+        rows += [(f"y{c}", 2000, "Y", c) for c in range(10)]
+        path = write_corpus_csv(tmp_path / "huge.csv", rows)
+        out = tmp_path / "o"
+        assert main(["report", "--input", str(path), "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise AssertionError(f"non-finite JSON number {constant}")
+
+        for artifact in sorted(out.glob("*.json")):
+            json.loads(artifact.read_text(), parse_constant=reject)
+        summary = json.loads((out / "topshare_summary.json").read_text())
+        for method in ("mean", "mean0"):
+            assert summary["methods"][method]["unevaluated_categories"] == ["X"]
+            assert summary["methods"][method]["n_top"] == 1
+        assert main(["scale", "--input", str(path), "--method", "mean",
+                     "--out", str(tmp_path / "s")]) == 0
+        skipped = (tmp_path / "s" / "skipped_mean.csv").read_text().splitlines()
+        assert skipped == ["category,year,n_records,reason", "X,2000,10,overflow"]
+
 
 METHODS = ("max", "mean", "mean0", "boxcox", "median", "median0")
 EVERY_METHOD = [arg for m in METHODS for arg in ("--method", m)]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from citescale import scaling
 from citescale.corpus import GroupKey
-from citescale.errors import DegenerateLikelihoodError, EmptyGroupError
+from citescale.errors import EmptyGroupError
 from citescale.scaling import (
     _GOLDEN_TOL,
     _INV_PHI,
@@ -24,7 +24,6 @@ from citescale.scaling import (
     _Packed,
     boxcox_transform,
     fit_factors,
-    fit_lambda,
     scale_corpus,
 )
 
@@ -90,7 +89,7 @@ def _golden_max(f, a: float, b: float) -> float:
 
 def reference_fit_lambda(values):
     """Exact 601-point grid scan plus scalar golden refinement, one group at
-    a time with ``ndarray.var``: the oracle that fit_lambda must reproduce
+    a time with ``ndarray.var``: the oracle that _fit_lambdas must reproduce
     bit for bit."""
     v = np.asarray(values, dtype=np.float64)
     lo, hi = LAMBDA_BOUNDS
@@ -110,7 +109,7 @@ def reference_fit_lambda(values):
 def assert_fit_equals_reference(values):
     assume(len(set(values)) > 1)
     with np.errstate(all="ignore"):
-        assert fit_lambda(values) == reference_fit_lambda(values)
+        assert _fit_lambdas([values])[0] == reference_fit_lambda(values)
 
 
 def divisor(factors):
@@ -339,12 +338,10 @@ class TestTransform:
 
 class TestFitLambda:
     def test_too_short(self):
-        with pytest.raises(DegenerateLikelihoodError):
-            fit_lambda([1, 2])
+        assert _fit_lambdas([[1, 2]])[0] is None
 
     def test_all_equal(self):
-        with pytest.raises(DegenerateLikelihoodError):
-            fit_lambda([4, 4, 4, 4])
+        assert _fit_lambdas([[4, 4, 4, 4]])[0] is None
 
     def test_result_is_clamped(self, rng):
         for _ in range(20):
@@ -352,7 +349,7 @@ class TestFitLambda:
             values = rng.integers(0, 500, size=n)
             if np.all(values == values[0]):
                 continue
-            lam = fit_lambda(values)
+            lam = _fit_lambdas([values])[0]
             assert -3.0 <= lam <= 3.0
 
     def test_extreme_shape_pins_lower_bound(self):
@@ -362,19 +359,19 @@ class TestFitLambda:
         rng = np.random.default_rng(3)
         z = np.clip(rng.normal(0.2, 0.012, 400), None, 0.2499)
         c = (1.0 - 4.0 * z) ** (-0.25) - 1.0
-        assert fit_lambda(c) == -3.0
+        assert _fit_lambdas([c])[0] == -3.0
 
     def test_recovers_half_from_inverted_transform(self):
         rng = np.random.default_rng(7)
         z = np.clip(rng.normal(6.0, 1.4, size=5000), 0.0, None)
         c = (1.0 + 0.5 * z) ** 2 - 1.0
-        lam = fit_lambda(c)
+        lam = _fit_lambdas([c])[0]
         assert 0.45 <= lam <= 0.55
 
     def test_lognormal_discretized_near_zero(self):
         rng = np.random.default_rng(11)
         c = np.floor(np.exp(rng.normal(2.0, 0.5, size=5000))) - 0.0
-        lam = fit_lambda(c)
+        lam = _fit_lambdas([c])[0]
         assert -0.1 <= lam <= 0.1
 
     def test_beats_dense_grid_oracle(self, rng):
@@ -384,7 +381,7 @@ class TestFitLambda:
             values = rng.integers(0, 200, size=n)
             if np.all(values == values[0]):
                 continue
-            lam = fit_lambda(values)
+            lam = _fit_lambdas([values])[0]
             ll_hat = naive_loglik(values.tolist(), lam)
             ll_grid = max(naive_loglik(values.tolist(), g) for g in grid)
             assert ll_hat >= ll_grid - 1e-6
@@ -434,7 +431,7 @@ class TestFitLambda:
             return _batch_loglik(*args)
 
         monkeypatch.setattr(scaling, "_batch_loglik", counting)
-        assert fit_lambda(values) == reference_fit_lambda(values)
+        assert _fit_lambdas([values])[0] == reference_fit_lambda(values)
         # grid candidates + 2 + one per golden step + 1 exact evaluations
         assert sum(calls) <= 40
         one = len(calls)
@@ -451,11 +448,11 @@ class TestFitLambda:
         near_constant = 9e12 + rng.integers(0, 50, size=30_000).astype(np.float64)
         log1p_v = np.log1p(near_constant)
         grid = np.linspace(*LAMBDA_BOUNDS, 601)
-        assert _grid_candidates(log1p_v, float(log1p_v.sum()), grid).size == 601
+        assert _grid_candidates(log1p_v, float(log1p_v.sum()), grid).all()
         for values in (spread, near_constant):
             tracemalloc.start()
             try:
-                fit_lambda(values)
+                _fit_lambdas([values])
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -463,7 +460,7 @@ class TestFitLambda:
 
     def test_reproducible(self, rng):
         values = rng.integers(0, 300, size=200)
-        assert fit_lambda(values) == fit_lambda(values)
+        assert _fit_lambdas([values]) == _fit_lambdas([values])
 
     def test_loglik_matches_naive(self, rng):
         values = rng.integers(0, 100, size=50)
@@ -492,16 +489,10 @@ class TestFitLambda:
     # whose search ends two steps before the others'
     @example([[0.291, 0.206, 0.495, 0.209, 1.166, 0.563], [0, 1, 2, 5, 12, 40]], Random(0))
     def test_batch_equals_each_vector_alone(self, vectors, random):
-        def alone(values):
-            try:
-                return fit_lambda(values)
-            except DegenerateLikelihoodError:
-                return None
-
         order = list(range(len(vectors)))
         random.shuffle(order)
         with np.errstate(all="ignore"):
-            want = [alone(v) for v in vectors]
+            want = [_fit_lambdas([v])[0] for v in vectors]
             batched = _fit_lambdas([vectors[i] for i in order])
             assert [batched[order.index(i)] for i in range(len(vectors))] == want
             keys = [GroupKey("A", 2000 + i) for i in range(len(vectors))]
@@ -578,3 +569,19 @@ class TestScaleCorpus:
     def test_counts_beyond_int64_score(self):
         aii = scores([0, 10**20, 3 * 10**20], ScalingMethod.MEAN)
         assert aii.tolist() == [0.0, 0.75, 2.25]
+
+    @pytest.mark.parametrize("method, values", [
+        # the sum overflows: the small counts would score 0, the large NaN
+        (ScalingMethod.MEAN, [2.0**1023, 2.0**1023, *range(2, 10)]),
+        # the sum is finite, but c * n overflows: the largest scores inf
+        (ScalingMethod.MEAN, [1e308, 0, 0]),
+        # a median of 0.5 doubles the largest count past float64
+        (ScalingMethod.MEDIAN, [0, 0, 1, 1.7e308]),
+    ], ids=["mean-sum", "mean-c-times-n", "median-half"])
+    def test_scores_beyond_float64_are_overflow(self, method, values):
+        with np.errstate(all="ignore"):
+            scored, skipped = scale_corpus({A03: values}, method)
+        assert scored == {}
+        assert [(s.group, s.n_records, s.reason) for s in skipped] == [
+            (A03, len(values), "overflow")
+        ]
