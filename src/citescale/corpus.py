@@ -59,19 +59,21 @@ class GroupKey:
         return f"{self.category}/{self.year}"
 
 
-def _integers(values, name: str):
-    """``values`` as they are when all are integers (an int64 array passes
-    untouched), else :class:`CorpusValueError` naming the first that is not."""
+def _int64(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array, else :class:`CorpusValueError` naming
+    the first row that is not an integer or is beyond the int64 range."""
     if isinstance(values, np.ndarray) and values.dtype.kind == "i":
-        return values
+        return values.astype(np.int64, copy=False)
     items = values.tolist() if isinstance(values, np.ndarray) else values
     try:
-        return list(map(operator.index, items))
+        return np.array(list(map(operator.index, items)), dtype=np.int64)
     except TypeError:
         row = next(i for i, x in enumerate(items) if not hasattr(type(x), "__index__"))
-    raise CorpusValueError(
-        f"column {name!r} must hold integers, got {items[row]!r}", row=row
-    )
+        message = f"column {name!r} must hold integers, got {items[row]!r}"
+    except OverflowError:
+        beyond = [not -(2**63) <= operator.index(x) < 2**63 for x in items]
+        row, message = beyond.index(True), f"{name} is beyond the int64 range"
+    raise CorpusValueError(message, row=row)
 
 
 def _check_text(column: np.ndarray, name: str) -> None:
@@ -111,14 +113,13 @@ def _ranks(column: np.ndarray) -> np.ndarray:
 class Corpus:
     """Read-only record columns, built in any row order and kept sorted by
     (category, year, pub_id): ``pub_id`` and ``category`` as object arrays
-    of ``str``, ``year`` as int64, ``citations`` as int64 or, when a count
-    is beyond int64, as Python ints.  ``group_slices`` maps each group key,
-    in key order, to its slice of the columns.  A (pub_id, category) pair
-    may occur once, whatever its years, and no count may be negative.  Each
-    ``pub_id`` and ``category`` is a non-empty ``str`` with no comma, double
-    quote, line break, lone surrogate or leading or trailing whitespace, so
-    that its CSV cell reads back the same, and every count fits in float64,
-    the type every score is computed in; a value error's ``row`` is the row at fault.
+    of ``str``, ``year`` and ``citations`` as int64.  ``group_slices`` maps
+    each group key, in key order, to its slice of the columns.  A (pub_id,
+    category) pair may occur once, whatever its years, and no count may be
+    negative.  Each ``pub_id`` and ``category`` is a non-empty ``str`` with
+    no comma, double quote, line break, lone surrogate or leading or
+    trailing whitespace, so that its CSV cell reads back the same; a value
+    error's ``row`` is the row at fault.
     """
 
     pub_id: np.ndarray
@@ -130,27 +131,13 @@ class Corpus:
     def __post_init__(self) -> None:
         pub = np.array(self.pub_id, dtype=object)
         cat = np.array(self.category, dtype=object)
-        try:
-            year = np.array(_integers(self.year, "year"), dtype=np.int64)
-        except OverflowError:
-            years = _integers(self.year, "year")
-            row = next(i for i, y in enumerate(years) if not -(2**63) <= y < 2**63)
-            raise CorpusValueError("year is beyond the int64 range", row=row) from None
-        cites = _integers(self.citations, "citations")
-        try:
-            cites = np.array(cites, dtype=np.int64)
-        except OverflowError:  # exact Python ints beyond int64
-            cites = np.array(cites, dtype=object)
+        year, cites = _int64(self.year, "year"), _int64(self.citations, "citations")
         n = len(pub)
         if not len(year) == len(cat) == len(cites) == n:
             raise ValueError("corpus columns must have equal lengths")
         if n and cites.min() < 0:
             row = int(np.argmax(cites < 0))
             raise CorpusValueError(f"citations must be >= 0, got {cites[row]}", row=row)
-        if cites.dtype == object and (beyond := cites >= 2**1024 - 2**970).any():
-            raise CorpusValueError(  # float() rounds these counts up to 2**1024
-                "citations exceed the float64 range", row=int(np.argmax(beyond))
-            )
 
         _check_text(cat, "category")
         _check_text(pub, "pub_id")
@@ -248,9 +235,9 @@ def ingest_csv(path: str | Path, strict: bool = False) -> IngestResult:
 
     Raises :class:`CorpusFormatError` for a bad header, ragged rows or a
     line the csv module cannot split, :class:`CorpusValueError` for bad cell
-    values, a year beyond int64 or a count float64 cannot hold included
-    (both name the first offending line; text that is not UTF-8 is a format
-    error), and :class:`EmptyCorpusError` for a file with no data rows.
+    values, a year or count beyond int64 included (both name the first
+    offending line; text that is not UTF-8 is a format error), and
+    :class:`EmptyCorpusError` for a file with no data rows.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -313,8 +300,9 @@ def group_records(corpus: Corpus) -> dict[GroupKey, np.ndarray]:
     """Each (category, year) group's citation counts as read-only float64,
     the input of every score.
 
-    Exact counts round once to float64, so counts beyond 2**63 still score;
-    a group's exact counts are ``corpus.citations[corpus.group_slices[key]]``.
+    The int64 counts are non-negative and below 2**63, so no score computed
+    from them leaves float64; a count above 2**53 rounds once, and a group's
+    exact counts are ``corpus.citations[corpus.group_slices[key]]``.
     Groups come in key order and records by pub_id within each group: the
     order every per-group vector downstream follows.
     """

@@ -28,8 +28,8 @@ uses), and each variance's logarithm is ``math.log``.
 A statistic can be undefined on real data (a zero median when more than half
 the group is uncited, a zero range, an all-zero group).  Undefinedness is
 data, not failure: ``fit_factors`` returns a factor set with a reason, and
-``scale_corpus`` skips those groups while accounting for them, as it does a
-group whose scores leave float64 (counts near 2**1024).
+``scale_corpus`` skips those groups while accounting for them; counts below
+2**63 keep every defined score finite.
 
 Every variant is one rescaling ``c / c0`` (Radicchi, Fortunato & Castellano,
 PNAS 2008), scored as ``(T(c) * denom_den) / denom_num`` with ``T`` the
@@ -353,12 +353,12 @@ def scale_corpus(
 ) -> tuple[dict[GroupKey, np.ndarray], list[SkippedGroup]]:
     """Score every group whose statistic is defined.
 
-    ``citations`` maps each (category, year) group to its citation counts
-    (see :func:`~citescale.corpus.group_records`).  The result holds one
-    float64 score vector per defined group, in key order, each in the order
-    of its input counts.  Groups with an undefined statistic, or a score
-    beyond float64, are reported, never imputed.  For ``boxcox`` every
-    group's parameter is fitted in one batch.
+    ``citations`` maps each (category, year) group to its citation counts,
+    non-negative and below 2**63 as :func:`~citescale.corpus.group_records`
+    gives them.  The result holds one float64 score vector per defined
+    group, in key order, each in the order of its input counts.  Groups with
+    an undefined statistic are reported, never imputed.  For ``boxcox``
+    every group's parameter is fitted in one batch.
     """
     keys = sorted(citations)
     vectors = [np.asarray(citations[key], dtype=np.float64) for key in keys]
@@ -368,15 +368,11 @@ def scale_corpus(
         lams = [None] * len(keys)
     scores: dict[GroupKey, np.ndarray] = {}
     skipped: list[SkippedGroup] = []
-    with np.errstate(over="ignore", invalid="ignore"):  # reported as "overflow"
-        for key, c, lam in zip(keys, vectors, lams):
-            f = fit_factors(key, c, method, lam)
-            if f.defined:
-                t = c if f.lam is None else boxcox_transform(c, f.lam)
-                s = (t * f.denom_den) / f.denom_num
-                # a score beyond float64 (inf, or NaN from inf / inf) is the max
-                if math.isfinite(s.max()):
-                    scores[key] = s
-                    continue
-            skipped.append(SkippedGroup(key, c.size, f.reason or "overflow"))
+    for key, c, lam in zip(keys, vectors, lams):
+        f = fit_factors(key, c, method, lam)
+        if f.defined:
+            t = c if f.lam is None else boxcox_transform(c, f.lam)
+            scores[key] = (t * f.denom_den) / f.denom_num
+        else:
+            skipped.append(SkippedGroup(key, c.size, f.reason))
     return scores, skipped

@@ -63,7 +63,8 @@ class CategorySpec:
     negative-binomial, (alpha, c_max) for zipf-with-cutoff.  ``count_scale``
     multiplies every drawn count (after discretization), and ``seed_salt``
     overrides the PRNG stream identity; both default to neutral values and
-    exist so rescaled-copy scenarios stay expressible as plain data.
+    exist so rescaled-copy scenarios stay expressible as plain data.  Counts
+    are int64: :func:`generate` checks that each product stays below 2**63.
     ``category`` and ``seed_salt`` are str that encode as UTF-8, the form
     in which the PRNG salt is hashed and the corpus is written.
 
@@ -188,13 +189,12 @@ def generate(scenario: Scenario) -> Corpus:
 
     Per record: with probability ``zero_inflation`` the count is 0, otherwise
     it is drawn from the spec's family (floored to an integer for continuous
-    families) and multiplied by ``count_scale`` in exact integer arithmetic.
+    families) and multiplied by ``count_scale``.
     pub_ids are ``<category>-<year>-<index>`` with a zero-padded index.
 
     Raises :class:`~citescale.errors.ScenarioError` naming the spec when its
-    ``n`` values or its family cannot be drawn or held in memory, when a
-    lognormal draw reaches 2**63 or when a scaled count is beyond what
-    float64, the type every score is computed in, can hold.
+    ``n`` values or its family cannot be drawn or held in memory, or when a
+    lognormal draw, a scaled count or ``count_scale`` reaches 2**63.
     """
     pub_ids, years, categories, counts = [], [], [], []  # columns, counts per spec
     for spec in scenario.specs:
@@ -206,15 +206,10 @@ def generate(scenario: Scenario) -> Corpus:
         except (ValueError, MemoryError) as exc:  # undrawable, or beyond memory
             raise ScenarioError(f"{where}: {exc}") from None
         drawn = np.where(u < spec.zero_inflation, 0, fam)
-        top = int(drawn.max()) * spec.count_scale
-        try:
-            float(top)
-        except OverflowError:
+        if max(int(drawn.max()) * spec.count_scale, spec.count_scale) > _INT64_MAX:
             raise ScenarioError(
-                f"{where}: a count times count_scale exceeds the float64 range"
-            ) from None
-        if max(top, spec.count_scale) > _INT64_MAX:  # exact Python ints then
-            drawn = drawn.astype(object)
+                f"{where}: a count times count_scale is beyond the int64 range"
+            )
         counts.append(drawn * spec.count_scale)
         prefix = f"{spec.category}-{spec.year}-"
         pub_ids += [f"{prefix}{i:06d}" for i in range(spec.n)]

@@ -55,7 +55,6 @@ SKIP_CASES = {
     "zero-median": ("median", [0, 0, 0, 4]),
     "degenerate-boxcox": ("boxcox", [3, 3]),
     "zero-boxcox-mean": ("boxcox", [0.0, 0.0, 5e-324]),
-    "overflow": ("median", [0, 0, 1, 1.7e308]),
 }
 
 

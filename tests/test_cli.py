@@ -1,9 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import random
+import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citescale.cli import main
 from citescale.corpus import emit_csv, ingest_csv
@@ -36,6 +44,10 @@ def small_scenario_json(tmp_path):
     path = tmp_path / "scenario.json"
     save_scenario(scenario, path)
     return path
+
+
+def _reject(constant):
+    raise AssertionError(f"non-finite JSON number {constant}")
 
 
 class TestIngestCheck:
@@ -347,18 +359,7 @@ class TestSimulate:
         save_scenario(Scenario(seed=1, specs=(spec,)), path)
         return main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
 
-    @pytest.mark.parametrize("count_scale", [4 * 10**17, 10**19])
-    def test_count_scale_beyond_int64_is_exact(self, count_scale, tmp_path, capsys):
-        assert self.simulate_one_spec(tmp_path, (3.0, 1.0), count_scale) == 0
-        assert capsys.readouterr().err == ""
-        lines = (tmp_path / "out" / "corpus.csv").read_text().splitlines()[1:]
-        counts = [int(line.rsplit(",", 1)[1]) for line in lines]
-        assert all(c >= 0 and c % count_scale == 0 for c in counts)
-        assert max(counts) >= 2**63
-        meta = json.loads((tmp_path / "out" / "scenario_meta.json").read_text())
-        assert meta["total_citations"] == sum(counts)
-
-    @pytest.mark.parametrize("count_scale", [10**18, 10**19])
+    @pytest.mark.parametrize("count_scale", [10**18])
     def test_total_citations_is_an_exact_int(self, count_scale, tmp_path):
         # every draw is 7: at 10**18 each count fits int64 but the total does not
         assert self.simulate_one_spec(tmp_path, (math.log(7.5), 1e-9), count_scale) == 0
@@ -367,14 +368,23 @@ class TestSimulate:
 
     @pytest.mark.parametrize("family_params, count_scale, reason", [
         ((45.0, 1.0), 1, "must stay below 2**63, got 4.89398e+20"),
-        ((3.0, 1.0), 10**400, "exceeds the float64 range"),
-    ], ids=["draw-beyond-int64", "count-beyond-float64"])
+        ((3.0, 1.0), 10**400, "count_scale is beyond the int64 range"),
+        ((3.0, 1.0), 4 * 10**17, "count_scale is beyond the int64 range"),
+        ((3.0, 1.0), 10**19, "count_scale is beyond the int64 range"),
+        # every draw is 7: 7 * 10**19 is beyond int64
+        ((math.log(7.5), 1e-9), 10**19, "count_scale is beyond the int64 range"),
+        # every draw is 0, so only count_scale itself is beyond int64
+        ((-50.0, 1.0), 2**63, "count_scale is beyond the int64 range"),
+    ], ids=["draw-beyond-int64", "count-beyond-float64", "product-beyond-int64",
+            "count-scale-beyond-int64", "sevens-times-count-scale",
+            "zeros-times-2**63"])
     def test_counts_beyond_range_exit_one_naming_spec(
         self, family_params, count_scale, reason, tmp_path, capsys
     ):
         assert self.simulate_one_spec(tmp_path, family_params, count_scale) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: spec A/2003: ") and reason in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "report"])
     def test_category_that_would_not_read_back_exits_one(
@@ -521,35 +531,20 @@ class TestReport:
             hashes.append(manifest["content_hash"])
         assert hashes[0] == hashes[1]
 
-    def test_counts_beyond_int64_still_report(self, tmp_path):
-        rows = [(f"p{i}", 2003, "A", c) for i, c in enumerate(range(0, 24, 2))]
-        rows.append(("big", 2003, "A", 10**20))
-        rows += [(f"q{i}", 2003, "B", c) for i, c in enumerate(range(1, 13))]
-        path = write_corpus_csv(tmp_path / "big.csv", rows)
-        assert main(["report", "--input", str(path), "--out", str(tmp_path / "o")]) == 0
-
-    def test_scores_beyond_float64_are_skipped_not_nan(self, tmp_path):
-        # X's mean overflows: its scores would be 0 and NaN
-        counts = [2**1023, 2**1023, *range(2, 10)]
-        rows = [(f"x{i}", 2000, "X", c) for i, c in enumerate(counts)]
-        rows += [(f"y{c}", 2000, "Y", c) for c in range(10)]
-        path = write_corpus_csv(tmp_path / "huge.csv", rows)
-        out = tmp_path / "o"
-        assert main(["report", "--input", str(path), "--out", str(out)]) == 0
-
-        def reject(constant):
-            raise AssertionError(f"non-finite JSON number {constant}")
-
-        for artifact in sorted(out.glob("*.json")):
-            json.loads(artifact.read_text(), parse_constant=reject)
-        summary = json.loads((out / "topshare_summary.json").read_text())
-        for method in ("mean", "mean0"):
-            assert summary["methods"][method]["unevaluated_categories"] == ["X"]
-            assert summary["methods"][method]["n_top"] == 1
-        assert main(["scale", "--input", str(path), "--method", "mean",
-                     "--out", str(tmp_path / "s")]) == 0
-        skipped = (tmp_path / "s" / "skipped_mean.csv").read_text().splitlines()
-        assert skipped == ["category,year,n_records,reason", "X,2000,10,overflow"]
+    def test_counts_beyond_int64_exit_one_and_int64_max_reports(self, tmp_path, capsys):
+        for big, code in ((2**1023, 1), (2**63 - 1, 0)):
+            counts = [big, big, *range(2, 10)]
+            rows = [(f"x{i}", 2000, "X", c) for i, c in enumerate(counts)]
+            rows += [(f"y{c}", 2000, "Y", c) for c in range(10)]
+            path = write_corpus_csv(tmp_path / f"{code}.csv", rows)
+            out = tmp_path / f"o{code}"
+            assert main(["report", "--input", str(path), "--out", str(out)]) == code
+        assert "line 2: citations is beyond the int64 range" in capsys.readouterr().err
+        assert not (tmp_path / "o1").exists()
+        for artifact in sorted((tmp_path / "o0").glob("*.json")):
+            json.loads(artifact.read_text(), parse_constant=_reject)
+        summary = json.loads((tmp_path / "o0" / "topshare_summary.json").read_text())
+        assert all(not m["unevaluated_categories"] for m in summary["methods"].values())
 
 
 METHODS = ("max", "mean", "mean0", "boxcox", "median", "median0")
@@ -642,3 +637,68 @@ class TestOnePipeline:
         assert main(["report", "--input", str(empty), "--out", str(out)]) == 1
         assert "empty" in capsys.readouterr().err
         assert not out.exists()
+
+
+_INT64_MAX = 2**63 - 1
+_COUNTS = st.sampled_from([0, 1, 3, _INT64_MAX, 2**63]) | st.integers(0, _INT64_MAX)
+_GROUP_KEYS = st.tuples(st.sampled_from("AB"), st.sampled_from([2000, 2001]))
+_ZIPF_SPECS = st.builds(
+    lambda key, n, c_max, zero_inflation, margin: CategorySpec(
+        *key, n, "zipf-with-cutoff", (1.0, c_max), zero_inflation,
+        count_scale=max(1, _INT64_MAX // c_max + margin),
+    ),
+    _GROUP_KEYS,
+    st.integers(1, 6),
+    st.integers(1, 4),
+    st.just(1 - 2**-20) | st.floats(0.0, 1.0, exclude_max=True),
+    st.integers(-2, 2),
+)
+
+
+def _report_or_exit_one(argv, out):
+    """Run ``citescale report`` and check the contract every input meets:
+    exit 0 with only finite numbers in its artifacts, or exit 1 writing
+    nothing, and no warning either way; return the exit code and stderr."""
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["report", *argv, "--out", str(out)])
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 1)
+    if code == 1:
+        assert not out.exists()
+        return code, stderr.getvalue()
+    for artifact in out.glob("*.json"):
+        json.loads(artifact.read_text(), parse_constant=_reject)
+    for artifact in out.glob("*.csv"):
+        cells = set(re.split("[,\n]", artifact.read_text().lower()))
+        assert not cells & {"nan", "inf", "-inf"}, artifact.name
+    return code, stderr.getvalue()
+
+
+class TestEveryInputReportsOrExitsOne:
+    """Small corpora and scenarios at the edge of the int64 count range."""
+
+    @settings(max_examples=80)
+    @given(st.lists(st.tuples(_GROUP_KEYS, _COUNTS), min_size=1, max_size=12))
+    def test_csv_input(self, rows):
+        rows = [(f"p{i}", year, cat, count) for i, ((cat, year), count) in enumerate(rows)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_corpus_csv(Path(tmp) / "c.csv", rows)
+            code, err = _report_or_exit_one(["--input", str(path)], Path(tmp) / "o")
+        beyond = [i for i, row in enumerate(rows) if row[3] > _INT64_MAX]
+        assert code == (1 if beyond else 0)
+        if beyond:
+            assert f"line {beyond[0] + 2}: citations is beyond the int64 range" in err
+
+    @settings(max_examples=80)
+    @given(st.lists(_ZIPF_SPECS, min_size=1, max_size=3,
+                    unique_by=lambda s: (s.category, s.year)))
+    def test_scenario_counts_near_int64_max(self, specs):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.json"
+            save_scenario(Scenario(seed=5, specs=specs), path)
+            code, err = _report_or_exit_one(["--scenario", str(path)], Path(tmp) / "o")
+        if code == 1:
+            assert err.startswith("error: spec ") and "int64 range" in err

@@ -177,8 +177,8 @@ class TestRecords:
             corpus_of([("p1", 2003, "A", -3)])
 
     def test_counts_beyond_float64_rejected(self):
-        # every score is computed in float64; grouping would overflow
-        with pytest.raises(CorpusValueError, match="float64"):
+        # counts are int64, so a count beyond float64 is beyond int64 too
+        with pytest.raises(CorpusValueError, match="citations is beyond the int64 range"):
             Corpus(["a", "b", "c"], [2000] * 3, ["X"] * 3, [10**400, 1, 2])
 
     def test_corpus_rejects_duplicate_assignment(self):
@@ -191,7 +191,7 @@ class TestRecords:
         ([("a", 2003, "A", 1), ("b", 2003, "A", -2), ("c", 2003, "A", -1)],
          1, "citations must be >= 0, got -2"),
         ([("a", 2003, "A", 1), ("b", 2**63, "A", 1)], 1, "year is beyond the int64 range"),
-        ([("a", 2003, "A", 1), ("b", 2003, "A", 10**400)], 1, "float64"),
+        ([("a", 2003, "A", 1), ("b", 2003, "A", 10**400)], 1, "is beyond the int64 range"),
         ([("a", 2003, "A", 1), ("b", 2003, "", 1)], 1, "empty category"),
         ([("a", 2003, "A", 1), ("a ", 2003, "A", 1)], 1, "pub_id 'a '"),
         # the row that repeats an earlier one is named, not the first of them
@@ -278,7 +278,7 @@ def _reads_back(text):
 
 class TestRoundTrip:
     @given(st.lists(
-        st.tuples(_CELL, st.integers(1990, 2020), _CELL, st.integers(0, 10**20)),
+        st.tuples(_CELL, st.integers(1990, 2020), _CELL, st.integers(0, 2**63 - 1)),
         min_size=1, max_size=4,
     ))
     def test_ingest_emit_ingest_identity(self, rows):
@@ -299,7 +299,7 @@ class TestRoundTrip:
     @given(
         st.lists(
             st.tuples(_READABLE, st.integers(1990, 2020), _READABLE,
-                      st.integers(0, 10**20)),
+                      st.integers(0, 2**63 - 1)),
             min_size=1, max_size=4, unique_by=lambda r: (r[0], r[2]),
         ),
         st.none() | st.tuples(st.integers(0, 3), st.sampled_from([0, 2]), _ANY_TEXT),
@@ -364,7 +364,7 @@ class TestColumns:
         st.lists(
             st.tuples(st.sampled_from(["p1", "p2", "p3", "a\x00", "a"]),
                       st.sampled_from([2003, 2007]), st.sampled_from("AB\u00e9"),
-                      st.integers(0, 10**20)),
+                      st.integers(0, 2**63 - 1)),
             min_size=1, max_size=12, unique_by=lambda r: (r[0], r[2]),
         ).flatmap(lambda rows: st.tuples(st.just(rows), st.permutations(rows)))
     )
@@ -392,23 +392,28 @@ class TestColumns:
         assert out.read_text().splitlines()[1:] == ["a,2003,A,2", "a\x00,2003,A,1"]
         assert ingest_csv(out).corpus == result.corpus
 
-    def test_counts_beyond_int64_stay_exact(self, tmp_path):
-        corpus = corpus_of([("p1", 2003, "A", 10**20 + 1), ("p2", 2003, "A", 3)])
-        assert corpus.citations.dtype == object
+    def test_counts_up_to_int64_max_stay_exact(self, tmp_path):
+        corpus = corpus_of([("p1", 2003, "A", 2**63 - 1), ("p2", 2003, "A", 3)])
+        assert corpus.citations.dtype == np.int64
         a2003 = corpus.group_slices[GroupKey("A", 2003)]
-        assert corpus.citations[a2003].tolist() == [10**20 + 1, 3]
-        assert group_records(corpus)[GroupKey("A", 2003)].tolist() == [1e20, 3.0]
+        assert corpus.citations[a2003].tolist() == [2**63 - 1, 3]
+        assert group_records(corpus)[GroupKey("A", 2003)].tolist() == [2.0**63, 3.0]
         out = tmp_path / "out.csv"
         emit_csv(corpus, out)
-        assert out.read_text().splitlines()[1] == "p1,2003,A,100000000000000000001"
-        assert corpus_of([("p1", 2003, "A", 2**62)]).citations.dtype == np.int64
+        assert out.read_text().splitlines()[1] == "p1,2003,A,9223372036854775807"
+        assert ingest_csv(out).corpus == corpus
+
+    def test_counts_beyond_int64_rejected_naming_row(self):
+        with pytest.raises(CorpusValueError, match="citations is beyond the int64 range") as exc:
+            corpus_of([("p1", 2003, "A", 2**63 - 1), ("p2", 2003, "A", 2**63)])
+        assert exc.value.row == 1
 
     @pytest.mark.parametrize("year, citations", [(2003.7, 1), (2003, 1.5), (2003, "7")])
     def test_non_integer_cells_rejected(self, year, citations):
         with pytest.raises(CorpusValueError, match="integers"):
             corpus_of([("p1", year, "A", citations)])
-        exact = corpus_of([("p1", np.int64(2003), "A", np.uint64(2**63))])
-        assert exact.citations.tolist() == [2**63]
+        with pytest.raises(CorpusValueError, match="int64 range"):
+            corpus_of([("p1", np.int64(2003), "A", np.uint64(2**63))])
 
     def test_columns_are_read_only(self):
         corpus = corpus_of([("p1", 2003, "A", 1)])
@@ -429,6 +434,7 @@ class TestFirstBadLine:
         ("p1,2003,A,-1\np2,2003,A\n", "line 2: citations"),
         ("p1,2003,A,1\n\np2,2003,A\n", "line 4: expected 4 columns"),
         ("p1,99999999999999999999,A,1\n", "line 2: year is beyond the int64 range"),
+        ("p1,2003,A,9223372036854775808\n", "line 2: citations is beyond the int64 range"),
         # a bad row is named even when a later duplicate replaces it
         ("p1,2003,A,-1\np1,2003,A,5\n", "line 2: citations must be >= 0"),
     ])
@@ -580,7 +586,7 @@ class TestSplitters:
     ], ids=["crlf", "all-quoted"])
     def test_crlf_and_quoted_copies_read_as_the_plain_file(self, tmp_path, rewrite):
         rows = [("z9", 2007, "B", 3), ("a1", 2003, "B", 0), ("m5", 2003, "A", 12),
-                ("a1", 2003, "A", 7), ("a\x00", 2003, "A", 10**20)]
+                ("a1", 2003, "A", 7), ("a\x00", 2003, "A", 2**63 - 1)]
         plain = write_corpus_csv(tmp_path / "plain.csv", rows)
         copy = tmp_path / "copy.csv"
         copy.write_text(rewrite(plain.read_text()), newline="")
