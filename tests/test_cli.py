@@ -531,19 +531,29 @@ class TestReport:
             hashes.append(manifest["content_hash"])
         assert hashes[0] == hashes[1]
 
-    def test_counts_beyond_int64_exit_one_and_int64_max_reports(self, tmp_path, capsys):
-        for big, code in ((2**1023, 1), (2**63 - 1, 0)):
-            counts = [big, big, *range(2, 10)]
-            rows = [(f"x{i}", 2000, "X", c) for i, c in enumerate(counts)]
-            rows += [(f"y{c}", 2000, "Y", c) for c in range(10)]
-            path = write_corpus_csv(tmp_path / f"{code}.csv", rows)
-            out = tmp_path / f"o{code}"
-            assert main(["report", "--input", str(path), "--out", str(out)]) == code
-        assert "line 2: citations is beyond the int64 range" in capsys.readouterr().err
-        assert not (tmp_path / "o1").exists()
-        for artifact in sorted((tmp_path / "o0").glob("*.json")):
+    @pytest.mark.parametrize("big, line", [(10**20, 14), (2**1023, 2)],
+                             ids=["1e20", "2**1023"])
+    def test_counts_beyond_int64_exit_one_naming_line(self, big, line, tmp_path, capsys):
+        rows = [(f"p{i}", 2003, "A", c) for i, c in enumerate(range(0, 24, 2))]
+        rows.insert(line - 2, ("big", 2003, "A", big))
+        rows += [(f"q{i}", 2003, "B", c) for i, c in enumerate(range(1, 13))]
+        path = write_corpus_csv(tmp_path / "big.csv", rows)
+        out = tmp_path / "o"
+        assert main(["report", "--input", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"line {line}: citations is beyond the int64 range" in err
+        assert not out.exists()
+
+    def test_int64_max_counts_report_without_nan(self, tmp_path):
+        counts = [2**63 - 1, 2**63 - 1, *range(2, 10)]
+        rows = [(f"x{i}", 2000, "X", c) for i, c in enumerate(counts)]
+        rows += [(f"y{c}", 2000, "Y", c) for c in range(10)]
+        path = write_corpus_csv(tmp_path / "max.csv", rows)
+        out = tmp_path / "o"
+        assert main(["report", "--input", str(path), "--out", str(out)]) == 0
+        for artifact in sorted(out.glob("*.json")):
             json.loads(artifact.read_text(), parse_constant=_reject)
-        summary = json.loads((tmp_path / "o0" / "topshare_summary.json").read_text())
+        summary = json.loads((out / "topshare_summary.json").read_text())
         assert all(not m["unevaluated_categories"] for m in summary["methods"].values())
 
 
