@@ -72,24 +72,23 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _fraction(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
-    return value
+def _float_in(lo: float, hi: float):
+    """Argparse type for a float in the open interval (lo, hi)."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not lo < value < hi:
+            raise argparse.ArgumentTypeError(f"must be in ({lo:g}, {hi:g}), got {text}")
+        return value
+
+    return parse
 
 
-def _positive(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
+_fraction = _float_in(0.0, 1.0)
+_positive = _float_in(0.0, math.inf)
 
 
 def _path(text: str) -> str:

@@ -27,17 +27,17 @@ uses), and each variance's logarithm is ``math.log``.
 
 A statistic can be undefined on real data (a zero median when more than half
 the group is uncited, a zero range, an all-zero group).  Undefinedness is
-data, not failure: ``fit_factors`` returns a factor set with a reason, and
-``scale_corpus`` skips those groups while accounting for them; counts below
-2**63 keep every defined score finite.
+data, not failure: ``scale_corpus`` skips those groups and lists each with
+the reason its statistic is missing; counts below 2**63 keep every defined
+score finite.
 
 Every variant is one rescaling ``c / c0`` (Radicchi, Fortunato & Castellano,
-PNAS 2008), scored as ``(T(c) * denom_den) / denom_num`` with ``T`` the
-identity for the five ratio variants.  Their divisor is kept as an exact
-integer ratio ``denom_num / denom_den``, so each score takes one rounding and
-a group whose counts are an integer multiple of another's produces
-bit-identical score multisets, which the collapse diagnostics rely on.  The
-power transform keeps ``denom_den = 1.0``, and ``t * 1.0 == t`` exactly.
+PNAS 2008), scored as ``(T(c) * den) / num`` with ``T`` the identity for the
+five ratio variants.  Their divisor is kept as an exact integer ratio
+``num / den``, so each score takes one rounding and a group whose counts are
+an integer multiple of another's produces bit-identical score multisets,
+which the collapse diagnostics rely on.  The power transform keeps
+``den = 1.0``, and ``t * 1.0 == t`` exactly.
 """
 
 from __future__ import annotations
@@ -76,26 +76,6 @@ class ScalingMethod(enum.Enum):
     BOX_COX_MEAN = "boxcox"
     MEDIAN = "median"
     MEDIAN_NO_ZERO = "median0"
-
-
-@dataclass(frozen=True)
-class ScalingFactorSet:
-    """Fitted divisor ``denom_num / denom_den`` for one (group, method) pair,
-    both sides exactly representable; ``lam`` is the power transform's
-    parameter, None for the ratio methods.
-
-    ``reason`` says why the method's statistic does not exist for this
-    group's data, and is None exactly when it does.
-    """
-
-    denom_num: float | None = None
-    denom_den: float | None = None
-    lam: float | None = None
-    reason: str | None = None
-
-    @property
-    def defined(self) -> bool:
-        return self.reason is None
 
 
 @dataclass(frozen=True)
@@ -307,45 +287,29 @@ def _fit_lambdas(vectors) -> list[float | None]:
     return lams
 
 
-def fit_factors(
-    group: GroupKey, values, method: ScalingMethod, lam: float | None = None
-) -> ScalingFactorSet:
-    """Fit one method's scaling statistic on a group's citation vector.
+_ZERO_REASON = {
+    ScalingMethod.MAX_RANGE: "zero-range",
+    ScalingMethod.MEAN: "all-zero",
+    ScalingMethod.MEAN_NO_ZERO: "no-nonzero",
+    ScalingMethod.BOX_COX_MEAN: "zero-boxcox-mean",
+    ScalingMethod.MEDIAN: "zero-median",
+    ScalingMethod.MEDIAN_NO_ZERO: "no-nonzero",
+}
 
-    For ``boxcox``, ``lam`` is the group's transform parameter if the caller
-    has already fitted it (:func:`scale_corpus` fits all of its groups in one
-    batch); otherwise it is fitted here, as one vector alone.  The ratio
-    methods ignore ``lam``.
 
-    Never raises on degenerate data; the result's ``reason`` reports
-    undefinedness instead.
-    """
-    v = np.asarray(values)
-    if v.size == 0:
-        raise EmptyGroupError(f"group {group}: empty citation vector")
-    den, fitted = 1.0, None
+def _divisor(v: np.ndarray, method: ScalingMethod) -> tuple[float, float]:
+    """A ratio method's divisor of one group as the exact pair ``(num, den)``;
+    ``num`` is 0.0 where the statistic is undefined."""
     if method is ScalingMethod.MAX_RANGE:
-        num, zero = float(v.max() - v.min()), "zero-range"
-    elif method is ScalingMethod.MEAN:
-        num, den, zero = float(v.sum()), float(v.size), "all-zero"
-    elif method is ScalingMethod.MEDIAN:
-        num, zero = _median(np.sort(v)), "zero-median"
-    elif method in (ScalingMethod.MEAN_NO_ZERO, ScalingMethod.MEDIAN_NO_ZERO):
-        nz, zero = v[v > 0], "no-nonzero"
-        if method is ScalingMethod.MEAN_NO_ZERO:
-            num, den = float(nz.sum()), float(nz.size)
-        else:
-            num = _median(np.sort(nz)) if nz.size else 0.0
-    elif method is ScalingMethod.BOX_COX_MEAN:
-        fitted = _fit_lambdas([v])[0] if lam is None else lam
-        if fitted is None:
-            return ScalingFactorSet(reason="degenerate-boxcox")
-        num, zero = float(boxcox_transform(v, fitted).mean()), "zero-boxcox-mean"
-    else:
-        raise ValueError(f"unknown scaling method {method!r}")
-    if num <= 0.0:  # counts are >= 0, so this is num == 0.0
-        return ScalingFactorSet(reason=zero)
-    return ScalingFactorSet(denom_num=num, denom_den=den, lam=fitted)
+        return float(v.max() - v.min()), 1.0
+    if method is ScalingMethod.MEAN:
+        return float(v.sum()), float(v.size)
+    if method is ScalingMethod.MEDIAN:
+        return _median(np.sort(v)), 1.0
+    nz = v[v > 0]
+    if method is ScalingMethod.MEAN_NO_ZERO:
+        return float(nz.sum()), float(nz.size)
+    return (_median(np.sort(nz)) if nz.size else 0.0), 1.0
 
 
 def scale_corpus(
@@ -354,25 +318,36 @@ def scale_corpus(
     """Score every group whose statistic is defined.
 
     ``citations`` maps each (category, year) group to its citation counts,
-    non-negative and below 2**63 as :func:`~citescale.corpus.group_records`
-    gives them.  The result holds one float64 score vector per defined
-    group, in key order, each in the order of its input counts.  Groups with
-    an undefined statistic are reported, never imputed.  For ``boxcox``
-    every group's parameter is fitted in one batch.
+    non-empty, non-negative and below 2**63 as
+    :func:`~citescale.corpus.group_records` gives them; an empty vector is an
+    :class:`~citescale.errors.EmptyGroupError` and a ``method`` that is not a
+    :class:`ScalingMethod` a ``ValueError``.  The result holds one float64
+    score vector per defined group, in key order, each in the order of its
+    input counts.  Groups with an undefined statistic are reported, never
+    imputed.  For ``boxcox`` every group's parameter is fitted in one batch.
     """
+    if not isinstance(method, ScalingMethod):
+        raise ValueError(f"unknown scaling method {method!r}")
     keys = sorted(citations)
     vectors = [np.asarray(citations[key], dtype=np.float64) for key in keys]
-    if method is ScalingMethod.BOX_COX_MEAN:
-        lams = _fit_lambdas(vectors)
-    else:
-        lams = [None] * len(keys)
+    for key, c in zip(keys, vectors):
+        if c.size == 0:
+            raise EmptyGroupError(f"group {key}: empty citation vector")
+    boxcox = method is ScalingMethod.BOX_COX_MEAN
+    lams = _fit_lambdas(vectors) if boxcox else [None] * len(keys)
     scores: dict[GroupKey, np.ndarray] = {}
     skipped: list[SkippedGroup] = []
     for key, c, lam in zip(keys, vectors, lams):
-        f = fit_factors(key, c, method, lam)
-        if f.defined:
-            t = c if f.lam is None else boxcox_transform(c, f.lam)
-            scores[key] = (t * f.denom_den) / f.denom_num
+        if not boxcox:
+            t, (num, den) = c, _divisor(c, method)
+        elif lam is None:
+            skipped.append(SkippedGroup(key, c.size, "degenerate-boxcox"))
+            continue
         else:
-            skipped.append(SkippedGroup(key, c.size, f.reason))
+            t = boxcox_transform(c, lam)
+            num, den = float(t.mean()), 1.0
+        if num <= 0.0:  # counts are >= 0, so this is num == 0.0
+            skipped.append(SkippedGroup(key, c.size, _ZERO_REASON[method]))
+        else:
+            scores[key] = (t * den) / num
     return scores, skipped

@@ -92,11 +92,12 @@ class TestErrorPaths:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_bad_top_fraction_is_usage_error(self, small_corpus_csv, tmp_path):
+    @pytest.mark.parametrize("fraction", ["1.5", "0", "1", "nan", "inf"])
+    def test_bad_top_fraction_is_usage_error(self, small_corpus_csv, tmp_path, fraction):
         with pytest.raises(SystemExit) as exc:
             main([
                 "topshare", "--input", str(small_corpus_csv),
-                "--top-fraction", "1.5", "--out", str(tmp_path / "o"),
+                "--top-fraction", fraction, "--out", str(tmp_path / "o"),
             ])
         assert exc.value.code == 2
 
@@ -665,15 +666,16 @@ _ZIPF_SPECS = st.builds(
 )
 
 
-def _report_or_exit_one(argv, out):
-    """Run ``citescale report`` and check the contract every input meets:
-    exit 0 with only finite numbers in its artifacts, or exit 1 writing
-    nothing, and no warning either way; return the exit code and stderr."""
+def _runs_or_exits_one(argv, out):
+    """Run one ``citescale`` subcommand and check the contract every input
+    meets: exit 0 with only finite numbers in its artifacts, or exit 1
+    writing nothing, and no warning either way; return the exit code and
+    stderr."""
     stderr = io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            code = main(["report", *argv, "--out", str(out)])
+            code = main([*argv, "--out", str(out)])
     assert [str(w.message) for w in caught] == []
     assert code in (0, 1)
     if code == 1:
@@ -687,16 +689,31 @@ def _report_or_exit_one(argv, out):
     return code, stderr.getvalue()
 
 
+def _report_and_scale(source, method, tmp):
+    """Exit code and stderr of ``report`` on ``source``; ``scale --method``
+    on it must exit the same way and, on exit 1, print the same error."""
+    code, err = _runs_or_exits_one(["report", *source], tmp / "report")
+    scale_code, scale_err = _runs_or_exits_one(
+        ["scale", "--method", method, *source], tmp / "scale"
+    )
+    assert scale_code == code
+    if code == 1:
+        assert scale_err == err
+    return code, err
+
+
 class TestEveryInputReportsOrExitsOne:
-    """Small corpora and scenarios at the edge of the int64 count range."""
+    """Small corpora and scenarios at the edge of the int64 count range, run
+    through ``report`` and ``scale``, which writes the per-record scores."""
 
     @settings(max_examples=80)
-    @given(st.lists(st.tuples(_GROUP_KEYS, _COUNTS), min_size=1, max_size=12))
-    def test_csv_input(self, rows):
+    @given(st.lists(st.tuples(_GROUP_KEYS, _COUNTS), min_size=1, max_size=12),
+           st.sampled_from(METHODS))
+    def test_csv_input(self, rows, method):
         rows = [(f"p{i}", year, cat, count) for i, ((cat, year), count) in enumerate(rows)]
         with tempfile.TemporaryDirectory() as tmp:
             path = write_corpus_csv(Path(tmp) / "c.csv", rows)
-            code, err = _report_or_exit_one(["--input", str(path)], Path(tmp) / "o")
+            code, err = _report_and_scale(["--input", str(path)], method, Path(tmp))
         beyond = [i for i, row in enumerate(rows) if row[3] > _INT64_MAX]
         assert code == (1 if beyond else 0)
         if beyond:
@@ -704,11 +721,12 @@ class TestEveryInputReportsOrExitsOne:
 
     @settings(max_examples=80)
     @given(st.lists(_ZIPF_SPECS, min_size=1, max_size=3,
-                    unique_by=lambda s: (s.category, s.year)))
-    def test_scenario_counts_near_int64_max(self, specs):
+                    unique_by=lambda s: (s.category, s.year)),
+           st.sampled_from(METHODS))
+    def test_scenario_counts_near_int64_max(self, specs, method):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "s.json"
             save_scenario(Scenario(seed=5, specs=specs), path)
-            code, err = _report_or_exit_one(["--scenario", str(path)], Path(tmp) / "o")
+            code, err = _report_and_scale(["--scenario", str(path)], method, Path(tmp))
         if code == 1:
             assert err.startswith("error: spec ") and "int64 range" in err

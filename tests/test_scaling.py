@@ -23,7 +23,6 @@ from citescale.scaling import (
     _grid_candidates,
     _Packed,
     boxcox_transform,
-    fit_factors,
     scale_corpus,
 )
 
@@ -112,14 +111,20 @@ def assert_fit_equals_reference(values):
         assert _fit_lambdas([values])[0] == reference_fit_lambda(values)
 
 
-def divisor(factors):
-    return factors.denom_num / factors.denom_den
-
-
 def scores(values, method):
     """One group's score vector, or None where the statistic is undefined."""
     scored, _ = scale_corpus({A03: values}, method)
     return scored.get(A03)
+
+
+def scored_or_skipped(values, method):
+    """One group's score list and skip reason; exactly one of them is None."""
+    scored, skipped = scale_corpus({A03: values}, method)
+    if not skipped:
+        return scored[A03].tolist(), None
+    (skip,) = skipped
+    assert A03 not in scored and skip.group == A03 and skip.n_records == len(values)
+    return None, skip.reason
 
 
 def exact_divisor(values, method):
@@ -148,50 +153,64 @@ def exact_divisor(values, method):
 
 
 class TestFitFactors:
+    """Each method's divisor d of one group, pinned through its scores, or
+    the reason the group is skipped where d is undefined."""
+
     def test_median_undefined_with_majority_zeros(self):
-        factors = fit_factors(A03, [0, 0, 0, 4], ScalingMethod.MEDIAN)
-        assert not factors.defined
-        assert factors.reason == "zero-median"
+        got = scored_or_skipped([0, 0, 0, 4], ScalingMethod.MEDIAN)
+        assert got == (None, "zero-median")
 
     def test_median_defined_at_exactly_half_zeros(self):
-        factors = fit_factors(A03, [0, 0, 4, 4], ScalingMethod.MEDIAN)
-        assert factors.defined and divisor(factors) == 2.0
+        got = scored_or_skipped([0, 0, 4, 4], ScalingMethod.MEDIAN)
+        assert got == ([0.0, 0.0, 2.0, 2.0], None)  # d = 2
 
     def test_constant_mean(self):
-        factors = fit_factors(A03, [9, 9, 9], ScalingMethod.MEAN)
-        assert factors.defined and divisor(factors) == 9.0
+        got = scored_or_skipped([9, 9, 9], ScalingMethod.MEAN)
+        assert got == ([1.0, 1.0, 1.0], None)  # d = 9
 
     def test_mean_no_zero_small_vector(self):
-        factors = fit_factors(A03, [0, 1, 2, 5, 12], ScalingMethod.MEAN_NO_ZERO)
-        assert factors.defined and divisor(factors) == 5.0
+        got = scored_or_skipped([0, 1, 2, 5, 12], ScalingMethod.MEAN_NO_ZERO)
+        assert got == ([0.0, 0.2, 0.4, 1.0, 2.4], None)  # d = 5
 
     def test_max_range_constant_undefined(self):
-        factors = fit_factors(A03, [9, 9, 9], ScalingMethod.MAX_RANGE)
-        assert not factors.defined and factors.reason == "zero-range"
+        got = scored_or_skipped([9, 9, 9], ScalingMethod.MAX_RANGE)
+        assert got == (None, "zero-range")
 
     def test_max_range_positive_minimum(self):
-        factors = fit_factors(A03, [2, 6, 10], ScalingMethod.MAX_RANGE)
-        assert factors.defined and divisor(factors) == 8.0
+        got = scored_or_skipped([2, 6, 10], ScalingMethod.MAX_RANGE)
+        assert got == ([0.25, 0.75, 1.25], None)  # d = 8
 
     def test_all_zero_group(self):
-        for method in RATIO_METHODS:
-            assert not fit_factors(A03, [0, 0, 0], method).defined
-        assert not fit_factors(A03, [0, 0, 0], ScalingMethod.BOX_COX_MEAN).defined
+        reasons = {m: scored_or_skipped([0, 0, 0], m)[1] for m in ScalingMethod}
+        assert reasons == {
+            ScalingMethod.MAX_RANGE: "zero-range",
+            ScalingMethod.MEAN: "all-zero",
+            ScalingMethod.MEAN_NO_ZERO: "no-nonzero",
+            ScalingMethod.BOX_COX_MEAN: "degenerate-boxcox",
+            ScalingMethod.MEDIAN: "zero-median",
+            ScalingMethod.MEDIAN_NO_ZERO: "no-nonzero",
+        }
 
     def test_boxcox_degenerate_is_data_not_failure(self):
-        factors = fit_factors(A03, [9, 9, 9], ScalingMethod.BOX_COX_MEAN)
-        assert not factors.defined and factors.reason == "degenerate-boxcox"
+        got = scored_or_skipped([9, 9, 9], ScalingMethod.BOX_COX_MEAN)
+        assert got == (None, "degenerate-boxcox")
 
     def test_boxcox_defined(self):
-        factors = fit_factors(A03, [0, 1, 2, 5, 12, 40], ScalingMethod.BOX_COX_MEAN)
-        assert factors.defined
-        assert -3.0 <= factors.lam <= 3.0
-        t = boxcox_transform([0, 1, 2, 5, 12, 40], factors.lam)
-        assert factors.denom_num == float(t.mean()) > 0 and factors.denom_den == 1.0
+        values = [0, 1, 2, 5, 12, 40]
+        lam = _fit_lambdas([values])[0]
+        assert -3.0 <= lam <= 3.0
+        t = boxcox_transform(values, lam)
+        d = float(t.mean())
+        assert d > 0
+        got = scored_or_skipped(values, ScalingMethod.BOX_COX_MEAN)
+        assert got == ((t / d).tolist(), None)
 
-    def test_empty_vector(self):
-        with pytest.raises(EmptyGroupError):
-            fit_factors(A03, [], ScalingMethod.MEAN)
+    def test_empty_vector(self, monkeypatch):
+        # raised before any fit, naming the group, under every method
+        monkeypatch.setattr(scaling, "_fit_lambdas", None)
+        for method in ScalingMethod:
+            with pytest.raises(EmptyGroupError, match="group A/2003: empty"):
+                scale_corpus({A03: [], GroupKey("B", 2003): [1, 2, 3]}, method)
 
 
 class TestScale:
@@ -205,7 +224,6 @@ class TestScale:
 
     def test_mean_scaling_small_vector(self):
         values = [0, 1, 2, 5, 12]
-        assert divisor(fit_factors(A03, values, ScalingMethod.MEAN)) == 4.0
         assert scores(values, ScalingMethod.MEAN)[4] == 3.0
 
     def test_pinned_six_record_corpus_all_methods(self):
@@ -227,9 +245,9 @@ class TestScale:
 
     def test_boxcox_matches_transform_ratio(self):
         values = [0, 1, 2, 5, 12, 40]
-        factors = fit_factors(A03, values, ScalingMethod.BOX_COX_MEAN)
-        t = boxcox_transform(values, factors.lam)
-        expected = float(boxcox_transform(5, factors.lam)) / float(t.mean())
+        lam = _fit_lambdas([values])[0]
+        t = boxcox_transform(values, lam)
+        expected = float(boxcox_transform(5, lam)) / float(t.mean())
         got = scores(values, ScalingMethod.BOX_COX_MEAN)[3]
         assert got == pytest.approx(expected, rel=1e-15)
 
@@ -245,16 +263,34 @@ class TestScale:
         # (T(c) * den) / num with T the identity, or with den == 1.0 for the
         # power transform, gives the bytes of the two per-method formulas
         c = np.array(values, dtype=np.float64)
+        nz = c[c > 0]
+        den = 1.0
         with np.errstate(all="ignore"):
             scored, _ = scale_corpus({A03: c}, method)
-            f = fit_factors(A03, c, method)
-            if not f.defined:
+            if method is ScalingMethod.BOX_COX_MEAN:
+                lam = _fit_lambdas([c])[0]
+                if lam is None:
+                    assert A03 not in scored
+                    return
+                t = np.log1p(c) if lam == 0.0 else np.expm1(lam * np.log1p(c)) / lam
+                num = float(t.mean())
+            elif method is ScalingMethod.MAX_RANGE:
+                num = float(c.max() - c.min())
+            elif method is ScalingMethod.MEAN:
+                num, den = float(c.sum()), float(c.size)
+            elif method is ScalingMethod.MEAN_NO_ZERO:
+                num, den = float(nz.sum()), float(nz.size)
+            elif method is ScalingMethod.MEDIAN:
+                num = float(np.median(c))
+            else:
+                num = float(np.median(nz)) if nz.size else 0.0
+            if num <= 0.0:
                 assert A03 not in scored
                 return
             if method is ScalingMethod.BOX_COX_MEAN:
-                want = boxcox_transform(c, f.lam) / f.denom_num
+                want = t / num
             else:
-                want = (c * f.denom_den) / f.denom_num
+                want = (c * den) / num
         assert scored[A03].tobytes() == want.tobytes()
 
 
@@ -569,3 +605,27 @@ class TestScaleCorpus:
     def test_counts_near_int64_max_score(self):
         aii = scores([0, 2**61, 3 * 2**61], ScalingMethod.MEAN)
         assert aii.tolist() == [0.0, 0.75, 2.25]
+
+    @pytest.mark.parametrize(
+        "citations", [{}, {A03: [1, 2, 3]}], ids=["no-groups", "one-group"]
+    )
+    @pytest.mark.parametrize("method", ["bogus", "mean", None])
+    def test_unknown_method_is_value_error(self, citations, method):
+        with pytest.raises(ValueError, match="unknown scaling method"):
+            scale_corpus(citations, method)
+
+    def test_boxcox_transforms_each_scored_group_once(self, monkeypatch):
+        calls = []
+
+        def counting(c, lam):
+            calls.append(len(c))
+            return boxcox_transform(c, lam)
+
+        monkeypatch.setattr(scaling, "boxcox_transform", counting)
+        scored, skipped = scale_corpus({
+            GroupKey("A", 2003): [0, 1, 2, 5, 12, 40],
+            GroupKey("B", 2003): [9, 9, 9],
+            GroupKey("C", 2003): [0, 3, 3, 7],
+        }, ScalingMethod.BOX_COX_MEAN)
+        assert [s.reason for s in skipped] == ["degenerate-boxcox"]
+        assert sorted(calls) == sorted(v.size for v in scored.values()) == [4, 6]
