@@ -35,8 +35,9 @@ import hashlib
 import json
 import math
 import sys
+from collections import Counter
 from datetime import datetime, timezone
-from itertools import repeat
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +55,7 @@ from .errors import CitescaleError, EmptyCorpusError
 from .gof import DEFAULT_THRESHOLD, ad_lognormal
 from .scaling import ScalingMethod, scale_corpus
 from .stats import describe
-from .survival import binned_survival, collapse_metrics, log_binned_thresholds
+from .survival import collapse_metrics, survival_curves
 from .topshare import DEFAULT_TOP_FRACTION, top_share
 from .synth import generate, load_scenario, prng_metadata
 
@@ -171,18 +172,16 @@ def _write_survival(args, out: Path, corpus, raw, scored) -> list[Path]:
     """Curves and collapse metrics of the raw counts and of each method."""
     paths = []
     for name, vectors, _ in _named(raw, scored):
-        thresholds = log_binned_thresholds(vectors.values())
-        values = thresholds.tolist()
-        rows: list[tuple] = []
-        for key, v in vectors.items():
-            probs = binned_survival(v, thresholds).tolist()
-            rows += zip(repeat(key.category), repeat(key.year), values, probs)
+        thresholds, probs = survival_curves(vectors)
+        # each row is "category,year," + "value," + prob, each part formatted once
+        prefixes = ["%s,%d," % (key.category, key.year) for key in vectors]
+        values = ["%.10g," % t for t in thresholds.tolist()]
         paths.append(out / f"survival_{name}.csv")
         write_csv(
             paths[-1],
             ("category", "year", "value", "prob"),
-            "%s,%d,%.10g,%.10g\n",
-            rows,
+            "%s%.10g\n",
+            zip(map("".join, product(prefixes, values)), probs.ravel().tolist()),
         )
         paths.append(out / f"collapse_{name}.json")
         report = collapse_metrics(vectors)
@@ -241,12 +240,12 @@ def _write_gof(args, out: Path, corpus, raw, scored) -> list[Path]:
              rep.sigma_hat, rep.a_squared, rep.a_squared_star, rep.p_bracket)
             for key, rep in reports.items()
         )
-        if skipped:
-            print(
-                f"note: {len(skipped)} groups below the minimum sample for "
-                f"gof_{method.value}",
-                file=sys.stderr,
-            )
+        reasons = Counter(sk.reason for sk in skipped)
+        for reason, what in (("too-few-values", "below the minimum sample"),
+                             ("all-values-equal", "with all values equal")):
+            if reasons[reason]:
+                print(f"note: {reasons[reason]} groups {what} for gof_{method.value}",
+                      file=sys.stderr)
         paths.append(out / f"gof_{method.value}.csv")
         write_csv(
             paths[-1], GOF_HEADER, "%s,%d,%d,%.10g,%.10g,%.10g,%.10g,%.10g,%s\n", rows

@@ -26,7 +26,7 @@ import operator
 import re
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,7 @@ from .errors import (
 )
 
 CSV_HEADER = ("pub_id", "year", "category", "citations")
+_CSV_BLOCK_ROWS = 1 << 15  # rows formatted, joined and written at a time
 # A comma, double quote or line break breaks an unquoted cell; a lone
 # surrogate cannot be written as UTF-8.
 _UNREADABLE = re.compile('[,"\r\n\ud800-\udfff]')
@@ -284,10 +285,16 @@ def ingest_csv(path: str | Path, strict: bool = False) -> IngestResult:
 
 def write_csv(path: str | Path, header, template: str, rows) -> None:
     """Write the comma-joined header, then ``template % row`` for each row
-    (``%.10g`` formats a float as ``format(x, '.10g')`` does)."""
-    body = "".join(map(template.__mod__, rows))
+    (``%.10g`` formats a float as ``format(x, '.10g')`` does).
+
+    Rows are joined and written ``_CSV_BLOCK_ROWS`` at a time, so the text
+    of the whole file is never held at once.
+    """
+    lines = map(template.__mod__, rows)
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n" + body)
+        fh.write(",".join(header) + "\n")
+        while block := "".join(islice(lines, _CSV_BLOCK_ROWS)):
+            fh.write(block)
 
 
 def emit_csv(corpus: Corpus, path: str | Path) -> None:

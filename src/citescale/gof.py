@@ -16,11 +16,20 @@ approximation-dependent.
 The threshold filter is applied before fitting, with no truncated-likelihood
 correction; the fit therefore describes the surviving values only.
 
-:func:`ad_lognormal` tests every group of one method at once: each group is
-fitted and summed on its own, and only the normal log-CDF, :func:`log_ndtr`,
-runs once over the standardized logs of all groups.  ``log_ndtr`` is plain
-numpy, from the rational approximations of erf and erfc in Cephes
-``ndtr.c`` (S. L. Moshier, after W. J. Cody, Math. Comp. 23, 1969).
+:func:`ad_lognormal` tests every group of one method at once, with no loop
+over the groups.  The scores are laid out as in
+:class:`citescale.stats._Sorted`, each group's values sorted and all groups
+end to end, so a group's surviving values stay one sorted run.  Their logs
+go in segments that each start with a 0.0 slot (the log of a 1.0): on such a
+segment ``np.add.reduceat`` gives bit for bit the ``np.add.reduce`` of the
+values alone, which ``mean``, ``std`` and ``sum`` use, so the mean, the n-1
+standard deviation and the A-squared sum of every group come from three
+``reduceat`` calls, as in ``scaling._batch_var``.  The reversed order
+statistics that A-squared pairs are read through one mirrored index, and
+the normal log-CDF, :func:`log_ndtr`, runs twice over all groups' values.
+``log_ndtr`` is plain numpy, from the rational approximations of erf and
+erfc in Cephes ``ndtr.c`` (S. L. Moshier, after W. J. Cody, Math. Comp. 23,
+1969).
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ import numpy as np
 
 from .corpus import GroupKey
 from .scaling import SkippedGroup
+from .stats import _Sorted
 
 DEFAULT_THRESHOLD = 0.1
 MIN_SAMPLE = 8
@@ -138,35 +148,70 @@ def ad_lognormal(
     naming the group.  A group's report depends on its values alone, not on
     their order or on the other groups.
     """
-    skipped: list[SkippedGroup] = []
-    fits = []
-    for key, values in scores.items():
-        v = np.asarray(values, dtype=np.float64)
-        used = np.sort(v[v >= threshold])
-        if used.size < MIN_SAMPLE:
-            skipped.append(SkippedGroup(key, v.size, "too-few-values"))
-            continue
-        if used[0] <= 0.0:
-            raise ValueError(f"group {key}: values must be positive after thresholding")
-        logs = np.log(used)
-        mu = float(logs.mean())
-        sigma = float(logs.std(ddof=1))
-        if sigma == 0.0:
-            skipped.append(SkippedGroup(key, v.size, "all-values-equal"))
-            continue
-        fits.append((key, mu, sigma, (logs - mu) / sigma))
-    z = np.concatenate([fit[3] for fit in fits]) if fits else np.empty(0)
+    keys = list(scores)
+    seg = _Sorted(scores.values())
+    group = np.repeat(np.arange(len(keys)), seg.size)
+    used = seg.values >= threshold
+    n_used = np.bincount(group[used], minlength=len(keys))
+    tested = n_used >= MIN_SAMPLE
+    used &= tested[group]
+    del group
+    values = seg.values[used]  # each tested group's surviving values, sorted
+    n = n_used[tested]
+    first = np.cumsum(n) - n
+    low = values[first] <= 0.0
+    if low.any():
+        key = keys[np.flatnonzero(tested)[np.argmax(low)]]
+        raise ValueError(f"group {key}: values must be positive after thresholding")
+    # each segment led by the log of a 1.0 slot, so reduceat sums equal reduce
+    logs = np.insert(values, first, 1.0)
+    del values
+    np.log(logs, out=logs)
+    lens = n + 1
+    lead = first + np.arange(n.size)
+    mu = np.add.reduceat(logs, lead) / n
+    dev = np.repeat(mu, lens)
+    np.subtract(logs, dev, out=dev)
+    dev *= dev
+    dev[lead] = 0.0
+    sigma = np.sqrt(np.add.reduceat(dev, lead) / (n - 1))  # std(ddof=1)
+    del dev
+    flat = np.zeros(len(keys), dtype=bool)  # tested, but every value equal
+    flat[tested] = sigma == 0.0
+
+    keep = sigma != 0.0
+    z = logs[np.repeat(keep, lens)]
+    del logs
+    mu, sigma, n, lens = mu[keep], sigma[keep], n[keep], lens[keep]
+    lead = np.cumsum(lens) - lens
+    z -= np.repeat(mu, lens)
+    z /= np.repeat(sigma, lens)
+    z[lead] = 0.0
     log_cdf = log_ndtr(z)  # log Phi(z)
-    log_sf = log_ndtr(-z)  # log(1 - Phi(z)), one pass each over every group
+    np.negative(z, out=z)
+    terms = log_ndtr(z)  # log(1 - Phi(z)), one pass each over every group
+    del z
+    mirror = np.repeat(2 * lead + lens, lens)  # i-th value <-> (n + 1 - i)-th
+    mirror -= np.arange(mirror.size)
+    mirror[lead] = lead
+    terms = terms[mirror]
+    terms += log_cdf
+    del log_cdf, mirror
+    i = np.arange(terms.size) - np.repeat(lead, lens)  # 1 at a group's first value
+    terms *= 2.0 * i - 1.0
+    terms[lead] = 0.0
+    a2 = -n - np.add.reduceat(terms, lead) / n
+    a2_star = a2 * (1.0 + 0.75 / n + 2.25 / n**2)
+
+    fitted = zip(n.tolist(), mu.tolist(), sigma.tolist(), a2.tolist(), a2_star.tolist())
     reports: dict[GroupKey, GofReport] = {}
-    end = 0
-    for key, mu, sigma, zk in fits:
-        n = zk.size
-        part = slice(end, end + n)
-        end += n
-        i = np.arange(1, n + 1, dtype=np.float64)
-        terms = (2.0 * i - 1.0) * (log_cdf[part] + log_sf[part][::-1])
-        a2 = -n - float(terms.sum()) / n
-        a2_star = a2 * (1.0 + 0.75 / n + 2.25 / n**2)
-        reports[key] = GofReport(n, threshold, mu, sigma, a2, a2_star, p_bracket(a2_star))
+    skipped: list[SkippedGroup] = []
+    for key, size, ok, equal in zip(keys, seg.size.tolist(), tested.tolist(), flat.tolist()):
+        if not ok:
+            skipped.append(SkippedGroup(key, size, "too-few-values"))
+        elif equal:
+            skipped.append(SkippedGroup(key, size, "all-values-equal"))
+        else:
+            n_k, mu_k, sigma_k, a2_k, star = next(fitted)
+            reports[key] = GofReport(n_k, threshold, mu_k, sigma_k, a2_k, star, p_bracket(star))
     return reports, skipped

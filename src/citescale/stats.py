@@ -18,7 +18,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -98,3 +98,24 @@ def describe(values: Sequence[int] | np.ndarray) -> GroupStats:
         mean_nonzero=mean_nonzero,
         median_nonzero=median_nonzero,
     )
+
+
+class _Sorted:
+    """Many groups' values, each group's sorted and all laid end to end:
+    group ``g`` holds ``values[first[g] : first[g] + size[g]]``.
+
+    The diagnostics build it with one in-place sort per group and then work
+    on the whole arrays: a group's k-th smallest value, its count below a
+    threshold or its values above one are then found for every group at
+    once, with no loop over the groups.
+    """
+
+    __slots__ = ("values", "first", "size")
+
+    def __init__(self, vectors: Iterable) -> None:
+        parts = [np.asarray(v, dtype=np.float64) for v in vectors]
+        self.size = np.array([p.size for p in parts], dtype=np.intp)
+        self.values = np.concatenate(parts) if parts else np.empty(0)
+        self.first = np.cumsum(self.size) - self.size
+        for start, stop in zip(self.first.tolist(), (self.first + self.size).tolist()):
+            self.values[start:stop].sort()

@@ -14,6 +14,18 @@ both computed straight from the per-group score vectors:
 
 Curve data for external plotting is emitted on a shared grid of 25
 log-spaced thresholds; no figure rendering happens here.
+
+Every group is handled at once, with no loop over the groups.  The scores
+are laid out as in :class:`citescale.stats._Sorted`: each group's values
+sorted, all groups end to end, with each group's ``first`` element and
+``size``.  A group's CDF on the shared grid of every distinct value only
+steps at its runs of equal values, and the envelope of all groups' CDFs is
+a running minimum and a running maximum over those runs in value order
+(:func:`_max_ks`), so its memory grows with the number of scores, not with
+groups times grid.  Every CDF value is ``1 - (n - k) / n`` of an integer
+count ``k``: the report bytes are pinned to this form, and the algebraically
+equal ``k / n`` rounds differently.  The quantiles and the curve counts come
+from the same layout.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ import numpy as np
 
 from .corpus import GroupKey
 from .errors import EmptyGroupError
+from .stats import _Sorted
 
 QUANTILES = (0.5, 0.75, 0.9, 0.95, 0.99)
 N_PLOT_BINS = 25
@@ -49,15 +62,57 @@ class CollapseReport:
     quantile_dispersion: tuple[QuantileDispersion, ...]
 
 
-def _cdf(sorted_values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Empirical CDF of a sorted sample at each threshold.
+def _max_ks(seg: _Sorted) -> float:
+    """The largest gap between any two groups' CDFs on the grid of every
+    distinct value, ``max_t (max_g F_g(t) - min_g F_g(t))``.
 
-    Written as one minus the survival fraction Pr(X > t): the algebraically
-    equal ``#(X <= t) / n`` rounds differently, and the report bytes are
-    pinned to this form.
+    ``F_g(t) = 1 - a_g(t)`` with ``a_g(t) = #(x > t) / n``, and ``1 - a`` is
+    monotone in ``a``, so ``max_g F_g = 1 - min_g a_g`` and ``min_g F_g =
+    1 - max_g a_g``, float for float.  Each ``a_g`` only falls, at the runs
+    of equal values in its sorted segment: ``min_g a_g(t)`` is the running
+    minimum, in value order, of the ``a`` after each run at or below t, and
+    ``max_g a_g(t)`` the running maximum from the top of the ``a`` before
+    each run above t.  One sort of the runs gives both for every t.
     """
-    n = sorted_values.size
-    return 1.0 - (n - np.searchsorted(sorted_values, thresholds, side="right")) / n
+    v = seg.values
+    new = np.ones(v.size, dtype=bool)  # first value of a run of equal values
+    np.not_equal(v[1:], v[:-1], out=new[1:])
+    new[seg.first] = True
+    start = np.flatnonzero(new)
+    group = np.searchsorted(seg.first, start, side="right") - 1
+    n, end = seg.size[group], (seg.first + seg.size)[group]
+    after = (end - np.append(start[1:], v.size)) / n  # a_g(t) from the run on
+    before = (end - start) / n  # a_g(t) just below the run
+    x = v[start]
+    order = np.argsort(x, kind="stable")
+    x, after, before = x[order], after[order], before[order]
+    last = np.flatnonzero(np.append(x[1:] != x[:-1], True))  # of each grid value
+    low = np.minimum.accumulate(after)[last]
+    np.maximum.accumulate(before[::-1], out=before[::-1])
+    high = np.append(before[last[:-1] + 1], 0.0)
+    return float(((1.0 - low) - (1.0 - high)).max())
+
+
+def _quantile_values(seg: _Sorted) -> np.ndarray:
+    """Each group's order-statistic quantile at each of ``QUANTILES``: its
+    smallest value whose CDF is at least q, one row per q.
+
+    At a group's i-th smallest value, ``1 - (n - i) / n`` is monotone in i,
+    so the number of i whose CDF is below q is the index of the quantile (a
+    tied value's CDF counts all its ties, but the first of them is still the
+    first to reach q).  That CDF lies within 3 * 2**-53 of ``i / n``, so
+    every i below ``q * n - 1`` counts and none above ``q * n + 1`` does:
+    only the few i in between are evaluated.
+    """
+    n = seg.size
+    rows = []
+    for q in QUANTILES:
+        near = np.ceil(q * n).astype(np.intp)  # ceil(q n), off by at most 1
+        below = np.clip(near - 3, 0, n)
+        for i in (near - 2, near - 1, near, near + 1):
+            below += (i >= 1) & (1.0 - (n - i) / n < q)
+        rows.append(seg.values[seg.first + below])
+    return np.array(rows)
 
 
 def collapse_metrics(vectors: Mapping[GroupKey, np.ndarray]) -> CollapseReport:
@@ -68,32 +123,17 @@ def collapse_metrics(vectors: Mapping[GroupKey, np.ndarray]) -> CollapseReport:
     zeros.  Fewer than two groups leave nothing to compare: the report then
     has no KS statistic and no quantile dispersion.
     """
-    samples = []
-    for key, values in vectors.items():
-        v = np.sort(np.asarray(values, dtype=np.float64))
-        if v.size == 0:
-            raise EmptyGroupError(f"group {key}: empty score vector")
-        samples.append(v)
-    if len(samples) < 2:
-        return CollapseReport(len(samples), None, ())
-    grid = np.unique(np.concatenate(samples))
-
-    hi = np.zeros_like(grid)
-    lo = np.ones_like(grid)
-    qvals = np.empty((len(QUANTILES), len(samples)))
-    for g, v in enumerate(samples):
-        cdf = _cdf(v, grid)
-        np.maximum(hi, cdf, out=hi)
-        np.minimum(lo, cdf, out=lo)
-        # order-statistic quantile: smallest distinct value with CDF >= q
-        distinct = v[np.concatenate(([True], v[1:] != v[:-1]))]
-        idx = np.searchsorted(_cdf(v, distinct), QUANTILES, side="left")
-        qvals[:, g] = distinct[np.minimum(idx, distinct.size - 1)]
+    keys = list(vectors)
+    seg = _Sorted(vectors.values())
+    if not seg.size.all():
+        raise EmptyGroupError(f"group {keys[int(np.argmin(seg.size))]}: empty score vector")
+    if len(keys) < 2:
+        return CollapseReport(len(keys), None, ())
     # sup over pairs of sup_t |F_i - F_j| = sup_t (max_i F_i(t) - min_i F_i(t))
-    max_ks = float((hi - lo).max())
+    max_ks = _max_ks(seg)
 
     dispersions = []
-    for q, row in zip(QUANTILES, qvals):
+    for q, row in zip(QUANTILES, _quantile_values(seg)):
         positive = row[row > 0]
         n_excluded = int(row.size - positive.size)
         if positive.size == 0:
@@ -110,7 +150,7 @@ def collapse_metrics(vectors: Mapping[GroupKey, np.ndarray]) -> CollapseReport:
             )
         )
     return CollapseReport(
-        n_curves=len(samples),
+        n_curves=len(keys),
         max_pairwise_ks=max_ks,
         quantile_dispersion=tuple(dispersions),
     )
@@ -135,8 +175,26 @@ def log_binned_thresholds(samples: Iterable[Sequence[float] | np.ndarray]) -> np
     return np.geomspace(lo, hi, N_PLOT_BINS)
 
 
-def binned_survival(values, thresholds: np.ndarray) -> np.ndarray:
-    """Pr(X >= t) for each threshold t, for plotting on the shared grid."""
-    v = np.sort(np.asarray(values, dtype=np.float64))
-    idx = np.searchsorted(v, thresholds, side="left")
-    return (v.size - idx) / v.size
+def survival_curves(
+    vectors: Mapping[GroupKey, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The shared plotting thresholds of :func:`log_binned_thresholds`, and
+    Pr(X >= t) at each of them: one row per group, in the order of
+    ``vectors``.
+
+    One ``searchsorted`` of every value into the thresholds and one
+    ``bincount`` count, for every group at once, how many thresholds each
+    value reaches.
+    """
+    seg = _Sorted(vectors.values())
+    thresholds = log_binned_thresholds((seg.values,))
+    # np.geomspace is not monotone when its ends lie a few ulps apart
+    ranked = np.sort(thresholds)
+    cells = ranked.size + 1
+    reached = np.searchsorted(ranked, seg.values, side="right")
+    reached += np.repeat(np.arange(seg.size.size) * cells, seg.size)
+    counts = np.bincount(reached, minlength=seg.size.size * cells)
+    counts = counts.reshape(seg.size.size, cells)
+    at_least = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]  # [:, j]: #(x >= ranked[j - 1])
+    at_least = at_least[:, 1 + np.searchsorted(ranked, thresholds)]
+    return thresholds, at_least / seg.size[:, None]

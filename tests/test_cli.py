@@ -532,6 +532,23 @@ class TestReport:
             hashes.append(manifest["content_hash"])
         assert hashes[0] == hashes[1]
 
+    def test_method_that_skips_every_group_writes_empty_diagnostics(self, tmp_path):
+        # every group is 80 % uncited, so median skips all six
+        specs = tuple(
+            CategorySpec(f"Z{c}", year, 30, "discretized-lognormal", (1.0, 1.0), 0.8)
+            for c in range(3) for year in (2001, 2002)
+        )
+        save_scenario(Scenario(seed=5, specs=specs), tmp_path / "s.json")
+        out = tmp_path / "o"
+        assert main(["report", "--scenario", str(tmp_path / "s.json"),
+                     "--out", str(out)]) == 0
+        assert (out / "collapse_median.json").read_text() == (
+            '{\n  "max_pairwise_ks": null,\n  "method": "median",\n'
+            '  "n_curves": 0,\n  "quantile_dispersion": []\n}\n'
+        )
+        assert (out / "survival_median.csv").read_text() == "category,year,value,prob\n"
+        assert json.loads((out / "collapse_raw.json").read_text())["n_curves"] == 6
+
     @pytest.mark.parametrize("big, line", [(10**20, 14), (2**1023, 2)],
                              ids=["1e20", "2**1023"])
     def test_counts_beyond_int64_exit_one_naming_line(self, big, line, tmp_path, capsys):
@@ -619,6 +636,20 @@ class TestOnePipeline:
             assert main(["gof", "--input", str(path), "--method", m,
                          "--out", str(tmp_path / m)]) == 0
             assert capsys.readouterr().err == note + "\n"
+
+    def test_gof_notes_count_each_skip_reason(self, tmp_path, capsys):
+        rows = [(f"e{i}", 2003, "E", 5) for i in range(10)]  # all equal
+        rows += [(f"s{i}", 2003, "S", i) for i in range(12)]
+        rows += [(f"f{i}", 2003, "F", i) for i in (1, 2, 3)]  # too few
+        path = write_corpus_csv(tmp_path / "c.csv", rows)
+        assert main(["report", "--input", str(path), "--out", str(tmp_path / "r")]) == 0
+        few = "note: 1 groups below the minimum sample for gof_{}"
+        equal = "note: 1 groups with all values equal for gof_{}"
+        # max and boxcox skip E before the test: zero range, degenerate fit
+        assert capsys.readouterr().err.splitlines() == [
+            note.format(m) for m in METHODS
+            for note in ((few,) if m in ("max", "boxcox") else (few, equal))
+        ]
 
     @pytest.mark.parametrize("flag", ["--input", "--scenario", "--out"],
                              ids=lambda flag: flag[2:])

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citescale.corpus import (
+    _CSV_BLOCK_ROWS,
     _PAD,
     CSV_HEADER,
     Corpus,
@@ -18,6 +19,7 @@ from citescale.corpus import (
     emit_csv,
     group_records,
     ingest_csv,
+    write_csv,
 )
 from citescale.errors import (
     CitescaleError,
@@ -277,6 +279,17 @@ def _reads_back(text):
 
 
 class TestRoundTrip:
+    @pytest.mark.parametrize("n_rows", [
+        0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
+        2 * _CSV_BLOCK_ROWS + 7,
+    ])
+    def test_write_csv_in_blocks_is_the_whole_text(self, n_rows, tmp_path):
+        rows = [(f"p{i}", 2000 + i % 9, "C", i * 0.37) for i in range(n_rows)]
+        template = "%s,%d,%s,%.10g\n"
+        write_csv(tmp_path / "out.csv", CSV_HEADER, template, iter(rows))
+        want = ",".join(CSV_HEADER) + "\n" + "".join(template % row for row in rows)
+        assert (tmp_path / "out.csv").read_bytes() == want.encode("utf-8")
+
     @given(st.lists(
         st.tuples(_CELL, st.integers(1990, 2020), _CELL, st.integers(0, 2**63 - 1)),
         min_size=1, max_size=4,

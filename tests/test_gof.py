@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from scipy.special import log_ndtr as scipy_log_ndtr
 
 from citescale.corpus import GroupKey
-from citescale.gof import P_BRACKETS, ad_lognormal, log_ndtr, p_bracket
+from citescale.gof import (
+    MIN_SAMPLE,
+    P_BRACKETS,
+    GofReport,
+    ad_lognormal,
+    log_ndtr,
+    p_bracket,
+)
 from citescale.scaling import SkippedGroup
 
 
@@ -27,6 +34,46 @@ def a2_naive(values, threshold):
     for i in range(1, n + 1):
         s += (2 * i - 1) * (math.log(phi(z[i - 1])) + math.log(1.0 - phi(z[n - i])))
     return -n - s / n
+
+
+def ad_oracle(scores, threshold):
+    """ad_lognormal as one loop over the groups: the reference that the
+    whole-array version must equal bit for bit."""
+    skipped, reports = [], {}
+    for key, values in scores.items():
+        v = np.asarray(values, dtype=np.float64)
+        used = np.sort(v[v >= threshold])
+        if used.size < MIN_SAMPLE:
+            skipped.append(SkippedGroup(key, v.size, "too-few-values"))
+            continue
+        logs = np.log(used)
+        mu = float(logs.mean())
+        sigma = float(logs.std(ddof=1))
+        if sigma == 0.0:
+            skipped.append(SkippedGroup(key, v.size, "all-values-equal"))
+            continue
+        z = (logs - mu) / sigma
+        n = z.size
+        i = np.arange(1, n + 1, dtype=np.float64)
+        terms = (2.0 * i - 1.0) * (log_ndtr(z) + log_ndtr(-z)[::-1])
+        a2 = -n - float(terms.sum()) / n
+        a2_star = a2 * (1.0 + 0.75 / n + 2.25 / n**2)
+        reports[key] = GofReport(n, threshold, mu, sigma, a2, a2_star, p_bracket(a2_star))
+    return reports, skipped
+
+
+# many groups of scores c / d: ties, values below the threshold, all-equal
+# groups, and surviving sizes around MIN_SAMPLE
+scored_groups = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, 12), min_size=0, max_size=14)
+        | st.tuples(st.integers(1, 9), st.integers(6, 12)).map(lambda cn: [cn[0]] * cn[1]),
+        st.sampled_from([1.0, 3.0, 7.5, 0.37, 11.0 / 3.0, 1e-3]),
+    ),
+    min_size=0, max_size=40,
+).map(lambda groups: {
+    GroupKey("G", j): np.array(c, dtype=np.float64) / d for j, (c, d) in enumerate(groups)
+})
 
 
 PINNED = [0.31, 0.5, 0.77, 1.02, 1.3, 1.3, 2.4, 3.8, 5.9, 14.2]
@@ -129,6 +176,32 @@ class TestStatistic:
         together = ad_lognormal(batch, 0.1)
         assert alone[0].get(key) == together[0].get(key)
         assert alone[1] == [sk for sk in together[1] if sk.group == key]
+
+
+class TestBatch:
+    @given(scored_groups, st.sampled_from([0.1, 0.5, 2.0]))
+    def test_matches_the_per_group_loop(self, scores, threshold):
+        assert ad_lognormal(scores, threshold) == ad_oracle(scores, threshold)
+
+    def test_long_groups_match_the_per_group_loop(self):
+        # pairwise sums change shape past 8 and 128 values
+        rng = np.random.default_rng(3)
+        scores = {
+            GroupKey("L", n): (1.0 + np.floor(np.exp(rng.normal(1.5, 1.2, n)))) / 3.7
+            for n in (9, 120, 129, 300, 1000, 5000)
+        }
+        reports, skipped = ad_lognormal(scores)
+        assert (reports, skipped) == ad_oracle(scores, 0.1)
+        assert len(reports) == 6
+
+    def test_non_positive_value_names_the_first_tested_group(self):
+        scores = {
+            GroupKey("A", 1): [0.0, 1.0],  # too few: skipped before the check
+            GroupKey("B", 1): [0.0, 1.0, 2.0] + [1.0] * 8,
+            GroupKey("C", 1): [-1.0] + [1.0] * 9,
+        }
+        with pytest.raises(ValueError, match="group B/1: values must be positive"):
+            ad_lognormal(scores, threshold=-5.0)
 
 
 class TestBrackets:

@@ -1,0 +1,58 @@
+"""Pinned `report` hashes of scenarios with many groups.
+
+The frozen golden hash (criterion 8) covers 40 groups.  These pins cover
+the diagnostics over many groups and large grids: the frozen specs with
+every group three times as large, and 120 small groups of 40-99 records.
+"""
+
+import json
+from dataclasses import replace
+
+import pytest
+
+from citescale.cli import main
+from citescale.synth import CategorySpec, Scenario, benchmark_scenario, save_scenario
+
+
+def tripled_frozen() -> Scenario:
+    """The frozen specs with every group's size tripled (82,035 records)."""
+    base = benchmark_scenario()
+    return replace(base, specs=tuple(replace(s, n=3 * s.n) for s in base.specs))
+
+
+def many_small_groups() -> Scenario:
+    """30 categories x 4 cohorts of 40-99 records; zero mass up to 0.7, so
+    some groups are more than half uncited and the medians skip them."""
+    specs = []
+    for j in range(120):
+        category, year = f"M{j // 4 + 1:02d}", 2000 + 3 * (j % 4)
+        n = 40 + (j * 43) % 60
+        pi = round(0.05 + 0.65 * ((j * 71) % 120) / 119, 3)
+        if j % 5 == 4:
+            family, params = "negative-binomial", (1.0 + j % 3, 0.2 + 0.05 * (j % 7))
+        else:
+            family = "discretized-lognormal"
+            params = (round(0.5 + 2.5 * ((j * 37) % 120) / 119, 3),
+                      round(1.0 + 0.31 * ((j * 53) % 120) / 119, 3))
+        specs.append(CategorySpec(category, year, n, family, params, zero_inflation=pi))
+    return Scenario(seed=880803, specs=tuple(specs))
+
+
+# content_hash of `report` on each scenario, numpy 2.4.6
+PINNED = {
+    "tripled_frozen": (tripled_frozen,
+                       "e7876312b081822660c8d163167ecc7c816e2a30f502fb23061a4315b6a383c7"),
+    "many_small_groups": (many_small_groups,
+                          "e803d5252b6c073ba7cb5f6947544afce37951b08d724cd799f8321fd617fdfb"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_report_hash_is_pinned(tmp_path, name):
+    build, expected = PINNED[name]
+    save_scenario(build(), tmp_path / "scenario.json")
+    out = tmp_path / "out"
+    assert main(["report", "--scenario", str(tmp_path / "scenario.json"),
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["content_hash"] == expected

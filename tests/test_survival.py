@@ -1,21 +1,77 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from citescale import survival
 from citescale.corpus import GroupKey, group_records
 from citescale.errors import EmptyGroupError
 from citescale.scaling import ScalingMethod, scale_corpus
+from citescale.stats import _Sorted
 from citescale.survival import (
-    binned_survival,
+    QUANTILES,
+    CollapseReport,
+    QuantileDispersion,
     collapse_metrics,
     log_binned_thresholds,
+    survival_curves,
 )
 from citescale.synth import CategorySpec, generate, scaled_copy_scenario
 
 samples = st.lists(st.integers(0, 15), min_size=1, max_size=25)
+# many groups of scores: counts c / d with ties, zeros and sizes around the
+# gof MIN_SAMPLE, or floats with few ties
+scored_groups = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, 12), min_size=1, max_size=14),
+        st.sampled_from([1.0, 3.0, 7.5, 0.37, 11.0 / 3.0]),
+    ),
+    min_size=1, max_size=40,
+).map(lambda groups: [np.array(c, dtype=np.float64) / d for c, d in groups]) | st.lists(
+    st.lists(st.floats(0.0, 1e6), min_size=1, max_size=30).map(np.array),
+    min_size=1, max_size=20,
+)
+
+
+def _cdf(sorted_values, thresholds):
+    n = sorted_values.size
+    return 1.0 - (n - np.searchsorted(sorted_values, thresholds, side="right")) / n
+
+
+def collapse_oracle(vectors):
+    """collapse_metrics as one loop over the groups: the reference that the
+    whole-array version must equal bit for bit."""
+    samples = []
+    for key, values in vectors.items():
+        v = np.sort(np.asarray(values, dtype=np.float64))
+        if v.size == 0:
+            raise EmptyGroupError(f"group {key}: empty score vector")
+        samples.append(v)
+    if len(samples) < 2:
+        return CollapseReport(len(samples), None, ())
+    grid = np.unique(np.concatenate(samples))
+    hi = np.zeros_like(grid)
+    lo = np.ones_like(grid)
+    qvals = np.empty((len(QUANTILES), len(samples)))
+    for g, v in enumerate(samples):
+        cdf = _cdf(v, grid)
+        np.maximum(hi, cdf, out=hi)
+        np.minimum(lo, cdf, out=lo)
+        distinct = v[np.concatenate(([True], v[1:] != v[:-1]))]
+        idx = np.searchsorted(_cdf(v, distinct), QUANTILES, side="left")
+        qvals[:, g] = distinct[np.minimum(idx, distinct.size - 1)]
+    dispersions = []
+    for q, row in zip(QUANTILES, qvals):
+        positive = row[row > 0]
+        logs = np.log10(positive)
+        spread = float(logs.max() - logs.min()) if positive.size else None
+        dispersions.append(
+            QuantileDispersion(q, spread, int(positive.size), int(row.size - positive.size))
+        )
+    return CollapseReport(len(samples), float((hi - lo).max()), tuple(dispersions))
 
 
 def ks_brute(a, b):
@@ -37,13 +93,28 @@ def ks(a, b):
 
 
 class TestSurvivalCurve:
-    @given(st.lists(st.integers(0, 20), min_size=1, max_size=40))
-    def test_probs_match_counting(self, values):
-        distinct = np.unique(values).astype(np.float64)
-        probs = binned_survival(values, distinct)
-        n = len(values)
-        for v, p in zip(distinct.tolist(), probs.tolist()):
-            assert p == sum(1 for x in values if x >= v) / n
+    @given(scored_groups)
+    def test_probs_match_counting(self, vectors):
+        thresholds, probs = survival_curves(groups(*vectors))
+        assert thresholds.tolist() == log_binned_thresholds(vectors).tolist()
+        assert probs.shape == (len(vectors), thresholds.size)
+        for v, row in zip(vectors, probs.tolist()):
+            values = v.tolist()
+            assert row == [
+                sum(1 for x in values if x >= t) / len(values) for t in thresholds.tolist()
+            ]
+
+    def test_thresholds_out_of_order_are_counted_each(self):
+        # np.geomspace between ends one ulp apart is not monotone
+        vectors = ([0.0, 7.0, 7.0], [np.nextafter(7.0, 8.0), 0.0])
+        thresholds, probs = survival_curves(groups(*vectors))
+        assert thresholds.size == 25 and np.any(np.diff(thresholds) < 0)
+        for v, row in zip(vectors, probs.tolist()):
+            assert row == [sum(1 for x in v if x >= t) / len(v) for t in thresholds.tolist()]
+
+    def test_no_groups(self):
+        thresholds, probs = survival_curves({})
+        assert thresholds.size == 0 and probs.shape == (0, 0)
 
 
 class TestKs:
@@ -121,6 +192,35 @@ class TestCollapseMetrics:
         got = collapse_metrics(groups(*vectors)).max_pairwise_ks
         assert got == pytest.approx(expected, abs=1e-15)
 
+    @given(scored_groups)
+    def test_matches_the_per_group_loop(self, vectors):
+        keyed = groups(*vectors)
+        assert collapse_metrics(keyed) == collapse_oracle(keyed)
+
+    def test_quantiles_match_the_cdf_of_every_value(self):
+        # group n holds 0, 1, ..., n - 1: the quantile is the number of
+        # values whose CDF 1 - (n - i) / n is below q, counted one by one
+        sizes = range(1, 3001)
+        seg = _Sorted(np.arange(float(n)) for n in sizes)
+        got = survival._quantile_values(seg)
+        for q, row in zip(QUANTILES, got.tolist()):
+            assert row == [
+                float(np.sum(1.0 - (n - np.arange(1, n + 1)) / n < q)) for n in sizes
+            ]
+
+    def test_memory_grows_with_scores_not_groups_times_grid(self):
+        # 400 groups x 3,200 distinct values: a groups x grid matrix of
+        # counts would take 10 MiB, the 3,200 scores take 25 KiB
+        vectors = [np.arange(8.0) + 8 * g for g in range(400)]
+        keyed = groups(*vectors)
+        tracemalloc.start()
+        try:
+            collapse_metrics(keyed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     @given(st.lists(samples, min_size=2, max_size=5), st.randoms())
     def test_group_order_does_not_change_report(self, vectors, rng):
         keyed = list(groups(*vectors).items())
@@ -145,5 +245,7 @@ class TestBinnedExport:
         assert thresholds.tolist() == [4.0]
 
     def test_binned_probs_count_at_thresholds(self):
-        probs = binned_survival([0, 1, 1, 3], np.array([1.0, 2.0, 3.0]))
-        assert probs.tolist() == [0.75, 0.25, 0.25]
+        thresholds, probs = survival_curves(groups([0, 1, 1, 3], [3, 3]))
+        assert thresholds.tolist() == np.geomspace(1.0, 3.0, 25).tolist()
+        assert probs[0, [0, 1, -1]].tolist() == [0.75, 0.25, 0.25]
+        assert probs[1].tolist() == [1.0] * 25
