@@ -349,7 +349,7 @@ def _add_input_args(parser: argparse.ArgumentParser, pipeline: bool = True) -> N
         parser.add_argument("--input", required=True, type=_path, help="corpus CSV")
     parser.add_argument(
         "--strict", action="store_true",
-        help="reject duplicate (pub_id, category) rows instead of last-wins",
+        help="with --input: reject duplicate (pub_id, category) rows instead of last-wins",
     )
 
 
@@ -419,7 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "strict", False) and getattr(args, "scenario", None) is not None:
+        parser.error("--strict goes with --input, not with --scenario")
     try:
         return args.func(args)
     except (CitescaleError, OSError) as exc:

@@ -20,13 +20,14 @@ correction; the fit therefore describes the surviving values only.
 over the groups.  The scores are laid out as in
 :class:`citescale.stats._Sorted`, each group's values sorted and all groups
 end to end, so a group's surviving values stay one sorted run.  Their logs
-go in segments that each start with a 0.0 slot (the log of a 1.0): on such a
-segment ``np.add.reduceat`` gives bit for bit the ``np.add.reduce`` of the
-values alone, which ``mean``, ``std`` and ``sum`` use, so the mean, the n-1
-standard deviation and the A-squared sum of every group come from three
-``reduceat`` calls, as in ``scaling._batch_var``.  The reversed order
-statistics that A-squared pairs are read through one mirrored index, and
-the normal log-CDF, :func:`log_ndtr`, runs twice over all groups' values.
+are laid out by :func:`citescale.stats._led`, and the mean, the n-1 standard
+deviation and the A-squared sum of every group are each one call of
+:func:`citescale.stats._sums`, bit for bit those of ``mean``, ``std`` and
+``sum`` on the group alone.  A group whose values are all equal stays in the
+arrays, divided by 1.0 in place of its zero deviation, and is left out only
+of the reports.  The reversed order statistics that A-squared pairs are read
+through one mirrored index, and the normal log-CDF, :func:`log_ndtr`, runs
+twice over all groups' values.
 ``log_ndtr`` is plain numpy, from the rational approximations of erf and
 erfc in Cephes ``ndtr.c`` (S. L. Moshier, after W. J. Cody, Math. Comp. 23,
 1969).
@@ -41,7 +42,7 @@ import numpy as np
 
 from .corpus import GroupKey
 from .scaling import SkippedGroup
-from .stats import _Sorted
+from .stats import _led, _Sorted, _sums
 
 DEFAULT_THRESHOLD = 0.1
 MIN_SAMPLE = 8
@@ -163,34 +164,24 @@ def ad_lognormal(
     if low.any():
         key = keys[np.flatnonzero(tested)[np.argmax(low)]]
         raise ValueError(f"group {key}: values must be positive after thresholding")
-    # each segment led by the log of a 1.0 slot, so reduceat sums equal reduce
-    logs = np.insert(values, first, 1.0)
+    np.log(values, out=values)
+    logs, lead = _led(values, n)
     del values
-    np.log(logs, out=logs)
     lens = n + 1
-    lead = first + np.arange(n.size)
-    mu = np.add.reduceat(logs, lead) / n
+    mu = _sums(logs, lead) / n
     dev = np.repeat(mu, lens)
     np.subtract(logs, dev, out=dev)
     dev *= dev
-    dev[lead] = 0.0
-    sigma = np.sqrt(np.add.reduceat(dev, lead) / (n - 1))  # std(ddof=1)
+    sigma = np.sqrt(_sums(dev, lead) / (n - 1))  # std(ddof=1)
     del dev
-    flat = np.zeros(len(keys), dtype=bool)  # tested, but every value equal
-    flat[tested] = sigma == 0.0
-
-    keep = sigma != 0.0
-    z = logs[np.repeat(keep, lens)]
-    del logs
-    mu, sigma, n, lens = mu[keep], sigma[keep], n[keep], lens[keep]
-    lead = np.cumsum(lens) - lens
+    z = logs
     z -= np.repeat(mu, lens)
-    z /= np.repeat(sigma, lens)
+    z /= np.repeat(np.where(sigma == 0.0, 1.0, sigma), lens)
     z[lead] = 0.0
     log_cdf = log_ndtr(z)  # log Phi(z)
     np.negative(z, out=z)
     terms = log_ndtr(z)  # log(1 - Phi(z)), one pass each over every group
-    del z
+    del z, logs
     mirror = np.repeat(2 * lead + lens, lens)  # i-th value <-> (n + 1 - i)-th
     mirror -= np.arange(mirror.size)
     mirror[lead] = lead
@@ -199,19 +190,19 @@ def ad_lognormal(
     del log_cdf, mirror
     i = np.arange(terms.size) - np.repeat(lead, lens)  # 1 at a group's first value
     terms *= 2.0 * i - 1.0
-    terms[lead] = 0.0
-    a2 = -n - np.add.reduceat(terms, lead) / n
+    a2 = -n - _sums(terms, lead) / n
     a2_star = a2 * (1.0 + 0.75 / n + 2.25 / n**2)
 
     fitted = zip(n.tolist(), mu.tolist(), sigma.tolist(), a2.tolist(), a2_star.tolist())
     reports: dict[GroupKey, GofReport] = {}
     skipped: list[SkippedGroup] = []
-    for key, size, ok, equal in zip(keys, seg.size.tolist(), tested.tolist(), flat.tolist()):
+    for key, size, ok in zip(keys, seg.size.tolist(), tested.tolist()):
         if not ok:
             skipped.append(SkippedGroup(key, size, "too-few-values"))
-        elif equal:
+            continue
+        n_k, mu_k, sigma_k, a2_k, star = next(fitted)
+        if sigma_k == 0.0:
             skipped.append(SkippedGroup(key, size, "all-values-equal"))
         else:
-            n_k, mu_k, sigma_k, a2_k, star = next(fitted)
             reports[key] = GofReport(n_k, threshold, mu_k, sigma_k, a2_k, star, p_bracket(star))
     return reports, skipped

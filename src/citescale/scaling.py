@@ -21,9 +21,9 @@ with ``T(c) = ((c+1)**lam - 1) / lam`` for ``lam != 0`` and ``log(c+1)`` at
 exact grid candidates, each golden-section iteration, the final check) is one
 set of array operations over all groups still searching.  Each group's
 result equals, bit for bit, that of fitting it alone: the arithmetic is
-elementwise, each group's sums come from ``np.add.reduceat`` over a segment
-led by a 0.0 slot (which then equals ``np.add.reduce``, as ``ndarray.var``
-uses), and each variance's logarithm is ``math.log``.
+elementwise, each group's sums are those of ``ndarray.var`` (see
+:func:`citescale.stats._sums`), and each variance's logarithm is
+``math.log``.
 
 A statistic can be undefined on real data (a zero median when more than half
 the group is uncited, a zero range, an all-zero group).  Undefinedness is
@@ -52,7 +52,7 @@ import numpy as np
 
 from .corpus import GroupKey
 from .errors import EmptyGroupError
-from .stats import _median
+from .stats import _led, _median, _sums
 
 LAMBDA_BOUNDS = (-3.0, 3.0)
 _GRID_STEP = 0.01
@@ -114,10 +114,8 @@ class _Packed:
     @classmethod
     def of(cls, vectors: list[np.ndarray]) -> "_Packed":
         size = np.array([v.size for v in vectors])
-        start = np.cumsum(size + 1) - (size + 1)
-        zero = np.zeros(1)
-        log1p = np.log1p(np.concatenate([p for v in vectors for p in (zero, v)]))
-        return cls(log1p, start, size, np.add.reduceat(log1p, start))
+        log1p, start = _led(np.log1p(np.concatenate(vectors)), size)
+        return cls(log1p, start, size, _sums(log1p, start))
 
     def segment(self, g: int) -> np.ndarray:
         return self.log1p[self.start[g] + 1:self.start[g] + 1 + self.size[g]]
@@ -129,11 +127,9 @@ def _batch_var(packed: _Packed, groups: np.ndarray, lams: np.ndarray) -> np.ndar
 
     Each variance is bit for bit ``T.var()`` of the group alone.  ``expm1``,
     ``*`` and ``/`` are elementwise, so a per-element ``lam`` changes no
-    bits.  ``np.add.reduceat`` adds a segment's first element to the pairwise
-    sum of the rest, so each segment starts with its 0.0 slot, zeroed again
-    after the mean is subtracted: the sums then equal ``np.add.reduce``.
-    Pairs are taken in blocks of about ``_SCREEN_CELLS`` elements, at least
-    one pair each, so memory does not grow with the number of pairs.
+    bits, and both sums are those of :func:`citescale.stats._sums`.  Pairs
+    are taken in blocks of about ``_SCREEN_CELLS`` elements, at least one
+    pair each, so memory does not grow with the number of pairs.
     """
     var = np.empty(groups.size)
     lens = packed.size[groups] + 1
@@ -152,11 +148,9 @@ def _batch_var(packed: _Packed, groups: np.ndarray, lams: np.ndarray) -> np.ndar
             if at_zero.any():
                 at_zero = np.repeat(at_zero, ln)
                 t[at_zero] = x[at_zero]
-            t[first] = 0.0
             size = packed.size[g]
-            d = np.square(t - np.repeat(np.add.reduceat(t, first) / size, ln))
-            d[first] = 0.0
-            var[lo:hi] = np.add.reduceat(d, first) / size
+            d = np.square(t - np.repeat(_sums(t, first) / size, ln))
+            var[lo:hi] = _sums(d, first) / size
             lo = hi
     return var
 

@@ -119,3 +119,21 @@ class _Sorted:
         self.first = np.cumsum(self.size) - self.size
         for start, stop in zip(self.first.tolist(), (self.first + self.size).tolist()):
             self.values[start:stop].sort()
+
+
+def _led(values: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` as segments of ``size`` end to end, each led by a 0.0 slot,
+    and the slots' positions: the layout that :func:`_sums` adds up."""
+    first = np.cumsum(size) - size
+    return np.insert(values, first, 0.0), first + np.arange(size.size)
+
+
+def _sums(x: np.ndarray, lead: np.ndarray) -> np.ndarray:
+    """Each segment's sum of ``x`` as :func:`_led` lays it out, its slots at
+    ``lead`` zeroed first, in place: bit for bit the ``np.add.reduce`` of the
+    segment alone, which ``sum``, ``mean``, ``var`` and ``std`` use and the
+    report bytes are pinned to.  ``np.add.reduce`` adds 0.0 to the pairwise
+    sum of all values, ``np.add.reduceat`` a segment's first element (here
+    the 0.0) to the pairwise sum of the rest."""
+    x[lead] = 0.0
+    return np.add.reduceat(x, lead)

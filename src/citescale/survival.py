@@ -31,7 +31,7 @@ from the same layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -156,20 +156,15 @@ def collapse_metrics(vectors: Mapping[GroupKey, np.ndarray]) -> CollapseReport:
     )
 
 
-def log_binned_thresholds(samples: Iterable[Sequence[float] | np.ndarray]) -> np.ndarray:
+def log_binned_thresholds(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Shared plotting grid: ``N_PLOT_BINS`` log-spaced values between the
-    global smallest positive value and the global maximum.  Empty when no
-    positive value exists."""
-    lo = np.inf
-    hi = -np.inf
-    for sample in samples:
-        v = np.asarray(sample, dtype=np.float64)
-        pos = v[v > 0]
-        if pos.size:
-            lo = min(lo, float(pos.min()))
-            hi = max(hi, float(v.max()))
-    if not np.isfinite(lo):
+    smallest positive value and the maximum of ``values``, the pooled scores
+    of every group.  Empty when no positive value exists."""
+    v = np.asarray(values, dtype=np.float64)
+    pos = v[v > 0]
+    if not pos.size:
         return np.array([])
+    lo, hi = float(pos.min()), float(v.max())
     if lo == hi:
         return np.array([lo])
     return np.geomspace(lo, hi, N_PLOT_BINS)
@@ -187,7 +182,7 @@ def survival_curves(
     value reaches.
     """
     seg = _Sorted(vectors.values())
-    thresholds = log_binned_thresholds((seg.values,))
+    thresholds = log_binned_thresholds(seg.values)
     # np.geomspace is not monotone when its ends lie a few ulps apart
     ranked = np.sort(thresholds)
     cells = ranked.size + 1

@@ -20,6 +20,7 @@ method that scored no group at all gives an empty ranking with no cutoff.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -92,33 +93,29 @@ def top_share(
     """
     if not 0.0 < top_fraction < 1.0:
         raise ValueError(f"top_fraction must be in (0, 1), got {top_fraction}")
-    n_skipped: dict[str, int] = {}
+    n_skipped: Counter[str] = Counter()
     for sk in skipped:
-        n_skipped[sk.group.category] = n_skipped.get(sk.group.category, 0) + sk.n_records
-    vectors = [
-        (key.category, np.asarray(v, dtype=np.float64)) for key, v in scores.items()
-    ]
-    n = sum(v.size for _, v in vectors)
-    cutoff = None
-    if n:
-        pooled = np.concatenate([v for _, v in vectors])
-        k = _top_rank(top_fraction, n)
-        cutoff = float(np.partition(pooled, n - k)[n - k])
-    elif not n_skipped:
-        raise EmptyCorpusError("cannot rank an empty score collection")
-
-    n_by_cat: dict[str, int] = {}
-    top_by_cat: dict[str, int] = {}
-    for cat, v in vectors:
-        if v.size:
-            n_by_cat[cat] = n_by_cat.get(cat, 0) + v.size
-            n_top = int(np.count_nonzero(v >= cutoff))
-            top_by_cat[cat] = top_by_cat.get(cat, 0) + n_top
+        n_skipped[sk.group.category] += sk.n_records
+    vectors = [np.asarray(v, dtype=np.float64) for v in scores.values()]
+    n = sum(v.size for v in vectors)
+    if not n:
+        if not n_skipped:
+            raise EmptyCorpusError("cannot rank an empty score collection")
+        return TopShareReport(top_fraction, None, 0, 0, (), tuple(sorted(n_skipped)))
+    pooled = np.concatenate(vectors)
+    k = _top_rank(top_fraction, n)
+    cutoff = float(np.partition(pooled, n - k)[n - k])
+    # each pooled value's category, as an index into the sorted categories
+    cats = sorted({key.category for key in scores})
+    index = {cat: i for i, cat in enumerate(cats)}
+    code = np.repeat([index[key.category] for key in scores], [v.size for v in vectors])
+    n_by_cat = np.bincount(code, minlength=len(cats)).tolist()
+    top_by_cat = np.bincount(code[pooled >= cutoff], minlength=len(cats)).tolist()
 
     per_category = []
-    for cat in sorted(n_by_cat):
-        n_cat = n_by_cat[cat]
-        top_count = top_by_cat[cat]
+    for cat, n_cat, top_count in zip(cats, n_by_cat, top_by_cat):
+        if not n_cat:
+            continue
         share = top_count / n_cat
         sd = math.sqrt(top_fraction * (1.0 - top_fraction) / n_cat)
         band_low = top_fraction - sd
@@ -132,15 +129,15 @@ def top_share(
                 band_low=band_low,
                 band_high=band_high,
                 within_band=band_low <= share <= band_high,
-                n_skipped_records=n_skipped.get(cat, 0),
+                n_skipped_records=n_skipped[cat],
             )
         )
-    unevaluated = tuple(sorted(cat for cat in n_skipped if cat not in n_by_cat))
+    unevaluated = tuple(sorted(n_skipped.keys() - {c.category for c in per_category}))
     return TopShareReport(
         top_fraction=top_fraction,
         cutoff=cutoff,
         n_records=n,
-        n_top=sum(top_by_cat.values()),
+        n_top=sum(top_by_cat),
         per_category=tuple(per_category),
         unevaluated_categories=unevaluated,
     )

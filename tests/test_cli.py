@@ -166,6 +166,24 @@ class TestErrorPaths:
             main(["stats", "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command", ["stats", "scale", "survival", "topshare", "gof", "report"]
+    )
+    def test_strict_with_scenario_is_usage_error(
+        self, small_scenario_json, tmp_path, capsys, command
+    ):
+        out = tmp_path / "o"
+        argv = [command, "--scenario", str(small_scenario_json), "--strict",
+                "--out", str(out)]
+        if command in ("scale", "gof"):
+            argv += ["--method", "mean"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--strict" in err and "--input" in err
+        assert not out.exists()
+
 
 class TestStats:
     def test_writes_one_row_per_group(self, small_corpus_csv, tmp_path):

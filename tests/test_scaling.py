@@ -25,6 +25,7 @@ from citescale.scaling import (
     boxcox_transform,
     scale_corpus,
 )
+from citescale.stats import _led, _sums
 
 A03 = GroupKey("A", 2003)
 
@@ -545,9 +546,8 @@ class TestPackedArithmetic:
     def test_reduceat_over_a_zero_led_segment_is_reduce(self):
         rng = np.random.default_rng(8)
         parts = [rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7) for n in self.LENGTHS]
-        lens = np.array(self.LENGTHS) + 1
-        buf = np.concatenate([p for x in parts for p in (np.zeros(1), x)])
-        sums = np.add.reduceat(buf, np.cumsum(lens) - lens)
+        buf, lead = _led(np.concatenate(parts), np.array(self.LENGTHS))
+        sums = _sums(buf, lead)
         assert sums.tolist() == [np.add.reduce(x) for x in parts]
 
     def test_batch_variance_is_ndarray_var(self):

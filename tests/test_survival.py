@@ -96,7 +96,7 @@ class TestSurvivalCurve:
     @given(scored_groups)
     def test_probs_match_counting(self, vectors):
         thresholds, probs = survival_curves(groups(*vectors))
-        assert thresholds.tolist() == log_binned_thresholds(vectors).tolist()
+        assert thresholds.tolist() == log_binned_thresholds(np.concatenate(vectors)).tolist()
         assert probs.shape == (len(vectors), thresholds.size)
         for v, row in zip(vectors, probs.tolist()):
             values = v.tolist()
@@ -230,7 +230,7 @@ class TestCollapseMetrics:
 
 class TestBinnedExport:
     def test_thresholds_are_log_spaced_over_global_range(self):
-        thresholds = log_binned_thresholds([[0, 2, 800], [0, 5, 40]])
+        thresholds = log_binned_thresholds(np.concatenate([[0, 2, 800], [0, 5, 40]]))
         assert thresholds.size == 25
         assert thresholds[0] == pytest.approx(2.0)
         assert thresholds[-1] == pytest.approx(800.0)
@@ -238,10 +238,10 @@ class TestBinnedExport:
         assert np.allclose(ratios, ratios[0])
 
     def test_no_positive_values(self):
-        assert log_binned_thresholds([[0, 0], [0]]).size == 0
+        assert log_binned_thresholds(np.concatenate([[0, 0], [0]])).size == 0
 
     def test_degenerate_single_positive_value(self):
-        thresholds = log_binned_thresholds([[0, 4], [4, 4]])
+        thresholds = log_binned_thresholds(np.concatenate([[0, 4], [4, 4]]))
         assert thresholds.tolist() == [4.0]
 
     def test_binned_probs_count_at_thresholds(self):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from citescale.corpus import GroupKey
 from citescale.errors import EmptyCorpusError
 from citescale.scaling import ScalingMethod, SkippedGroup, scale_corpus
-from citescale.topshare import _top_rank, top_share
+from citescale.topshare import CategoryShare, TopShareReport, _top_rank, top_share
 
 
 def scores_from(spec, year=2003):
@@ -185,3 +185,83 @@ class TestAccounting:
             ), method
             unranked = sum(sk.n_records for sk in skipped)
             assert report.n_records + unranked == sum(records.values()), method
+
+
+def per_group_top_share(scores, top_fraction, skipped):
+    """top_share as one loop over the groups, with per-category dicts: the
+    reference that the pooled counting must equal field for field."""
+    n_skipped = {}
+    for sk in skipped:
+        n_skipped[sk.group.category] = n_skipped.get(sk.group.category, 0) + sk.n_records
+    vectors = [
+        (key.category, np.asarray(v, dtype=np.float64)) for key, v in scores.items()
+    ]
+    n = sum(v.size for _, v in vectors)
+    cutoff = None
+    if n:
+        pooled = np.concatenate([v for _, v in vectors])
+        k = _top_rank(top_fraction, n)
+        cutoff = float(np.partition(pooled, n - k)[n - k])
+    elif not n_skipped:
+        raise EmptyCorpusError("cannot rank an empty score collection")
+    n_by_cat = {}
+    top_by_cat = {}
+    for cat, v in vectors:
+        if v.size:
+            n_by_cat[cat] = n_by_cat.get(cat, 0) + v.size
+            top_by_cat[cat] = top_by_cat.get(cat, 0) + int(np.count_nonzero(v >= cutoff))
+    per_category = []
+    for cat in sorted(n_by_cat):
+        n_cat, top_count = n_by_cat[cat], top_by_cat[cat]
+        share = top_count / n_cat
+        sd = math.sqrt(top_fraction * (1.0 - top_fraction) / n_cat)
+        band_low, band_high = top_fraction - sd, top_fraction + sd
+        per_category.append(CategoryShare(
+            cat, n_cat, top_count, share, band_low, band_high,
+            band_low <= share <= band_high, n_skipped.get(cat, 0),
+        ))
+    return TopShareReport(
+        top_fraction, cutoff, n, sum(top_by_cat.values()), tuple(per_category),
+        tuple(sorted(cat for cat in n_skipped if cat not in n_by_cat)),
+    )
+
+
+# Several groups per category, some of them empty, with tied scores; the
+# skipped groups include categories that have no scored group at all.
+_scored = st.dictionaries(
+    st.builds(GroupKey, st.sampled_from("ABCD"), st.integers(2000, 2003)),
+    st.lists(
+        st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 7.5]), st.floats(0.0, 1e6)),
+        max_size=12,
+    ),
+    max_size=10,
+)
+_skipped = st.lists(
+    st.builds(
+        SkippedGroup,
+        st.builds(GroupKey, st.sampled_from("CDEF"), st.integers(2000, 2003)),
+        st.integers(1, 20),
+        st.just("zero-median"),
+    ),
+    max_size=5,
+)
+
+
+class TestPerGroupOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_scored, _skipped, st.sampled_from([0.01, 0.1, 0.25, 0.5, 0.9]))
+    def test_report_equals_per_group_counting(self, scores, skipped, top_fraction):
+        scores = {key: np.asarray(v, dtype=np.float64) for key, v in scores.items()}
+        try:
+            want = per_group_top_share(scores, top_fraction, skipped)
+        except EmptyCorpusError:
+            with pytest.raises(EmptyCorpusError):
+                top_share(scores, top_fraction, skipped)
+            return
+        got = top_share(scores, top_fraction, skipped)
+        assert got.top_fraction == want.top_fraction
+        assert got.cutoff == want.cutoff
+        assert got.n_records == want.n_records
+        assert got.n_top == want.n_top
+        assert got.per_category == want.per_category
+        assert got.unevaluated_categories == want.unevaluated_categories
