@@ -54,7 +54,7 @@ from .corpus import (
 from .errors import CitescaleError, EmptyCorpusError
 from .gof import DEFAULT_THRESHOLD, ad_lognormal
 from .scaling import ScalingMethod, scale_corpus
-from .stats import describe
+from .stats import _describe
 from .survival import collapse_metrics, survival_curves
 from .topshare import DEFAULT_TOP_FRACTION, top_share
 from .synth import generate, load_scenario, prng_metadata
@@ -134,7 +134,7 @@ def _write_stats(args, out: Path, corpus, raw, scored) -> list[Path]:
         (key.category, key.year, st.n, st.mean, st.median, _opt(st.stddev),
          _opt(st.skewness), _opt(st.kurtosis), st.n_nonzero,
          _opt(st.mean_nonzero), _opt(st.median_nonzero), "excess")
-        for key, st in zip(raw, map(describe, raw.values()))
+        for key, st in zip(raw, _describe(list(raw.values())))
     )
     path = out / "stats.csv"
     write_csv(path, STATS_HEADER, "%s,%d,%d,%.10g,%.10g,%s,%s,%s,%d,%s,%s,%s\n", rows)

@@ -17,15 +17,15 @@ The threshold filter is applied before fitting, with no truncated-likelihood
 correction; the fit therefore describes the surviving values only.
 
 :func:`ad_lognormal` tests every group of one method at once, with no loop
-over the groups.  The scores are laid out as in
-:class:`citescale.stats._Sorted`, each group's values sorted and all groups
-end to end, so a group's surviving values stay one sorted run.  Their logs
-are laid out by :func:`citescale.stats._led`, and the mean, the n-1 standard
-deviation and the A-squared sum of every group are each one call of
-:func:`citescale.stats._sums`, bit for bit those of ``mean``, ``std`` and
-``sum`` on the group alone.  A group whose values are all equal stays in the
-arrays, divided by 1.0 in place of its zero deviation, and is left out only
-of the reports.  The reversed order statistics that A-squared pairs are read
+over the groups.  The scores are laid out as
+:class:`citescale.stats._Segments`, each group's values sorted and all
+groups end to end, so a group's surviving values stay one sorted run.  The
+mean, the n-1 standard deviation and the A-squared sum of every group are
+each one :meth:`~citescale.stats._Segments.sums` call over the logs of the
+tested groups, bit for bit those of ``mean``, ``std`` and ``sum`` on the
+group alone.  A group whose values are all equal stays in the arrays,
+divided by 1.0 in place of its zero deviation, and is left out only of the
+reports.  The reversed order statistics that A-squared pairs are read
 through one mirrored index, and the normal log-CDF, :func:`log_ndtr`, runs
 twice over all groups' values.
 ``log_ndtr`` is plain numpy, from the rational approximations of erf and
@@ -42,7 +42,7 @@ import numpy as np
 
 from .corpus import GroupKey
 from .scaling import SkippedGroup
-from .stats import _led, _Sorted, _sums
+from .stats import _Segments
 
 DEFAULT_THRESHOLD = 0.1
 MIN_SAMPLE = 8
@@ -150,47 +150,31 @@ def ad_lognormal(
     their order or on the other groups.
     """
     keys = list(scores)
-    seg = _Sorted(scores.values())
-    group = np.repeat(np.arange(len(keys)), seg.size)
-    used = seg.values >= threshold
-    n_used = np.bincount(group[used], minlength=len(keys))
-    tested = n_used >= MIN_SAMPLE
-    used &= tested[group]
-    del group
-    values = seg.values[used]  # each tested group's surviving values, sorted
-    n = n_used[tested]
-    first = np.cumsum(n) - n
-    low = values[first] <= 0.0
+    seg = _Segments.of(scores.values()).sort()
+    used = seg.keep(seg.values >= threshold)
+    tested = used.size >= MIN_SAMPLE
+    fit = used.take(np.flatnonzero(tested))  # each tested group's surviving values
+    n = fit.size
+    low = fit.values[fit.first] <= 0.0
     if low.any():
         key = keys[np.flatnonzero(tested)[np.argmax(low)]]
         raise ValueError(f"group {key}: values must be positive after thresholding")
-    np.log(values, out=values)
-    logs, lead = _led(values, n)
-    del values
-    lens = n + 1
-    mu = _sums(logs, lead) / n
-    dev = np.repeat(mu, lens)
-    np.subtract(logs, dev, out=dev)
-    dev *= dev
-    sigma = np.sqrt(_sums(dev, lead) / (n - 1))  # std(ddof=1)
-    del dev
+    logs = np.log(fit.values, out=fit.values)
+    mu = fit.sums(logs) / n
+    sigma = np.sqrt(fit.sums(np.square(logs - fit.spread(mu))) / (n - 1))  # std(ddof=1)
     z = logs
-    z -= np.repeat(mu, lens)
-    z /= np.repeat(np.where(sigma == 0.0, 1.0, sigma), lens)
-    z[lead] = 0.0
+    z -= fit.spread(mu)
+    z /= fit.spread(np.where(sigma == 0.0, 1.0, sigma))
     log_cdf = log_ndtr(z)  # log Phi(z)
     np.negative(z, out=z)
     terms = log_ndtr(z)  # log(1 - Phi(z)), one pass each over every group
-    del z, logs
-    mirror = np.repeat(2 * lead + lens, lens)  # i-th value <-> (n + 1 - i)-th
-    mirror -= np.arange(mirror.size)
-    mirror[lead] = lead
-    terms = terms[mirror]
+    rank = np.arange(terms.size) - fit.spread(fit.first - 1)  # 1 at a group's first value
+    mirror = fit.spread(fit.first + n) - rank  # i-th value <-> (n + 1 - i)-th
+    terms = terms.take(mirror, mode="clip")  # the last spare slot's is past the end
     terms += log_cdf
     del log_cdf, mirror
-    i = np.arange(terms.size) - np.repeat(lead, lens)  # 1 at a group's first value
-    terms *= 2.0 * i - 1.0
-    a2 = -n - _sums(terms, lead) / n
+    terms *= 2.0 * rank - 1.0
+    a2 = -n - fit.sums(terms) / n
     a2_star = a2 * (1.0 + 0.75 / n + 2.25 / n**2)
 
     fitted = zip(n.tolist(), mu.tolist(), sigma.tolist(), a2.tolist(), a2_star.tolist())

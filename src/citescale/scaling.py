@@ -16,13 +16,15 @@ with ``T(c) = ((c+1)**lam - 1) / lam`` for ``lam != 0`` and ``log(c+1)`` at
 ``lam == 0``; ``lam`` is fitted per group by maximum likelihood within
 [-3, +3].  All six map zero citations to a score of zero.
 
-``scale_corpus`` fits ``lam`` for all of its groups together.  Their
-``log1p`` values sit in one packed buffer, and every step of the search (the
-exact grid candidates, each golden-section iteration, the final check) is one
-set of array operations over all groups still searching.  Each group's
-result equals, bit for bit, that of fitting it alone: the arithmetic is
-elementwise, each group's sums are those of ``ndarray.var`` (see
-:func:`citescale.stats._sums`), and each variance's logarithm is
+``scale_corpus`` lays its groups out once, as
+:class:`citescale.stats._Segments`, and computes every group's divisor at once
+on it.  Their ``log1p`` values are another such layout, on which every group's
+``lam`` is fitted together: each step of the search (the exact grid
+candidates, each golden-section iteration, the final check) is one set of
+array operations over all groups still searching.  Each group's result equals,
+bit for bit, that of fitting it alone: the arithmetic is elementwise, each
+group's sums are those of ``ndarray.var`` (see
+:meth:`citescale.stats._Segments.sums`), and each variance's logarithm is
 ``math.log``.
 
 A statistic can be undefined on real data (a zero median when more than half
@@ -51,8 +53,7 @@ from typing import Mapping
 import numpy as np
 
 from .corpus import GroupKey
-from .errors import EmptyGroupError
-from .stats import _led, _median, _sums
+from .stats import _counts, _Segments
 
 LAMBDA_BOUNDS = (-3.0, 3.0)
 _GRID_STEP = 0.01
@@ -87,89 +88,65 @@ class SkippedGroup:
     reason: str
 
 
-def boxcox_transform(citations, lam: float):
+def boxcox_transform(citations, lam):
     """Power transform of count + 1; maps 0 to 0 and is strictly increasing.
 
     ``T(c) = ((c+1)**lam - 1) / lam`` for ``lam != 0``, ``log(c+1)`` at 0;
-    evaluated as ``expm1(lam * log1p(c)) / lam`` for stability.
+    evaluated as ``expm1(lam * log1p(c)) / lam`` for stability.  ``lam`` is
+    one parameter, or one per count.
     """
-    c = np.asarray(citations, dtype=np.float64)
-    if lam == 0.0:
-        return np.log1p(c)
-    return np.expm1(lam * np.log1p(c)) / lam
+    x = np.log1p(np.asarray(citations, dtype=np.float64))
+    at_zero = np.asarray(lam) == 0.0
+    return np.where(at_zero, x, np.expm1(lam * x) / np.where(at_zero, 1.0, lam))
 
 
-@dataclass(frozen=True)
-class _Packed:
-    """The ``log1p`` values of many groups in one buffer, each group's segment
-    led by one 0.0 slot: group ``g`` holds
-    ``log1p[start[g] + 1 : start[g] + 1 + size[g]]``, and ``sum_log1p[g]``
-    is their sum."""
-
-    log1p: np.ndarray
-    start: np.ndarray
-    size: np.ndarray
-    sum_log1p: np.ndarray
-
-    @classmethod
-    def of(cls, vectors: list[np.ndarray]) -> "_Packed":
-        size = np.array([v.size for v in vectors])
-        log1p, start = _led(np.log1p(np.concatenate(vectors)), size)
-        return cls(log1p, start, size, _sums(log1p, start))
-
-    def segment(self, g: int) -> np.ndarray:
-        return self.log1p[self.start[g] + 1:self.start[g] + 1 + self.size[g]]
-
-
-def _batch_var(packed: _Packed, groups: np.ndarray, lams: np.ndarray) -> np.ndarray:
+def _batch_var(logs: _Segments, groups: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """Maximum-likelihood (n-denominator) variance of the transformed values
-    of group ``groups[k]`` at ``lams[k]``, for every k.
+    of group ``groups[k]`` of ``logs``, its ``log1p``, at ``lams[k]``, for every k.
 
     Each variance is bit for bit ``T.var()`` of the group alone.  ``expm1``,
     ``*`` and ``/`` are elementwise, so a per-element ``lam`` changes no
-    bits, and both sums are those of :func:`citescale.stats._sums`.  Pairs
-    are taken in blocks of about ``_SCREEN_CELLS`` elements, at least one
-    pair each, so memory does not grow with the number of pairs.
+    bits, and both sums are those of :meth:`citescale.stats._Segments.sums`.
+    Pairs are taken in blocks of about ``_SCREEN_CELLS`` values, at least
+    one pair each, so memory does not grow with the number of pairs.
     """
     var = np.empty(groups.size)
-    lens = packed.size[groups] + 1
-    ends = np.cumsum(lens)
+    size = logs.size[groups]
+    ends = np.cumsum(size)
     lo = 0
     with np.errstate(all="ignore"):
         while lo < groups.size:
-            limit = ends[lo] - lens[lo] + _SCREEN_CELLS
+            limit = ends[lo] - size[lo] + _SCREEN_CELLS
             hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
-            g, lam, ln = groups[lo:hi], lams[lo:hi], lens[lo:hi]
-            first = np.cumsum(ln) - ln
-            x = packed.log1p[np.arange(ln.sum()) + np.repeat(packed.start[g] - first, ln)]
-            lam_x = np.repeat(lam, ln)
+            block = logs.take(groups[lo:hi])
+            x, lam = block.values, lams[lo:hi]
+            lam_x = block.spread(lam)
             t = np.expm1(lam_x * x) / lam_x
-            at_zero = lam == 0.0
-            if at_zero.any():
-                at_zero = np.repeat(at_zero, ln)
+            if (lam == 0.0).any():
+                at_zero = lam_x == 0.0
                 t[at_zero] = x[at_zero]
-            size = packed.size[g]
-            d = np.square(t - np.repeat(_sums(t, first) / size, ln))
-            var[lo:hi] = _sums(d, first) / size
+            d = np.square(t - block.spread(block.sums(t) / block.size))
+            var[lo:hi] = block.sums(d) / block.size
             lo = hi
     return var
 
 
-def _batch_loglik(packed: _Packed, groups: np.ndarray, lams: np.ndarray) -> np.ndarray:
+def _batch_loglik(fit: tuple, groups: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """Profile log-likelihood of the shifted power transform of group
-    ``groups[k]`` at ``lams[k]``, for every k.
+    ``groups[k]`` at ``lams[k]``, for every k, from ``fit = (logs, their sums)``.
 
     ``LL(lam) = -(n/2) * ln(var(T(c))) + (lam - 1) * sum(ln(c + 1))`` with
     the variance of :func:`_batch_var`, and ``-inf`` where that is zero or
     not finite.  The logarithm is ``math.log``, which ``np.log`` does not
     match in the last bit, so each value is that of the group alone.
     """
-    var = _batch_var(packed, groups, lams)
+    logs, sum_log1p = fit
+    var = _batch_var(logs, groups, lams)
     ok = (var > 0.0) & np.isfinite(var)
     g = groups[ok]
     log_var = np.array([math.log(v) for v in var[ok].tolist()])
     ll = np.full(groups.size, -math.inf)
-    ll[ok] = -0.5 * packed.size[g] * log_var + (lams[ok] - 1.0) * packed.sum_log1p[g]
+    ll[ok] = -0.5 * logs.size[g] * log_var + (lams[ok] - 1.0) * sum_log1p[g]
     return ll
 
 
@@ -253,15 +230,16 @@ def _fit_lambdas(vectors) -> list[float | None]:
     lams: list[float | None] = [None] * len(vs)
     if not fit:
         return lams
-    packed = _Packed.of([vs[i] for i in fit])
-    loglik = functools.partial(_batch_loglik, packed)
+    logs = _Segments.of(np.log1p(vs[i]) for i in fit)
+    sum_log1p = logs.sums(logs.values)
+    loglik = functools.partial(_batch_loglik, (logs, sum_log1p))
     lo, hi = LAMBDA_BOUNDS
     grid = np.linspace(lo, hi, int(round((hi - lo) / _GRID_STEP)) + 1)
 
     every = np.arange(len(fit))
     mask = np.array([
-        _grid_candidates(packed.segment(g), float(packed.sum_log1p[g]), grid)
-        for g in every
+        _grid_candidates(part, total, grid)
+        for part, total in zip(np.split(logs.values, logs.first[1:]), sum_log1p.tolist())
     ])
     rows, cols = np.nonzero(mask)
     ll = loglik(rows, grid[cols])
@@ -291,21 +269,6 @@ _ZERO_REASON = {
 }
 
 
-def _divisor(v: np.ndarray, method: ScalingMethod) -> tuple[float, float]:
-    """A ratio method's divisor of one group as the exact pair ``(num, den)``;
-    ``num`` is 0.0 where the statistic is undefined."""
-    if method is ScalingMethod.MAX_RANGE:
-        return float(v.max() - v.min()), 1.0
-    if method is ScalingMethod.MEAN:
-        return float(v.sum()), float(v.size)
-    if method is ScalingMethod.MEDIAN:
-        return _median(np.sort(v)), 1.0
-    nz = v[v > 0]
-    if method is ScalingMethod.MEAN_NO_ZERO:
-        return float(nz.sum()), float(nz.size)
-    return (_median(np.sort(nz)) if nz.size else 0.0), 1.0
-
-
 def scale_corpus(
     citations: Mapping[GroupKey, np.ndarray], method: ScalingMethod
 ) -> tuple[dict[GroupKey, np.ndarray], list[SkippedGroup]]:
@@ -314,34 +277,47 @@ def scale_corpus(
     ``citations`` maps each (category, year) group to its citation counts,
     non-empty, non-negative and below 2**63 as
     :func:`~citescale.corpus.group_records` gives them; an empty vector is an
-    :class:`~citescale.errors.EmptyGroupError` and a ``method`` that is not a
-    :class:`ScalingMethod` a ``ValueError``.  The result holds one float64
-    score vector per defined group, in key order, each in the order of its
-    input counts.  Groups with an undefined statistic are reported, never
-    imputed.  For ``boxcox`` every group's parameter is fitted in one batch.
+    :class:`~citescale.errors.EmptyGroupError` and a negative or non-finite
+    count a :class:`~citescale.errors.CorpusValueError`, naming the group,
+    and a ``method`` that is not a :class:`ScalingMethod` a ``ValueError``.
+    The result holds one float64 score vector per defined group, in key
+    order, each in the order of its input counts.  Groups with an undefined
+    statistic are reported, never imputed.  For ``boxcox`` every group's
+    parameter is fitted in one batch.
     """
     if not isinstance(method, ScalingMethod):
         raise ValueError(f"unknown scaling method {method!r}")
     keys = sorted(citations)
-    vectors = [np.asarray(citations[key], dtype=np.float64) for key in keys]
-    for key, c in zip(keys, vectors):
-        if c.size == 0:
-            raise EmptyGroupError(f"group {key}: empty citation vector")
-    boxcox = method is ScalingMethod.BOX_COX_MEAN
-    lams = _fit_lambdas(vectors) if boxcox else [None] * len(keys)
-    scores: dict[GroupKey, np.ndarray] = {}
-    skipped: list[SkippedGroup] = []
-    for key, c, lam in zip(keys, vectors, lams):
-        if not boxcox:
-            t, (num, den) = c, _divisor(c, method)
-        elif lam is None:
-            skipped.append(SkippedGroup(key, c.size, "degenerate-boxcox"))
-            continue
-        else:
-            t = boxcox_transform(c, lam)
-            num, den = float(t.mean()), 1.0
-        if num <= 0.0:  # counts are >= 0, so this is num == 0.0
-            skipped.append(SkippedGroup(key, c.size, _ZERO_REASON[method]))
-        else:
-            scores[key] = (t * den) / num
+    vectors = [citations[key] for key in keys]
+    seg = _counts(vectors, keys)
+    n_records = seg.size
+    reason = np.full(len(keys), _ZERO_REASON[method], dtype=object)
+    t, den = seg.values, np.ones(len(keys))
+    if method is ScalingMethod.BOX_COX_MEAN:
+        lams = np.array(_fit_lambdas(vectors), dtype=np.float64)  # None -> NaN
+        fitted = ~np.isnan(lams)
+        reason[~fitted] = "degenerate-boxcox"
+        seg = seg.keep(seg.spread(fitted))
+        t = boxcox_transform(seg.values, seg.spread(lams))
+        num = seg.sums(t) / np.maximum(seg.size, 1)  # 0.0 where not fitted
+    elif method is ScalingMethod.MAX_RANGE:
+        srt = _Segments.of(vectors).sort()
+        num = srt.values[srt.first + srt.size - 1] - srt.values[srt.first]
+    elif method is ScalingMethod.MEAN:
+        num, den = seg.sums(t), seg.size.astype(np.float64)
+    elif method is ScalingMethod.MEDIAN:
+        num = _Segments.of(vectors).sort().medians()
+    elif method is ScalingMethod.MEAN_NO_ZERO:
+        nz = seg.keep(t > 0.0)
+        num, den = nz.sums(nz.values), nz.size.astype(np.float64)
+    else:
+        num = seg.keep(t > 0.0).sort().medians()  # NaN where no count is above 0
+    ok = num > 0.0  # counts are >= 0, so only 0.0 or NaN fail
+    aii = np.split((t * seg.spread(den)) / seg.spread(np.where(ok, num, 1.0)), seg.first[1:])
+    scores = {key: v for key, v, defined in zip(keys, aii, ok.tolist()) if defined}
+    skipped = [
+        SkippedGroup(key, n, why)
+        for key, n, why, defined in zip(keys, n_records.tolist(), reason, ok.tolist())
+        if not defined
+    ]
     return scores, skipped

@@ -13,16 +13,20 @@ Conventions:
       ``G1 = g1 * sqrt(n*(n-1)) / (n-2)`` with ``g1 = m3 / m2**1.5``;
     * kurtosis = adjusted *excess* kurtosis
       ``G2 = (n-1)/((n-2)*(n-3)) * ((n+1)*g2 + 6)`` with ``g2 = m4/m2**2 - 3``.
+
+It also holds :class:`_Segments`, the one layout of every per-group statistic
+in the package, on which :func:`_describe` describes all groups at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyGroupError
+from .errors import CorpusValueError, EmptyGroupError
 
 
 @dataclass(frozen=True)
@@ -42,98 +46,131 @@ class GroupStats:
     median_nonzero: float | None
 
 
-def _median(sorted_values: np.ndarray) -> float:
-    n = sorted_values.size
-    mid = n // 2
-    if n % 2:
-        return float(sorted_values[mid])
-    return float((sorted_values[mid - 1] + sorted_values[mid]) / 2.0)
+class _Segments:
+    """Many groups' values laid end to end: group ``g`` holds
+    ``values[first[g] : first[g] + size[g]]``.
+
+    A statistic of all groups is a few whole-array operations on it, with no
+    loop over the groups.  :meth:`of` and :meth:`keep` pack the segments;
+    :meth:`take` leads each with a spare slot, so :meth:`sums` copies nothing.
+    """
+
+    __slots__ = ("values", "first", "size", "_lead")
+
+    def __init__(self, values: np.ndarray, size: np.ndarray, led: bool = False) -> None:
+        self.values, self.size = values, size
+        self.first = np.cumsum(size + 1 if led else size) - size
+        self._lead = self.first - 1 if led else None
+
+    @classmethod
+    def of(cls, vectors: Iterable) -> "_Segments":
+        """The vectors, as float64, end to end."""
+        parts = [np.asarray(v, dtype=np.float64) for v in vectors]
+        size = np.array([p.size for p in parts], dtype=np.intp)
+        return cls(np.concatenate(parts) if parts else np.empty(0), size)
+
+    def spread(self, per_group: np.ndarray) -> np.ndarray:
+        """``per_group[g]`` at each element of segment ``g`` and its spare slot."""
+        return np.repeat(per_group, self.size if self._lead is None else self.size + 1)
+
+    def sort(self) -> "_Segments":
+        """Sorts each segment in place, and returns the layout."""
+        for start, stop in zip(self.first.tolist(), (self.first + self.size).tolist()):
+            self.values[start:stop].sort()
+        return self
+
+    def keep(self, mask: np.ndarray) -> "_Segments":
+        """The values where ``mask``, packed, in the same groups and order."""
+        kept = np.concatenate(([0], np.cumsum(mask)))
+        return _Segments(self.values[mask], kept[self.first + self.size] - kept[self.first])
+
+    def take(self, groups: np.ndarray) -> "_Segments":
+        """Segments ``groups[k]``, none empty, end to end, each led by a
+        spare slot that holds a copy of its first value."""
+        size = self.size[groups]
+        out = _Segments(None, size, led=True)
+        index = out.spread(self.first[groups] - out.first) + np.arange(size.sum() + size.size)
+        index[out._lead] += 1
+        out.values = self.values[index]
+        return out
+
+    def sums(self, x: np.ndarray) -> np.ndarray:
+        """Each segment's sum of ``x``, laid out as ``values`` (its spare
+        slots are overwritten): bit for bit the ``np.add.reduce`` of the
+        segment alone, which ``sum``, ``mean``, ``var`` and ``std`` use and the
+        report bytes are pinned to.  ``np.add.reduce`` adds 0.0 to the pairwise
+        sum of all values, ``np.add.reduceat`` a segment's first element to the
+        pairwise sum of the rest: so a 0.0 is inserted before each segment, or
+        put in its spare slot."""
+        if self._lead is None:
+            lead = self.first + np.arange(self.size.size)
+            x = np.insert(x, self.first, 0.0)
+        else:
+            lead = self._lead
+            x[lead] = 0.0
+        return np.add.reduceat(x, lead)
+
+    def medians(self) -> np.ndarray:
+        """Each sorted segment's median: at even size the midpoint of its
+        two central values, and NaN for an empty segment."""
+        out = np.full(self.size.size, np.nan)
+        some = self.size > 0
+        first, size = self.first[some], self.size[some]
+        upper = self.values[first + size // 2]
+        lower = self.values[first + (size - 1) // 2]
+        out[some] = np.where(size % 2, upper, (lower + upper) / 2.0)
+        return out
+
+
+def _counts(vectors: Sequence, keys: Sequence = ()) -> _Segments:
+    """The layout of citation vectors, checked all at once: an empty one is an
+    :class:`EmptyGroupError`, a negative or non-finite count a
+    :class:`CorpusValueError`, naming the group ``keys[g]`` if keys are given."""
+    seg = _Segments.of(vectors)
+    v = seg.values
+    if not seg.size.all():
+        g, error, what = int(np.argmin(seg.size)), EmptyGroupError, "empty citation vector"
+    elif v.size and not (v.min() >= 0.0 and v.max() < math.inf):  # NaN fails both
+        at = int(np.argmax(~((v >= 0.0) & (v < math.inf))))
+        g = int(np.searchsorted(seg.first, at, side="right")) - 1
+        error, what = CorpusValueError, f"citation count {float(v[at])} is negative or not finite"
+    else:
+        return seg
+    raise error(f"group {keys[g]}: {what}" if keys else what)
+
+
+def _describe(vectors: Sequence) -> list[GroupStats]:
+    """:func:`describe` of each vector, all at once."""
+    # every sum runs over the sorted values, so that permutations of the
+    # input produce bit-identical results
+    seg = _counts(vectors).sort()
+    values, n = seg.values, seg.size
+    mean = seg.sums(values) / n
+    dev = values - seg.spread(mean)
+    m2, m3, m4 = (seg.sums(dev**p) / n for p in (2, 3, 4))
+    nz = seg.keep(values > 0.0)
+    columns = (n, mean, m2, m3, m4, values[seg.first], values[seg.first + n - 1],
+               seg.medians(), nz.size, nz.sums(nz.values), nz.medians())
+    out = []
+    # the closing arithmetic stays scalar: numpy's array power rounds
+    # differently from the scalar ``**`` that the report bytes are pinned to
+    for n, mean, m2, m3, m4, lo, hi, median, n_nz, sum_nz, median_nz in zip(
+        *(c.tolist() for c in columns)
+    ):
+        stddev = float(np.sqrt(m2 * n / (n - 1))) if n >= 2 else None
+        skewness = kurtosis = None
+        if m2 > 0.0 and n >= 3:
+            skewness = float(m3 / m2**1.5 * np.sqrt(n * (n - 1.0)) / (n - 2.0))
+        if m2 > 0.0 and n >= 4:
+            g2 = m4 / m2**2 - 3.0
+            kurtosis = float((n - 1.0) / ((n - 2.0) * (n - 3.0)) * ((n + 1.0) * g2 + 6.0))
+        out.append(GroupStats(
+            n, n_nz, int(lo), int(hi), mean, median, stddev, skewness, kurtosis,
+            sum_nz / n_nz if n_nz else None, median_nz if n_nz else None,
+        ))
+    return out
 
 
 def describe(values: Sequence[int] | np.ndarray) -> GroupStats:
-    """Descriptive statistics of a non-empty, non-negative citation vector."""
-    v = np.asarray(values, dtype=np.float64)
-    n = int(v.size)
-    if n == 0:
-        raise EmptyGroupError("cannot describe an empty citation vector")
-    # everything is computed on the sorted vector so that permutations of the
-    # input produce bit-identical results
-    srt = np.sort(v)
-    mean = float(srt.mean())
-    m2 = float(((srt - mean) ** 2).mean())
-
-    stddev: float | None = None
-    if n >= 2:
-        stddev = float(np.sqrt(m2 * n / (n - 1)))
-
-    skewness: float | None = None
-    kurtosis: float | None = None
-    if m2 > 0.0:
-        if n >= 3:
-            m3 = float(((srt - mean) ** 3).mean())
-            g1 = m3 / m2**1.5
-            skewness = float(g1 * np.sqrt(n * (n - 1.0)) / (n - 2.0))
-        if n >= 4:
-            m4 = float(((srt - mean) ** 4).mean())
-            g2 = m4 / m2**2 - 3.0
-            kurtosis = float((n - 1.0) / ((n - 2.0) * (n - 3.0)) * ((n + 1.0) * g2 + 6.0))
-
-    nz = srt[srt > 0]
-    mean_nonzero: float | None = None
-    median_nonzero: float | None = None
-    if nz.size:
-        mean_nonzero = float(nz.mean())
-        median_nonzero = _median(nz)
-
-    return GroupStats(
-        n=n,
-        n_nonzero=int(nz.size),
-        min=int(srt[0]),
-        max=int(srt[-1]),
-        mean=mean,
-        median=_median(srt),
-        stddev=stddev,
-        skewness=skewness,
-        kurtosis=kurtosis,
-        mean_nonzero=mean_nonzero,
-        median_nonzero=median_nonzero,
-    )
-
-
-class _Sorted:
-    """Many groups' values, each group's sorted and all laid end to end:
-    group ``g`` holds ``values[first[g] : first[g] + size[g]]``.
-
-    The diagnostics build it with one in-place sort per group and then work
-    on the whole arrays: a group's k-th smallest value, its count below a
-    threshold or its values above one are then found for every group at
-    once, with no loop over the groups.
-    """
-
-    __slots__ = ("values", "first", "size")
-
-    def __init__(self, vectors: Iterable) -> None:
-        parts = [np.asarray(v, dtype=np.float64) for v in vectors]
-        self.size = np.array([p.size for p in parts], dtype=np.intp)
-        self.values = np.concatenate(parts) if parts else np.empty(0)
-        self.first = np.cumsum(self.size) - self.size
-        for start, stop in zip(self.first.tolist(), (self.first + self.size).tolist()):
-            self.values[start:stop].sort()
-
-
-def _led(values: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``values`` as segments of ``size`` end to end, each led by a 0.0 slot,
-    and the slots' positions: the layout that :func:`_sums` adds up."""
-    first = np.cumsum(size) - size
-    return np.insert(values, first, 0.0), first + np.arange(size.size)
-
-
-def _sums(x: np.ndarray, lead: np.ndarray) -> np.ndarray:
-    """Each segment's sum of ``x`` as :func:`_led` lays it out, its slots at
-    ``lead`` zeroed first, in place: bit for bit the ``np.add.reduce`` of the
-    segment alone, which ``sum``, ``mean``, ``var`` and ``std`` use and the
-    report bytes are pinned to.  ``np.add.reduce`` adds 0.0 to the pairwise
-    sum of all values, ``np.add.reduceat`` a segment's first element (here
-    the 0.0) to the pairwise sum of the rest."""
-    x[lead] = 0.0
-    return np.add.reduceat(x, lead)
+    """Descriptive statistics of a non-empty vector of finite, non-negative counts."""
+    return _describe([values])[0]

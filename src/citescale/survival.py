@@ -16,8 +16,8 @@ Curve data for external plotting is emitted on a shared grid of 25
 log-spaced thresholds; no figure rendering happens here.
 
 Every group is handled at once, with no loop over the groups.  The scores
-are laid out as in :class:`citescale.stats._Sorted`: each group's values
-sorted, all groups end to end, with each group's ``first`` element and
+are laid out as :class:`citescale.stats._Segments`, with each segment
+sorted: all groups end to end, with each group's ``first`` element and
 ``size``.  A group's CDF on the shared grid of every distinct value only
 steps at its runs of equal values, and the envelope of all groups' CDFs is
 a running minimum and a running maximum over those runs in value order
@@ -37,7 +37,7 @@ import numpy as np
 
 from .corpus import GroupKey
 from .errors import EmptyGroupError
-from .stats import _Sorted
+from .stats import _Segments
 
 QUANTILES = (0.5, 0.75, 0.9, 0.95, 0.99)
 N_PLOT_BINS = 25
@@ -62,7 +62,7 @@ class CollapseReport:
     quantile_dispersion: tuple[QuantileDispersion, ...]
 
 
-def _max_ks(seg: _Sorted) -> float:
+def _max_ks(seg: _Segments) -> float:
     """The largest gap between any two groups' CDFs on the grid of every
     distinct value, ``max_t (max_g F_g(t) - min_g F_g(t))``.
 
@@ -93,7 +93,7 @@ def _max_ks(seg: _Sorted) -> float:
     return float(((1.0 - low) - (1.0 - high)).max())
 
 
-def _quantile_values(seg: _Sorted) -> np.ndarray:
+def _quantile_values(seg: _Segments) -> np.ndarray:
     """Each group's order-statistic quantile at each of ``QUANTILES``: its
     smallest value whose CDF is at least q, one row per q.
 
@@ -124,7 +124,7 @@ def collapse_metrics(vectors: Mapping[GroupKey, np.ndarray]) -> CollapseReport:
     has no KS statistic and no quantile dispersion.
     """
     keys = list(vectors)
-    seg = _Sorted(vectors.values())
+    seg = _Segments.of(vectors.values()).sort()
     if not seg.size.all():
         raise EmptyGroupError(f"group {keys[int(np.argmin(seg.size))]}: empty score vector")
     if len(keys) < 2:
@@ -181,13 +181,13 @@ def survival_curves(
     ``bincount`` count, for every group at once, how many thresholds each
     value reaches.
     """
-    seg = _Sorted(vectors.values())
+    seg = _Segments.of(vectors.values()).sort()
     thresholds = log_binned_thresholds(seg.values)
     # np.geomspace is not monotone when its ends lie a few ulps apart
     ranked = np.sort(thresholds)
     cells = ranked.size + 1
     reached = np.searchsorted(ranked, seg.values, side="right")
-    reached += np.repeat(np.arange(seg.size.size) * cells, seg.size)
+    reached += seg.spread(np.arange(seg.size.size) * cells)
     counts = np.bincount(reached, minlength=seg.size.size * cells)
     counts = counts.reshape(seg.size.size, cells)
     at_least = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]  # [:, j]: #(x >= ranked[j - 1])

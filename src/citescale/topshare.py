@@ -29,6 +29,7 @@ import numpy as np
 from .corpus import GroupKey
 from .errors import EmptyCorpusError
 from .scaling import SkippedGroup
+from .stats import _Segments
 
 DEFAULT_TOP_FRACTION = 0.10
 
@@ -96,21 +97,20 @@ def top_share(
     n_skipped: Counter[str] = Counter()
     for sk in skipped:
         n_skipped[sk.group.category] += sk.n_records
-    vectors = [np.asarray(v, dtype=np.float64) for v in scores.values()]
-    n = sum(v.size for v in vectors)
+    seg = _Segments.of(scores.values())
+    n = seg.values.size
     if not n:
         if not n_skipped:
             raise EmptyCorpusError("cannot rank an empty score collection")
         return TopShareReport(top_fraction, None, 0, 0, (), tuple(sorted(n_skipped)))
-    pooled = np.concatenate(vectors)
     k = _top_rank(top_fraction, n)
-    cutoff = float(np.partition(pooled, n - k)[n - k])
-    # each pooled value's category, as an index into the sorted categories
+    cutoff = float(np.partition(seg.values, n - k)[n - k])
+    # each value's category, as an index into the sorted categories
     cats = sorted({key.category for key in scores})
     index = {cat: i for i, cat in enumerate(cats)}
-    code = np.repeat([index[key.category] for key in scores], [v.size for v in vectors])
+    code = seg.spread(np.array([index[key.category] for key in scores]))
     n_by_cat = np.bincount(code, minlength=len(cats)).tolist()
-    top_by_cat = np.bincount(code[pooled >= cutoff], minlength=len(cats)).tolist()
+    top_by_cat = np.bincount(code[seg.values >= cutoff], minlength=len(cats)).tolist()
 
     per_category = []
     for cat, n_cat, top_count in zip(cats, n_by_cat, top_by_cat):

@@ -10,7 +10,9 @@ oracles, the median undefinedness rule, and report determinism.
 import functools
 import json
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -295,3 +297,12 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
     emitted = tmp_path / "roundtrip.csv"
     emit_csv(corpus, emitted)
     assert emitted.read_bytes() == corpus_path.read_bytes()
+
+
+def test_golden_hash_is_pinned_alike_in_the_benchmark():
+    # a re-pin must change both copies: the benchmark checks each frozen
+    # report against its own
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    pinned = re.findall(r'^GOLDEN_FROZEN_HASH = "([0-9a-f]{64})"$',
+                        workloads.read_text(encoding="utf-8"), flags=re.MULTILINE)
+    assert pinned == [GOLDEN_FROZEN_HASH]

@@ -194,6 +194,12 @@ class TestBatch:
         assert (reports, skipped) == ad_oracle(scores, 0.1)
         assert len(reports) == 6
 
+    def test_a_skipped_group_beside_a_tested_one_stays_out_of_it(self):
+        # at threshold 0 the skipped group's zeros survive, right before the
+        # tested group's values; none of them may be logged
+        scores = {GroupKey("A", 1): [0.0, 0.0], GroupKey("B", 1): PINNED}
+        assert ad_lognormal(scores, threshold=0.0) == ad_oracle(scores, 0.0)
+
     def test_non_positive_value_names_the_first_tested_group(self):
         scores = {
             GroupKey("A", 1): [0.0, 1.0],  # too few: skipped before the check

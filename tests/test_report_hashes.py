@@ -3,6 +3,8 @@
 The frozen golden hash (criterion 8) covers 40 groups.  These pins cover
 the diagnostics over many groups and large grids: the frozen specs with
 every group three times as large, and 120 small groups of 40-99 records.
+The tripled specs are pinned twice: generated from the scenario, and read
+back from their emitted corpus CSV, the input a user hands to ``report``.
 """
 
 import json
@@ -11,7 +13,14 @@ from dataclasses import replace
 import pytest
 
 from citescale.cli import main
-from citescale.synth import CategorySpec, Scenario, benchmark_scenario, save_scenario
+from citescale.corpus import emit_csv
+from citescale.synth import (
+    CategorySpec,
+    Scenario,
+    benchmark_scenario,
+    generate,
+    save_scenario,
+)
 
 
 def tripled_frozen() -> Scenario:
@@ -56,3 +65,15 @@ def test_report_hash_is_pinned(tmp_path, name):
                  "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["content_hash"] == expected
+
+
+def test_report_hash_of_csv_input_is_pinned(tmp_path):
+    # content_hash of `report --input` on the emitted CSV of tripled_frozen(),
+    # numpy 2.4.6; no corpus.csv artifact, so it differs from the scenario pin
+    emit_csv(generate(tripled_frozen()), tmp_path / "corpus.csv")
+    out = tmp_path / "out"
+    assert main(["report", "--input", str(tmp_path / "corpus.csv"), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["content_hash"] == (
+        "411f819dd48a03b69ec43ccf2df7491f84143ff5cc12405aa9adb14176e6fe6d"
+    )

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from citescale import scaling
 from citescale.corpus import GroupKey
-from citescale.errors import EmptyGroupError
+from citescale.errors import CorpusValueError, EmptyGroupError
 from citescale.scaling import (
     _GOLDEN_TOL,
     _INV_PHI,
@@ -21,11 +21,10 @@ from citescale.scaling import (
     _batch_var,
     _fit_lambdas,
     _grid_candidates,
-    _Packed,
     boxcox_transform,
     scale_corpus,
 )
-from citescale.stats import _led, _sums
+from citescale.stats import _Segments
 
 A03 = GroupKey("A", 2003)
 
@@ -213,6 +212,15 @@ class TestFitFactors:
             with pytest.raises(EmptyGroupError, match="group A/2003: empty"):
                 scale_corpus({A03: [], GroupKey("B", 2003): [1, 2, 3]}, method)
 
+    @pytest.mark.parametrize("bad", [-5, -0.5, math.nan, math.inf, -math.inf])
+    def test_negative_or_non_finite_count(self, monkeypatch, bad):
+        # neither skipped as a zero divisor nor scored: rejected before any
+        # fit, naming the group, under every method
+        monkeypatch.setattr(scaling, "_fit_lambdas", None)
+        for method in ScalingMethod:
+            with pytest.raises(CorpusValueError, match="group B/2003: citation count"):
+                scale_corpus({A03: [0, 1, 2], GroupKey("B", 2003): [1, 2, bad]}, method)
+
 
 class TestScale:
     def test_median_scaled_record_at_the_median_scores_one(self):
@@ -327,6 +335,20 @@ class TestNormalizationIdentities:
         if aii is None:
             return
         assert aii.max() == 1.0
+
+    @given(
+        st.lists(st.integers(0, 10**6), min_size=1, max_size=200),
+        st.randoms(use_true_random=False),
+    )
+    def test_permuting_a_group_keeps_its_sorted_ratio_scores(self, values, random):
+        # sums of at most 200 counts below 10**6 are exact in any order; the
+        # boxcox fit's sums are not, so its scores can move (see README)
+        shuffled = random.sample(values, len(values))
+        for method in RATIO_METHODS:
+            got, want = scores(shuffled, method), scores(values, method)
+            assert (got is None) == (want is None), method
+            if want is not None:
+                assert np.sort(got).tobytes() == np.sort(want).tobytes(), method
 
 
 class TestExactRescaling:
@@ -502,7 +524,8 @@ class TestFitLambda:
     def test_loglik_matches_naive(self, rng):
         values = rng.integers(0, 100, size=50)
         lams = np.array([-2.5, -1.0, 0.0, 0.5, 2.0])
-        ll = _batch_loglik(_Packed.of([values.astype(np.float64)]), np.zeros(5, int), lams)
+        logs = _Segments.of([np.log1p(values.astype(np.float64))])
+        ll = _batch_loglik((logs, logs.sums(logs.values)), np.zeros(5, int), lams)
         for lam, got in zip(lams, ll):
             assert got == pytest.approx(naive_loglik(values.tolist(), lam), rel=1e-9)
 
@@ -546,16 +569,20 @@ class TestPackedArithmetic:
     def test_reduceat_over_a_zero_led_segment_is_reduce(self):
         rng = np.random.default_rng(8)
         parts = [rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7) for n in self.LENGTHS]
-        buf, lead = _led(np.concatenate(parts), np.array(self.LENGTHS))
-        sums = _sums(buf, lead)
-        assert sums.tolist() == [np.add.reduce(x) for x in parts]
+        seg = _Segments.of(parts)
+        want = [np.add.reduce(x) for x in parts]
+        assert seg.sums(seg.values).tolist() == want
+        # the spare-slot layout that the fit's blocks gather
+        led = seg.take(np.arange(len(parts)))
+        assert led.sums(led.values).tolist() == want
 
     def test_batch_variance_is_ndarray_var(self):
         rng = np.random.default_rng(9)
         vectors = [np.floor(np.exp(rng.normal(2.0, 1.5, n))) for n in self.LENGTHS]
         lams = rng.uniform(*LAMBDA_BOUNDS, len(vectors))
         lams[::7] = 0.0
-        var = _batch_var(_Packed.of(vectors), np.arange(len(vectors)), lams)
+        logs = _Segments.of(np.log1p(v) for v in vectors)
+        var = _batch_var(logs, np.arange(len(vectors)), lams)
         want = [
             float(boxcox_transform(v, lam).var()) for v, lam in zip(vectors, lams)
         ]
@@ -628,4 +655,6 @@ class TestScaleCorpus:
             GroupKey("C", 2003): [0, 3, 3, 7],
         }, ScalingMethod.BOX_COX_MEAN)
         assert [s.reason for s in skipped] == ["degenerate-boxcox"]
-        assert sorted(calls) == sorted(v.size for v in scored.values()) == [4, 6]
+        assert sorted(v.size for v in scored.values()) == [4, 6]
+        # the 10 records of the two fitted groups, none of the degenerate one
+        assert calls == [sum(v.size for v in scored.values())] == [10]

@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from citescale.errors import EmptyGroupError
-from citescale.stats import describe
+from citescale.errors import CorpusValueError, EmptyGroupError
+from citescale.stats import _describe, _Segments, describe
 
 
 def naive_stats(values):
@@ -89,6 +90,17 @@ class TestDescribe:
         with pytest.raises(EmptyGroupError):
             describe([])
 
+    @pytest.mark.parametrize("bad", [-5, math.nan, math.inf])
+    def test_negative_or_non_finite_count(self, bad):
+        # not described as n_nonzero=2 or NaN moments: rejected
+        with pytest.raises(CorpusValueError, match="citation count"):
+            describe([bad, 1, 2])
+
+    def test_all_groups_at_once_is_each_alone(self, rng):
+        vectors = [rng.integers(0, 500, size=int(n)) for n in rng.integers(1, 300, 40)]
+        vectors += [[0, 0, 0], [7]]  # no nonzero value; one value
+        assert _describe(vectors) == [describe(v) for v in vectors]
+
     def test_fractional_median_even_n(self):
         assert describe([4, 9, 6, 5]).median == 5.5
 
@@ -150,3 +162,21 @@ class TestDescribeNonzero:
         assert st_.median == 2
         assert st_.median_nonzero == 3.5
         assert st_.n_nonzero == 4
+
+
+class TestSegments:
+    """The layout's statistics against numpy on each group alone."""
+
+    def test_sums_and_medians_match_each_group_alone(self):
+        rng = np.random.default_rng(12)
+        sizes = rng.permutation(301)  # 0-300: empty, odd and even groups
+        noise = [rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7) for n in sizes]
+        seg = _Segments.of(noise)
+        assert seg.sums(seg.values).tolist() == [np.add.reduce(x) for x in noise]
+        ties = [rng.integers(0, 20, n) / 4.0 for n in sizes]  # many equal values
+        medians = _Segments.of(ties).sort().medians()
+        for x, median in zip(ties, medians.tolist()):
+            if x.size:
+                assert median == np.median(x)
+            else:
+                assert math.isnan(median)

@@ -10,7 +10,7 @@ from citescale import survival
 from citescale.corpus import GroupKey, group_records
 from citescale.errors import EmptyGroupError
 from citescale.scaling import ScalingMethod, scale_corpus
-from citescale.stats import _Sorted
+from citescale.stats import _Segments
 from citescale.survival import (
     QUANTILES,
     CollapseReport,
@@ -201,7 +201,7 @@ class TestCollapseMetrics:
         # group n holds 0, 1, ..., n - 1: the quantile is the number of
         # values whose CDF 1 - (n - i) / n is below q, counted one by one
         sizes = range(1, 3001)
-        seg = _Sorted(np.arange(float(n)) for n in sizes)
+        seg = _Segments.of(np.arange(float(n)) for n in sizes).sort()
         got = survival._quantile_values(seg)
         for q, row in zip(QUANTILES, got.tolist()):
             assert row == [
