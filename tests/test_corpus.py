@@ -196,6 +196,13 @@ class TestRecords:
         ([("a", 2003, "A", 1), ("b", 2003, "A", 10**400)], 1, "is beyond the int64 range"),
         ([("a", 2003, "A", 1), ("b", 2003, "", 1)], 1, "empty category"),
         ([("a", 2003, "A", 1), ("a ", 2003, "A", 1)], 1, "pub_id 'a '"),
+        # a category that cannot be hashed, is no str, cannot be ordered
+        # against str, or is padded where earlier labels are good
+        ([("a", 2003, "A", 1), ("b", 2003, ["B"], 1)], 1, "category ['B']"),
+        ([("a", 2003, "A", 1), ("b", 2003, 5, 1)], 1, "category 5"),
+        ([("a", 2003, "A", 1), ("b", 2003, float("nan"), 1)], 1, "category nan"),
+        ([("a", 2003, "A", 1), ("b", 2003, "B", 1), ("c", 2003, "A", 1),
+          ("d", 2003, " B", 1)], 3, "category ' B'"),
         # the row that repeats an earlier one is named, not the first of them
         ([("b", 2003, "A", 1), ("a", 2004, "A", 1), ("b", 2007, "A", 2)],
          2, "duplicate (pub_id, category) ('b', 'A')"),
