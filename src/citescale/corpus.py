@@ -6,6 +6,8 @@ each carrying the same citation count.  All normalization downstream is
 computed per (category, year) group.  A :class:`Corpus` holds the records as
 four columns sorted once into (category, year, pub_id) order, so each group
 is one slice of them and grouping, scoring and emission read one order.
+Categories are few and repeat on every row, so the Corpus checks and ranks
+each distinct category once; each ``pub_id`` is checked and ranked per row.
 
 CSV wire format (canonical form):
     header ``pub_id,year,category,citations``, comma separated, LF line
@@ -15,7 +17,9 @@ CSV wire format (canonical form):
     emission quotes nothing and ingestion strips cells, ``pub_id`` and
     ``category`` may not be empty, hold a comma, a double quote or a line
     break, or start or end with whitespace; the file is UTF-8, so no text
-    may hold a lone surrogate.
+    may hold a lone surrogate.  A file in this form, with no line wider in
+    UTF-8 bytes than the field limit, is split in one pass over its text;
+    any other file goes through ``csv.reader``.
 """
 
 from __future__ import annotations
@@ -77,13 +81,19 @@ def _int64(values, name: str) -> np.ndarray:
     raise CorpusValueError(message, row=row)
 
 
-def _check_text(column: np.ndarray, name: str) -> None:
-    """:class:`CorpusValueError` unless every value of an object column is
-    CSV text; whole-column checks, then one value at a time to name its row."""
-    values = column.tolist()
+def _check_text(values: list, name: str) -> None:
+    """:class:`CorpusValueError` unless every value is CSV text, its ``row``
+    the value's index.  Whole-list checks come first: the joined text is
+    searched for an unreadable character, by four substring tests when it
+    is ASCII (which holds no surrogate); only a list that fails them is
+    checked one value at a time, to name the row at fault."""
     try:
         if all(values) and list(map(str.strip, values)) == values:
-            if not _UNREADABLE.search("".join(values)):
+            text = "".join(values)
+            if text.isascii():
+                if not any(c in text for c in ',"\r\n'):
+                    return
+            elif not _UNREADABLE.search(text):
                 return
     except TypeError:  # a value that is not a str
         pass
@@ -98,6 +108,25 @@ def _check_text(column: np.ndarray, name: str) -> None:
                 "break or lone surrogate",
                 row=row,
             )
+
+
+def _codes(values: list, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of a column of CSV text, as an object
+    array, and each row's index into them: its dense rank in Python's
+    string order.  Each distinct value is checked once; if one fails, or a
+    value cannot be hashed or ordered, every row is checked, so that the
+    :class:`CorpusValueError` names the first row at fault."""
+    try:
+        labels = sorted(set(values))
+        _check_text(labels, name)
+    except (TypeError, CorpusValueError) as exc:
+        error = exc
+    else:
+        index = dict(zip(labels, range(len(labels))))
+        codes = np.fromiter(map(index.__getitem__, values), np.int64, len(values))
+        return np.array(labels, dtype=object), codes
+    _check_text(values, name)
+    raise error  # every value is text, but they cannot be ordered
 
 
 def _ranks(column: np.ndarray) -> np.ndarray:
@@ -120,7 +149,9 @@ class Corpus:
     negative.  Each ``pub_id`` and ``category`` is a non-empty ``str`` with
     no comma, double quote, line break, lone surrogate or leading or
     trailing whitespace, so that its CSV cell reads back the same; a value
-    error's ``row`` is the row at fault.
+    error's ``row`` is the row at fault.  ``category`` is checked and ranked
+    once per distinct label, and its column holds one ``str`` object per
+    label; ``pub_id`` is checked and ranked row by row.
     """
 
     pub_id: np.ndarray
@@ -140,9 +171,9 @@ class Corpus:
             row = int(np.argmax(cites < 0))
             raise CorpusValueError(f"citations must be >= 0, got {cites[row]}", row=row)
 
-        _check_text(cat, "category")
-        _check_text(pub, "pub_id")
-        cat_rank, pub_rank = _ranks(cat), _ranks(pub)
+        labels, cat_rank = _codes(cat.tolist(), "category")
+        _check_text(pub.tolist(), "pub_id")
+        pub_rank = _ranks(pub)
         pairs = cat_rank * n + pub_rank
         ordered = np.sort(pairs)
         if (ordered[1:] == ordered[:-1]).any():
@@ -153,11 +184,12 @@ class Corpus:
             )
 
         order = np.lexsort((pub_rank, year, cat_rank))
-        for name, column in zip(CSV_HEADER, (pub, year, cat, cites)):
-            column = column[order]
+        cat_rank = cat_rank[order]
+        for name, column in zip(CSV_HEADER, (pub[order], year[order],
+                                             labels[cat_rank], cites[order])):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        starts = np.flatnonzero(np.diff(cat_rank[order]) | np.diff(self.year)) + 1
+        starts = np.flatnonzero(np.diff(cat_rank) | np.diff(self.year)) + 1
         bounds = [0, *starts.tolist(), n] if n else []
         keys = zip(self.category[bounds[:-1]], self.year[bounds[:-1]].tolist())
         object.__setattr__(self, "group_slices", {
@@ -183,17 +215,45 @@ class IngestResult:
     n_warnings: int
 
 
-def _split(path: Path, text: str) -> tuple:
-    """Split corpus text into the header's cells, the data rows' cells in
-    one flat list, each row's file line and the error of the line that ended
-    the split early (or None).  Only text with a double quote, CR, blank or
-    ragged line, or a line beyond the csv field limit goes through csv."""
-    lines = text.rstrip("\n").split("\n")  # blank lines at the end hold no rows
-    plain = '"' not in text and "\r" not in text
-    if plain and max(map(len, lines)) <= csv.field_size_limit():
-        if set(map(str.count, lines, repeat(","))) == {len(CSV_HEADER) - 1}:
-            cells = ",".join(lines).split(",")
-            return cells[:4], cells[4:], range(2, len(lines) + 1), None
+def _plain_lines(data: bytes, size: int) -> int:
+    """The number of lines in ``data[:size]`` if every line holds exactly
+    three commas and is at most ``csv.field_size_limit()`` bytes wide, else
+    0; from one numpy scan of the bytes for line breaks and commas."""
+    raw = np.frombuffer(data, dtype=np.uint8, count=size)
+    breaks = np.flatnonzero(raw == ord("\n"))
+    commas = np.flatnonzero(raw == ord(","))
+    n_lines, width = len(breaks) + 1, len(CSV_HEADER) - 1
+    if len(commas) != width * n_lines:
+        return 0
+    commas = commas.reshape(n_lines, width)  # line i's commas, if each has three
+    if (commas[:-1, -1] > breaks).any() or (commas[1:, 0] < breaks).any():
+        return 0
+    widest = int(np.diff(breaks, prepend=-1, append=size).max()) - 1
+    return n_lines if widest <= csv.field_size_limit() else 0
+
+
+def _split(path: Path, data: bytes, text: str) -> tuple:
+    """Split corpus text, decoded from the UTF-8 ``data``, into the header's
+    cells, the data rows' cells in one flat list, each row's file line and
+    the error of the line that ended the split early (or None).
+
+    Text with no double quote or CR, whose every line (but blank lines at
+    the end) holds three commas and is at most ``csv.field_size_limit()``
+    UTF-8 bytes wide, is split on its line breaks and commas in one pass.
+    A line's width in bytes is at least its width in characters, so no line
+    the csv module would refuse takes that split; any other text goes
+    through csv.reader.
+    """
+    if b'"' not in data and b"\r" not in data:
+        body = text.rstrip("\n")  # blank lines at the end hold no rows
+        # each "\n" stripped is one byte
+        n_lines = _plain_lines(data, len(data) - (len(text) - len(body)))
+        if n_lines:
+            cells = body.replace("\n", ",").split(",")
+            header = cells[:4]
+            del cells[:4]
+            return header, cells, range(2, n_lines + 1), None
+        del body
     reader = csv.reader(io.StringIO(text, newline=""))
     header, cells, line_nos, stop = None, [], [], None
     try:
@@ -217,14 +277,19 @@ def _split(path: Path, text: str) -> tuple:
     return header, cells, line_nos, stop
 
 
-def _parse_ints(cells: list[str]) -> list:
-    """``int(cell.strip())`` of each cell, each distinct string parsed once;
-    a cell that is no integer stays a str, for the Corpus to reject."""
+def _parse_ints(cells: list[str]) -> np.ndarray | list:
+    """``int(cell.strip())`` of each cell, each distinct string parsed once:
+    an int64 array when every cell parses within int64, else a list in which
+    a cell that is no integer stays a str, for the Corpus to reject and to
+    name its row."""
     values = {}
     for cell in set(cells):
         with suppress(ValueError):
             values[cell] = int(cell.strip())
-    return list(map(values.get, cells, cells))
+    try:
+        return np.fromiter(map(values.__getitem__, cells), np.int64, len(cells))
+    except (KeyError, OverflowError):  # a cell that is no integer, or beyond int64
+        return list(map(values.get, cells, cells))
 
 
 def ingest_csv(path: str | Path, strict: bool = False) -> IngestResult:
@@ -249,14 +314,16 @@ def ingest_csv(path: str | Path, strict: bool = False) -> IngestResult:
         raise CorpusFormatError(f"{path}, line {line_no}: not valid UTF-8") from None
     if not text:
         raise EmptyCorpusError(f"{path}: file is empty")
-    header, cells, line_nos, error = _split(path, text)
+    header, cells, line_nos, error = _split(path, data, text)
     if tuple(map(str.strip, header)) != CSV_HEADER:
         raise CorpusFormatError(
             f"{path}, line 1: expected header {','.join(CSV_HEADER)!r}, "
             f"got {','.join(header)!r}"
         )
     pub, year, cat, cites = (cells[i::4] for i in range(4))
-    pub, cat = (list(map(str.strip, column, repeat(_PAD))) for column in (pub, cat))
+    if not text.isascii() or any(c in text for c in _PAD if c.isascii()):
+        pub, cat = (list(map(str.strip, column, repeat(_PAD))) for column in (pub, cat))
+    pub, cat = (np.array(column, dtype=object) for column in (pub, cat))
     columns = [pub, _parse_ints(year), cat, _parse_ints(cites)]
     del data, text, cells, year, cites  # raw text: not held while the Corpus builds
 
@@ -273,8 +340,9 @@ def ingest_csv(path: str | Path, strict: bool = False) -> IngestResult:
                 error = type(exc)(f"{path}, line {line_nos[end]}: {exc}")
                 continue
             if error is None:  # values are checked before duplicates: last row wins
-                keep = dict(zip(zip(columns[0], columns[2]), range(end))).values()
-                corpus = Corpus(*(list(map(col.__getitem__, keep)) for col in columns))
+                pairs = zip(columns[0].tolist(), columns[2].tolist())
+                keep = np.fromiter(dict(zip(pairs, range(end))).values(), np.int64)
+                corpus = Corpus(*(col[keep] for col in columns))
         break
     if error is not None:
         raise error

@@ -1,5 +1,6 @@
 import csv
 import io
+import random
 import re
 import sys
 import tempfile
@@ -28,6 +29,7 @@ from citescale.errors import (
     DuplicateRecordError,
     EmptyCorpusError,
 )
+from citescale.synth import benchmark_scenario, generate
 
 from conftest import write_corpus_csv
 
@@ -545,9 +547,9 @@ def _ingested(path, strict):
 # per column, cells that read (padded, NUL-holding, non-ASCII digits) and
 # cells that do not, or that read only when quoted
 _GOOD = (
-    ["p1", "p2", " p1 ", "p1\x00", "é"],
+    ["p1", "p2", " p1 ", "p1\x00", "é", "\xa0p3\u3000"],
     ["2003", "2007", " 2007\t", "2_003", "\x1c2003", "٢٠"],
-    ["A", "B", " B\x0c", "A\x00"],
+    ["A", "B", " B\x0c", "A\x00", "\u2003B"],
     ["0", "5", " 7 ", "1" + "0" * 25],
 )
 _BAD = (
@@ -615,6 +617,47 @@ class TestSplitters:
         result = ingest_csv(copy)
         assert result.corpus == expected.corpus == corpus_of(rows)
         assert (result.n_rows, result.n_warnings) == (5, 0)
+
+    @pytest.mark.parametrize("n_bytes", [
+        # within the field limit in characters, beyond it in UTF-8 bytes: the
+        # line goes to csv.reader, which reads it
+        100_000,
+        # as many extra bytes as the last line and the digit before it: a
+        # scan bounded by the character count would miss the last row
+        13,
+    ])
+    def test_two_byte_characters(self, tmp_path, n_bytes):
+        assert 100_000 < csv.field_size_limit() < 200_000
+        pub = "é" * n_bytes
+        text = f"pub_id,year,category,citations\n{pub},2003,A,55\np2,2003,A,1\n"
+        path = tmp_path / "c.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        result = _ingested(path, False)
+        assert result == _reference_ingest(text, False)
+        assert sorted(result[0].pub_id.tolist()) == ["p2", pub]
+
+    def test_canonical_files_take_the_one_pass_split(self, tmp_path, monkeypatch):
+        # emitted text, sorted or not, never reaches csv.reader; a quoted copy does
+        corpus = generate(benchmark_scenario())
+        emitted = tmp_path / "emitted.csv"
+        emit_csv(corpus, emitted)
+        head, *rows = emitted.read_text().splitlines(keepends=True)
+        random.Random(1).shuffle(rows)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text(head + "".join(rows))
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text('"pub_id",year,category,citations\n' + "".join(rows))
+
+        class ReaderCalled(Exception):
+            pass
+
+        def reader(*args, **kwargs):
+            raise ReaderCalled
+
+        monkeypatch.setattr(csv, "reader", reader)
+        assert ingest_csv(emitted).corpus == ingest_csv(shuffled).corpus == corpus
+        with pytest.raises(ReaderCalled):
+            ingest_csv(quoted)
 
     def test_pad_is_all_whitespace_but_line_breaks(self):
         spaces = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
