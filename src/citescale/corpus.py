@@ -323,6 +323,7 @@ def ingest_csv(path: str | Path, strict: bool = False) -> IngestResult:
     pub, year, cat, cites = (cells[i::4] for i in range(4))
     if not text.isascii() or any(c in text for c in _PAD if c.isascii()):
         pub, cat = (list(map(str.strip, column, repeat(_PAD))) for column in (pub, cat))
+    # object arrays, which the last-wins rebuild below indexes with an array
     pub, cat = (np.array(column, dtype=object) for column in (pub, cat))
     columns = [pub, _parse_ints(year), cat, _parse_ints(cites)]
     del data, text, cells, year, cites  # raw text: not held while the Corpus builds

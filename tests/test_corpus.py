@@ -198,6 +198,9 @@ class TestRecords:
         ([("a", 2003, "A", 1), ("b", 2003, "A", 10**400)], 1, "is beyond the int64 range"),
         ([("a", 2003, "A", 1), ("b", 2003, "", 1)], 1, "empty category"),
         ([("a", 2003, "A", 1), ("a ", 2003, "A", 1)], 1, "pub_id 'a '"),
+        # the row that repeats an earlier one is named, not the first of them
+        ([("b", 2003, "A", 1), ("a", 2004, "A", 1), ("b", 2007, "A", 2)],
+         2, "duplicate (pub_id, category) ('b', 'A')"),
         # a category that cannot be hashed, is no str, cannot be ordered
         # against str, or is padded where earlier labels are good
         ([("a", 2003, "A", 1), ("b", 2003, ["B"], 1)], 1, "category ['B']"),
@@ -205,9 +208,6 @@ class TestRecords:
         ([("a", 2003, "A", 1), ("b", 2003, float("nan"), 1)], 1, "category nan"),
         ([("a", 2003, "A", 1), ("b", 2003, "B", 1), ("c", 2003, "A", 1),
           ("d", 2003, " B", 1)], 3, "category ' B'"),
-        # the row that repeats an earlier one is named, not the first of them
-        ([("b", 2003, "A", 1), ("a", 2004, "A", 1), ("b", 2007, "A", 2)],
-         2, "duplicate (pub_id, category) ('b', 'A')"),
     ])
     def test_value_error_names_its_row(self, rows, row, message):
         with pytest.raises(CorpusValueError) as exc:
@@ -637,7 +637,8 @@ class TestSplitters:
         assert sorted(result[0].pub_id.tolist()) == ["p2", pub]
 
     def test_canonical_files_take_the_one_pass_split(self, tmp_path, monkeypatch):
-        # emitted text, sorted or not, never reaches csv.reader; a quoted copy does
+        # emitted text, sorted or not, never reaches csv.reader; its
+        # all-quoted copy does
         corpus = generate(benchmark_scenario())
         emitted = tmp_path / "emitted.csv"
         emit_csv(corpus, emitted)
@@ -646,7 +647,10 @@ class TestSplitters:
         shuffled = tmp_path / "shuffled.csv"
         shuffled.write_text(head + "".join(rows))
         quoted = tmp_path / "quoted.csv"
-        quoted.write_text('"pub_id",year,category,citations\n' + "".join(rows))
+        quoted.write_text("".join(
+            ",".join(f'"{cell}"' for cell in line.split(",")) + "\n"
+            for line in emitted.read_text().splitlines()
+        ))
 
         class ReaderCalled(Exception):
             pass
