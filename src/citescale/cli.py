@@ -21,8 +21,9 @@ selects all six methods and every writer, and adds the generated
 
 Exit codes: 0 success, 1 data error, 2 usage error (including flag values
 that could not work, such as a non-positive goodness-of-fit threshold).
-All numeric output is locale-independent with '.' as decimal separator and
-10 significant digits, and rerunning a subcommand on identical inputs
+All numeric output is locale-independent with '.' as decimal separator.
+CSV cells have 10 significant digits; JSON numbers are written at full
+``repr`` precision, and rerunning a subcommand on identical inputs
 rewrites identical bytes (timestamps appear only in the manifest metadata
 block, which is excluded from hashing).
 """

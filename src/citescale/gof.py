@@ -25,9 +25,11 @@ each one :meth:`~citescale.stats._Segments.sums` call over the logs of the
 tested groups, bit for bit those of ``mean``, ``std`` and ``sum`` on the
 group alone.  A group whose values are all equal stays in the arrays,
 divided by 1.0 in place of its zero deviation, and is left out only of the
-reports.  The reversed order statistics that A-squared pairs are read
-through one mirrored index, and the normal log-CDF, :func:`log_ndtr`, runs
-twice over all groups' values.
+reports.  The logs, the standardized values and the normal log-CDF,
+:func:`log_ndtr`, run once per run of equal values
+(:meth:`~citescale.stats._Segments.runs`) and are repeated over each run
+before the sums; the reversed order statistics that A-squared pairs are
+read through one mirrored index.
 ``log_ndtr`` is plain numpy, from the rational approximations of erf and
 erfc in Cephes ``ndtr.c`` (S. L. Moshier, after W. J. Cody, Math. Comp. 23,
 1969).
@@ -159,20 +161,18 @@ def ad_lognormal(
     if low.any():
         key = keys[np.flatnonzero(tested)[np.argmax(low)]]
         raise ValueError(f"group {key}: values must be positive after thresholding")
-    logs = np.log(fit.values, out=fit.values)
-    mu = fit.sums(logs) / n
-    sigma = np.sqrt(fit.sums(np.square(logs - fit.spread(mu))) / (n - 1))  # std(ddof=1)
-    z = logs
-    z -= fit.spread(mu)
-    z /= fit.spread(np.where(sigma == 0.0, 1.0, sigma))
-    log_cdf = log_ndtr(z)  # log Phi(z)
-    np.negative(z, out=z)
-    terms = log_ndtr(z)  # log(1 - Phi(z)), one pass each over every group
+    start, length = fit.runs()  # logs, z and log_ndtr once per run of equal values
+    logs = np.log(fit.values[start])
+    mu = fit.sums(np.repeat(logs, length)) / n
+    dev = logs - fit.spread(mu)[start]
+    sigma = np.sqrt(fit.sums(np.repeat(np.square(dev), length)) / (n - 1))  # std(ddof=1)
+    z = dev / fit.spread(np.where(sigma == 0.0, 1.0, sigma))[start]
+    terms = np.repeat(log_ndtr(-z), length)  # log(1 - Phi(z))
     rank = np.arange(terms.size) - fit.spread(fit.first - 1)  # 1 at a group's first value
     mirror = fit.spread(fit.first + n) - rank  # i-th value <-> (n + 1 - i)-th
     terms = terms.take(mirror, mode="clip")  # the last spare slot's is past the end
-    terms += log_cdf
-    del log_cdf, mirror
+    del mirror
+    terms += np.repeat(log_ndtr(z), length)  # log Phi(z)
     terms *= 2.0 * rank - 1.0
     a2 = -n - fit.sums(terms) / n
     a2_star = a2 * (1.0 + 0.75 / n + 2.25 / n**2)

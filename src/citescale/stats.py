@@ -16,6 +16,10 @@ Conventions:
 
 It also holds :class:`_Segments`, the one layout of every per-group statistic
 in the package, on which :func:`_describe` describes all groups at once.
+Counts take few distinct values per group, so per-value work runs once per
+run of equal values in a sorted segment (:meth:`_Segments.runs`) and is
+repeated over the run before each sum: every sum still adds the same values
+in the same order.
 """
 
 from __future__ import annotations
@@ -110,6 +114,21 @@ class _Segments:
             x[lead] = 0.0
         return np.add.reduceat(x, lead)
 
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first index and the length of each run of bit-identical values
+        within a segment.  A segment's first value and each spare slot open a
+        run, and -0.0 never shares one with 0.0: an elementwise result at a
+        run's first value is that of every value in the run, bit for bit, so
+        ``np.repeat(result, length)`` is the result over ``values``."""
+        bits = self.values.view(np.int64)
+        new = np.ones(bits.size + 1, dtype=bool)  # the last: one past the end
+        np.not_equal(bits[1:], bits[:-1], out=new[1:-1])
+        new[self.first] = True
+        if self._lead is not None:
+            new[self._lead] = True
+        start = np.flatnonzero(new)
+        return start[:-1], np.diff(start)
+
     def medians(self) -> np.ndarray:
         """Each sorted segment's median: at even size the midpoint of its
         two central values, and NaN for an empty segment."""
@@ -139,15 +158,26 @@ def _counts(vectors: Sequence, keys: Sequence = ()) -> _Segments:
     raise error(f"group {keys[g]}: {what}" if keys else what)
 
 
+def _moments(seg: _Segments) -> tuple[np.ndarray, ...]:
+    """Each segment's mean and central moments ``m2``, ``m3`` and ``m4`` over
+    n: bit for bit ``np.add.reduce((v - mean)**p) / n`` of the segment alone.
+    The deviations and their powers are evaluated once per run of equal
+    values and repeated before each sum.  numpy's ``**`` stays: the report
+    bytes are pinned to it, and ``dev*dev*dev`` rounds differently."""
+    n = seg.size
+    mean = seg.sums(seg.values) / n
+    start, length = seg.runs()
+    dev = seg.values[start] - seg.spread(mean)[start]
+    return (mean, *(seg.sums(np.repeat(dev**p, length)) / n for p in (2, 3, 4)))
+
+
 def _describe(vectors: Sequence) -> list[GroupStats]:
     """:func:`describe` of each vector, all at once."""
     # every sum runs over the sorted values, so that permutations of the
     # input produce bit-identical results
     seg = _counts(vectors).sort()
     values, n = seg.values, seg.size
-    mean = seg.sums(values) / n
-    dev = values - seg.spread(mean)
-    m2, m3, m4 = (seg.sums(dev**p) / n for p in (2, 3, 4))
+    mean, m2, m3, m4 = _moments(seg)
     nz = seg.keep(values > 0.0)
     columns = (n, mean, m2, m3, m4, values[seg.first], values[seg.first + n - 1],
                seg.medians(), nz.size, nz.sums(nz.values), nz.medians())

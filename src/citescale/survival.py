@@ -25,7 +25,8 @@ a running minimum and a running maximum over those runs in value order
 groups times grid.  Every CDF value is ``1 - (n - k) / n`` of an integer
 count ``k``: the report bytes are pinned to this form, and the algebraically
 equal ``k / n`` rounds differently.  The quantiles and the curve counts come
-from the same layout.
+from the same layout; the curves search each run of equal values once
+(:meth:`citescale.stats._Segments.runs`) and count it by its length.
 """
 
 from __future__ import annotations
@@ -72,18 +73,16 @@ def _max_ks(seg: _Segments) -> float:
     of equal values in its sorted segment: ``min_g a_g(t)`` is the running
     minimum, in value order, of the ``a`` after each run at or below t, and
     ``max_g a_g(t)`` the running maximum from the top of the ``a`` before
-    each run above t.  One sort of the runs gives both for every t.
+    each run above t.  One sort of the runs gives both for every t.  A run
+    of -0.0 and one of 0.0 share a grid value, so splitting them moves
+    neither envelope.
     """
-    v = seg.values
-    new = np.ones(v.size, dtype=bool)  # first value of a run of equal values
-    np.not_equal(v[1:], v[:-1], out=new[1:])
-    new[seg.first] = True
-    start = np.flatnonzero(new)
+    start, length = seg.runs()
     group = np.searchsorted(seg.first, start, side="right") - 1
     n, end = seg.size[group], (seg.first + seg.size)[group]
-    after = (end - np.append(start[1:], v.size)) / n  # a_g(t) from the run on
+    after = (end - start - length) / n  # a_g(t) from the run on
     before = (end - start) / n  # a_g(t) just below the run
-    x = v[start]
+    x = seg.values[start]
     order = np.argsort(x, kind="stable")
     x, after, before = x[order], after[order], before[order]
     last = np.flatnonzero(np.append(x[1:] != x[:-1], True))  # of each grid value
@@ -177,18 +176,20 @@ def survival_curves(
     Pr(X >= t) at each of them: one row per group, in the order of
     ``vectors``.
 
-    One ``searchsorted`` of every value into the thresholds and one
-    ``bincount`` count, for every group at once, how many thresholds each
-    value reaches.
+    One ``searchsorted`` of each run of equal values into the thresholds and
+    one ``bincount`` weighted by the runs' lengths count, for every group at
+    once, how many thresholds each value reaches.
     """
     seg = _Segments.of(vectors.values()).sort()
     thresholds = log_binned_thresholds(seg.values)
     # np.geomspace is not monotone when its ends lie a few ulps apart
     ranked = np.sort(thresholds)
     cells = ranked.size + 1
-    reached = np.searchsorted(ranked, seg.values, side="right")
-    reached += seg.spread(np.arange(seg.size.size) * cells)
-    counts = np.bincount(reached, minlength=seg.size.size * cells)
+    start, length = seg.runs()
+    reached = np.searchsorted(ranked, seg.values[start], side="right")
+    reached += seg.spread(np.arange(seg.size.size) * cells)[start]
+    # float64 counts, exact below 2**53
+    counts = np.bincount(reached, weights=length, minlength=seg.size.size * cells)
     counts = counts.reshape(seg.size.size, cells)
     at_least = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]  # [:, j]: #(x >= ranked[j - 1])
     at_least = at_least[:, 1 + np.searchsorted(ranked, thresholds)]

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from citescale.errors import CorpusValueError, EmptyGroupError
-from citescale.stats import _describe, _Segments, describe
+from citescale.stats import _counts, _describe, _moments, _Segments, describe
 
 
 def naive_stats(values):
@@ -101,6 +101,28 @@ class TestDescribe:
         vectors += [[0, 0, 0], [7]]  # no nonzero value; one value
         assert _describe(vectors) == [describe(v) for v in vectors]
 
+    def test_moments_are_each_sorted_group_alone(self, rng):
+        # the per-element oracle of the per-run moments: (v - mean)**p over
+        # every value of the sorted group, summed by np.add.reduce
+        big = rng.integers(2**53, 2**63 - 1024, 60)
+        vectors = [
+            rng.integers(0, 5, 400),  # heavy ties
+            rng.permutation(250),  # all distinct
+            [0.0, -0.0, 3.0, -0.0, 0.0, 3.0, 1.0],  # -0.0 beside 0.0
+            [-0.0, 0.0, -0.0],
+            big, np.repeat(big[:5], 7),  # above 2**53, distinct and tied
+            [2**62, 2**62 + 1, 2**62 + 2],  # equal once in float64
+            [7], [4, 4, 4, 4],
+        ]
+        vectors += [rng.integers(0, 30, int(n)) for n in rng.integers(1, 200, 30)]
+        got = np.array(_moments(_counts(vectors).sort()))
+        want = []
+        for v in vectors:
+            v = np.sort(np.asarray(v, dtype=np.float64))
+            mean = np.add.reduce(v) / v.size
+            want.append([mean] + [np.add.reduce((v - mean) ** p) / v.size for p in (2, 3, 4)])
+        assert got.T.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
     def test_fractional_median_even_n(self):
         assert describe([4, 9, 6, 5]).median == 5.5
 
@@ -180,3 +202,47 @@ class TestSegments:
                 assert median == np.median(x)
             else:
                 assert math.isnan(median)
+
+    @staticmethod
+    def assert_runs(seg):
+        """Runs of bit-identical values, each inside one segment or one spare
+        slot, opened by every segment start and spare slot."""
+        start, length = seg.runs()
+        bits = seg.values.view(np.int64)
+        assert length.sum() == seg.values.size and (length > 0).all()
+        assert start.tolist() == (np.cumsum(length) - length).tolist()
+        led = seg._lead is not None
+        where = np.repeat(np.arange(seg.size.size), seg.size + led)  # segment g,
+        if led:
+            where[seg.first - 1] = -1 - np.arange(seg.size.size)  # or its spare slot
+        assert (np.repeat(where[start], length) == where).all()
+        assert (np.repeat(bits[start], length) == bits).all()
+        opened = seg.first[seg.size > 0]
+        if led:
+            opened = np.concatenate((opened, seg.first - 1))
+        assert np.isin(opened, start).all()
+        inner = where[start[1:]] == where[start[:-1]]  # neighbours in one segment
+        assert (bits[start[1:]] != bits[start[:-1]])[inner].all()
+
+    def test_runs_of_every_layout(self):
+        rng = np.random.default_rng(5)
+        sizes = rng.permutation(120) % 40  # empty segments, one of them last
+        sizes[-1] = 0
+        ties = [rng.integers(0, 4, n) / 2.0 * rng.choice([-1.0, 1.0], n) for n in sizes]
+        packed = _Segments.of(ties)
+        self.assert_runs(packed)
+        self.assert_runs(packed.sort())
+        kept = packed.keep(packed.values != 0.5)
+        self.assert_runs(kept)
+        self.assert_runs(kept.take(np.flatnonzero(kept.size)))
+        self.assert_runs(_Segments.of([]))
+
+    def test_runs_split_signed_zeros_and_segments(self):
+        seg = _Segments.of([[1.0, 1.0], [], [1.0, 2.0, 2.0], [-0.0, 0.0, 0.0, -0.0]])
+        start, length = seg.runs()
+        assert start.tolist() == [0, 2, 3, 5, 6, 8]
+        assert length.tolist() == [2, 1, 2, 1, 2, 1]
+        led = seg.take(np.array([0, 2]))  # 1.0 | 1.0 1.0 | 1.0 | 1.0 2.0 2.0
+        start, length = led.runs()
+        assert start.tolist() == [0, 1, 3, 4, 5]
+        assert length.tolist() == [1, 2, 1, 1, 2]
