@@ -41,12 +41,9 @@ from datetime import datetime, timezone
 from itertools import product, repeat
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .corpus import (
     Corpus,
-    GroupKey,
     emit_csv,
     group_records,
     ingest_csv,
@@ -55,7 +52,7 @@ from .corpus import (
 from .errors import CitescaleError, EmptyCorpusError
 from .gof import DEFAULT_THRESHOLD, ad_lognormal
 from .scaling import ScalingMethod, scale_corpus
-from .stats import _describe
+from .stats import _describe, _Family
 from .survival import collapse_metrics, survival_curves
 from .topshare import DEFAULT_TOP_FRACTION, top_share
 from .synth import generate, load_scenario, prng_metadata
@@ -112,11 +109,13 @@ def _load_corpus(args: argparse.Namespace) -> Corpus:
 
 
 # --- artifact writers: each takes (args, out, corpus, raw, scored) ----------
-# ``raw`` maps each (category, year) group to its citation counts, ``scored``
-# each selected method to its scale_corpus result, in the order given.  A
-# writer returns the paths it wrote.
+# ``raw`` is the family of every (category, year) group's citation counts,
+# ``scored`` maps each selected method to its scale_corpus result, in the
+# order given: the raw counts and each method's scores are one family each,
+# laid out once, sorted at most once and read by every writer.  A writer
+# returns the paths it wrote.
 
-def _named(raw: dict[GroupKey, np.ndarray], scored: dict):
+def _named(raw: _Family, scored: dict):
     """(name, vectors, skipped) of the raw counts, then of each method."""
     yield "raw", raw, ()
     for method, (scores, skipped) in scored.items():
@@ -135,7 +134,7 @@ def _write_stats(args, out: Path, corpus, raw, scored) -> list[Path]:
         (key.category, key.year, st.n, st.mean, st.median, _opt(st.stddev),
          _opt(st.skewness), _opt(st.kurtosis), st.n_nonzero,
          _opt(st.mean_nonzero), _opt(st.median_nonzero), "excess")
-        for key, st in zip(raw, _describe(list(raw.values())))
+        for key, st in zip(raw, _describe(raw.sorted))
     )
     path = out / "stats.csv"
     write_csv(path, STATS_HEADER, "%s,%d,%d,%.10g,%.10g,%s,%s,%s,%d,%s,%s,%s\n", rows)
@@ -298,8 +297,8 @@ def _run(args: argparse.Namespace) -> int:
         paths.append(out / "corpus.csv")
         emit_csv(corpus, paths[-1])
     raw = group_records(corpus)
-    if years:  # each group is scored on its own: select before scoring
-        raw = {key: v for key, v in raw.items() if key.year in years}
+    # each group is scored on its own: select before scoring
+    raw = _Family.of_counts({k: v for k, v in raw.items() if not years or k.year in years})
     names = getattr(args, "method", None) or ()
     scored = {
         method: scale_corpus(raw, method)

@@ -17,9 +17,10 @@ The threshold filter is applied before fitting, with no truncated-likelihood
 correction; the fit therefore describes the surviving values only.
 
 :func:`ad_lognormal` tests every group of one method at once, with no loop
-over the groups.  The scores are laid out as
-:class:`citescale.stats._Segments`, each group's values sorted and all
-groups end to end, so a group's surviving values stay one sorted run.  The
+over the groups.  It reads the sorted layout of the scores' family
+(:class:`citescale.stats._Family`), which the survival diagnostics share:
+each group's values sorted and all groups end to end, so a group's
+surviving values stay one sorted run.  The
 mean, the n-1 standard deviation and the A-squared sum of every group are
 each one :meth:`~citescale.stats._Segments.sums` call over the logs of the
 tested groups, bit for bit those of ``mean``, ``std`` and ``sum`` on the
@@ -44,7 +45,7 @@ import numpy as np
 
 from .corpus import GroupKey
 from .scaling import SkippedGroup
-from .stats import _Segments
+from .stats import _Family
 
 DEFAULT_THRESHOLD = 0.1
 MIN_SAMPLE = 8
@@ -147,12 +148,12 @@ def ad_lognormal(
 
     A group with fewer than 8 surviving values, or only equal ones, has no
     test and comes back as skipped, with a reason.  Surviving values must be
-    positive (they are logged); one at or below 0 raises ``ValueError``
-    naming the group.  A group's report depends on its values alone, not on
-    their order or on the other groups.
+    positive (they are logged) and every value finite: one at or below 0, or
+    NaN or infinite, raises ``ValueError`` naming the group.  A group's
+    report depends on its values alone, not on their order or on the other
+    groups.
     """
-    keys = list(scores)
-    seg = _Segments.of(scores.values()).sort()
+    keys, seg = list(scores), _Family.of(scores).sorted
     used = seg.keep(seg.values >= threshold)
     tested = used.size >= MIN_SAMPLE
     fit = used.take(np.flatnonzero(tested))  # each tested group's surviving values

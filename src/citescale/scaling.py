@@ -16,14 +16,17 @@ with ``T(c) = ((c+1)**lam - 1) / lam`` for ``lam != 0`` and ``log(c+1)`` at
 ``lam == 0``; ``lam`` is fitted per group by maximum likelihood within
 [-3, +3].  All six map zero citations to a score of zero.
 
-``scale_corpus`` lays its groups out once, as
-:class:`citescale.stats._Segments`, and computes every group's divisor at once
-on it.  Their ``log1p`` values are another such layout, on which every group's
-``lam`` is fitted together: each step of the search (the exact grid
-candidates, each golden-section iteration, the final check) is one set of
-array operations over all groups still searching.  Each group's result equals,
-bit for bit, that of fitting it alone: the arithmetic is elementwise, each
-group's sums are those of ``ndarray.var`` (see
+``scale_corpus`` takes its groups as one family,
+:class:`citescale.stats._Family`: the counts laid out once, in key order, as
+:class:`citescale.stats._Segments`, on which every group's divisor is
+computed at once; the max and the medians read the family's one sorted
+layout.  It returns each method's scores as another family, in record order,
+which every diagnostic reads.  The counts' ``log1p`` values are another
+layout, on which every group's ``lam`` is fitted together: each step of the
+search (the exact grid candidates, each golden-section iteration, the final
+check) is one set of array operations over all groups still searching.  Each
+group's result equals, bit for bit, that of fitting it alone: the arithmetic
+is elementwise, each group's sums are those of ``ndarray.var`` (see
 :meth:`citescale.stats._Segments.sums`), and each variance's logarithm is
 ``math.log``.
 
@@ -53,7 +56,7 @@ from typing import Mapping
 import numpy as np
 
 from .corpus import GroupKey
-from .stats import _counts, _Segments
+from .stats import _Family, _Segments
 
 LAMBDA_BOUNDS = (-3.0, 3.0)
 _GRID_STEP = 0.01
@@ -271,7 +274,7 @@ _ZERO_REASON = {
 
 def scale_corpus(
     citations: Mapping[GroupKey, np.ndarray], method: ScalingMethod
-) -> tuple[dict[GroupKey, np.ndarray], list[SkippedGroup]]:
+) -> tuple[Mapping[GroupKey, np.ndarray], list[SkippedGroup]]:
     """Score every group whose statistic is defined.
 
     ``citations`` maps each (category, year) group to its citation counts,
@@ -280,41 +283,42 @@ def scale_corpus(
     :class:`~citescale.errors.EmptyGroupError` and a negative or non-finite
     count a :class:`~citescale.errors.CorpusValueError`, naming the group,
     and a ``method`` that is not a :class:`ScalingMethod` a ``ValueError``.
-    The result holds one float64 score vector per defined group, in key
-    order, each in the order of its input counts.  Groups with an undefined
-    statistic are reported, never imputed.  For ``boxcox`` every group's
-    parameter is fitted in one batch.
+    The result maps each defined group, in key order, to its read-only
+    float64 scores, in the order of its input counts.  Groups with an
+    undefined statistic are reported, never imputed.  For ``boxcox`` every
+    group's parameter is fitted in one batch.
     """
     if not isinstance(method, ScalingMethod):
         raise ValueError(f"unknown scaling method {method!r}")
-    keys = sorted(citations)
-    vectors = [citations[key] for key in keys]
-    seg = _counts(vectors, keys)
+    raw = _Family.of_counts(citations)
+    keys, seg = list(raw), raw.seg
     n_records = seg.size
     reason = np.full(len(keys), _ZERO_REASON[method], dtype=object)
     t, den = seg.values, np.ones(len(keys))
     if method is ScalingMethod.BOX_COX_MEAN:
-        lams = np.array(_fit_lambdas(vectors), dtype=np.float64)  # None -> NaN
+        lams = np.array(_fit_lambdas(raw.values()), dtype=np.float64)  # None -> NaN
         fitted = ~np.isnan(lams)
         reason[~fitted] = "degenerate-boxcox"
         seg = seg.keep(seg.spread(fitted))
         t = boxcox_transform(seg.values, seg.spread(lams))
         num = seg.sums(t) / np.maximum(seg.size, 1)  # 0.0 where not fitted
     elif method is ScalingMethod.MAX_RANGE:
-        srt = _Segments.of(vectors).sort()
+        srt = raw.sorted
         num = srt.values[srt.first + srt.size - 1] - srt.values[srt.first]
     elif method is ScalingMethod.MEAN:
         num, den = seg.sums(t), seg.size.astype(np.float64)
     elif method is ScalingMethod.MEDIAN:
-        num = _Segments.of(vectors).sort().medians()
+        num = raw.sorted.medians()
     elif method is ScalingMethod.MEAN_NO_ZERO:
         nz = seg.keep(t > 0.0)
         num, den = nz.sums(nz.values), nz.size.astype(np.float64)
     else:
-        num = seg.keep(t > 0.0).sort().medians()  # NaN where no count is above 0
+        srt = raw.sorted
+        num = srt.keep(srt.values > 0.0).medians()  # NaN where no count is above 0
     ok = num > 0.0  # counts are >= 0, so only 0.0 or NaN fail
-    aii = np.split((t * seg.spread(den)) / seg.spread(np.where(ok, num, 1.0)), seg.first[1:])
-    scores = {key: v for key, v, defined in zip(keys, aii, ok.tolist()) if defined}
+    aii = (t * seg.spread(den)) / seg.spread(np.where(ok, num, 1.0))
+    kept = [key for key, defined in zip(keys, ok.tolist()) if defined]
+    scores = _Family(kept, _Segments(aii[seg.spread(ok)], seg.size[ok]))
     skipped = [
         SkippedGroup(key, n, why)
         for key, n, why, defined in zip(keys, n_records.tolist(), reason, ok.tolist())

@@ -20,13 +20,19 @@ Counts take few distinct values per group, so per-value work runs once per
 run of equal values in a sorted segment (:meth:`_Segments.runs`) and is
 repeated over the run before each sum: every sum still adds the same values
 in the same order.
+
+A :class:`_Family` is one set of groups' vectors, the raw counts or one
+method's scores, laid out once in record order and sorted at most once:
+``scale_corpus``, :func:`_describe` and every diagnostic read that one
+layout or its sorted copy, so no diagnostic lays out or sorts its own.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -158,6 +164,55 @@ def _counts(vectors: Sequence, keys: Sequence = ()) -> _Segments:
     raise error(f"group {keys[g]}: {what}" if keys else what)
 
 
+class _Family(Mapping):
+    """Groups' vectors laid out once: a read-only mapping of each key to a
+    read-only view of its segment of ``seg``, in the order of the keys.
+    ``sorted`` is the same layout with each segment sorted, made on first
+    use and shared by every later reader."""
+
+    def __init__(self, keys: Sequence, seg: _Segments) -> None:
+        seg.values.flags.writeable = False
+        self.seg = seg
+        self._views = dict(zip(keys, np.split(seg.values, seg.first[1:])))
+
+    @classmethod
+    def of(cls, vectors: Mapping) -> "_Family":
+        """``vectors`` if a family, else its layout in the same order; a NaN
+        or infinite value is a ``ValueError`` naming its group."""
+        if isinstance(vectors, _Family):
+            return vectors
+        keys, seg = list(vectors), _Segments.of(vectors.values())
+        bad = np.flatnonzero(~np.isfinite(seg.values))[:1]
+        if bad.size:
+            key = keys[int(np.searchsorted(seg.first, bad[0], side="right")) - 1]
+            raise ValueError(f"group {key}: score {seg.values[bad[0]]} is not finite")
+        return cls(keys, seg)
+
+    @classmethod
+    def of_counts(cls, citations: Mapping) -> "_Family":
+        """``citations`` if a family, else its layout in key order, checked by
+        :func:`_counts`."""
+        if isinstance(citations, _Family):
+            return citations
+        keys = sorted(citations)
+        return cls(keys, _counts([citations[key] for key in keys], keys))
+
+    @functools.cached_property
+    def sorted(self) -> _Segments:
+        srt = _Segments(self.seg.values.copy(), self.seg.size).sort()
+        srt.values.flags.writeable = False
+        return srt
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self._views[key]
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+
 def _moments(seg: _Segments) -> tuple[np.ndarray, ...]:
     """Each segment's mean and central moments ``m2``, ``m3`` and ``m4`` over
     n: bit for bit ``np.add.reduce((v - mean)**p) / n`` of the segment alone.
@@ -171,11 +226,9 @@ def _moments(seg: _Segments) -> tuple[np.ndarray, ...]:
     return (mean, *(seg.sums(np.repeat(dev**p, length)) / n for p in (2, 3, 4)))
 
 
-def _describe(vectors: Sequence) -> list[GroupStats]:
-    """:func:`describe` of each vector, all at once."""
-    # every sum runs over the sorted values, so that permutations of the
-    # input produce bit-identical results
-    seg = _counts(vectors).sort()
+def _describe(seg: _Segments) -> list[GroupStats]:
+    """:func:`describe` of each segment of a sorted layout of checked counts,
+    all at once."""
     values, n = seg.values, seg.size
     mean, m2, m3, m4 = _moments(seg)
     nz = seg.keep(values > 0.0)
@@ -203,4 +256,6 @@ def _describe(vectors: Sequence) -> list[GroupStats]:
 
 def describe(values: Sequence[int] | np.ndarray) -> GroupStats:
     """Descriptive statistics of a non-empty vector of finite, non-negative counts."""
-    return _describe([values])[0]
+    # every sum runs over the sorted values, so that permutations of the
+    # input produce bit-identical results
+    return _describe(_counts([values]).sort())[0]

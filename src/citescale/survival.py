@@ -15,12 +15,15 @@ both computed straight from the per-group score vectors:
 Curve data for external plotting is emitted on a shared grid of 25
 log-spaced thresholds; no figure rendering happens here.
 
-Every group is handled at once, with no loop over the groups.  The scores
-are laid out as :class:`citescale.stats._Segments`, with each segment
-sorted: all groups end to end, with each group's ``first`` element and
-``size``.  A group's CDF on the shared grid of every distinct value only
-steps at its runs of equal values, and the envelope of all groups' CDFs is
-a running minimum and a running maximum over those runs in value order
+Every group is handled at once, with no loop over the groups.  Both read
+the sorted layout of the scores' family (:class:`citescale.stats._Family`),
+made once per family, so the curves and the metrics of one method share it:
+all groups end to end, each segment sorted, with each group's ``first``
+element and ``size``.  A mapping that is not a family is laid out first,
+and a NaN or infinite score there is a ``ValueError`` naming its group.  A
+group's CDF on the shared grid of every distinct value only steps at its
+runs of equal values, and the envelope of all groups' CDFs is a running
+minimum and a running maximum over those runs in value order
 (:func:`_max_ks`), so its memory grows with the number of scores, not with
 groups times grid.  Every CDF value is ``1 - (n - k) / n`` of an integer
 count ``k``: the report bytes are pinned to this form, and the algebraically
@@ -38,7 +41,7 @@ import numpy as np
 
 from .corpus import GroupKey
 from .errors import EmptyGroupError
-from .stats import _Segments
+from .stats import _Family, _Segments
 
 QUANTILES = (0.5, 0.75, 0.9, 0.95, 0.99)
 N_PLOT_BINS = 25
@@ -114,20 +117,27 @@ def _quantile_values(seg: _Segments) -> np.ndarray:
     return np.array(rows)
 
 
+def _sorted(vectors: Mapping[GroupKey, np.ndarray]) -> _Segments:
+    """The sorted layout of :meth:`citescale.stats._Family.of` ``vectors``;
+    an empty group is an :class:`EmptyGroupError` naming it."""
+    family = _Family.of(vectors)
+    if not family.seg.size.all():
+        key = list(family)[int(np.argmin(family.seg.size))]
+        raise EmptyGroupError(f"group {key}: empty score vector")
+    return family.sorted
+
+
 def collapse_metrics(vectors: Mapping[GroupKey, np.ndarray]) -> CollapseReport:
     """Quantify how well the groups' score distributions superimpose.
 
     ``vectors`` maps each group to its scores (any order); every group must
-    be non-empty.  Identical samples in every group give a report of exact
-    zeros.  Fewer than two groups leave nothing to compare: the report then
-    has no KS statistic and no quantile dispersion.
+    be non-empty and finite.  Identical samples in every group give a report
+    of exact zeros.  Fewer than two groups leave nothing to compare: the
+    report then has no KS statistic and no quantile dispersion.
     """
-    keys = list(vectors)
-    seg = _Segments.of(vectors.values()).sort()
-    if not seg.size.all():
-        raise EmptyGroupError(f"group {keys[int(np.argmin(seg.size))]}: empty score vector")
-    if len(keys) < 2:
-        return CollapseReport(len(keys), None, ())
+    seg = _sorted(vectors)
+    if seg.size.size < 2:
+        return CollapseReport(seg.size.size, None, ())
     # sup over pairs of sup_t |F_i - F_j| = sup_t (max_i F_i(t) - min_i F_i(t))
     max_ks = _max_ks(seg)
 
@@ -149,7 +159,7 @@ def collapse_metrics(vectors: Mapping[GroupKey, np.ndarray]) -> CollapseReport:
             )
         )
     return CollapseReport(
-        n_curves=len(keys),
+        n_curves=seg.size.size,
         max_pairwise_ks=max_ks,
         quantile_dispersion=tuple(dispersions),
     )
@@ -174,13 +184,13 @@ def survival_curves(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The shared plotting thresholds of :func:`log_binned_thresholds`, and
     Pr(X >= t) at each of them: one row per group, in the order of
-    ``vectors``.
+    ``vectors``, whose groups must be non-empty and finite.
 
     One ``searchsorted`` of each run of equal values into the thresholds and
     one ``bincount`` weighted by the runs' lengths count, for every group at
     once, how many thresholds each value reaches.
     """
-    seg = _Segments.of(vectors.values()).sort()
+    seg = _sorted(vectors)
     thresholds = log_binned_thresholds(seg.values)
     # np.geomspace is not monotone when its ends lie a few ulps apart
     ranked = np.sort(thresholds)

@@ -15,6 +15,10 @@ a fraction f of records is marked top and the overshoot beyond f comes only
 from integer rounding and cutoff ties.  Groups whose scaling statistic is
 undefined are not ranked; each category counts its skipped records, and a
 method that scored no group at all gives an empty ranking with no cutoff.
+
+The pooled scores are the family's layout in record order
+(:class:`citescale.stats._Family`), as ``scale_corpus`` returns it: ranking
+needs no sorted copy.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 from .corpus import GroupKey
 from .errors import EmptyCorpusError
 from .scaling import SkippedGroup
-from .stats import _Segments
+from .stats import _Family
 
 DEFAULT_TOP_FRACTION = 0.10
 
@@ -90,14 +94,15 @@ def top_share(
     undefined, as :func:`~citescale.scaling.scale_corpus` returns them.  Each
     category counts its skipped records; a category with only skipped
     records is reported as unevaluated.  When every group was skipped the
-    ranking is empty and its cutoff is None.
+    ranking is empty and its cutoff is None.  A NaN or infinite score is a
+    ``ValueError`` naming its group.
     """
     if not 0.0 < top_fraction < 1.0:
         raise ValueError(f"top_fraction must be in (0, 1), got {top_fraction}")
     n_skipped: Counter[str] = Counter()
     for sk in skipped:
         n_skipped[sk.group.category] += sk.n_records
-    seg = _Segments.of(scores.values())
+    seg = _Family.of(scores).seg
     n = seg.values.size
     if not n:
         if not n_skipped:

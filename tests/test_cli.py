@@ -7,13 +7,16 @@ import random
 import re
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from citescale import cli, stats
 from citescale.cli import main
+from citescale.scaling import ScalingMethod
 from citescale.corpus import emit_csv, ingest_csv
 from citescale.synth import (
     Scenario, CategorySpec, benchmark_scenario, generate, save_scenario,
@@ -525,6 +528,25 @@ class TestReport:
         for art in manifest["artifacts"]:
             digest = hashlib.sha256((out / art["path"]).read_bytes()).hexdigest()
             assert digest == art["sha256"]
+
+    def test_each_family_is_scored_once_and_sorted_once(
+        self, small_scenario_json, tmp_path, monkeypatch
+    ):
+        # the raw counts and each method's scores are one family, sorted once
+        # and read by every writer: no diagnostic sorts its own copy
+        sorts, scored = [], Counter()
+        sort, score = stats._Segments.sort, cli.scale_corpus
+
+        def counting(raw, method):
+            scored[method] += 1
+            return score(raw, method)
+
+        monkeypatch.setattr(stats._Segments, "sort", lambda seg: sorts.append(seg) or sort(seg))
+        monkeypatch.setattr(cli, "scale_corpus", counting)
+        assert main(["report", "--scenario", str(small_scenario_json),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(sorts) == 1 + len(ScalingMethod)
+        assert scored == Counter(ScalingMethod)
 
     def test_reruns_are_hash_identical(self, small_scenario_json, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -209,6 +209,12 @@ class TestBatch:
         with pytest.raises(ValueError, match="group B/1: values must be positive"):
             ad_lognormal(scores, threshold=-5.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_names_its_group(self, bad):
+        scores = {GroupKey("A", 1): [1.0] * 9, GroupKey("B", 1): [bad] + [2.0] * 9}
+        with pytest.raises(ValueError, match="group B/1: score .* is not finite"):
+            ad_lognormal(scores)
+
 
 class TestBrackets:
     def test_large_statistic_maps_to_smallest_bracket(self):

@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from citescale.corpus import GroupKey
 from citescale.errors import CorpusValueError, EmptyGroupError
-from citescale.stats import _counts, _describe, _moments, _Segments, describe
+from citescale.gof import ad_lognormal
+from citescale.scaling import ScalingMethod, scale_corpus
+from citescale.stats import _counts, _describe, _Family, _moments, _Segments, describe
+from citescale.survival import collapse_metrics, survival_curves
+from citescale.topshare import top_share
 
 
 def naive_stats(values):
@@ -99,7 +104,7 @@ class TestDescribe:
     def test_all_groups_at_once_is_each_alone(self, rng):
         vectors = [rng.integers(0, 500, size=int(n)) for n in rng.integers(1, 300, 40)]
         vectors += [[0, 0, 0], [7]]  # no nonzero value; one value
-        assert _describe(vectors) == [describe(v) for v in vectors]
+        assert _describe(_counts(vectors).sort()) == [describe(v) for v in vectors]
 
     def test_moments_are_each_sorted_group_alone(self, rng):
         # the per-element oracle of the per-run moments: (v - mean)**p over
@@ -246,3 +251,40 @@ class TestSegments:
         start, length = led.runs()
         assert start.tolist() == [0, 1, 3, 4, 5]
         assert length.tolist() == [1, 2, 1, 1, 2]
+
+
+# a few groups of counts, in three categories
+count_groups = st.lists(
+    st.lists(st.integers(0, 40), min_size=1, max_size=30), min_size=1, max_size=8
+).map(lambda vectors: {
+    GroupKey(f"C{i % 3}", 2000 + i): np.array(v, dtype=np.float64)
+    for i, v in enumerate(vectors)
+})
+
+
+class TestFamily:
+    """A family reads as a plain dict of the same vectors."""
+
+    @given(count_groups, st.sampled_from([None, *ScalingMethod]), st.randoms())
+    def test_diagnostics_read_a_family_as_a_permuted_dict(self, citations, method, rnd):
+        family, skipped = _Family.of_counts(citations), []
+        if method is not None:
+            family, skipped = scale_corpus(family, method)
+        permuted = {key: np.array(rnd.sample(list(v), v.size)) for key, v in family.items()}
+        for diagnostic in (collapse_metrics, ad_lognormal):
+            assert diagnostic(family) == diagnostic(permuted)
+        assert top_share(family, skipped=skipped) == top_share(permuted, skipped=skipped)
+        for got, want in zip(survival_curves(family), survival_curves(permuted)):
+            assert np.array_equal(got, want)
+
+    @given(count_groups, st.sampled_from(ScalingMethod))
+    def test_scores_are_read_only_and_in_record_order(self, citations, method):
+        scored, _ = scale_corpus(citations, method)
+        for key, aii in scored.items():
+            with pytest.raises(ValueError, match="read-only"):
+                aii[0] = 1.0
+            alone, _ = scale_corpus({key: citations[key]}, method)
+            assert aii.tobytes() == alone[key].tobytes()
+            # each score is an increasing function of its own record's count
+            ranks = [np.unique(v, return_inverse=True)[1] for v in (citations[key], aii)]
+            assert np.array_equal(*ranks)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -93,6 +94,15 @@ def ks(a, b):
 
 
 class TestSurvivalCurve:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_names_its_group(self, bad):
+        with pytest.raises(ValueError, match="group C0/2003: score .* is not finite"):
+            survival_curves(groups([bad, 1.0], [2.0]))
+
+    def test_empty_group_raises(self):
+        with pytest.raises(EmptyGroupError, match="group C1/2003: empty"):
+            survival_curves(groups([1.0, 2.0], []))
+
     @given(scored_groups)
     def test_probs_match_counting(self, vectors):
         thresholds, probs = survival_curves(groups(*vectors))
@@ -170,6 +180,11 @@ class TestCollapseMetrics:
             collapse_metrics(groups([1, 2, 3], []))
         with pytest.raises(EmptyGroupError, match="C0/2003"):
             collapse_metrics(groups([]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_names_its_group(self, bad):
+        with pytest.raises(ValueError, match="group C1/2003: score .* is not finite"):
+            collapse_metrics(groups([1.0, 2.0], [3.0, bad]))
 
     def test_zero_quantile_groups_excluded_and_counted(self):
         mostly_zero = [0, 0, 0, 0, 0, 0, 9]

@@ -33,6 +33,12 @@ def brute_force_shares(spec, top_fraction):
 
 
 class TestTopShare:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_names_its_group(self, bad):
+        # a NaN cutoff would mark no record top and every category in band
+        with pytest.raises(ValueError, match="group A/2003: score .* is not finite"):
+            top_share(scores_from({"A": [bad, 1], "B": [1, 2]}))
+
     def test_total_tie_puts_everyone_on_top(self):
         report = top_share(scores_from({"A": [5] * 30, "B": [5] * 10}))
         assert report.n_top == 40
