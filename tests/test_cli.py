@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from citescale import cli, stats
 from citescale.cli import main
-from citescale.scaling import ScalingMethod
 from citescale.corpus import emit_csv, ingest_csv
+from citescale.scaling import ScalingMethod
 from citescale.synth import (
     Scenario, CategorySpec, benchmark_scenario, generate, save_scenario,
 )
