@@ -145,12 +145,11 @@ def _write_scaled(args, out: Path, corpus: Corpus, raw, scored) -> list[Path]:
     columns = (corpus.pub_id, corpus.year, corpus.category, corpus.citations)
     paths = []
     for method, (scores, skipped) in scored.items():
-        rows: list[tuple] = []
-        for key, aii in scores.items():
-            part = corpus.group_slices[key]
-            rows += zip(
-                *(c[part].tolist() for c in columns), repeat(method.value), aii.tolist()
-            )
+        # ``raw`` lays out every group of the corpus (``scale`` takes no
+        # --year), so its mask of scored groups selects their rows
+        kept = raw.seg.spread([key in scores for key in raw])
+        rows = zip(*(c[kept].tolist() for c in columns), repeat(method.value),
+                   scores.seg.values.tolist())
         paths.append(out / f"scaled_{method.value}.csv")
         write_csv(
             paths[-1],
@@ -297,8 +296,8 @@ def _run(args: argparse.Namespace) -> int:
         paths.append(out / "corpus.csv")
         emit_csv(corpus, paths[-1])
     raw = group_records(corpus)
-    # each group is scored on its own: select before scoring
-    raw = _Family.of_counts({k: v for k, v in raw.items() if not years or k.year in years})
+    if years:  # each group is scored on its own: select before scoring
+        raw = _Family.of_counts({k: v for k, v in raw.items() if k.year in years})
     names = getattr(args, "method", None) or ()
     scored = {
         method: scale_corpus(raw, method)

@@ -32,6 +32,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .errors import (
     DuplicateRecordError,
     EmptyCorpusError,
 )
+from .stats import _Family, _Segments
 
 CSV_HEADER = ("pub_id", "year", "category", "citations")
 _CSV_BLOCK_ROWS = 1 << 15  # rows formatted, joined and written at a time
@@ -372,18 +374,21 @@ def emit_csv(corpus: Corpus, path: str | Path) -> None:
     write_csv(path, CSV_HEADER, "%s,%d,%s,%d\n", zip(*columns))
 
 
-def group_records(corpus: Corpus) -> dict[GroupKey, np.ndarray]:
+def group_records(corpus: Corpus) -> Mapping[GroupKey, np.ndarray]:
     """Each (category, year) group's citation counts as read-only float64,
-    the input of every score.
+    the input of every score: a read-only mapping, in key order, of views
+    into one float64 copy of the corpus's citation column, laid out with the
+    sizes of ``corpus.group_slices``.  ``scale_corpus`` and every diagnostic
+    read that one layout as it is, without laying it out or checking it
+    again, and sort it at most once.
 
     The int64 counts are non-negative and below 2**63, so no score computed
     from them leaves float64; a count above 2**53 rounds once, and a group's
     exact counts are ``corpus.citations[corpus.group_slices[key]]``.
-    Groups come in key order and records by pub_id within each group: the
-    order every per-group vector downstream follows.
+    Records come by pub_id within each group: the order every per-group
+    vector downstream follows.
     """
     if not len(corpus):
         raise EmptyCorpusError("cannot group an empty corpus")
-    counts = corpus.citations.astype(np.float64)
-    counts.flags.writeable = False
-    return {key: counts[s] for key, s in corpus.group_slices.items()}
+    size = np.array([s.stop - s.start for s in corpus.group_slices.values()], dtype=np.intp)
+    return _Family(corpus.group_slices, _Segments(corpus.citations.astype(np.float64), size))

@@ -19,16 +19,19 @@ with ``T(c) = ((c+1)**lam - 1) / lam`` for ``lam != 0`` and ``log(c+1)`` at
 ``scale_corpus`` takes its groups as one family,
 :class:`citescale.stats._Family`: the counts laid out once, in key order, as
 :class:`citescale.stats._Segments`, on which every group's divisor is
-computed at once; the max and the medians read the family's one sorted
-layout.  It returns each method's scores as another family, in record order,
-which every diagnostic reads.  The counts' ``log1p`` values are another
-layout, on which every group's ``lam`` is fitted together: each step of the
-search (the exact grid candidates, each golden-section iteration, the final
-check) is one set of array operations over all groups still searching.  Each
-group's result equals, bit for bit, that of fitting it alone: the arithmetic
-is elementwise, each group's sums are those of ``ndarray.var`` (see
-:meth:`citescale.stats._Segments.sums`), and each variance's logarithm is
-``math.log``.
+computed at once; ``group_records`` returns that family, and any other
+mapping is laid out and checked here.  The max and the medians read the
+family's one sorted layout.  It returns each method's scores as another
+family, in record order, which every diagnostic reads.  For ``boxcox`` the
+sorted layout also tells which groups the likelihood informs; the counts of
+those groups are kept, their ``log1p`` taken once, and that one layout is
+both fitted and transformed.  Every group's ``lam`` is fitted together: each
+step of the search (the exact grid candidates, each golden-section
+iteration, the final check) is one set of array operations over all groups
+still searching.  Each group's result equals, bit for bit, that of fitting
+it alone: the arithmetic is elementwise, each group's sums are those of
+``ndarray.var`` (see :meth:`citescale.stats._Segments.sums`), and each
+variance's logarithm is ``math.log``.
 
 A statistic can be undefined on real data (a zero median when more than half
 the group is uncited, a zero range, an all-zero group).  Undefinedness is
@@ -98,9 +101,16 @@ def boxcox_transform(citations, lam):
     evaluated as ``expm1(lam * log1p(c)) / lam`` for stability.  ``lam`` is
     one parameter, or one per count.
     """
-    x = np.log1p(np.asarray(citations, dtype=np.float64))
-    at_zero = np.asarray(lam) == 0.0
-    return np.where(at_zero, x, np.expm1(lam * x) / np.where(at_zero, 1.0, lam))
+    return _power(np.log1p(np.asarray(citations, dtype=np.float64)), np.asarray(lam))
+
+
+def _power(x, lam) -> np.ndarray:
+    """The transform ``T`` at ``x = log1p(c)``: ``expm1(lam * x) / lam``, and
+    ``x`` itself where ``lam == 0``, as an array of the broadcast shape."""
+    with np.errstate(invalid="ignore"):  # 0 / 0 where lam == 0, replaced below
+        t = np.asarray(np.expm1(lam * x) / lam)
+    np.copyto(t, x, where=lam == 0.0)
+    return t
 
 
 def _batch_var(logs: _Segments, groups: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -122,12 +132,7 @@ def _batch_var(logs: _Segments, groups: np.ndarray, lams: np.ndarray) -> np.ndar
             limit = ends[lo] - size[lo] + _SCREEN_CELLS
             hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
             block = logs.take(groups[lo:hi])
-            x, lam = block.values, lams[lo:hi]
-            lam_x = block.spread(lam)
-            t = np.expm1(lam_x * x) / lam_x
-            if (lam == 0.0).any():
-                at_zero = lam_x == 0.0
-                t[at_zero] = x[at_zero]
+            t = _power(block.values, block.spread(lams[lo:hi]))
             d = np.square(t - block.spread(block.sums(t) / block.size))
             var[lo:hi] = block.sums(d) / block.size
             lo = hi
@@ -202,8 +207,7 @@ def _grid_candidates(
     with np.errstate(all="ignore"):
         for start in range(0, grid.size, rows):
             lam = grid[start:start + rows]
-            t = np.expm1(lam[:, None] * u) / lam[:, None]
-            t[lam == 0.0] = u
+            t = _power(u, lam[:, None])
             m = t @ w / n
             var = np.square(t - m[:, None]) @ w / n
             certified = np.isfinite(var) & (var > _SCREEN_REL_VAR * m * m)
@@ -215,35 +219,30 @@ def _grid_candidates(
     return approx >= approx.max() - _SCREEN_MARGIN * n
 
 
-def _fit_lambdas(vectors) -> list[float | None]:
-    """Maximum-likelihood transform parameter of every vector, clamped to
-    [-3, +3]; None where the likelihood carries no information (fewer than
-    three values, or all equal).
+def _fit_lambdas(logs: _Segments) -> np.ndarray:
+    """Maximum-likelihood transform parameter of each segment of ``logs``,
+    the ``log1p`` of a group's counts, clamped to [-3, +3].  Each segment
+    holds at least three values, not all equal: with fewer, the likelihood
+    carries no information.
 
-    Each vector's best point of a 0.01-step grid is refined by golden-section
+    Each group's best point of a 0.01-step grid is refined by golden-section
     search on its bracket; the two stages avoid local traps on flat
     likelihoods.  The exact likelihood is evaluated only at the grid points
     that the screen of :func:`_grid_candidates` cannot rule out (all of them
     if it is not certified), so the grid maximum is that of an exact full
-    scan, bit for bit.  All vectors share each exact evaluation; each result
-    is bit for bit its vector's alone (see the module docstring).
+    scan, bit for bit.  All groups share each exact evaluation; each result
+    is bit for bit its group's alone (see the module docstring).
     """
-    vs = [np.asarray(v, dtype=np.float64) for v in vectors]
-    fit = [i for i, v in enumerate(vs) if v.size >= 3 and np.any(v != v[0])]
-    lams: list[float | None] = [None] * len(vs)
-    if not fit:
-        return lams
-    logs = _Segments.of(np.log1p(vs[i]) for i in fit)
     sum_log1p = logs.sums(logs.values)
     loglik = functools.partial(_batch_loglik, (logs, sum_log1p))
     lo, hi = LAMBDA_BOUNDS
     grid = np.linspace(lo, hi, int(round((hi - lo) / _GRID_STEP)) + 1)
 
-    every = np.arange(len(fit))
+    every = np.arange(logs.size.size)
     mask = np.array([
         _grid_candidates(part, total, grid)
         for part, total in zip(np.split(logs.values, logs.first[1:]), sum_log1p.tolist())
-    ])
+    ], dtype=bool).reshape(-1, grid.size)
     rows, cols = np.nonzero(mask)
     ll = loglik(rows, grid[cols])
     # made after the exact evaluation and freed before the golden steps, so
@@ -257,9 +256,7 @@ def _fit_lambdas(vectors) -> list[float | None]:
     b = grid[np.minimum(best + 1, grid.size - 1)]
     refined = _golden_lockstep(loglik, a, b)
     refined = np.where(loglik(every, refined) < top, grid[best], refined)
-    for i, lam in zip(fit, np.clip(refined, lo, hi).tolist()):
-        lams[i] = lam
-    return lams
+    return np.clip(refined, lo, hi)
 
 
 _ZERO_REASON = {
@@ -296,11 +293,16 @@ def scale_corpus(
     reason = np.full(len(keys), _ZERO_REASON[method], dtype=object)
     t, den = seg.values, np.ones(len(keys))
     if method is ScalingMethod.BOX_COX_MEAN:
-        lams = np.array(_fit_lambdas(raw.values()), dtype=np.float64)  # None -> NaN
-        fitted = ~np.isnan(lams)
+        # a group's likelihood informs its fit if it holds three counts or
+        # more, not all equal: its smallest and largest differ
+        srt = raw.sorted
+        lowest, highest = srt.values[srt.first], srt.values[srt.first + srt.size - 1]
+        fitted = (seg.size >= 3) & (lowest != highest)
         reason[~fitted] = "degenerate-boxcox"
         seg = seg.keep(seg.spread(fitted))
-        t = boxcox_transform(seg.values, seg.spread(lams))
+        x, lams = np.log1p(seg.values), np.zeros(len(keys))
+        lams[fitted] = _fit_lambdas(_Segments(x, seg.size[fitted]))
+        t = _power(x, seg.spread(lams))
         num = seg.sums(t) / np.maximum(seg.size, 1)  # 0.0 where not fitted
     elif method is ScalingMethod.MAX_RANGE:
         srt = raw.sorted

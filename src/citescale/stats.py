@@ -23,15 +23,16 @@ in the same order.
 
 A :class:`_Family` is one set of groups' vectors, the raw counts or one
 method's scores, laid out once in record order and sorted at most once:
-``scale_corpus``, :func:`_describe` and every diagnostic read that one
-layout or its sorted copy, so no diagnostic lays out or sorts its own.
+``group_records`` returns the raw counts as one, and ``scale_corpus``,
+:func:`_describe` and every diagnostic read that one layout or its sorted
+copy, so no diagnostic lays out or sorts its own.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -45,8 +46,8 @@ class GroupStats:
 
     n: int
     n_nonzero: int
-    min: int
-    max: int
+    min: float
+    max: float
     mean: float
     median: float
     stddev: float | None
@@ -228,7 +229,7 @@ def _moments(seg: _Segments) -> tuple[np.ndarray, ...]:
 
 def _describe(seg: _Segments) -> list[GroupStats]:
     """:func:`describe` of each segment of a sorted layout of checked counts,
-    all at once."""
+    all at once; ``min`` and ``max`` are the layout's float64 values."""
     values, n = seg.values, seg.size
     mean, m2, m3, m4 = _moments(seg)
     nz = seg.keep(values > 0.0)
@@ -248,14 +249,18 @@ def _describe(seg: _Segments) -> list[GroupStats]:
             g2 = m4 / m2**2 - 3.0
             kurtosis = float((n - 1.0) / ((n - 2.0) * (n - 3.0)) * ((n + 1.0) * g2 + 6.0))
         out.append(GroupStats(
-            n, n_nz, int(lo), int(hi), mean, median, stddev, skewness, kurtosis,
+            n, n_nz, lo, hi, mean, median, stddev, skewness, kurtosis,
             sum_nz / n_nz if n_nz else None, median_nz if n_nz else None,
         ))
     return out
 
 
 def describe(values: Sequence[int] | np.ndarray) -> GroupStats:
-    """Descriptive statistics of a non-empty vector of finite, non-negative counts."""
+    """Descriptive statistics of a non-empty vector of finite, non-negative
+    counts; ``min`` and ``max`` are the input's own extremes, exactly."""
     # every sum runs over the sorted values, so that permutations of the
     # input produce bit-identical results
-    return _describe(_counts([values]).sort())[0]
+    stats = _describe(_counts([values]).sort())[0]
+    given = np.asarray(values).ravel()
+    lo, hi = given[[given.argmin(), given.argmax()]].tolist()
+    return replace(stats, min=lo, max=hi)

@@ -25,7 +25,7 @@ from citescale.corpus import (
     ingest_csv,
 )
 from citescale.gof import ad_lognormal, p_bracket
-from citescale.scaling import ScalingMethod, _fit_lambdas, scale_corpus
+from citescale.scaling import ScalingMethod, scale_corpus
 from citescale.stats import describe
 from citescale.survival import collapse_metrics
 from citescale.synth import (
@@ -38,6 +38,7 @@ from citescale.synth import (
 from citescale.topshare import top_share
 
 from test_gof import a2_naive
+from test_scaling import fit_lambdas
 from test_stats import naive_stats, assert_close
 
 # content_hash of `report` on benchmark_scenario(), and the numpy version it
@@ -183,7 +184,7 @@ def test_criterion_4_lambda_recovery():
         rng = np.random.default_rng(int(1000 * (true_lam + 4)))
         values = make(rng)
         assert np.all(values >= 0)
-        lam_hat = _fit_lambdas([values])[0]
+        lam_hat = fit_lambdas([values])[0]
         assert abs(lam_hat - true_lam) <= 0.05, (true_lam, lam_hat)
         ll_hat = _oracle_loglik(values, lam_hat)
         ll_grid = max(_oracle_loglik(values, g) for g in grid)

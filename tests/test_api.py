@@ -10,6 +10,7 @@ import citescale
 from citescale.cli import build_parser
 from citescale.corpus import GroupKey
 from citescale.scaling import ScalingMethod, scale_corpus
+from citescale.stats import _Segments
 from citescale.synth import (
     CategorySpec, Scenario, load_scenario, save_scenario, scenario_to_dict,
 )
@@ -43,8 +44,25 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     rows = [(f"{cat}{i}", 2003, cat, i % 7) for cat in "AB" for i in range(30)]
     write_corpus_csv(tmp_path / "corpus.csv", rows)
     monkeypatch.chdir(tmp_path)
-    exec(example.group(1), {})
+    sorts, layouts = [], []
+    sort, of = _Segments.sort, _Segments.of.__func__
+    monkeypatch.setattr(_Segments, "sort", lambda seg: sorts.append(seg) or sort(seg))
+    monkeypatch.setattr(_Segments, "of", classmethod(
+        lambda cls, vectors: layouts.append(cls) or of(cls, vectors)
+    ))
+    namespace = {}
+    exec(example.group(1), namespace)
     assert capsys.readouterr().out.strip() == "2 / 2"
+    # the paragraph's flow: every method scored, and raw counts ranked beside
+    # them, over the counts as group_records lays them out and sorts them once
+    citations = namespace["citations"]
+    sorts.clear()
+    scored = {method: scale_corpus(citations, method) for method in ScalingMethod}
+    citescale.top_share(citations)
+    for scores, skipped in scored.values():
+        citescale.top_share(scores, skipped=skipped)
+    assert sorts == [citations.sorted]
+    assert layouts == []
 
 
 # one group, and the method that skips it, for each skip reason

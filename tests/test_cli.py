@@ -533,19 +533,25 @@ class TestReport:
         self, small_scenario_json, tmp_path, monkeypatch
     ):
         # the raw counts and each method's scores are one family, sorted once
-        # and read by every writer: no diagnostic sorts its own copy
-        sorts, scored = [], Counter()
+        # and read by every writer: no diagnostic sorts its own copy, and
+        # nothing lays out the counts again, the power transform's fit included
+        sorts, layouts, scored = [], [], Counter()
         sort, score = stats._Segments.sort, cli.scale_corpus
+        of = stats._Segments.of.__func__
 
         def counting(raw, method):
             scored[method] += 1
             return score(raw, method)
 
         monkeypatch.setattr(stats._Segments, "sort", lambda seg: sorts.append(seg) or sort(seg))
+        monkeypatch.setattr(stats._Segments, "of", classmethod(
+            lambda cls, vectors: layouts.append(cls) or of(cls, vectors)
+        ))
         monkeypatch.setattr(cli, "scale_corpus", counting)
         assert main(["report", "--scenario", str(small_scenario_json),
                      "--out", str(tmp_path / "out")]) == 0
         assert len(sorts) == 1 + len(ScalingMethod)
+        assert layouts == []
         assert scored == Counter(ScalingMethod)
 
     def test_reruns_are_hash_identical(self, small_scenario_json, tmp_path):

@@ -29,6 +29,7 @@ from citescale.errors import (
     DuplicateRecordError,
     EmptyCorpusError,
 )
+from citescale.scaling import ScalingMethod, scale_corpus
 from citescale.synth import benchmark_scenario, generate
 
 from conftest import write_corpus_csv
@@ -255,7 +256,7 @@ class TestGrouping:
 
     @given(st.lists(
         st.tuples(st.sampled_from("ABC"), st.sampled_from([2003, 2007]),
-                  st.integers(0, 50)),
+                  st.integers(0, 50) | st.integers(0, 2**63 - 1)),
         min_size=1, max_size=60,
     ))
     def test_partition_property(self, raw):
@@ -263,9 +264,28 @@ class TestGrouping:
         corpus = corpus_of(rows)
         groups = group_records(corpus)
         assert sum(len(counts) for counts in groups.values()) == len(rows)
+        assert list(groups) == list(corpus.group_slices)
         for key, part in corpus.group_slices.items():
             assert set(corpus.category[part].tolist()) == {key.category}
             assert set(corpus.year[part].tolist()) == {key.year}
+            # a read-only float64 view of the group's exact counts
+            counts = groups[key]
+            assert counts.dtype == np.float64 and not counts.flags.writeable
+            assert counts.tolist() == corpus.citations[part].astype(np.float64).tolist()
+            with pytest.raises(ValueError):
+                counts[0] = 1.0
+        with pytest.raises(TypeError):
+            groups[next(iter(groups))] = np.zeros(1)
+        # scoring the laid-out counts equals scoring a plain dict of them
+        for method in ScalingMethod:
+            (family, skip_f), (plain, skip_p) = (
+                scale_corpus(g, method) for g in (groups, dict(groups))
+            )
+            assert skip_f == skip_p
+            assert list(family) == list(plain)
+            assert [v.tobytes() for v in family.values()] == [
+                v.tobytes() for v in plain.values()
+            ]
         # the grouping does not depend on record order
         reversed_groups = group_records(corpus_of(rows[::-1]))
         assert {k: v.tolist() for k, v in reversed_groups.items()} == {

@@ -105,10 +105,23 @@ def reference_fit_lambda(values):
     return float(min(max(refined, lo), hi))
 
 
+def fit_lambdas(vectors):
+    """``_fit_lambdas`` of each vector whose likelihood informs the fit (three
+    values or more, not all equal), over the layout of their ``log1p``, and
+    None for any other vector."""
+    vs = [np.asarray(v, dtype=np.float64) for v in vectors]
+    fit = [i for i, v in enumerate(vs) if v.size >= 3 and (v != v[0]).any()]
+    lams = [None] * len(vs)
+    fitted = _fit_lambdas(_Segments.of(np.log1p(vs[i]) for i in fit))
+    for i, lam in zip(fit, fitted.tolist()):
+        lams[i] = lam
+    return lams
+
+
 def assert_fit_equals_reference(values):
     assume(len(set(values)) > 1)
     with np.errstate(all="ignore"):
-        assert _fit_lambdas([values])[0] == reference_fit_lambda(values)
+        assert fit_lambdas([values])[0] == reference_fit_lambda(values)
 
 
 def scores(values, method):
@@ -197,7 +210,7 @@ class TestFitFactors:
 
     def test_boxcox_defined(self):
         values = [0, 1, 2, 5, 12, 40]
-        lam = _fit_lambdas([values])[0]
+        lam = fit_lambdas([values])[0]
         assert -3.0 <= lam <= 3.0
         t = boxcox_transform(values, lam)
         d = float(t.mean())
@@ -254,7 +267,7 @@ class TestScale:
 
     def test_boxcox_matches_transform_ratio(self):
         values = [0, 1, 2, 5, 12, 40]
-        lam = _fit_lambdas([values])[0]
+        lam = fit_lambdas([values])[0]
         t = boxcox_transform(values, lam)
         expected = float(boxcox_transform(5, lam)) / float(t.mean())
         got = scores(values, ScalingMethod.BOX_COX_MEAN)[3]
@@ -277,7 +290,7 @@ class TestScale:
         with np.errstate(all="ignore"):
             scored, _ = scale_corpus({A03: c}, method)
             if method is ScalingMethod.BOX_COX_MEAN:
-                lam = _fit_lambdas([c])[0]
+                lam = fit_lambdas([c])[0]
                 if lam is None:
                     assert A03 not in scored
                     return
@@ -397,10 +410,12 @@ class TestTransform:
 
 class TestFitLambda:
     def test_too_short(self):
-        assert _fit_lambdas([[1, 2]])[0] is None
+        got = scored_or_skipped([1, 2], ScalingMethod.BOX_COX_MEAN)
+        assert got == (None, "degenerate-boxcox")
 
     def test_all_equal(self):
-        assert _fit_lambdas([[4, 4, 4, 4]])[0] is None
+        got = scored_or_skipped([4, 4, 4, 4], ScalingMethod.BOX_COX_MEAN)
+        assert got == (None, "degenerate-boxcox")
 
     def test_result_is_clamped(self, rng):
         for _ in range(20):
@@ -408,7 +423,7 @@ class TestFitLambda:
             values = rng.integers(0, 500, size=n)
             if np.all(values == values[0]):
                 continue
-            lam = _fit_lambdas([values])[0]
+            lam = fit_lambdas([values])[0]
             assert -3.0 <= lam <= 3.0
 
     def test_extreme_shape_pins_lower_bound(self):
@@ -418,19 +433,19 @@ class TestFitLambda:
         rng = np.random.default_rng(3)
         z = np.clip(rng.normal(0.2, 0.012, 400), None, 0.2499)
         c = (1.0 - 4.0 * z) ** (-0.25) - 1.0
-        assert _fit_lambdas([c])[0] == -3.0
+        assert fit_lambdas([c])[0] == -3.0
 
     def test_recovers_half_from_inverted_transform(self):
         rng = np.random.default_rng(7)
         z = np.clip(rng.normal(6.0, 1.4, size=5000), 0.0, None)
         c = (1.0 + 0.5 * z) ** 2 - 1.0
-        lam = _fit_lambdas([c])[0]
+        lam = fit_lambdas([c])[0]
         assert 0.45 <= lam <= 0.55
 
     def test_lognormal_discretized_near_zero(self):
         rng = np.random.default_rng(11)
         c = np.floor(np.exp(rng.normal(2.0, 0.5, size=5000))) - 0.0
-        lam = _fit_lambdas([c])[0]
+        lam = fit_lambdas([c])[0]
         assert -0.1 <= lam <= 0.1
 
     def test_beats_dense_grid_oracle(self, rng):
@@ -440,7 +455,7 @@ class TestFitLambda:
             values = rng.integers(0, 200, size=n)
             if np.all(values == values[0]):
                 continue
-            lam = _fit_lambdas([values])[0]
+            lam = fit_lambdas([values])[0]
             ll_hat = naive_loglik(values.tolist(), lam)
             ll_grid = max(naive_loglik(values.tolist(), g) for g in grid)
             assert ll_hat >= ll_grid - 1e-6
@@ -490,12 +505,12 @@ class TestFitLambda:
             return _batch_loglik(*args)
 
         monkeypatch.setattr(scaling, "_batch_loglik", counting)
-        assert _fit_lambdas([values])[0] == reference_fit_lambda(values)
+        assert fit_lambdas([values])[0] == reference_fit_lambda(values)
         # grid candidates + 2 + one per golden step + 1 exact evaluations
         assert sum(calls) <= 40
         one = len(calls)
         calls.clear()
-        _fit_lambdas(groups)
+        fit_lambdas(groups)
         assert len(calls) <= min(one + 2, 40)
         assert sum(calls) <= 40 * len(groups)
 
@@ -511,7 +526,7 @@ class TestFitLambda:
         for values in (spread, near_constant):
             tracemalloc.start()
             try:
-                _fit_lambdas([values])
+                fit_lambdas([values])
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -519,7 +534,7 @@ class TestFitLambda:
 
     def test_reproducible(self, rng):
         values = rng.integers(0, 300, size=200)
-        assert _fit_lambdas([values]) == _fit_lambdas([values])
+        assert fit_lambdas([values]) == fit_lambdas([values])
 
     def test_loglik_matches_naive(self, rng):
         values = rng.integers(0, 100, size=50)
@@ -552,8 +567,8 @@ class TestFitLambda:
         order = list(range(len(vectors)))
         random.shuffle(order)
         with np.errstate(all="ignore"):
-            want = [_fit_lambdas([v])[0] for v in vectors]
-            batched = _fit_lambdas([vectors[i] for i in order])
+            want = [fit_lambdas([v])[0] for v in vectors]
+            batched = fit_lambdas([vectors[i] for i in order])
             assert [batched[order.index(i)] for i in range(len(vectors))] == want
             keys = [GroupKey("A", 2000 + i) for i in range(len(vectors))]
             _, skipped = scale_corpus(dict(zip(keys, vectors)), ScalingMethod.BOX_COX_MEAN)
@@ -642,13 +657,12 @@ class TestScaleCorpus:
             scale_corpus(citations, method)
 
     def test_boxcox_transforms_each_scored_group_once(self, monkeypatch):
-        calls = []
-
-        def counting(c, lam):
-            calls.append(len(c))
-            return boxcox_transform(c, lam)
-
-        monkeypatch.setattr(scaling, "boxcox_transform", counting)
+        logs, transformed = [], []
+        log1p, power = np.log1p, scaling._power
+        monkeypatch.setattr(np, "log1p", lambda c: logs.append(log1p(c)) or logs[-1])
+        monkeypatch.setattr(
+            scaling, "_power", lambda x, lam: transformed.append(x) or power(x, lam)
+        )
         scored, skipped = scale_corpus({
             GroupKey("A", 2003): [0, 1, 2, 5, 12, 40],
             GroupKey("B", 2003): [9, 9, 9],
@@ -656,5 +670,7 @@ class TestScaleCorpus:
         }, ScalingMethod.BOX_COX_MEAN)
         assert [s.reason for s in skipped] == ["degenerate-boxcox"]
         assert sorted(v.size for v in scored.values()) == [4, 6]
-        # the 10 records of the two fitted groups, none of the degenerate one
-        assert calls == [sum(v.size for v in scored.values())] == [10]
+        # one log1p of the 10 records of the two fitted groups, none of the
+        # degenerate one, which the fit reads and the scores transform once
+        assert [x.size for x in logs] == [sum(v.size for v in scored.values())] == [10]
+        assert sum(x is logs[0] for x in transformed) == 1

@@ -80,6 +80,18 @@ class TestDescribe:
             assert_close(got.skewness, want["skewness"], rel=1e-9)
             assert_close(got.kurtosis, want["kurtosis"], rel=1e-9)
 
+    @pytest.mark.parametrize("values, lo, hi", [
+        ([2**63 - 1, 3], 3, 2**63 - 1),  # 2**63 in float64, beyond int64
+        ([2**53 + 1, 0], 0, 2**53 + 1),  # 2**53 in float64
+        (np.array([2**53 + 1, 2**62 + 1]), 2**53 + 1, 2**62 + 1),
+        ([0.5, 2.5], 0.5, 2.5),  # not truncated to 0 and 2
+        ([2**70, 1], 1, 2**70),
+    ])
+    def test_min_and_max_are_the_input_extremes(self, values, lo, hi):
+        got = describe(values)
+        assert (got.min, got.max) == (lo, hi)
+        assert type(got.min) is type(lo) and type(got.max) is type(hi)
+
     def test_single_value(self):
         st_ = describe([7])
         assert st_.stddev is None and st_.skewness is None and st_.kurtosis is None
