@@ -27,11 +27,15 @@ sorted layout also tells which groups the likelihood informs; the counts of
 those groups are kept, their ``log1p`` taken once, and that one layout is
 both fitted and transformed.  Every group's ``lam`` is fitted together: each
 step of the search (the exact grid candidates, each golden-section
-iteration, the final check) is one set of array operations over all groups
-still searching.  Each group's result equals, bit for bit, that of fitting
+iteration, the final check) is one set of array operations over all groups.
+The fit finds each group's distinct values once; the grid screen reads
+them, and each step after the grid transforms every distinct value once
+and gathers the results into one layout of the records, built once per fit,
+for the sums.  Each group's result equals, bit for bit, that of fitting
 it alone: the arithmetic is elementwise, each group's sums are those of
-``ndarray.var`` (see :meth:`citescale.stats._Segments.sums`), and each
-variance's logarithm is ``math.log``.
+``ndarray.var`` over the same values in the same order (see
+:meth:`citescale.stats._Segments.sums`), and each variance's logarithm is
+``math.log``.
 
 A statistic can be undefined on real data (a zero median when more than half
 the group is uncited, a zero range, an all-zero group).  Undefinedness is
@@ -101,28 +105,80 @@ def boxcox_transform(citations, lam):
     evaluated as ``expm1(lam * log1p(c)) / lam`` for stability.  ``lam`` is
     one parameter, or one per count.
     """
-    return _power(np.log1p(np.asarray(citations, dtype=np.float64)), np.asarray(lam))
+    x = np.log1p(np.asarray(citations, dtype=np.float64))
+    return _power(x, np.broadcast_to(lam, np.shape(x)))
 
 
-def _power(x, lam) -> np.ndarray:
+def _power(x, lam, out=None) -> np.ndarray:
     """The transform ``T`` at ``x = log1p(c)``: ``expm1(lam * x) / lam``, and
-    ``x`` itself where ``lam == 0``, as an array of the broadcast shape."""
+    ``x`` itself where ``lam == 0``, as an array, in ``out`` if given.
+    ``lam`` holds one value per element of ``x``, or is a column of one value
+    per row of ``out`` over the row ``x``, whose rows at ``lam == 0`` are then
+    assigned by index."""
     with np.errstate(invalid="ignore"):  # 0 / 0 where lam == 0, replaced below
-        t = np.asarray(np.expm1(lam * x) / lam)
-    np.copyto(t, x, where=lam == 0.0)
+        t = np.asarray(np.multiply(lam, x, out=out))
+        np.divide(np.expm1(t, out=t), lam, out=t)
+    zero = lam == 0.0
+    if np.shape(lam) == np.shape(x):
+        np.copyto(t, x, where=zero)
+    else:
+        t[zero[:, 0]] = x
     return t
 
 
-def _batch_var(logs: _Segments, groups: np.ndarray, lams: np.ndarray) -> np.ndarray:
+class _Fit:
+    """The groups of one fit, one or more, laid out for the exact likelihood.
+
+    ``logs`` holds each group's ``log1p`` packed and ``sum_log1p`` their
+    sums.  ``levels`` holds each group's distinct values, ascending, and
+    ``counts`` the multiplicity of each: one ``np.unique`` per group.
+    ``led`` is a spare-slot layout of the groups (see
+    :meth:`citescale.stats._Segments.take`) whose values are scratch space,
+    and ``inv`` the index in ``levels.values`` of the value at each of its
+    slots; a spare slot indexes its group's first value.
+    """
+
+    __slots__ = ("logs", "sum_log1p", "levels", "counts", "inv", "led")
+
+    def __init__(self, logs: _Segments) -> None:
+        self.logs, self.sum_log1p = logs, logs.sums(logs.values)
+        distinct = [
+            np.unique(part, return_inverse=True, return_counts=True)
+            for part in np.split(logs.values, logs.first[1:])
+        ]
+        u, inv, self.counts = (np.concatenate(column) for column in zip(*distinct))
+        self.levels = _Segments(u, np.array([c.size for _, _, c in distinct]))
+        inv += logs.spread(self.levels.first)
+        self.inv = np.insert(inv, logs.first, inv[logs.first])
+        self.led = _Segments(np.empty(self.inv.size), logs.size, led=True)
+
+
+def _batch_var(fit: _Fit, groups: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """Maximum-likelihood (n-denominator) variance of the transformed values
-    of group ``groups[k]`` of ``logs``, its ``log1p``, at ``lams[k]``, for every k.
+    of group ``groups[k]`` of ``fit`` at ``lams[k]``, for every k.
 
     Each variance is bit for bit ``T.var()`` of the group alone.  ``expm1``,
-    ``*`` and ``/`` are elementwise, so a per-element ``lam`` changes no
-    bits, and both sums are those of :meth:`citescale.stats._Segments.sums`.
-    Pairs are taken in blocks of about ``_SCREEN_CELLS`` values, at least
-    one pair each, so memory does not grow with the number of pairs.
+    ``*``, ``/``, ``-`` and squaring are elementwise, so a per-element
+    ``lam`` changes no bits, and both sums are those of
+    :meth:`citescale.stats._Segments.sums`, over the same values in the same
+    order.  Where ``groups`` is every group in order, each distinct value is
+    transformed (and its deviation from the mean squared) once and gathered
+    through ``fit.inv`` into ``fit.led``: a -0.0 sharing a level with 0.0
+    changes no sum, since a sum that starts at 0.0 ignores the sign of a
+    zero, and no variance, since squares are +0.  Other pairs are taken from
+    ``fit.logs`` in blocks of about ``_SCREEN_CELLS`` values, at least one
+    pair each, so memory does not grow with the number of pairs.
     """
+    every = fit.logs.size.size
+    if groups.size == every and np.array_equal(groups, np.arange(every)):
+        levels, led = fit.levels, fit.led
+        # every index is in range; "clip" lets ``take`` write to ``out`` unbuffered
+        gather = functools.partial(np.take, indices=fit.inv, out=led.values, mode="clip")
+        with np.errstate(all="ignore"):
+            tu = _power(levels.values, levels.spread(lams))
+            mean = led.sums(gather(tu)) / led.size
+            return led.sums(gather(np.square(tu - levels.spread(mean)))) / led.size
+    logs = fit.logs
     var = np.empty(groups.size)
     size = logs.size[groups]
     ends = np.cumsum(size)
@@ -139,22 +195,21 @@ def _batch_var(logs: _Segments, groups: np.ndarray, lams: np.ndarray) -> np.ndar
     return var
 
 
-def _batch_loglik(fit: tuple, groups: np.ndarray, lams: np.ndarray) -> np.ndarray:
+def _batch_loglik(fit: _Fit, groups: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """Profile log-likelihood of the shifted power transform of group
-    ``groups[k]`` at ``lams[k]``, for every k, from ``fit = (logs, their sums)``.
+    ``groups[k]`` of ``fit`` at ``lams[k]``, for every k.
 
     ``LL(lam) = -(n/2) * ln(var(T(c))) + (lam - 1) * sum(ln(c + 1))`` with
     the variance of :func:`_batch_var`, and ``-inf`` where that is zero or
     not finite.  The logarithm is ``math.log``, which ``np.log`` does not
     match in the last bit, so each value is that of the group alone.
     """
-    logs, sum_log1p = fit
-    var = _batch_var(logs, groups, lams)
+    var = _batch_var(fit, groups, lams)
     ok = (var > 0.0) & np.isfinite(var)
     g = groups[ok]
     log_var = np.array([math.log(v) for v in var[ok].tolist()])
     ll = np.full(groups.size, -math.inf)
-    ll[ok] = -0.5 * logs.size[g] * log_var + (lams[ok] - 1.0) * sum_log1p[g]
+    ll[ok] = -0.5 * fit.logs.size[g] * log_var + (lams[ok] - 1.0) * fit.sum_log1p[g]
     return ll
 
 
@@ -162,34 +217,36 @@ def _golden_lockstep(loglik, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Golden-section maximum of ``loglik`` on each bracket ``[a[g], b[g]]``.
 
     Every bracket takes exactly the steps of a scalar search on its own; a
-    bracket narrower than ``_GOLDEN_TOL`` stops while the others go on, and
-    each iteration makes one ``loglik`` call for all brackets still open.
+    bracket narrower than ``_GOLDEN_TOL`` stops while the others go on.
+    Each iteration makes one ``loglik`` call over every bracket, in order,
+    at its new point (``c`` where it kept its left part, else ``d``), and
+    drops the values of the brackets already closed.
     """
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     every = np.arange(a.size)
-    fc, fd = np.split(loglik(np.concatenate([every, every]), np.concatenate([c, d])), 2)
-    while (live := np.flatnonzero((b - a) > _GOLDEN_TOL)).size:
-        left = fc[live] >= fd[live]
-        l, r = live[left], live[~left]
+    fc, fd = loglik(every, c), loglik(every, d)
+    while (live := (b - a) > _GOLDEN_TOL).any():
+        left = fc >= fd
+        l, r = live & left, live & ~left
         b[l], d[l], fd[l] = d[l], c[l], fc[l]
         c[l] = b[l] - _INV_PHI * (b[l] - a[l])
         a[r], c[r], fc[r] = c[r], d[r], fd[r]
         d[r] = a[r] + _INV_PHI * (b[r] - a[r])
-        fc[l], fd[r] = np.split(
-            loglik(np.concatenate([l, r]), np.concatenate([c[l], d[r]])), [l.size]
-        )
+        f = loglik(every, np.where(left, c, d))
+        fc[l], fd[r] = f[l], f[r]
     return 0.5 * (a + b)
 
 
 def _grid_candidates(
-    log1p_v: np.ndarray, sum_log1p: float, grid: np.ndarray
+    u: np.ndarray, counts: np.ndarray, sum_log1p: float, grid: np.ndarray
 ) -> np.ndarray:
     """Mask of the grid points that can hold the first maximum of the profile
-    log-likelihood (see :func:`_batch_loglik`).
+    log-likelihood (see :func:`_batch_loglik`) of one group, whose ``log1p``
+    takes the distinct values ``u`` with multiplicities ``counts``.
 
-    Screens the whole grid over the D distinct values of ``log1p(v)`` with
-    their multiplicities, in row blocks of at most ``_SCREEN_CELLS`` elements.
+    Screens the whole grid over those D values, in row blocks of at most
+    ``_SCREEN_CELLS`` elements built in one buffer.
     The screen is trusted only where every grid variance is finite and above
     ``_SCREEN_REL_VAR * mean**2``.  Its two-pass variance and the exact one
     then agree to within a few ulps times ``mean / sqrt(var) <= 1e3`` plus the
@@ -199,17 +256,17 @@ def _grid_candidates(
     maximum include the exact first maximum.  Otherwise (cancellation or
     overflow) the mask is all True.
     """
-    u, counts = np.unique(log1p_v, return_counts=True)
     w = counts.astype(np.float64)
-    n = log1p_v.size
+    n = int(counts.sum())
     approx = np.empty(grid.size)
     rows = max(1, _SCREEN_CELLS // u.size)
+    buffer = np.empty((min(rows, grid.size), u.size))
     with np.errstate(all="ignore"):
         for start in range(0, grid.size, rows):
             lam = grid[start:start + rows]
-            t = _power(u, lam[:, None])
+            t = _power(u, lam[:, None], buffer[:lam.size])
             m = t @ w / n
-            var = np.square(t - m[:, None]) @ w / n
+            var = np.square(np.subtract(t, m[:, None], out=t), out=t) @ w / n
             certified = np.isfinite(var) & (var > _SCREEN_REL_VAR * m * m)
             if not certified.all():
                 return np.ones(grid.size, dtype=bool)
@@ -230,23 +287,33 @@ def _fit_lambdas(logs: _Segments) -> np.ndarray:
     likelihoods.  The exact likelihood is evaluated only at the grid points
     that the screen of :func:`_grid_candidates` cannot rule out (all of them
     if it is not certified), so the grid maximum is that of an exact full
-    scan, bit for bit.  All groups share each exact evaluation; each result
-    is bit for bit its group's alone (see the module docstring).
+    scan, bit for bit.  The screen reads each group's distinct values, found
+    once per fit (:class:`_Fit`); so does every later exact evaluation, each
+    over every group (the opening pair, each golden step, the final check),
+    which transforms each distinct value once.  All groups share each exact
+    evaluation; each result is bit for bit its group's alone (see the
+    module docstring).
     """
-    sum_log1p = logs.sums(logs.values)
-    loglik = functools.partial(_batch_loglik, (logs, sum_log1p))
+    if not logs.size.size:
+        return np.empty(0)
+    fit = _Fit(logs)
+    loglik = functools.partial(_batch_loglik, fit)
     lo, hi = LAMBDA_BOUNDS
     grid = np.linspace(lo, hi, int(round((hi - lo) / _GRID_STEP)) + 1)
 
     every = np.arange(logs.size.size)
+    split = fit.levels.first[1:]
     mask = np.array([
-        _grid_candidates(part, total, grid)
-        for part, total in zip(np.split(logs.values, logs.first[1:]), sum_log1p.tolist())
-    ], dtype=bool).reshape(-1, grid.size)
+        _grid_candidates(u, counts, total, grid)
+        for u, counts, total in zip(
+            np.split(fit.levels.values, split), np.split(fit.counts, split),
+            fit.sum_log1p.tolist(),
+        )
+    ], dtype=bool)
     rows, cols = np.nonzero(mask)
     ll = loglik(rows, grid[cols])
-    # made after the exact evaluation and freed before the golden steps, so
-    # the table never adds to the memory of their blocks
+    # made after the exact evaluation, so the table never adds to the memory
+    # of its blocks
     table = np.full(mask.shape, -math.inf)
     table[rows, cols] = ll
     best = table.argmax(axis=1)

@@ -167,7 +167,8 @@ def _counts(vectors: Sequence, keys: Sequence = ()) -> _Segments:
 
 class _Family(Mapping):
     """Groups' vectors laid out once: a read-only mapping of each key to a
-    read-only view of its segment of ``seg``, in the order of the keys.
+    read-only view of its segment of ``seg``, in the order of the keys, shown
+    as the dict of those views.
     ``sorted`` is the same layout with each segment sorted, made on first
     use and shared by every later reader."""
 
@@ -212,6 +213,9 @@ class _Family(Mapping):
 
     def __len__(self) -> int:
         return len(self._views)
+
+    def __repr__(self) -> str:
+        return repr(self._views)
 
 
 def _moments(seg: _Segments) -> tuple[np.ndarray, ...]:

@@ -19,8 +19,8 @@ from citescale.scaling import (
     ScalingMethod,
     _batch_loglik,
     _batch_var,
+    _Fit,
     _fit_lambdas,
-    _grid_candidates,
     boxcox_transform,
     scale_corpus,
 )
@@ -105,6 +105,11 @@ def reference_fit_lambda(values):
     return float(min(max(refined, lo), hi))
 
 
+def log1p_layout(vectors):
+    """The layout of the vectors' ``log1p``, as the fit reads it."""
+    return _Segments.of(np.log1p(np.asarray(v, dtype=np.float64)) for v in vectors)
+
+
 def fit_lambdas(vectors):
     """``_fit_lambdas`` of each vector whose likelihood informs the fit (three
     values or more, not all equal), over the layout of their ``log1p``, and
@@ -112,7 +117,7 @@ def fit_lambdas(vectors):
     vs = [np.asarray(v, dtype=np.float64) for v in vectors]
     fit = [i for i, v in enumerate(vs) if v.size >= 3 and (v != v[0]).any()]
     lams = [None] * len(vs)
-    fitted = _fit_lambdas(_Segments.of(np.log1p(vs[i]) for i in fit))
+    fitted = _fit_lambdas(log1p_layout(vs[i] for i in fit))
     for i, lam in zip(fit, fitted.tolist()):
         lams[i] = lam
     return lams
@@ -514,15 +519,18 @@ class TestFitLambda:
         assert len(calls) <= min(one + 2, 40)
         assert sum(calls) <= 40 * len(groups)
 
-    def test_screen_memory_is_bounded_by_row_blocks(self):
+    def test_screen_memory_is_bounded_by_row_blocks(self, monkeypatch):
         rng = np.random.default_rng(4)
         spread = rng.permutation(30_000).astype(np.float64)
         # grid variances cancel to a few ulps, so all 601 points are exact
         # candidates: 601 x 30,000 values must be taken in blocks
         near_constant = 9e12 + rng.integers(0, 50, size=30_000).astype(np.float64)
-        log1p_v = np.log1p(near_constant)
-        grid = np.linspace(*LAMBDA_BOUNDS, 601)
-        assert _grid_candidates(log1p_v, float(log1p_v.sum()), grid).all()
+        masks, screen = [], scaling._grid_candidates
+        monkeypatch.setattr(
+            scaling, "_grid_candidates", lambda *args: masks.append(screen(*args)) or masks[-1]
+        )
+        fit_lambdas([near_constant])
+        assert len(masks) == 1 and masks[0].all()
         for values in (spread, near_constant):
             tracemalloc.start()
             try:
@@ -539,8 +547,7 @@ class TestFitLambda:
     def test_loglik_matches_naive(self, rng):
         values = rng.integers(0, 100, size=50)
         lams = np.array([-2.5, -1.0, 0.0, 0.5, 2.0])
-        logs = _Segments.of([np.log1p(values.astype(np.float64))])
-        ll = _batch_loglik((logs, logs.sums(logs.values)), np.zeros(5, int), lams)
+        ll = _batch_loglik(_Fit(log1p_layout([values])), np.zeros(5, int), lams)
         for lam, got in zip(lams, ll):
             assert got == pytest.approx(naive_loglik(values.tolist(), lam), rel=1e-9)
 
@@ -554,6 +561,9 @@ class TestFitLambda:
                 st.lists(st.integers(0, 1), min_size=3, max_size=9),
                 st.lists(st.integers(0, 60), min_size=1, max_size=2),
                 st.builds(lambda c, n: [c] * n, st.integers(0, 100), st.integers(3, 9)),
+                # heavy ties, and -0.0 beside 0.0
+                st.lists(st.integers(0, 3), min_size=3, max_size=200),
+                st.lists(st.sampled_from([-0.0, 0.0, 1.0, 4.0]), min_size=3, max_size=60),
             ),
             min_size=1,
             max_size=8,
@@ -596,12 +606,41 @@ class TestPackedArithmetic:
         vectors = [np.floor(np.exp(rng.normal(2.0, 1.5, n))) for n in self.LENGTHS]
         lams = rng.uniform(*LAMBDA_BOUNDS, len(vectors))
         lams[::7] = 0.0
-        logs = _Segments.of(np.log1p(v) for v in vectors)
-        var = _batch_var(logs, np.arange(len(vectors)), lams)
+        var = _batch_var(_Fit(log1p_layout(vectors)), np.arange(len(vectors)), lams)
         want = [
             float(boxcox_transform(v, lam).var()) for v, lam in zip(vectors, lams)
         ]
         assert var.tolist() == want
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.lists(st.integers(0, 3), min_size=1, max_size=200),
+                st.lists(st.sampled_from([-0.0, 0.0, 1.0]), min_size=1, max_size=40),
+                st.lists(st.integers(0, 10**6), min_size=1, max_size=60),
+                # counts whose transform overflows at lam > 1
+                st.lists(st.floats(1e250, 1e300), min_size=1, max_size=20),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.data(),
+    )
+    def test_batch_variance_is_each_ndarray_var_bit_for_bit(self, vectors, data):
+        # every group in order reads the distinct values; a strict subset,
+        # in any order, the blocks
+        n = len(vectors)
+        lams = np.array(data.draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(*LAMBDA_BOUNDS)), min_size=n, max_size=n
+        )))
+        subset = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n - 1))
+        fit = _Fit(log1p_layout(vectors))
+        with np.errstate(all="ignore"):
+            want = np.array([boxcox_transform(v, lam).var() for v, lam in zip(vectors, lams)])
+            every = _batch_var(fit, np.arange(n), lams)
+            some = _batch_var(fit, np.array(subset, dtype=np.intp), lams[subset])
+        assert every.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert some.view(np.int64).tolist() == want[subset].view(np.int64).tolist()
 
 
 class TestScaleCorpus:
@@ -661,7 +700,7 @@ class TestScaleCorpus:
         log1p, power = np.log1p, scaling._power
         monkeypatch.setattr(np, "log1p", lambda c: logs.append(log1p(c)) or logs[-1])
         monkeypatch.setattr(
-            scaling, "_power", lambda x, lam: transformed.append(x) or power(x, lam)
+            scaling, "_power", lambda x, lam, *out: transformed.append(x) or power(x, lam, *out)
         )
         scored, skipped = scale_corpus({
             GroupKey("A", 2003): [0, 1, 2, 5, 12, 40],
@@ -674,3 +713,29 @@ class TestScaleCorpus:
         # degenerate one, which the fit reads and the scores transform once
         assert [x.size for x in logs] == [sum(v.size for v in scored.values())] == [10]
         assert sum(x is logs[0] for x in transformed) == 1
+
+    def test_each_golden_step_transforms_each_distinct_value_once(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        citations = {
+            GroupKey("A", 2000 + g): rng.integers(0, 5 + g, size=300).astype(np.float64)
+            for g in range(4)
+        }
+        distinct = sum(np.unique(v).size for v in citations.values())
+        records = sum(v.size for v in citations.values())
+        shapes, takes = [], []
+        expm1, take = np.expm1, _Segments.take
+        monkeypatch.setattr(
+            np, "expm1", lambda x, *args, **kw: shapes.append(np.shape(x)) or expm1(x, *args, **kw)
+        )
+        monkeypatch.setattr(
+            _Segments, "take", lambda seg, groups: takes.append(groups) or take(seg, groups)
+        )
+        scale_corpus(citations, ScalingMethod.BOX_COX_MEAN)
+        # one take, of the exact grid candidates' block (the screen's calls
+        # are 2-D); then the opening pair, 31 golden steps from a 0.02-wide
+        # bracket down to 1e-8 and the final check each transform the 26
+        # distinct (group, value) pairs once, and the scores the 1,200 records
+        sizes = [shape[0] for shape in shapes if len(shape) == 1]
+        assert len(takes) == 1
+        assert (distinct, records) == (26, 1200)
+        assert sizes[1:] == [distinct] * 34 + [records]

@@ -289,6 +289,13 @@ class TestFamily:
         for got, want in zip(survival_curves(family), survival_curves(permuted)):
             assert np.array_equal(got, want)
 
+    @given(count_groups, st.sampled_from([None, *ScalingMethod]))
+    def test_repr_is_that_of_the_dict(self, citations, method):
+        family = _Family.of_counts(citations)
+        if method is not None:
+            family, _ = scale_corpus(family, method)
+        assert repr(family) == str(family) == repr(dict(family))
+
     @given(count_groups, st.sampled_from(ScalingMethod))
     def test_scores_are_read_only_and_in_record_order(self, citations, method):
         scored, _ = scale_corpus(citations, method)
