@@ -13,11 +13,12 @@ Subcommands::
                    hash manifest of every artifact
 
 Every subcommand but ``ingest-check`` and ``simulate`` is one pipeline,
-:func:`_run`: load the corpus, group it once, keep the ``--year`` groups,
-score each selected method once, then run the writers that the subparser
-names in ``set_defaults`` (the parser is the table of writers).  ``report``
-selects all six methods and every writer, and adds the generated
-``corpus.csv`` and a hash manifest.
+:func:`_run`: load the corpus, group it once and keep the ``--year`` groups.
+Then, one family at a time (the raw counts, then each selected method in
+``--method`` order), score it, hand it to every writer that the subparser
+names in ``set_defaults`` (the parser is the table of writers) and drop it
+before scoring the next.  ``report`` selects all six methods and every
+writer, and adds the generated ``corpus.csv`` and a hash manifest.
 
 Exit codes: 0 success, 1 data error, 2 usage error (including flag values
 that could not work, such as a non-positive goodness-of-fit threshold).
@@ -93,6 +94,8 @@ _positive = _float_in(0.0, math.inf)
 def _path(text: str) -> str:
     if not text:  # Path("") is the working directory
         raise argparse.ArgumentTypeError("must not be empty")
+    if "\x00" in text:  # no file name holds one; open() would raise ValueError
+        raise argparse.ArgumentTypeError("must not contain a NUL byte")
     return text
 
 
@@ -108,19 +111,12 @@ def _load_corpus(args: argparse.Namespace) -> Corpus:
     return result.corpus
 
 
-# --- artifact writers: each takes (args, out, corpus, raw, scored) ----------
-# ``raw`` is the family of every (category, year) group's citation counts,
-# ``scored`` maps each selected method to its scale_corpus result, in the
-# order given: the raw counts and each method's scores are one family each,
-# laid out once, sorted at most once and read by every writer.  A writer
-# returns the paths it wrote.
-
-def _named(raw: _Family, scored: dict):
-    """(name, vectors, skipped) of the raw counts, then of each method."""
-    yield "raw", raw, ()
-    for method, (scores, skipped) in scored.items():
-        yield method.value, scores, skipped
-
+# --- artifact writers: each takes (run, name, family, skipped) --------------
+# ``family`` is the raw counts (``name`` "raw", nothing skipped) or one
+# method's scores (``name`` its value); a writer returns the paths it wrote
+# for that family.  ``run`` holds the flags (``args``), the output directory
+# (``out``), the ``corpus`` and its ``raw`` counts, and the top-share summary
+# entry of each family ranked so far (``ranked``).
 
 STATS_HEADER = (
     "category", "year", "n", "mean", "median", "stddev", "skewness",
@@ -129,63 +125,62 @@ STATS_HEADER = (
 )
 
 
-def _write_stats(args, out: Path, corpus, raw, scored) -> list[Path]:
+def _write_stats(run: argparse.Namespace, name: str, raw, skipped) -> list[Path]:
+    if name != "raw":
+        return []
     rows = (
         (key.category, key.year, st.n, st.mean, st.median, _opt(st.stddev),
          _opt(st.skewness), _opt(st.kurtosis), st.n_nonzero,
          _opt(st.mean_nonzero), _opt(st.median_nonzero), "excess")
         for key, st in zip(raw, _describe(raw.sorted))
     )
-    path = out / "stats.csv"
+    path = run.out / "stats.csv"
     write_csv(path, STATS_HEADER, "%s,%d,%d,%.10g,%.10g,%s,%s,%s,%d,%s,%s,%s\n", rows)
     return [path]
 
 
-def _write_scaled(args, out: Path, corpus: Corpus, raw, scored) -> list[Path]:
+def _write_scaled(run: argparse.Namespace, name: str, scores, skipped) -> list[Path]:
+    if name == "raw":
+        return []
+    corpus = run.corpus
     columns = (corpus.pub_id, corpus.year, corpus.category, corpus.citations)
-    paths = []
-    for method, (scores, skipped) in scored.items():
-        # ``raw`` lays out every group of the corpus (``scale`` takes no
-        # --year), so its mask of scored groups selects their rows
-        kept = raw.seg.spread([key in scores for key in raw])
-        rows = zip(*(c[kept].tolist() for c in columns), repeat(method.value),
-                   scores.seg.values.tolist())
-        paths.append(out / f"scaled_{method.value}.csv")
-        write_csv(
-            paths[-1],
-            ("pub_id", "year", "category", "citations", "method", "aii"),
-            "%s,%d,%s,%d,%s,%.10g\n",
-            rows,
-        )
-        paths.append(out / f"skipped_{method.value}.csv")
-        write_csv(
-            paths[-1],
-            ("category", "year", "n_records", "reason"),
-            "%s,%d,%d,%s\n",
-            ((s.group.category, s.group.year, s.n_records, s.reason) for s in skipped),
-        )
-    return paths
+    # the raw counts lay out every group of the corpus (``scale`` takes no
+    # --year), so their mask of scored groups selects the scored rows
+    kept = run.raw.seg.spread([key in scores for key in run.raw])
+    rows = zip(*(c[kept].tolist() for c in columns), repeat(name),
+               scores.seg.values.tolist())
+    scaled, skips = run.out / f"scaled_{name}.csv", run.out / f"skipped_{name}.csv"
+    write_csv(
+        scaled,
+        ("pub_id", "year", "category", "citations", "method", "aii"),
+        "%s,%d,%s,%d,%s,%.10g\n",
+        rows,
+    )
+    write_csv(
+        skips,
+        ("category", "year", "n_records", "reason"),
+        "%s,%d,%d,%s\n",
+        ((s.group.category, s.group.year, s.n_records, s.reason) for s in skipped),
+    )
+    return [scaled, skips]
 
 
-def _write_survival(args, out: Path, corpus, raw, scored) -> list[Path]:
-    """Curves and collapse metrics of the raw counts and of each method."""
-    paths = []
-    for name, vectors, _ in _named(raw, scored):
-        thresholds, probs = survival_curves(vectors)
-        # each row is "category,year," + "value," + prob, each part formatted once
-        prefixes = ["%s,%d," % (key.category, key.year) for key in vectors]
-        values = ["%.10g," % t for t in thresholds.tolist()]
-        paths.append(out / f"survival_{name}.csv")
-        write_csv(
-            paths[-1],
-            ("category", "year", "value", "prob"),
-            "%s%.10g\n",
-            zip(map("".join, product(prefixes, values)), probs.ravel().tolist()),
-        )
-        paths.append(out / f"collapse_{name}.json")
-        report = collapse_metrics(vectors)
-        _write_json(paths[-1], {"method": name, **dataclasses.asdict(report)})
-    return paths
+def _write_survival(run: argparse.Namespace, name: str, vectors, skipped) -> list[Path]:
+    """The family's curves and collapse metrics."""
+    thresholds, probs = survival_curves(vectors)
+    # each row is "category,year," + "value," + prob, each part formatted once
+    prefixes = ["%s,%d," % (key.category, key.year) for key in vectors]
+    values = ["%.10g," % t for t in thresholds.tolist()]
+    curves, collapse = run.out / f"survival_{name}.csv", run.out / f"collapse_{name}.json"
+    write_csv(
+        curves,
+        ("category", "year", "value", "prob"),
+        "%s%.10g\n",
+        zip(map("".join, product(prefixes, values)), probs.ravel().tolist()),
+    )
+    report = collapse_metrics(vectors)
+    _write_json(collapse, {"method": name, **dataclasses.asdict(report)})
+    return [curves, collapse]
 
 
 TOPSHARE_HEADER = (
@@ -194,34 +189,29 @@ TOPSHARE_HEADER = (
 )
 
 
-def _write_topshare(args, out: Path, corpus, raw, scored) -> list[Path]:
-    """The raw ranking, then one per method, and a summary of them all."""
-    paths = []
-    summary: dict = {"top_fraction": args.top_fraction, "methods": {}}
-    for name, scores, skipped in _named(raw, scored):
-        report = top_share(scores, args.top_fraction, skipped)
-        paths.append(out / f"topshare_{name}.csv")
-        write_csv(
-            paths[-1],
-            TOPSHARE_HEADER,
-            "%s,%d,%d,%.10g,%.10g,%.10g,%s,%d\n",
-            (
-                (c.category, c.n, c.top_count, c.share, c.band_low, c.band_high,
-                 "true" if c.within_band else "false", c.n_skipped_records)
-                for c in report.per_category
-            ),
-        )
-        summary["methods"][name] = {
-            "n_within_band": report.n_within_band,
-            "n_categories_evaluated": report.n_categories_evaluated,
-            "n_records": report.n_records,
-            "n_top": report.n_top,
-            "cutoff": report.cutoff,
-            "unevaluated_categories": list(report.unevaluated_categories),
-        }
-    paths.append(out / "topshare_summary.json")
-    _write_json(paths[-1], summary)
-    return paths
+def _write_topshare(run: argparse.Namespace, name: str, scores, skipped) -> list[Path]:
+    """The family's ranking; its summary entry joins ``run.ranked``."""
+    report = top_share(scores, run.args.top_fraction, skipped)
+    path = run.out / f"topshare_{name}.csv"
+    write_csv(
+        path,
+        TOPSHARE_HEADER,
+        "%s,%d,%d,%.10g,%.10g,%.10g,%s,%d\n",
+        (
+            (c.category, c.n, c.top_count, c.share, c.band_low, c.band_high,
+             "true" if c.within_band else "false", c.n_skipped_records)
+            for c in report.per_category
+        ),
+    )
+    run.ranked[name] = {
+        "n_within_band": report.n_within_band,
+        "n_categories_evaluated": report.n_categories_evaluated,
+        "n_records": report.n_records,
+        "n_top": report.n_top,
+        "cutoff": report.cutoff,
+        "unevaluated_categories": list(report.unevaluated_categories),
+    }
+    return [path]
 
 
 GOF_HEADER = (
@@ -230,26 +220,23 @@ GOF_HEADER = (
 )
 
 
-def _write_gof(args, out: Path, corpus, raw, scored) -> list[Path]:
-    paths = []
-    for method, (scores, _) in scored.items():
-        reports, skipped = ad_lognormal(scores, threshold=args.gof_threshold)
-        rows = (
-            (key.category, key.year, rep.n_used, rep.threshold, rep.mu_hat,
-             rep.sigma_hat, rep.a_squared, rep.a_squared_star, rep.p_bracket)
-            for key, rep in reports.items()
-        )
-        reasons = Counter(sk.reason for sk in skipped)
-        for reason, what in (("too-few-values", "below the minimum sample"),
-                             ("all-values-equal", "with all values equal")):
-            if reasons[reason]:
-                print(f"note: {reasons[reason]} groups {what} for gof_{method.value}",
-                      file=sys.stderr)
-        paths.append(out / f"gof_{method.value}.csv")
-        write_csv(
-            paths[-1], GOF_HEADER, "%s,%d,%d,%.10g,%.10g,%.10g,%.10g,%.10g,%s\n", rows
-        )
-    return paths
+def _write_gof(run: argparse.Namespace, name: str, scores, skipped) -> list[Path]:
+    if name == "raw":
+        return []
+    reports, unfit = ad_lognormal(scores, threshold=run.args.gof_threshold)
+    rows = (
+        (key.category, key.year, rep.n_used, rep.threshold, rep.mu_hat,
+         rep.sigma_hat, rep.a_squared, rep.a_squared_star, rep.p_bracket)
+        for key, rep in reports.items()
+    )
+    reasons = Counter(sk.reason for sk in unfit)
+    for reason, what in (("too-few-values", "below the minimum sample"),
+                         ("all-values-equal", "with all values equal")):
+        if reasons[reason]:
+            print(f"note: {reasons[reason]} groups {what} for gof_{name}", file=sys.stderr)
+    path = run.out / f"gof_{name}.csv"
+    write_csv(path, GOF_HEADER, "%s,%d,%d,%.10g,%.10g,%.10g,%.10g,%.10g,%s\n", rows)
+    return [path]
 
 
 def _write_manifest(args, out: Path, artifacts: list[Path]) -> None:
@@ -298,12 +285,16 @@ def _run(args: argparse.Namespace) -> int:
     raw = group_records(corpus)
     if years:  # each group is scored on its own: select before scoring
         raw = _Family.of_counts({k: v for k, v in raw.items() if k.year in years})
+    run = argparse.Namespace(args=args, out=out, corpus=corpus, raw=raw, ranked={})
     names = getattr(args, "method", None) or ()
-    scored = {
-        method: scale_corpus(raw, method)
-        for method in dict.fromkeys(ScalingMethod(m) for m in names)
-    }
-    paths += [p for write in args.writers for p in write(args, out, corpus, raw, scored)]
+    for method in (None, *dict.fromkeys(ScalingMethod(m) for m in names)):
+        family, skipped = (raw, ()) if method is None else scale_corpus(raw, method)
+        name = "raw" if method is None else method.value
+        paths += [p for write in args.writers for p in write(run, name, family, skipped)]
+        del family, skipped  # this method's scores and sorted copy go before the next
+    if run.ranked:
+        paths.append(out / "topshare_summary.json")
+        _write_json(paths[-1], {"top_fraction": args.top_fraction, "methods": run.ranked})
     if args.command == "report":
         _write_manifest(args, out, paths)
     return 0

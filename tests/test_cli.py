@@ -7,6 +7,7 @@ import random
 import re
 import tempfile
 import warnings
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -554,6 +555,24 @@ class TestReport:
         assert layouts == []
         assert scored == Counter(ScalingMethod)
 
+    def test_each_method_is_dropped_before_the_next_is_scored(
+        self, small_scenario_json, tmp_path, monkeypatch
+    ):
+        # every writer reads a family before the next method is scored, so
+        # at most one method's scores and sorted copy are alive at a time
+        families, score = [], cli.scale_corpus
+
+        def scoring(raw, method):
+            assert [family() for family in families] == [None] * len(families)
+            scores, skipped = score(raw, method)
+            families.append(weakref.ref(scores))
+            return scores, skipped
+
+        monkeypatch.setattr(cli, "scale_corpus", scoring)
+        assert main(["report", "--scenario", str(small_scenario_json),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(families) == len(ScalingMethod)
+
     def test_reruns_are_hash_identical(self, small_scenario_json, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         main(["report", "--scenario", str(small_scenario_json), "--out", str(out1)])
@@ -633,7 +652,11 @@ class TestOnePipeline:
         (["survival", *EVERY_METHOD], 14),
         (["topshare", *EVERY_METHOD], 8),
         *((["gof", "--method", m], 1) for m in METHODS),
-    ], ids=["stats", "survival", "topshare", *(f"gof-{m}" for m in METHODS)])
+        # a repeated method is scored and written once
+        (["survival", "--method", "mean", "--method", "mean"], 4),
+        (["topshare", *EVERY_METHOD, "--method", "median"], 8),
+    ], ids=["stats", "survival", "topshare", *(f"gof-{m}" for m in METHODS),
+            "survival-repeated", "topshare-repeated"])
     def test_subcommand_writes_the_report_bytes(
         self, argv, n_files, small_scenario_json, tmp_path
     ):
@@ -697,25 +720,37 @@ class TestOnePipeline:
             for note in ((few,) if m in ("max", "boxcox") else (few, equal))
         ]
 
-    @pytest.mark.parametrize("flag", ["--input", "--scenario", "--out"],
-                             ids=lambda flag: flag[2:])
-    @pytest.mark.parametrize("argv", [
-        ["stats"], ["scale", "--method", "mean"], ["survival"], ["topshare"],
-        ["gof", "--method", "mean"], ["report"],
-    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv, flag, value, message", [
+        pytest.param(argv, flag, value, message,
+                     id=f"{argv[0]}-{flag[2:]}" + ("-nul" if value else ""))
+        for argv, flags in (
+            *((argv, ("--input", "--scenario", "--out")) for argv in (
+                ["stats"], ["scale", "--method", "mean"], ["survival"], ["topshare"],
+                ["gof", "--method", "mean"], ["report"],
+            )),
+            (["ingest-check"], ("--input",)),
+            (["simulate"], ("--scenario", "--out")),
+        )
+        for flag in flags
+        for value, message in (("", "must not be empty"),
+                               ("c\x00.csv", "must not contain a NUL byte"))
+    ])
     def test_empty_path_is_usage_error_and_writes_nothing(
-        self, argv, flag, tmp_path, monkeypatch, capsys
+        self, argv, flag, value, message, tmp_path, monkeypatch, capsys
     ):
-        # Path("") is the working directory: read as a file, or written into
+        # Path("") is the working directory, read as a file or written into,
+        # and a NUL byte fails at open() with a ValueError
         monkeypatch.chdir(tmp_path)
-        paths = {"--input": "c.csv", "--out": "o"}  # parsing fails before any use
+        # the other required paths: parsing fails before any use
+        paths = {"ingest-check": {}, "simulate": {"--scenario": "s.json", "--out": "o"}}.get(
+            argv[0], {"--input": "c.csv", "--out": "o"})
         if flag == "--scenario":
-            del paths["--input"]
-        paths[flag] = ""
+            paths.pop("--input", None)
+        paths[flag] = value
         with pytest.raises(SystemExit) as exc:
             main([*argv, *(arg for item in paths.items() for arg in item)])
         assert exc.value.code == 2
-        assert f"argument {flag}: must not be empty" in capsys.readouterr().err
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_unreadable_input_leaves_no_report_directory(self, tmp_path, capsys):
