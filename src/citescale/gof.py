@@ -38,6 +38,7 @@ erfc in Cephes ``ndtr.c`` (S. L. Moshier, after W. J. Cody, Math. Comp. 23,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -149,10 +150,13 @@ def ad_lognormal(
     A group with fewer than 8 surviving values, or only equal ones, has no
     test and comes back as skipped, with a reason.  Surviving values must be
     positive (they are logged) and every value finite: one at or below 0, or
-    NaN or infinite, raises ``ValueError`` naming the group.  A group's
-    report depends on its values alone, not on their order or on the other
-    groups.
+    NaN or infinite, raises ``ValueError`` naming the group.  A NaN
+    ``threshold``, which no value is at or above, is a ``ValueError`` too.
+    A group's report depends on its values alone, not on their order or on
+    the other groups.
     """
+    if math.isnan(threshold):
+        raise ValueError(f"threshold must be a number, got {threshold}")
     keys, seg = list(scores), _Family.of(scores).sorted
     used = seg.keep(seg.values >= threshold)
     tested = used.size >= MIN_SAMPLE

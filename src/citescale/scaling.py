@@ -23,17 +23,16 @@ computed at once; ``group_records`` returns that family, and any other
 mapping is laid out and checked here.  The max and the medians read the
 family's one sorted layout.  It returns each method's scores as another
 family, in record order, which every diagnostic reads.  For ``boxcox`` the
-sorted layout also tells which groups the likelihood informs; the counts of
-those groups are kept, their ``log1p`` taken once, and that one layout is
-both fitted and transformed.  Every group's ``lam`` is fitted together: each
-step of the search (the exact grid candidates, each golden-section
-iteration, the final check) is one set of array operations over all groups.
-The fit finds each group's distinct values once; the grid screen reads
-them, and each step after the grid transforms every distinct value once
-and gathers the results into one layout of the records, built once per fit,
-for the sums.  Each group's result equals, bit for bit, that of fitting
-it alone: the arithmetic is elementwise, each group's sums are those of
-``ndarray.var`` over the same values in the same order (see
+sorted layout also tells which groups the likelihood informs; their
+``log1p`` is taken once, and the fit (:class:`_Fit`) finds each group's
+distinct values once.  Every group's ``lam`` is fitted together: each step
+of the search (the exact grid candidates, each golden-section iteration,
+the final check) is one set of array operations over all groups.  The grid
+screen reads the distinct values; every exact evaluation, and the scores,
+transform each distinct value once and gather the results into record
+order.  Each group's result equals, bit for bit, that of fitting and
+transforming it alone: the arithmetic is elementwise, each group's sums are
+those of ``ndarray.var`` over the same values in the same order (see
 :meth:`citescale.stats._Segments.sums`), and each variance's logarithm is
 ``math.log``.
 
@@ -129,87 +128,77 @@ def _power(x, lam, out=None) -> np.ndarray:
 class _Fit:
     """The groups of one fit, one or more, laid out for the exact likelihood.
 
-    ``logs`` holds each group's ``log1p`` packed and ``sum_log1p`` their
-    sums.  ``levels`` holds each group's distinct values, ascending, and
-    ``counts`` the multiplicity of each: one ``np.unique`` per group.
-    ``led`` is a spare-slot layout of the groups (see
-    :meth:`citescale.stats._Segments.take`) whose values are scratch space,
-    and ``inv`` the index in ``levels.values`` of the value at each of its
-    slots; a spare slot indexes its group's first value.
+    ``size`` holds each group's number of records and ``sum_log1p`` the sum
+    of their ``log1p``.  ``levels`` holds each group's distinct ``log1p``
+    values, ascending, and ``counts`` the multiplicity of each: one
+    ``np.unique`` per group, of the values' bits, so -0.0 and 0.0 differ.
+    ``inv`` holds each record's index in ``levels.values``, in record order,
+    so a gather through it of the transformed levels is every record's
+    transform, bit for bit.  :meth:`select` lays out groups for
+    :func:`_batch_var`.
     """
 
-    __slots__ = ("logs", "sum_log1p", "levels", "counts", "inv", "led")
+    __slots__ = ("size", "sum_log1p", "levels", "counts", "inv", "scratch")
 
     def __init__(self, logs: _Segments) -> None:
-        self.logs, self.sum_log1p = logs, logs.sums(logs.values)
+        self.size, self.sum_log1p = logs.size, logs.sums(logs.values)
         distinct = [
-            np.unique(part, return_inverse=True, return_counts=True)
+            np.unique(part.view(np.int64), return_inverse=True, return_counts=True)
             for part in np.split(logs.values, logs.first[1:])
         ]
         u, inv, self.counts = (np.concatenate(column) for column in zip(*distinct))
-        self.levels = _Segments(u, np.array([c.size for _, _, c in distinct]))
-        inv += logs.spread(self.levels.first)
-        self.inv = np.insert(inv, logs.first, inv[logs.first])
-        self.led = _Segments(np.empty(self.inv.size), logs.size, led=True)
+        self.levels = _Segments(u.view(np.float64), np.array([c.size for _, _, c in distinct]))
+        self.inv = _Segments(inv + logs.spread(self.levels.first), logs.size)
+
+    def select(self, groups: np.ndarray) -> "_Fit":
+        """Groups ``groups[k]``, repeats allowed, each of ``levels`` and
+        ``inv`` led by a spare slot (see :meth:`citescale.stats._Segments.take`),
+        ``inv`` indexing the new ``levels``, and ``scratch`` a buffer as long
+        as ``inv.values`` for the gather; it holds no ``counts``."""
+        out = _Fit.__new__(_Fit)
+        out.size, out.sum_log1p = self.size[groups], self.sum_log1p[groups]
+        out.levels, out.inv = self.levels.take(groups), self.inv.take(groups)
+        out.inv.values += out.inv.spread(out.levels.first - self.levels.first[groups])
+        out.scratch = np.empty(out.inv.values.size)
+        return out
 
 
-def _batch_var(fit: _Fit, groups: np.ndarray, lams: np.ndarray) -> np.ndarray:
+def _batch_var(fit: _Fit, lams: np.ndarray) -> np.ndarray:
     """Maximum-likelihood (n-denominator) variance of the transformed values
-    of group ``groups[k]`` of ``fit`` at ``lams[k]``, for every k.
+    of group ``k`` of the selection ``fit`` (see :meth:`_Fit.select`) at
+    ``lams[k]``, for every k.
 
-    Each variance is bit for bit ``T.var()`` of the group alone.  ``expm1``,
-    ``*``, ``/``, ``-`` and squaring are elementwise, so a per-element
-    ``lam`` changes no bits, and both sums are those of
-    :meth:`citescale.stats._Segments.sums`, over the same values in the same
-    order.  Where ``groups`` is every group in order, each distinct value is
-    transformed (and its deviation from the mean squared) once and gathered
-    through ``fit.inv`` into ``fit.led``: a -0.0 sharing a level with 0.0
-    changes no sum, since a sum that starts at 0.0 ignores the sign of a
-    zero, and no variance, since squares are +0.  Other pairs are taken from
-    ``fit.logs`` in blocks of about ``_SCREEN_CELLS`` values, at least one
-    pair each, so memory does not grow with the number of pairs.
+    Each distinct value is transformed (and its deviation from the mean
+    squared) once and gathered through ``fit.inv`` into ``fit.scratch``, in
+    record order, for each sum.  Each variance is bit for bit ``T.var()``
+    of the group alone: ``expm1``, ``*``, ``/``, ``-`` and squaring are
+    elementwise, so a per-element ``lam`` and the gather change no bits, and
+    both sums are those of :meth:`citescale.stats._Segments.sums`, over the
+    same values in the same order.
     """
-    every = fit.logs.size.size
-    if groups.size == every and np.array_equal(groups, np.arange(every)):
-        levels, led = fit.levels, fit.led
-        # every index is in range; "clip" lets ``take`` write to ``out`` unbuffered
-        gather = functools.partial(np.take, indices=fit.inv, out=led.values, mode="clip")
-        with np.errstate(all="ignore"):
-            tu = _power(levels.values, levels.spread(lams))
-            mean = led.sums(gather(tu)) / led.size
-            return led.sums(gather(np.square(tu - levels.spread(mean)))) / led.size
-    logs = fit.logs
-    var = np.empty(groups.size)
-    size = logs.size[groups]
-    ends = np.cumsum(size)
-    lo = 0
+    levels, inv = fit.levels, fit.inv
+    # every index is in range; "clip" lets ``take`` write to ``out`` unbuffered
+    gather = functools.partial(np.take, indices=inv.values, out=fit.scratch, mode="clip")
     with np.errstate(all="ignore"):
-        while lo < groups.size:
-            limit = ends[lo] - size[lo] + _SCREEN_CELLS
-            hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
-            block = logs.take(groups[lo:hi])
-            t = _power(block.values, block.spread(lams[lo:hi]))
-            d = np.square(t - block.spread(block.sums(t) / block.size))
-            var[lo:hi] = block.sums(d) / block.size
-            lo = hi
-    return var
+        tu = _power(levels.values, levels.spread(lams))
+        mean = inv.sums(gather(tu)) / inv.size
+        return inv.sums(gather(np.square(tu - levels.spread(mean)))) / inv.size
 
 
-def _batch_loglik(fit: _Fit, groups: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Profile log-likelihood of the shifted power transform of group
-    ``groups[k]`` of ``fit`` at ``lams[k]``, for every k.
+def _batch_loglik(fit: _Fit, lams: np.ndarray) -> np.ndarray:
+    """Profile log-likelihood of the shifted power transform of group ``k``
+    of the selection ``fit`` at ``lams[k]``, for every k.
 
     ``LL(lam) = -(n/2) * ln(var(T(c))) + (lam - 1) * sum(ln(c + 1))`` with
     the variance of :func:`_batch_var`, and ``-inf`` where that is zero or
     not finite.  The logarithm is ``math.log``, which ``np.log`` does not
     match in the last bit, so each value is that of the group alone.
     """
-    var = _batch_var(fit, groups, lams)
+    var = _batch_var(fit, lams)
     ok = (var > 0.0) & np.isfinite(var)
-    g = groups[ok]
     log_var = np.array([math.log(v) for v in var[ok].tolist()])
-    ll = np.full(groups.size, -math.inf)
-    ll[ok] = -0.5 * fit.logs.size[g] * log_var + (lams[ok] - 1.0) * fit.sum_log1p[g]
+    ll = np.full(lams.size, -math.inf)
+    ll[ok] = -0.5 * fit.size[ok] * log_var + (lams[ok] - 1.0) * fit.sum_log1p[ok]
     return ll
 
 
@@ -224,8 +213,7 @@ def _golden_lockstep(loglik, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    every = np.arange(a.size)
-    fc, fd = loglik(every, c), loglik(every, d)
+    fc, fd = loglik(c), loglik(d)
     while (live := (b - a) > _GOLDEN_TOL).any():
         left = fc >= fd
         l, r = live & left, live & ~left
@@ -233,7 +221,7 @@ def _golden_lockstep(loglik, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         c[l] = b[l] - _INV_PHI * (b[l] - a[l])
         a[r], c[r], fc[r] = c[r], d[r], fd[r]
         d[r] = a[r] + _INV_PHI * (b[r] - a[r])
-        f = loglik(every, np.where(left, c, d))
+        f = loglik(np.where(left, c, d))
         fc[l], fd[r] = f[l], f[r]
     return 0.5 * (a + b)
 
@@ -276,32 +264,27 @@ def _grid_candidates(
     return approx >= approx.max() - _SCREEN_MARGIN * n
 
 
-def _fit_lambdas(logs: _Segments) -> np.ndarray:
-    """Maximum-likelihood transform parameter of each segment of ``logs``,
-    the ``log1p`` of a group's counts, clamped to [-3, +3].  Each segment
-    holds at least three values, not all equal: with fewer, the likelihood
-    carries no information.
+def _fit_lambdas(fit: _Fit) -> np.ndarray:
+    """Maximum-likelihood transform parameter of each group of ``fit``,
+    clamped to [-3, +3].  Each group holds at least three values, not all
+    equal: with fewer, the likelihood carries no information.
 
     Each group's best point of a 0.01-step grid is refined by golden-section
     search on its bracket; the two stages avoid local traps on flat
     likelihoods.  The exact likelihood is evaluated only at the grid points
     that the screen of :func:`_grid_candidates` cannot rule out (all of them
     if it is not certified), so the grid maximum is that of an exact full
-    scan, bit for bit.  The screen reads each group's distinct values, found
-    once per fit (:class:`_Fit`); so does every later exact evaluation, each
-    over every group (the opening pair, each golden step, the final check),
-    which transforms each distinct value once.  All groups share each exact
-    evaluation; each result is bit for bit its group's alone (see the
-    module docstring).
+    scan, bit for bit.  The screen reads each group's distinct values, and
+    so does every exact evaluation (:func:`_batch_var`): the grid
+    candidates in blocks of about ``_SCREEN_CELLS`` records, one
+    :meth:`_Fit.select` each, so memory does not grow with their number,
+    and the opening pair, each golden step and the final check through one
+    selection of every group.  Each result is bit for bit its group's alone
+    (see the module docstring).
     """
-    if not logs.size.size:
-        return np.empty(0)
-    fit = _Fit(logs)
-    loglik = functools.partial(_batch_loglik, fit)
     lo, hi = LAMBDA_BOUNDS
     grid = np.linspace(lo, hi, int(round((hi - lo) / _GRID_STEP)) + 1)
 
-    every = np.arange(logs.size.size)
     split = fit.levels.first[1:]
     mask = np.array([
         _grid_candidates(u, counts, total, grid)
@@ -311,18 +294,28 @@ def _fit_lambdas(logs: _Segments) -> np.ndarray:
         )
     ], dtype=bool)
     rows, cols = np.nonzero(mask)
-    ll = loglik(rows, grid[cols])
+    ll = np.empty(rows.size)
+    ends = np.cumsum(fit.size[rows])
+    start = 0
+    while start < rows.size:
+        limit = ends[start] - fit.size[rows[start]] + _SCREEN_CELLS
+        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
+        block = slice(start, stop)
+        ll[block] = _batch_loglik(fit.select(rows[block]), grid[cols[block]])
+        start = stop
     # made after the exact evaluation, so the table never adds to the memory
     # of its blocks
     table = np.full(mask.shape, -math.inf)
     table[rows, cols] = ll
     best = table.argmax(axis=1)
+    every = np.arange(fit.size.size)
     top = table[every, best]
     del table
     a = grid[np.maximum(best - 1, 0)]
     b = grid[np.minimum(best + 1, grid.size - 1)]
+    loglik = functools.partial(_batch_loglik, fit.select(every))
     refined = _golden_lockstep(loglik, a, b)
-    refined = np.where(loglik(every, refined) < top, grid[best], refined)
+    refined = np.where(loglik(refined) < top, grid[best], refined)
     return np.clip(refined, lo, hi)
 
 
@@ -367,9 +360,11 @@ def scale_corpus(
         fitted = (seg.size >= 3) & (lowest != highest)
         reason[~fitted] = "degenerate-boxcox"
         seg = seg.keep(seg.spread(fitted))
-        x, lams = np.log1p(seg.values), np.zeros(len(keys))
-        lams[fitted] = _fit_lambdas(_Segments(x, seg.size[fitted]))
-        t = _power(x, seg.spread(lams))
+        t = seg.values  # the fitted groups' counts, until transformed
+        if fitted.any():
+            fit = _Fit(_Segments(np.log1p(t), seg.size[fitted]))
+            levels = fit.levels
+            t = _power(levels.values, levels.spread(_fit_lambdas(fit))).take(fit.inv.values)
         num = seg.sums(t) / np.maximum(seg.size, 1)  # 0.0 where not fitted
     elif method is ScalingMethod.MAX_RANGE:
         srt = raw.sorted

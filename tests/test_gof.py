@@ -130,6 +130,10 @@ class TestStatistic:
         assert reports == {}
         assert skipped == [SkippedGroup(KEY, 12, "all-values-equal")]
 
+    def test_nan_threshold_is_value_error(self):
+        with pytest.raises(ValueError, match="threshold must be a number, got nan"):
+            ad_lognormal({KEY: [1.0] * 8 + [2.0]}, threshold=math.nan)
+
     def test_non_positive_after_filter(self):
         with pytest.raises(ValueError, match="group A/2003: values must be positive"):
             ad_lognormal({KEY: [0.0, 1.0, 2.0] + [1.0] * 8}, threshold=0.0)

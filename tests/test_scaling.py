@@ -105,9 +105,10 @@ def reference_fit_lambda(values):
     return float(min(max(refined, lo), hi))
 
 
-def log1p_layout(vectors):
-    """The layout of the vectors' ``log1p``, as the fit reads it."""
-    return _Segments.of(np.log1p(np.asarray(v, dtype=np.float64)) for v in vectors)
+def fit_of(vectors):
+    """The fit of the vectors, over the layout of their ``log1p``, as
+    ``scale_corpus`` builds it."""
+    return _Fit(_Segments.of(np.log1p(np.asarray(v, dtype=np.float64)) for v in vectors))
 
 
 def fit_lambdas(vectors):
@@ -117,8 +118,8 @@ def fit_lambdas(vectors):
     vs = [np.asarray(v, dtype=np.float64) for v in vectors]
     fit = [i for i, v in enumerate(vs) if v.size >= 3 and (v != v[0]).any()]
     lams = [None] * len(vs)
-    fitted = _fit_lambdas(log1p_layout(vs[i] for i in fit))
-    for i, lam in zip(fit, fitted.tolist()):
+    fitted = _fit_lambdas(fit_of(vs[i] for i in fit)).tolist() if fit else []
+    for i, lam in zip(fit, fitted):
         lams[i] = lam
     return lams
 
@@ -284,8 +285,11 @@ class TestScale:
             st.lists(st.integers(0, 60), min_size=1, max_size=80),
             st.lists(st.integers(0, 10**20), min_size=1, max_size=80),
             st.lists(st.floats(1e110, 1e300), min_size=3, max_size=40),
+            # the boxcox scores gather distinct values: -0.0 keeps its sign
+            st.lists(st.sampled_from([-0.0, 0.0, 1.0, 4.0]), min_size=1, max_size=40),
         ),
     )
+    @example(ScalingMethod.BOX_COX_MEAN, [-0.0, 0.0, 1.0, 4.0, 0.0, -0.0, 2.0])
     def test_one_formula_equals_the_two_it_replaced(self, method, values):
         # (T(c) * den) / num with T the identity, or with den == 1.0 for the
         # power transform, gives the bytes of the two per-method formulas
@@ -547,7 +551,7 @@ class TestFitLambda:
     def test_loglik_matches_naive(self, rng):
         values = rng.integers(0, 100, size=50)
         lams = np.array([-2.5, -1.0, 0.0, 0.5, 2.0])
-        ll = _batch_loglik(_Fit(log1p_layout([values])), np.zeros(5, int), lams)
+        ll = _batch_loglik(fit_of([values]).select(np.zeros(5, int)), lams)
         for lam, got in zip(lams, ll):
             assert got == pytest.approx(naive_loglik(values.tolist(), lam), rel=1e-9)
 
@@ -606,7 +610,7 @@ class TestPackedArithmetic:
         vectors = [np.floor(np.exp(rng.normal(2.0, 1.5, n))) for n in self.LENGTHS]
         lams = rng.uniform(*LAMBDA_BOUNDS, len(vectors))
         lams[::7] = 0.0
-        var = _batch_var(_Fit(log1p_layout(vectors)), np.arange(len(vectors)), lams)
+        var = _batch_var(fit_of(vectors).select(np.arange(len(vectors))), lams)
         want = [
             float(boxcox_transform(v, lam).var()) for v, lam in zip(vectors, lams)
         ]
@@ -627,18 +631,19 @@ class TestPackedArithmetic:
         st.data(),
     )
     def test_batch_variance_is_each_ndarray_var_bit_for_bit(self, vectors, data):
-        # every group in order reads the distinct values; a strict subset,
-        # in any order, the blocks
+        # every group in order, as the golden steps select them, and any
+        # groups in any order, repeats included, as the grid candidates'
+        # blocks do
         n = len(vectors)
         lams = np.array(data.draw(st.lists(
             st.one_of(st.just(0.0), st.floats(*LAMBDA_BOUNDS)), min_size=n, max_size=n
         )))
-        subset = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n - 1))
-        fit = _Fit(log1p_layout(vectors))
+        subset = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+        fit = fit_of(vectors)
         with np.errstate(all="ignore"):
             want = np.array([boxcox_transform(v, lam).var() for v, lam in zip(vectors, lams)])
-            every = _batch_var(fit, np.arange(n), lams)
-            some = _batch_var(fit, np.array(subset, dtype=np.intp), lams[subset])
+            every = _batch_var(fit.select(np.arange(n)), lams)
+            some = _batch_var(fit.select(np.array(subset, dtype=np.intp)), lams[subset])
         assert every.view(np.int64).tolist() == want.view(np.int64).tolist()
         assert some.view(np.int64).tolist() == want[subset].view(np.int64).tolist()
 
@@ -695,47 +700,72 @@ class TestScaleCorpus:
         with pytest.raises(ValueError, match="unknown scaling method"):
             scale_corpus(citations, method)
 
-    def test_boxcox_transforms_each_scored_group_once(self, monkeypatch):
-        logs, transformed = [], []
-        log1p, power = np.log1p, scaling._power
-        monkeypatch.setattr(np, "log1p", lambda c: logs.append(log1p(c)) or logs[-1])
-        monkeypatch.setattr(
-            scaling, "_power", lambda x, lam, *out: transformed.append(x) or power(x, lam, *out)
-        )
-        scored, skipped = scale_corpus({
-            GroupKey("A", 2003): [0, 1, 2, 5, 12, 40],
-            GroupKey("B", 2003): [9, 9, 9],
-            GroupKey("C", 2003): [0, 3, 3, 7],
-        }, ScalingMethod.BOX_COX_MEAN)
-        assert [s.reason for s in skipped] == ["degenerate-boxcox"]
-        assert sorted(v.size for v in scored.values()) == [4, 6]
-        # one log1p of the 10 records of the two fitted groups, none of the
-        # degenerate one, which the fit reads and the scores transform once
-        assert [x.size for x in logs] == [sum(v.size for v in scored.values())] == [10]
-        assert sum(x is logs[0] for x in transformed) == 1
-
-    def test_each_golden_step_transforms_each_distinct_value_once(self, monkeypatch):
+    def test_power_reads_only_distinct_values(self, monkeypatch):
+        # the grid screen transforms one group's distinct values at a time;
+        # every exact evaluation, the grid candidates' blocks included,
+        # transforms selected groups' distinct values, each segment led by
+        # its spare slot, and the scores every group's distinct values: no
+        # call sees a group's records, and one log1p reads the fitted ones
         rng = np.random.default_rng(5)
         citations = {
-            GroupKey("A", 2000 + g): rng.integers(0, 5 + g, size=300).astype(np.float64)
+            GroupKey("A", 2000 + g): rng.integers(0, 5 + g, size=300) + 100.0 * g
             for g in range(4)
         }
-        distinct = sum(np.unique(v).size for v in citations.values())
-        records = sum(v.size for v in citations.values())
-        shapes, takes = [], []
-        expm1, take = np.expm1, _Segments.take
-        monkeypatch.setattr(
-            np, "expm1", lambda x, *args, **kw: shapes.append(np.shape(x)) or expm1(x, *args, **kw)
-        )
-        monkeypatch.setattr(
-            _Segments, "take", lambda seg, groups: takes.append(groups) or take(seg, groups)
-        )
-        scale_corpus(citations, ScalingMethod.BOX_COX_MEAN)
-        # one take, of the exact grid candidates' block (the screen's calls
-        # are 2-D); then the opening pair, 31 golden steps from a 0.02-wide
-        # bracket down to 1e-8 and the final check each transform the 26
-        # distinct (group, value) pairs once, and the scores the 1,200 records
-        sizes = [shape[0] for shape in shapes if len(shape) == 1]
-        assert len(takes) == 1
-        assert (distinct, records) == (26, 1200)
-        assert sizes[1:] == [distinct] * 34 + [records]
+        # counts of 1,000 or more: the screen cannot certify the group, so
+        # all 601 grid points are exact candidates, in several blocks
+        citations[GroupKey("B", 2000)] = rng.integers(0, 40, size=2000) + 1000.0
+        fitted = sorted(citations.items())
+        citations[GroupKey("C", 2000)] = np.full(3, 9.0)
+        # the groups' values do not overlap, so a level names its group
+        distinct = [np.unique(np.log1p(v)) for _, v in fitted]
+        owner = {u: g for g, d in enumerate(distinct) for u in d.tolist()}
+        logs, screened, evaluated = [], [], []
+        log1p, power = np.log1p, scaling._power
+
+        def recording(x, lam, *out):
+            (screened if np.ndim(lam) == 2 else evaluated).append(x.copy())
+            return power(x, lam, *out)
+
+        monkeypatch.setattr(np, "log1p", lambda c: logs.append(c.size) or log1p(c))
+        monkeypatch.setattr(scaling, "_power", recording)
+        scored, skipped = scale_corpus(citations, ScalingMethod.BOX_COX_MEAN)
+        assert [skip.reason for skip in skipped] == ["degenerate-boxcox"]
+        assert list(scored) == [key for key, _ in fitted]
+        assert logs == [sum(v.size for _, v in fitted)]
+        assert [x.tolist() for x in screened] == [d.tolist() for d in distinct]
+        assert evaluated[-1].tolist() == np.concatenate(distinct).tolist()
+        selections = []
+        for x in evaluated[:-1]:
+            groups, at = [], 0
+            while at < x.size:
+                g = owner[x[at]]
+                segment = np.concatenate(([distinct[g][0]], distinct[g]))
+                assert x[at:at + segment.size].tolist() == segment.tolist()
+                groups.append(g)
+                at += segment.size
+            selections.append(groups)
+        every = list(range(len(distinct)))
+        blocks = [groups for groups in selections if groups != every]
+        # the opening pair, a golden step or more, and the final check
+        assert selections[-1] == every and len(selections) - len(blocks) > 3
+        assert sum(groups.count(4) for groups in blocks) == 601
+        assert len(blocks) > 1 and all(len(groups) > 1 for groups in blocks)
+
+    @pytest.mark.parametrize("method", list(ScalingMethod))
+    @given(st.dictionaries(
+        st.builds(GroupKey, st.sampled_from("ABC"), st.integers(2000, 2003)),
+        st.one_of(
+            st.lists(st.integers(0, 3), min_size=1, max_size=30),
+            st.lists(st.integers(0, 10**6), min_size=1, max_size=30),
+            st.builds(lambda c, n: [c] * n, st.integers(0, 5), st.integers(1, 5)),
+        ),
+        max_size=8,
+    ))
+    def test_every_group_is_scored_or_skipped_once(self, method, citations):
+        scored, skipped = scale_corpus(citations, method)
+        skipped_keys = [skip.group for skip in skipped]
+        assert sorted([*scored, *skipped_keys]) == sorted(citations)
+        for skip in skipped:
+            assert skip.n_records == len(citations[skip.group])
+        for key, aii in scored.items():
+            assert aii.size == len(citations[key])
