@@ -700,6 +700,60 @@ class TestScaleCorpus:
         with pytest.raises(ValueError, match="unknown scaling method"):
             scale_corpus(citations, method)
 
+    def test_boxcox_transforms_each_scored_group_once(self, monkeypatch):
+        logs, transformed = [], []
+        log1p, power = np.log1p, scaling._power
+        monkeypatch.setattr(np, "log1p", lambda c: logs.append(log1p(c)) or logs[-1])
+        monkeypatch.setattr(
+            scaling, "_power", lambda x, lam, *out: transformed.append(x.copy()) or power(x, lam, *out)
+        )
+        fitted = [[0, 1, 2, 5, 12, 40], [0, 3, 3, 7]]
+        scored, skipped = scale_corpus({
+            GroupKey("A", 2003): fitted[0],
+            GroupKey("B", 2003): [9, 9, 9],
+            GroupKey("C", 2003): fitted[1],
+        }, ScalingMethod.BOX_COX_MEAN)
+        assert [s.reason for s in skipped] == ["degenerate-boxcox"]
+        assert sorted(v.size for v in scored.values()) == [4, 6]
+        # one log1p of the 10 records of the two fitted groups, none of the
+        # degenerate one; the scores transform the fitted groups' 9 distinct
+        # values once, last, and no call transforms the records
+        assert [x.size for x in logs] == [sum(v.size for v in scored.values())] == [10]
+        distinct = np.concatenate([np.unique(log1p(np.array(v, float))) for v in fitted])
+        assert distinct.size == 9
+        assert sum(x.tolist() == distinct.tolist() for x in transformed) == 1
+        assert transformed[-1].tolist() == distinct.tolist()
+        assert all(x.tolist() != logs[0].tolist() for x in transformed)
+
+    def test_each_golden_step_transforms_each_distinct_value_once(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        citations = {
+            GroupKey("A", 2000 + g): rng.integers(0, 5 + g, size=300).astype(np.float64)
+            for g in range(4)
+        }
+        distinct = [np.unique(np.log1p(v)) for _, v in sorted(citations.items())]
+        records = sum(v.size for v in citations.values())
+        shapes, selections = [], []
+        expm1, select = np.expm1, _Fit.select
+        monkeypatch.setattr(
+            np, "expm1", lambda x, *args, **kw: shapes.append(np.shape(x)) or expm1(x, *args, **kw)
+        )
+        monkeypatch.setattr(
+            _Fit, "select", lambda fit, groups: selections.append(groups.tolist()) or select(fit, groups)
+        )
+        scale_corpus(citations, ScalingMethod.BOX_COX_MEAN)
+        # two selections: the exact grid candidates' block, then every group
+        # (the screen's calls are 2-D); then the opening pair, 31 golden steps
+        # from a 0.02-wide bracket down to 1e-8 and the final check each
+        # transform the 26 distinct (group, value) pairs once, each group
+        # led by its spare slot, and the scores the 26 pairs, not the 1,200
+        # records
+        sizes = [shape[0] for shape in shapes if len(shape) == 1]
+        n_distinct = sum(d.size for d in distinct)
+        assert len(selections) == 2 and selections[-1] == [0, 1, 2, 3]
+        assert (n_distinct, records) == (26, 1200)
+        assert sizes[1:] == [n_distinct + len(distinct)] * 34 + [n_distinct]
+
     def test_power_reads_only_distinct_values(self, monkeypatch):
         # the grid screen transforms one group's distinct values at a time;
         # every exact evaluation, the grid candidates' blocks included,
