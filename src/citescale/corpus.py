@@ -17,9 +17,13 @@ CSV wire format (canonical form):
     emission quotes nothing and ingestion strips cells, ``pub_id`` and
     ``category`` may not be empty, hold a comma, a double quote or a line
     break, or start or end with whitespace; the file is UTF-8, so no text
-    may hold a lone surrogate.  A file in this form, with no line wider in
-    UTF-8 bytes than the field limit, is split in one pass over its text;
-    any other file goes through ``csv.reader``.
+    may hold a lone surrogate.  A file in this form that is ASCII, holds
+    no NUL or ASCII whitespace but its line breaks, has no line wider than
+    the field limit and has only 1 to 19 digit years and counts within
+    int64 is parsed from its bytes: one numpy scan finds its line breaks
+    and commas, the integer cells are read by digit arithmetic, and only
+    ``pub_id`` becomes one ``str`` per row.  Any other file is decoded and
+    goes through ``csv.reader``; both read a file alike.
 """
 
 from __future__ import annotations
@@ -53,6 +57,10 @@ _UNREADABLE = re.compile('[,"\r\n\ud800-\udfff]')
 # CR and LF, so that a line break at a quoted cell's edge reaches the Corpus.
 _PAD = ("\t\x0b\x0c\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
         "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+# Bytes that send a file to csv.reader: a double quote or CR (quoting and
+# CRLF are the csv module's to read), a NUL (numpy's fixed-width bytes drop
+# a trailing NUL) and the ASCII characters of _PAD (ingestion strips them).
+_NOT_PLAIN = b'"\r\x00' + "".join(c for c in _PAD if c.isascii()).encode("ascii")
 
 
 @dataclass(frozen=True, order=True)
@@ -217,45 +225,111 @@ class IngestResult:
     n_warnings: int
 
 
-def _plain_lines(data: bytes, size: int) -> int:
-    """The number of lines in ``data[:size]`` if every line holds exactly
-    three commas and is at most ``csv.field_size_limit()`` bytes wide, else
-    0; from one numpy scan of the bytes for line breaks and commas."""
+def _int_cells(raw: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+    """The cells ``raw[start:end]`` as int64, by digit arithmetic, or None
+    unless each is 1 to 19 ASCII digits and within the int64 range."""
+    width = end - start
+    if len(width) and not 1 <= width.min() <= width.max() <= 19:
+        return None
+    value = np.zeros(len(width), dtype=np.uint64)  # 19 digits stay below 2**64
+    for k in range(int(width.max(initial=0))):  # the digit worth 10**k
+        digit = raw.take(end - 1 - k, mode="clip").astype(np.uint64) - ord("0")
+        digit[width <= k] = 0
+        if digit.max() > 9:  # a byte below "0" wraps around to a large value
+            return None
+        value += digit * 10**k
+    return value.astype(np.int64) if value.max(initial=0) < np.uint64(2**63) else None
+
+
+def _label_cells(raw: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The ASCII cells ``raw[start:end]`` as an object array of str, with
+    one str object per distinct cell.  The cells are laid out as fixed-width
+    bytes, NUL-padded (so no cell may hold a NUL); each run of equal cells
+    is made distinct and decoded once, and repeated over its rows."""
+    width = end - start
+    padded = np.zeros((len(width), max(int(width.max(initial=0)), 1)), dtype=np.uint8)
+    for k in range(padded.shape[1]):
+        padded[:, k] = np.where(k < width, raw.take(start + k, mode="clip"), 0)
+    cells = padded.view(f"S{padded.shape[1]}").ravel()
+    new = np.ones(len(cells), dtype=bool)
+    new[1:] = cells[1:] != cells[:-1]
+    heads = np.flatnonzero(new)
+    distinct, codes = np.unique(cells[heads], return_inverse=True)
+    labels = np.array([label.decode("ascii") for label in distinct.tolist()], dtype=object)
+    return np.repeat(labels[codes], np.diff(heads, append=len(cells)))
+
+
+def _text_cells(raw: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The ASCII cells ``raw[start:end]``, each followed by a comma, as an
+    object array of str: the bytes of every cell and its comma are taken
+    in one mask, decoded once and split on the commas."""
+    bounds = np.empty(2 * len(start) + 2, dtype=np.intp)
+    bounds[0], bounds[1:-1:2], bounds[2:-1:2], bounds[-1] = 0, start, end + 1, len(raw)
+    inside = np.zeros(len(bounds) - 1, dtype=bool)
+    inside[1::2] = True  # the runs [start, end + 1), between runs outside every cell
+    cells = raw[np.repeat(inside, np.diff(bounds))].tobytes().decode("ascii").split(",")
+    cells.pop()  # the empty text after the last comma
+    return np.fromiter(cells, dtype=object, count=len(cells))
+
+
+def _read_plain(data: bytes) -> tuple | None:
+    """The header's cells and the data rows' four columns, parsed from the
+    bytes of a file in canonical form, or None for any other file.
+
+    The file must be ASCII with no double quote, CR, NUL or ASCII
+    whitespace but LF, and every line (but blank lines at the end) must
+    hold three commas and be at most ``csv.field_size_limit()`` bytes wide:
+    then csv.reader would split it on its line breaks and commas, and
+    ingestion's strip would leave every cell as it is.  Every year and
+    citation cell must also be 1 to 19 ASCII digits within int64, a cell
+    that ``int`` reads as its digits' value.  One numpy scan finds the line
+    breaks and commas, whose positions bound every cell; ``category`` gets
+    one str per distinct label and ``pub_id`` one per row.
+    """
+    if not data.isascii() or any(byte in data for byte in _NOT_PLAIN):
+        return None
+    size = len(data.rstrip(b"\n"))  # blank lines at the end hold no rows
     raw = np.frombuffer(data, dtype=np.uint8, count=size)
     breaks = np.flatnonzero(raw == ord("\n"))
     commas = np.flatnonzero(raw == ord(","))
     n_lines, width = len(breaks) + 1, len(CSV_HEADER) - 1
     if len(commas) != width * n_lines:
-        return 0
+        return None
     commas = commas.reshape(n_lines, width)  # line i's commas, if each has three
     if (commas[:-1, -1] > breaks).any() or (commas[1:, 0] < breaks).any():
-        return 0
-    widest = int(np.diff(breaks, prepend=-1, append=size).max()) - 1
-    return n_lines if widest <= csv.field_size_limit() else 0
+        return None
+    ends = np.append(breaks, size)
+    if int(np.diff(ends, prepend=-1).max()) - 1 > csv.field_size_limit():
+        return None
+    # a data row's cell j lies between its edges j and j + 1: the line break
+    # before the row, its three commas and its end
+    edges = (breaks, *commas[1:].T, ends[1:])
+    year, cites = (_int_cells(raw, edges[j] + 1, edges[j + 1]) for j in (1, 3))
+    if year is None or cites is None:
+        return None
+    header = data[: ends[0]].decode("ascii").split(",")
+    pub = _text_cells(raw, edges[0] + 1, edges[1])
+    return header, [pub, year, _label_cells(raw, edges[2] + 1, edges[3]), cites]
 
 
-def _split(path: Path, data: bytes, text: str) -> tuple:
-    """Split corpus text, decoded from the UTF-8 ``data``, into the header's
-    cells, the data rows' cells in one flat list, each row's file line and
-    the error of the line that ended the split early (or None).
+def _split(path: Path, data: bytes) -> tuple:
+    """The header's cells, the data rows' four columns, each row's file
+    line and the error of the line that ended the split early (or None).
 
-    Text with no double quote or CR, whose every line (but blank lines at
-    the end) holds three commas and is at most ``csv.field_size_limit()``
-    UTF-8 bytes wide, is split on its line breaks and commas in one pass.
-    A line's width in bytes is at least its width in characters, so no line
-    the csv module would refuse takes that split; any other text goes
-    through csv.reader.
+    A file in canonical form is parsed from its bytes by ``_read_plain``.
+    Any other file is decoded as UTF-8 (else :class:`CorpusFormatError`
+    naming the line) and split by csv.reader; its text cells are stripped
+    and its integer cells parsed by ``_parse_ints``.
     """
-    if b'"' not in data and b"\r" not in data:
-        body = text.rstrip("\n")  # blank lines at the end hold no rows
-        # each "\n" stripped is one byte
-        n_lines = _plain_lines(data, len(data) - (len(text) - len(body)))
-        if n_lines:
-            cells = body.replace("\n", ",").split(",")
-            header = cells[:4]
-            del cells[:4]
-            return header, cells, range(2, n_lines + 1), None
-        del body
+    plain = _read_plain(data)
+    if plain is not None:
+        header, columns = plain
+        return header, columns, range(2, len(columns[0]) + 2), None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise CorpusFormatError(f"{path}, line {line_no}: not valid UTF-8") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     header, cells, line_nos, stop = None, [], [], None
     try:
@@ -276,7 +350,12 @@ def _split(path: Path, data: bytes, text: str) -> tuple:
         stop = CorpusFormatError(f"{path}, line {reader.line_num}: {exc}")
         if header is None:
             raise stop from None
-    return header, cells, line_nos, stop
+    pub, year, cat, cites = (cells[i::4] for i in range(4))
+    if not text.isascii() or any(c in text for c in _PAD if c.isascii()):
+        pub, cat = (list(map(str.strip, column, repeat(_PAD))) for column in (pub, cat))
+    # object arrays, which the last-wins rebuild of ingest_csv indexes with an array
+    pub, cat = (np.array(column, dtype=object) for column in (pub, cat))
+    return header, [pub, _parse_ints(year), cat, _parse_ints(cites)], line_nos, stop
 
 
 def _parse_ints(cells: list[str]) -> np.ndarray | list:
@@ -295,7 +374,8 @@ def _parse_ints(cells: list[str]) -> np.ndarray | list:
 
 
 def ingest_csv(path: str | Path, strict: bool = False) -> IngestResult:
-    """Read a corpus CSV.
+    """Read a corpus CSV: from its bytes if it is in canonical form, else
+    through csv.reader (see ``_split``); both read a file alike.
 
     Duplicate (pub_id, category) rows raise :class:`DuplicateRecordError` in
     strict mode; otherwise the last row wins and each replacement is counted
@@ -309,26 +389,15 @@ def ingest_csv(path: str | Path, strict: bool = False) -> IngestResult:
     """
     path = Path(path)
     data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
-        raise CorpusFormatError(f"{path}, line {line_no}: not valid UTF-8") from None
-    if not text:
+    if not data:
         raise EmptyCorpusError(f"{path}: file is empty")
-    header, cells, line_nos, error = _split(path, data, text)
+    header, columns, line_nos, error = _split(path, data)
+    del data  # raw bytes: not held while the Corpus builds
     if tuple(map(str.strip, header)) != CSV_HEADER:
         raise CorpusFormatError(
             f"{path}, line 1: expected header {','.join(CSV_HEADER)!r}, "
             f"got {','.join(header)!r}"
         )
-    pub, year, cat, cites = (cells[i::4] for i in range(4))
-    if not text.isascii() or any(c in text for c in _PAD if c.isascii()):
-        pub, cat = (list(map(str.strip, column, repeat(_PAD))) for column in (pub, cat))
-    # object arrays, which the last-wins rebuild below indexes with an array
-    pub, cat = (np.array(column, dtype=object) for column in (pub, cat))
-    columns = [pub, _parse_ints(year), cat, _parse_ints(cites)]
-    del data, text, cells, year, cites  # raw text: not held while the Corpus builds
 
     # `error` belongs to row `end`, and the Corpus checks the rows before
     # it; each error it finds there moves `end` back, until none is left.

@@ -150,12 +150,13 @@ def ad_lognormal(
     A group with fewer than 8 surviving values, or only equal ones, has no
     test and comes back as skipped, with a reason.  Surviving values must be
     positive (they are logged) and every value finite: one at or below 0, or
-    NaN or infinite, raises ``ValueError`` naming the group.  A NaN
-    ``threshold``, which no value is at or above, is a ``ValueError`` too.
+    NaN or infinite, raises ``ValueError`` naming the group.  A NaN or
+    +inf ``threshold``, which no finite value is at or above, is a
+    ``ValueError`` too; -inf drops nothing.
     A group's report depends on its values alone, not on their order or on
     the other groups.
     """
-    if math.isnan(threshold):
+    if math.isnan(threshold) or threshold == math.inf:
         raise ValueError(f"threshold must be a number, got {threshold}")
     keys, seg = list(scores), _Family.of(scores).sorted
     used = seg.keep(seg.values >= threshold)

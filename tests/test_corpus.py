@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from citescale import corpus as corpus_module
 from citescale.corpus import (
     _CSV_BLOCK_ROWS,
+    _NOT_PLAIN,
     _PAD,
     CSV_HEADER,
     Corpus,
@@ -564,40 +566,54 @@ def _ingested(path, strict):
     return result.corpus, result.n_rows, result.n_warnings
 
 
+# integer cells at the edges of the digit parse: leading zeros, a sign, 18
+# digits, and 19 digits at and beyond the int64 bound
+_INT_EDGES = ["007", "+5", "123456789012345678", "9223372036854775807"]
+_INT_BEYOND = "9223372036854775808"
 # per column, cells that read (padded, NUL-holding, non-ASCII digits) and
 # cells that do not, or that read only when quoted
 _GOOD = (
     ["p1", "p2", " p1 ", "p1\x00", "é", "\xa0p3\u3000"],
-    ["2003", "2007", " 2007\t", "2_003", "\x1c2003", "٢٠"],
+    ["2003", "2007", " 2007\t", "2_003", "\x1c2003", "٢٠", *_INT_EDGES],
     ["A", "B", " B\x0c", "A\x00", "\u2003B"],
-    ["0", "5", " 7 ", "1" + "0" * 25],
+    ["0", "5", " 7 ", "1" + "0" * 25, *_INT_EDGES],
 )
 _BAD = (
     ["", "a,b", 'a"b', "p\nq", "p2\n"],
-    ["x", "99999999999999999999"],
+    ["x", "99999999999999999999", _INT_BEYOND],
     ["", "A\r"],
-    ["-1", "1.5", "1" + "0" * 400, "5\n"],
+    ["-1", "1.5", "1" + "0" * 400, "5\n", _INT_BEYOND],
 )
 
 
 @st.composite
 def _corpus_texts(draw):
     """CSV text mixing blank lines, CRLF endings, quoted, padded and
-    NUL-holding cells, duplicate rows, ragged rows and bad values."""
-    header = draw(st.sampled_from(["pub_id,year,category,citations"] * 4 + [
-        '"pub_id",year, category ,citations', "pub_id,year,category",
-    ]))
-    quoting, crlf = draw(st.booleans()), draw(st.booleans())
+    NUL-holding cells, duplicate rows, ragged rows and bad values.  Half
+    the texts are plain: the canonical header, LF endings, no quoting, no
+    blank line, four cells to a line, and only cells that hold no byte
+    that sends a file to csv.reader, so that many are parsed from their
+    bytes."""
+    plain = draw(st.booleans())
+    header = ",".join(CSV_HEADER) if plain else draw(st.sampled_from(
+        [",".join(CSV_HEADER)] * 4
+        + ['"pub_id",year, category ,citations', "pub_id,year,category"]
+    ))
+    quoting, crlf = (False, False) if plain else (draw(st.booleans()), draw(st.booleans()))
     lines = [header]
     for _ in range(draw(st.integers(0, 6))):
-        if draw(st.integers(0, 6)) == 0:
+        if not plain and draw(st.integers(0, 6)) == 0:
             lines.append("")
             continue
         cells = [
-            draw(st.sampled_from(bad if draw(st.integers(0, 24)) == 0 else good))
+            draw(st.sampled_from([
+                c for c in (bad if draw(st.integers(0, 24)) == 0 else good)
+                if not plain or c.isascii() and not set(c) & set(_NOT_PLAIN.decode())
+            ]))
             for good, bad in zip(_GOOD, _BAD)
         ]
-        cells = (cells + ["1"])[: draw(st.sampled_from([4] * 12 + [3, 5]))]
+        if not plain:
+            cells = (cells + ["1"])[: draw(st.sampled_from([4] * 12 + [3, 5]))]
         lines.append(",".join(
             '"' + c.replace('"', '""') + '"' if quoting and draw(st.booleans()) else c
             for c in cells
@@ -607,11 +623,25 @@ def _corpus_texts(draw):
     return text if draw(st.booleans()) else text.rstrip("\r\n")
 
 
+@pytest.fixture(scope="class")
+def canonical(tmp_path_factory):
+    """The benchmark corpus, its emitted file and a copy of that file with
+    its rows shuffled."""
+    corpus = generate(benchmark_scenario())
+    tmp = tmp_path_factory.mktemp("canonical")
+    emitted, shuffled = tmp / "emitted.csv", tmp / "shuffled.csv"
+    emit_csv(corpus, emitted)
+    head, *rows = emitted.read_text().splitlines(keepends=True)
+    random.Random(1).shuffle(rows)
+    shuffled.write_text(head + "".join(rows))
+    return corpus, emitted, shuffled
+
+
 class TestSplitters:
     """The split on line breaks and commas and the csv-module split must
     read every file as csv.reader and a row-by-row check would."""
 
-    @settings(max_examples=400)
+    @settings(max_examples=800)
     @given(_corpus_texts(), st.booleans())
     def test_both_splitters_agree_with_a_row_by_row_reader(self, text, strict):
         with tempfile.TemporaryDirectory() as tmp:
@@ -656,16 +686,10 @@ class TestSplitters:
         assert result == _reference_ingest(text, False)
         assert sorted(result[0].pub_id.tolist()) == ["p2", pub]
 
-    def test_canonical_files_take_the_one_pass_split(self, tmp_path, monkeypatch):
+    def test_canonical_files_take_the_one_pass_split(self, canonical, tmp_path, monkeypatch):
         # emitted text, sorted or not, never reaches csv.reader; its
         # all-quoted copy does
-        corpus = generate(benchmark_scenario())
-        emitted = tmp_path / "emitted.csv"
-        emit_csv(corpus, emitted)
-        head, *rows = emitted.read_text().splitlines(keepends=True)
-        random.Random(1).shuffle(rows)
-        shuffled = tmp_path / "shuffled.csv"
-        shuffled.write_text(head + "".join(rows))
+        corpus, emitted, shuffled = canonical
         quoted = tmp_path / "quoted.csv"
         quoted.write_text("".join(
             ",".join(f'"{cell}"' for cell in line.split(",")) + "\n"
@@ -682,6 +706,34 @@ class TestSplitters:
         assert ingest_csv(emitted).corpus == ingest_csv(shuffled).corpus == corpus
         with pytest.raises(ReaderCalled):
             ingest_csv(quoted)
+
+    def test_only_canonical_files_are_parsed_from_their_bytes(self, canonical, tmp_path,
+                                                               monkeypatch):
+        # emitted text, sorted or not, parses no integer cell from a str;
+        # plain copies with a padded cell, a non-ASCII pub_id or a pub_id
+        # holding a NUL go through csv.reader and read the corpus they hold
+        corpus, emitted, shuffled = canonical
+        parse_ints = corpus_module._parse_ints
+        with monkeypatch.context() as patch:
+            patch.setattr(corpus_module, "_parse_ints", None)  # calling it raises
+            assert ingest_csv(emitted).corpus == ingest_csv(shuffled).corpus == corpus
+        calls = []
+        monkeypatch.setattr(corpus_module, "_parse_ints",
+                            lambda cells: calls.append(len(cells)) or parse_ints(cells))
+        text = emitted.read_text()
+        start = text.index("\n") + 1  # the first row's pub_id, the corpus's first
+        first = corpus.pub_id[0]
+        assert text[start:].startswith(first + ",")
+        for edited, cell in [(first, f" {first}\t"), (first + "é", first + "é"),
+                             (first + "\x00", first + "\x00")]:
+            copy = tmp_path / "copy.csv"
+            copy.write_text(text[:start] + cell + text[start + len(first):], encoding="utf-8")
+            calls.clear()
+            result = ingest_csv(copy).corpus
+            assert calls == [len(corpus)] * 2
+            pub = corpus.pub_id.copy()
+            pub[0] = edited
+            assert result == Corpus(pub, corpus.year, corpus.category, corpus.citations)
 
     def test_pad_is_all_whitespace_but_line_breaks(self):
         spaces = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,6 +134,14 @@ class TestStatistic:
     def test_nan_threshold_is_value_error(self):
         with pytest.raises(ValueError, match="threshold must be a number, got nan"):
             ad_lognormal({KEY: [1.0] * 8 + [2.0]}, threshold=math.nan)
+
+    def test_infinite_threshold_is_value_error_but_minus_inf_filters_nothing(self):
+        scores = {KEY: [1.0] * 8 + [2.0]}
+        with pytest.raises(ValueError, match="threshold must be a number, got inf"):
+            ad_lognormal(scores, threshold=math.inf)
+        reports, skipped = ad_lognormal(scores, threshold=-math.inf)
+        (report,) = ad_lognormal(scores, threshold=0.0)[0].values()
+        assert reports == {KEY: replace(report, threshold=-math.inf)} and skipped == []
 
     def test_non_positive_after_filter(self):
         with pytest.raises(ValueError, match="group A/2003: values must be positive"):
