@@ -18,12 +18,13 @@ CSV wire format (canonical form):
     ``category`` may not be empty, hold a comma, a double quote or a line
     break, or start or end with whitespace; the file is UTF-8, so no text
     may hold a lone surrogate.  A file in this form that is ASCII, holds
-    no NUL or ASCII whitespace but its line breaks, has no line wider than
-    the field limit and has only 1 to 19 digit years and counts within
-    int64 is parsed from its bytes: one numpy scan finds its line breaks
-    and commas, the integer cells are read by digit arithmetic, and only
-    ``pub_id`` becomes one ``str`` per row.  Any other file is decoded and
-    goes through ``csv.reader``; both read a file alike.
+    no NUL, has no text cell that starts or ends with whitespace, has no
+    line wider than the field limit, has only 1 to 19 digit years and
+    counts within int64, and whose rows times widest category take no
+    more bytes than the file, is parsed from its bytes: one numpy scan
+    finds its line breaks and commas, the integer cells are read by digit
+    arithmetic, and only ``pub_id`` becomes one ``str`` per row.  Any other
+    file is decoded and goes through ``csv.reader``; both read a file alike.
 """
 
 from __future__ import annotations
@@ -57,10 +58,13 @@ _UNREADABLE = re.compile('[,"\r\n\ud800-\udfff]')
 # CR and LF, so that a line break at a quoted cell's edge reaches the Corpus.
 _PAD = ("\t\x0b\x0c\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
         "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+_ASCII_PAD = "".join(c for c in _PAD if c.isascii())
 # Bytes that send a file to csv.reader: a double quote or CR (quoting and
-# CRLF are the csv module's to read), a NUL (numpy's fixed-width bytes drop
-# a trailing NUL) and the ASCII characters of _PAD (ingestion strips them).
-_NOT_PLAIN = b'"\r\x00' + "".join(c for c in _PAD if c.isascii()).encode("ascii")
+# CRLF are the csv module's to read) and a NUL (numpy's fixed-width bytes
+# drop a trailing NUL).  An ASCII pad byte does so only at a text cell's edge.
+_NOT_PLAIN = b'"\r\x00'
+_IS_PAD = np.zeros(256, dtype=bool)  # by byte value
+_IS_PAD[list(_ASCII_PAD.encode("ascii"))] = True
 
 
 @dataclass(frozen=True, order=True)
@@ -245,7 +249,9 @@ def _label_cells(raw: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndar
     """The ASCII cells ``raw[start:end]`` as an object array of str, with
     one str object per distinct cell.  The cells are laid out as fixed-width
     bytes, NUL-padded (so no cell may hold a NUL); each run of equal cells
-    is made distinct and decoded once, and repeated over its rows."""
+    is made distinct and decoded once, and repeated over its rows.  Emitted
+    files are sorted by category, so the runs are few and ``np.unique``
+    sorts only their heads, not every row."""
     width = end - start
     padded = np.zeros((len(width), max(int(width.max(initial=0)), 1)), dtype=np.uint8)
     for k in range(padded.shape[1]):
@@ -276,15 +282,19 @@ def _read_plain(data: bytes) -> tuple | None:
     """The header's cells and the data rows' four columns, parsed from the
     bytes of a file in canonical form, or None for any other file.
 
-    The file must be ASCII with no double quote, CR, NUL or ASCII
-    whitespace but LF, and every line (but blank lines at the end) must
-    hold three commas and be at most ``csv.field_size_limit()`` bytes wide:
-    then csv.reader would split it on its line breaks and commas, and
-    ingestion's strip would leave every cell as it is.  Every year and
-    citation cell must also be 1 to 19 ASCII digits within int64, a cell
-    that ``int`` reads as its digits' value.  One numpy scan finds the line
-    breaks and commas, whose positions bound every cell; ``category`` gets
-    one str per distinct label and ``pub_id`` one per row.
+    The file must be ASCII with no double quote, CR or NUL, and every line
+    (but blank lines at the end) must hold three commas and be at most
+    ``csv.field_size_limit()`` bytes wide: then csv.reader would split it
+    on its line breaks and commas.  No ``pub_id`` or ``category`` cell may
+    start or end with an ASCII pad byte, so that ingestion's strip would
+    leave it as it is.  Every year and citation cell must also be 1 to 19
+    ASCII digits within int64, a cell that ``int`` reads as its digits'
+    value.  One numpy scan finds the line breaks and commas, whose
+    positions bound every cell; ``category`` gets one str per distinct
+    label and ``pub_id`` one per row.  The category cells are laid out as
+    a rows x widest matrix, so a file whose matrix would take more bytes
+    than the file itself is left to csv.reader, which reads it in time
+    and memory linear in its size.
     """
     if not data.isascii() or any(byte in data for byte in _NOT_PLAIN):
         return None
@@ -304,6 +314,12 @@ def _read_plain(data: bytes) -> tuple | None:
     # a data row's cell j lies between its edges j and j + 1: the line break
     # before the row, its three commas and its end
     edges = (breaks, *commas[1:].T, ends[1:])
+    for j in (0, 2):  # a text cell's first and last byte (for an empty cell, its delimiters)
+        if _IS_PAD[raw[edges[j] + 1]].any() or _IS_PAD[raw[edges[j + 1] - 1]].any():
+            return None
+    # the category cells, laid out rows x widest, may take no more bytes than the file
+    if len(breaks) * int((edges[3] - edges[2] - 1).max(initial=0)) > len(data):
+        return None
     year, cites = (_int_cells(raw, edges[j] + 1, edges[j + 1]) for j in (1, 3))
     if year is None or cites is None:
         return None
@@ -351,7 +367,7 @@ def _split(path: Path, data: bytes) -> tuple:
         if header is None:
             raise stop from None
     pub, year, cat, cites = (cells[i::4] for i in range(4))
-    if not text.isascii() or any(c in text for c in _PAD if c.isascii()):
+    if not text.isascii() or any(c in text for c in _ASCII_PAD):
         pub, cat = (list(map(str.strip, column, repeat(_PAD))) for column in (pub, cat))
     # object arrays, which the last-wins rebuild of ingest_csv indexes with an array
     pub, cat = (np.array(column, dtype=object) for column in (pub, cat))

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -570,12 +571,12 @@ def _ingested(path, strict):
 # digits, and 19 digits at and beyond the int64 bound
 _INT_EDGES = ["007", "+5", "123456789012345678", "9223372036854775807"]
 _INT_BEYOND = "9223372036854775808"
-# per column, cells that read (padded, NUL-holding, non-ASCII digits) and
-# cells that do not, or that read only when quoted
+# per column, cells that read (padded, spaced within, NUL-holding, non-ASCII
+# digits) and cells that do not, or that read only when quoted
 _GOOD = (
-    ["p1", "p2", " p1 ", "p1\x00", "é", "\xa0p3\u3000"],
+    ["p1", "p2", " p1 ", "p 1", "p1\x00", "é", "\xa0p3\u3000"],
     ["2003", "2007", " 2007\t", "2_003", "\x1c2003", "٢٠", *_INT_EDGES],
-    ["A", "B", " B\x0c", "A\x00", "\u2003B"],
+    ["A", "B", " B\x0c", "A B", "A\t\x1fB", "A\x00", "\u2003B"],
     ["0", "5", " 7 ", "1" + "0" * 25, *_INT_EDGES],
 )
 _BAD = (
@@ -591,10 +592,11 @@ def _corpus_texts(draw):
     """CSV text mixing blank lines, CRLF endings, quoted, padded and
     NUL-holding cells, duplicate rows, ragged rows and bad values.  Half
     the texts are plain: the canonical header, LF endings, no quoting, no
-    blank line, four cells to a line, and only cells that hold no byte
-    that sends a file to csv.reader, so that many are parsed from their
-    bytes."""
+    blank line, four cells to a line, and only ASCII cells with no byte
+    that sends the whole file to csv.reader, so that many are parsed from
+    their bytes; half of these pad no cell at its edges."""
     plain = draw(st.booleans())
+    padded = not plain or draw(st.booleans())
     header = ",".join(CSV_HEADER) if plain else draw(st.sampled_from(
         [",".join(CSV_HEADER)] * 4
         + ['"pub_id",year, category ,citations', "pub_id,year,category"]
@@ -609,6 +611,7 @@ def _corpus_texts(draw):
             draw(st.sampled_from([
                 c for c in (bad if draw(st.integers(0, 24)) == 0 else good)
                 if not plain or c.isascii() and not set(c) & set(_NOT_PLAIN.decode())
+                and (padded or c == c.strip())
             ]))
             for good, bad in zip(_GOOD, _BAD)
         ]
@@ -734,6 +737,33 @@ class TestSplitters:
             pub = corpus.pub_id.copy()
             pub[0] = edited
             assert result == Corpus(pub, corpus.year, corpus.category, corpus.citations)
+        # whitespace within a cell, as in a real subject name, is no pad
+        spaced = Corpus(corpus.pub_id, corpus.year,
+                        [f"Cell {label}\tBiology" for label in corpus.category.tolist()],
+                        corpus.citations)
+        emit_csv(spaced, copy)
+        calls.clear()
+        assert ingest_csv(copy).corpus == spaced and calls == []
+
+    def test_one_long_category_among_many_rows(self, tmp_path):
+        # laid out rows x widest, the category cells would take 200 MB: the
+        # file goes to csv.reader, which reads it in memory near its size
+        rows = [(f"p{i}", 2003, "A", i % 7) for i in range(2_000)]
+        rows.append(("p0", 2004, "C" * 100_000, 1))
+        text = "pub_id,year,category,citations\n" + "".join(
+            f"{pub},{year},{cat},{cites}\n" for pub, year, cat, cites in rows
+        )
+        path = tmp_path / "c.csv"
+        path.write_text(text, newline="")
+        tracemalloc.start()
+        try:
+            result = _ingested(path, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == _reference_ingest(text, False)
+        assert result[0] == corpus_of(rows)
+        assert peak < 40 * len(text)
 
     def test_pad_is_all_whitespace_but_line_breaks(self):
         spaces = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
