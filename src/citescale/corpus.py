@@ -440,11 +440,11 @@ def ingest_csv(path: str | Path, strict: bool = False) -> IngestResult:
 
 
 def write_csv(path: str | Path, header, template: str, rows) -> None:
-    """Write the comma-joined header, then ``template % row`` for each row
-    (``%.10g`` formats a float as ``format(x, '.10g')`` does).
+    """Write a report table: the comma-joined header, then ``template % row``
+    for each row (``%.10g`` formats a float as ``format(x, '.10g')`` does).
 
     Rows are joined and written ``_CSV_BLOCK_ROWS`` at a time, so the text
-    of the whole file is never held at once.
+    of the whole table is never held at once.
     """
     lines = map(template.__mod__, rows)
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
@@ -454,9 +454,32 @@ def write_csv(path: str | Path, header, template: str, rows) -> None:
 
 
 def emit_csv(corpus: Corpus, path: str | Path) -> None:
-    """Write the canonical CSV form: sorted rows, LF endings, no quoting."""
-    columns = (getattr(corpus, name).tolist() for name in CSV_HEADER)
-    write_csv(path, CSV_HEADER, "%s,%d,%s,%d\n", zip(*columns))
+    """Write the canonical CSV form: sorted rows, LF endings, no quoting.
+
+    The text is built per group, not per row: each row is its ``pub_id``,
+    its group's ``,<year>,<category>,`` and its count's text, which is
+    formatted once per distinct count.  The rows are joined and written in
+    blocks of ``_CSV_BLOCK_ROWS``, which split a long group and gather
+    short ones, so the text of the whole file is never held at once.
+    """
+    n = len(corpus)
+    ends = np.array([0, *(s.stop for s in corpus.group_slices.values())])
+    middles = np.array(
+        [f",{key.year},{key.category}," for key in corpus.group_slices], dtype=object
+    )
+    distinct, inverse = np.unique(corpus.citations, return_inverse=True)
+    counts = np.array([f"{count}\n" for count in distinct.tolist()], dtype=object)
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(CSV_HEADER) + "\n")
+        for a in range(0, n, _CSV_BLOCK_ROWS):
+            b = min(a + _CSV_BLOCK_ROWS, n)
+            first, last = np.searchsorted(ends, (a, b), side="right")
+            spans = ends[first - 1:last + 1].clip(a, b)  # groups meeting rows a..b-1
+            rows = np.empty((b - a, 3), dtype=object)
+            rows[:, 0] = corpus.pub_id[a:b]
+            rows[:, 1] = np.repeat(middles[first - 1:last], np.diff(spans))
+            rows[:, 2] = counts[inverse[a:b]]
+            fh.write("".join(rows.ravel().tolist()))
 
 
 def group_records(corpus: Corpus) -> Mapping[GroupKey, np.ndarray]:

@@ -23,6 +23,7 @@ import operator
 import re
 from contextlib import suppress
 from dataclasses import asdict, dataclass, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -192,11 +193,17 @@ def generate(scenario: Scenario) -> Corpus:
     families) and multiplied by ``count_scale``.
     pub_ids are ``<category>-<year>-<index>`` with a zero-padded index.
 
+    Work is per spec, not per record: each pub_id is the spec's prefix plus
+    an index text from one shared ``%06d`` list, which grows to a spec's
+    ``n`` only after that spec's draws have succeeded, so an ``n`` too large
+    to draw builds no text.  The year and category columns reach the Corpus
+    as one ``np.repeat`` each, the year column as int64.
+
     Raises :class:`~citescale.errors.ScenarioError` naming the spec when its
     ``n`` values or its family cannot be drawn or held in memory, or when a
     lognormal draw, a scaled count or ``count_scale`` reaches 2**63.
     """
-    pub_ids, years, categories, counts = [], [], [], []  # columns, counts per spec
+    pub_ids, counts, index = [], [], []  # index: "%06d" texts of 0, 1, ...
     for spec in scenario.specs:
         where = f"spec {spec.category}/{spec.year}"
         rng = _spec_rng(scenario.seed, spec)
@@ -211,11 +218,17 @@ def generate(scenario: Scenario) -> Corpus:
                 f"{where}: a count times count_scale is beyond the int64 range"
             )
         counts.append(drawn * spec.count_scale)
-        prefix = f"{spec.category}-{spec.year}-"
-        pub_ids += [f"{prefix}{i:06d}" for i in range(spec.n)]
-        years += [spec.year] * spec.n
-        categories += [spec.category] * spec.n
-    return Corpus(pub_ids, years, categories, np.concatenate(counts))
+        index += map("%06d".__mod__, range(len(index), spec.n))
+        pub_ids += map(f"{spec.category}-{spec.year}-".__add__, islice(index, spec.n))
+    n = [spec.n for spec in scenario.specs]
+    years = [spec.year for spec in scenario.specs]
+    try:
+        years = np.array(years, dtype=np.int64)
+    except OverflowError:  # a year beyond int64, for the Corpus to reject by row
+        years = np.array(years, dtype=object)
+    categories = np.array([spec.category for spec in scenario.specs], dtype=object)
+    return Corpus(pub_ids, np.repeat(years, n), np.repeat(categories, n),
+                  np.concatenate(counts))
 
 
 def scaled_copy_scenario(base: CategorySpec, k: int, seed: int = 0) -> Scenario:

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import resource
 import tempfile
 import warnings
 import weakref
@@ -332,6 +333,30 @@ _LOGNORMAL = {**_SPEC, "family": "discretized-lognormal", "family_params": [1.0,
 _ZIPF = {**_SPEC, "family": "zipf-with-cutoff", "family_params": [1.5, 50]}
 
 
+@contextlib.contextmanager
+def _address_space_cap():
+    """Caps this process's address space at its current size plus 1 GiB
+    inside the block, and restores the limit when it exits, before pytest
+    reports.  A scenario with a huge ``n`` or zipf ``c_max`` must fail
+    before anything is allocated per index; if a change allocates per
+    index anyway, the MemoryError fails that one test instead of
+    exhausting the machine's memory and ending the whole run.  Where
+    ``/proc/self/statm`` is missing, nothing is capped."""
+    statm = Path("/proc/self/statm")
+    if not statm.exists():
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = int(statm.read_text().split()[0]) * resource.getpagesize() + 2**30
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
 def _scenario_exit_code(tmp_path, scenario: dict) -> int:
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))  # ASCII: a lone surrogate stays escaped
@@ -484,7 +509,9 @@ class TestSimulate:
     def test_unusable_scenario_number_exits_one(self, spec, message, tmp_path, capsys):
         # the unusable spec comes second, after one that draws fine
         specs = [{**_SPEC, "category": "Z"}, spec]
-        assert _scenario_exit_code(tmp_path, {"seed": 1, "specs": specs}) == 1
+        with _address_space_cap():
+            code = _scenario_exit_code(tmp_path, {"seed": 1, "specs": specs})
+        assert code == 1
         assert message in capsys.readouterr().err
         for valid in (_LOGNORMAL, _ZIPF):
             assert _scenario_exit_code(tmp_path, {"seed": 1, "specs": [valid]}) == 0
@@ -503,7 +530,9 @@ class TestSimulate:
         self, spec, message, tmp_path, capsys
     ):
         specs = [{**_SPEC, "category": "Z"}, spec]
-        assert _scenario_exit_code(tmp_path, {"seed": 1, "specs": specs}) == 1
+        with _address_space_cap():
+            code = _scenario_exit_code(tmp_path, {"seed": 1, "specs": specs})
+        assert code == 1
         assert message in capsys.readouterr().err
 
 

@@ -310,6 +310,20 @@ def _reads_back(text):
     return text != "" and text == text.strip() and not set(text) & set(',"\r\n')
 
 
+# readable text holding format characters, non-ASCII, inner spaces and a NUL
+_FORMAT_TEXT = st.from_regex(
+    "[a%{}é中\x00]([a%{}é中\x00 ]{0,3}[a%{}é中\x00])?",
+    fullmatch=True,
+)
+
+
+def _per_row_text(rows):
+    """The bytes of the canonical CSV of ``rows``, formatted row by row."""
+    ordered = sorted(rows, key=lambda r: (r[2], r[1], r[0]))
+    text = ",".join(CSV_HEADER) + "\n" + "".join("%s,%d,%s,%d\n" % r for r in ordered)
+    return text.encode("utf-8")
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("n_rows", [
         0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
@@ -368,6 +382,35 @@ class TestRoundTrip:
             out = Path(tmp) / "out.csv"
             emit_csv(corpus, out)
             assert ingest_csv(out).corpus == corpus
+
+    @given(st.lists(
+        st.tuples(_FORMAT_TEXT,
+                  st.sampled_from([-5, 0, 2003]) | st.integers(-(2**63), 2**63 - 1),
+                  st.sampled_from(["%s", "{}", "é 中"]) | _FORMAT_TEXT,
+                  st.sampled_from([0, 2**63 - 1]) | st.integers(0, 2**63 - 1)),
+        min_size=1, max_size=40, unique_by=lambda r: (r[0], r[2]),
+    ))
+    @settings(max_examples=200)
+    def test_emit_writes_the_per_row_text(self, rows):
+        # groups of one row and of several, text that is a format string
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out.csv"
+            emit_csv(corpus_of(rows), out)
+            assert out.read_bytes() == _per_row_text(rows)
+
+    @pytest.mark.parametrize("sizes", [
+        [2 * _CSV_BLOCK_ROWS + 7],
+        [_CSV_BLOCK_ROWS - 1, 1, _CSV_BLOCK_ROWS, 3],
+        [1] * (_CSV_BLOCK_ROWS + 5),
+    ], ids=["one-group-over-two-blocks", "groups-ending-at-block-edges",
+            "one-row-groups-over-a-block"])
+    def test_emit_writes_the_per_row_text_across_blocks(self, sizes, tmp_path):
+        rows = [
+            (f"p%{i}", 1990 + g % 7, f"C{{{g}}} é", i * 7919 % 10**6)
+            for g, size in enumerate(sizes) for i in range(size)
+        ]
+        emit_csv(corpus_of(rows), tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == _per_row_text(rows)
 
     def test_emit_ingest_emit_bit_exact(self, tmp_path):
         path = write_corpus_csv(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from citescale.corpus import GroupKey, group_records
-from citescale.errors import ScenarioError
+from citescale.errors import CorpusValueError, ScenarioError
 from citescale.scaling import ScalingMethod, scale_corpus
 from citescale.synth import (
     BENCHMARK_SEED,
@@ -78,6 +78,36 @@ class TestGenerate:
             "A-2003-000000", "A-2003-000001", "A-2003-000002"
         ]
         assert set(group_records(corpus)) == {GroupKey("A", 2003)}
+
+    @pytest.mark.parametrize("scenario", [
+        # n grows, shrinks and grows: the index texts are extended and reused
+        Scenario(seed=5, specs=tuple(
+            lognormal_spec(category=category, year=year, n=n)
+            for category, year, n in (("A", 2003, 4), ("B%d", 2003, 9),
+                                      ("{0}", 2007, 2), ("A", 2007, 1),
+                                      ("C %s{}", 1999, 13))
+        )),
+        # two categories that share one salt, so one stream of draws
+        scaled_copy_scenario(lognormal_spec(category="%{é", n=6), k=3, seed=4),
+    ], ids=["n-grows-shrinks-grows", "scaled-copy"])
+    def test_pub_ids_and_year_column_per_spec(self, scenario):
+        corpus = generate(scenario)
+        assert corpus.year.dtype == np.int64
+        for spec in scenario.specs:
+            rows = corpus.group_slices[GroupKey(spec.category, spec.year)]
+            assert corpus.pub_id[rows].tolist() == [
+                f"{spec.category}-{spec.year}-{i:06d}" for i in range(spec.n)
+            ]
+            assert corpus.year[rows].tolist() == [spec.year] * spec.n
+        assert len(corpus) == sum(spec.n for spec in scenario.specs)
+
+    def test_year_beyond_int64_names_the_specs_first_row(self):
+        scenario = Scenario(seed=5, specs=(
+            lognormal_spec(n=3), lognormal_spec(category="B", year=2**63, n=4),
+        ))
+        with pytest.raises(CorpusValueError, match="year is beyond the int64 range") as exc:
+            generate(scenario)
+        assert exc.value.row == 3
 
     def test_counts_always_non_negative_integers(self):
         scenario = Scenario(seed=11, specs=(
