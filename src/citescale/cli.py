@@ -4,7 +4,7 @@ Subcommands::
 
     ingest-check   validate a corpus CSV and print row/warning/group counts
     stats          per-group descriptive statistics CSV
-    scale          score one method, CSV output plus skipped-group sidecar
+    scale          score one or more methods, CSV output plus skipped-group sidecar
     survival       per-group curve data and a collapse-metrics JSON
     topshare       global top-share reports with admissibility bands
     gof            per-group lognormal goodness-of-fit CSV
@@ -343,6 +343,13 @@ def _add_input_args(parser: argparse.ArgumentParser, pipeline: bool = True) -> N
     )
 
 
+def _add_method_arg(parser: argparse.ArgumentParser, what: str, required: bool = False) -> None:
+    parser.add_argument(
+        "--method", action="append", required=required, choices=METHOD_NAMES,
+        help=f"scaling method(s) {what} (repeatable)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="citescale",
@@ -358,25 +365,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     p.set_defaults(func=_run, writers=(_write_stats,))
 
-    p = sub.add_parser("scale", help="score records under one method")
+    p = sub.add_parser("scale", help="score records under one or more methods")
     _add_input_args(p)
-    p.add_argument("--method", required=True, nargs=1, choices=METHOD_NAMES)
+    _add_method_arg(p, "to score", required=True)
     p.set_defaults(func=_run, writers=(_write_scaled,))
 
     p = sub.add_parser("survival", help="survival curves and collapse metrics")
     _add_input_args(p)
-    p.add_argument(
-        "--method", action="append", choices=METHOD_NAMES,
-        help="scaling method(s) to add beside the raw curves (repeatable)",
-    )
+    _add_method_arg(p, "to add beside the raw curves")
     p.set_defaults(func=_run, writers=(_write_survival,))
 
     p = sub.add_parser("topshare", help="global top-share admissibility report")
     _add_input_args(p)
-    p.add_argument(
-        "--method", action="append", choices=METHOD_NAMES,
-        help="scaling method(s) to compare against the raw ranking (repeatable)",
-    )
+    _add_method_arg(p, "to compare against the raw ranking")
     p.add_argument("--top-fraction", type=_fraction, default=DEFAULT_TOP_FRACTION)
     p.add_argument(
         "--year", action="append", type=int,
@@ -386,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gof", help="lognormal goodness of fit per group")
     _add_input_args(p)
-    p.add_argument("--method", required=True, nargs=1, choices=METHOD_NAMES)
+    _add_method_arg(p, "to test for a lognormal fit", required=True)
     p.add_argument("--gof-threshold", type=_positive, default=DEFAULT_THRESHOLD)
     p.set_defaults(func=_run, writers=(_write_gof,))
 

@@ -20,21 +20,22 @@ with ``T(c) = ((c+1)**lam - 1) / lam`` for ``lam != 0`` and ``log(c+1)`` at
 :class:`citescale.stats._Family`: the counts laid out once, in key order, as
 :class:`citescale.stats._Segments`, on which every group's divisor is
 computed at once; ``group_records`` returns that family, and any other
-mapping is laid out and checked here.  The max and the medians read the
-family's one sorted layout.  It returns each method's scores as another
-family, in record order, which every diagnostic reads.  For ``boxcox`` the
-sorted layout also tells which groups the likelihood informs; their
-``log1p`` is taken once, and the fit (:class:`_Fit`) finds each group's
-distinct values once.  Every group's ``lam`` is fitted together: each step
-of the search (the exact grid candidates, each golden-section iteration,
-the final check) is one set of array operations over all groups.  The grid
-screen reads the distinct values; every exact evaluation, and the scores,
-transform each distinct value once and gather the results into record
-order.  Each group's result equals, bit for bit, that of fitting and
-transforming it alone: the arithmetic is elementwise, each group's sums are
-those of ``ndarray.var`` over the same values in the same order (see
-:meth:`citescale.stats._Segments.sums`), and each variance's logarithm is
-``math.log``.
+mapping is laid out and checked here.  The five ratio divisors are
+statistics of each group's sorted counts, read from the family's one sorted
+layout, so they do not depend on record order.  It returns each method's
+scores as another family, in record order, which every diagnostic reads.
+For ``boxcox`` the sorted layout also tells which groups the likelihood
+informs; their ``log1p`` is taken once, and the fit (:class:`_Fit`) finds
+each group's distinct values once.  Every group's ``lam`` is fitted
+together: each step of the search (the exact grid candidates, each
+golden-section iteration, the final check) is one set of array operations
+over all groups.  The grid screen reads the distinct values; every exact
+evaluation, and the scores, transform each distinct value once and gather
+the results into record order.  Each group's result equals, bit for bit,
+that of fitting and transforming it alone: the arithmetic is elementwise,
+each group's sums are those of ``ndarray.var`` over the same values in the
+same order (see :meth:`citescale.stats._Segments.sums`), and each
+variance's logarithm is ``math.log``.
 
 A statistic can be undefined on real data (a zero median when more than half
 the group is uncited, a zero range, an all-zero group).  Undefinedness is
@@ -342,21 +343,20 @@ def scale_corpus(
     and a ``method`` that is not a :class:`ScalingMethod` a ``ValueError``.
     The result maps each defined group, in key order, to its read-only
     float64 scores, in the order of its input counts.  Groups with an
-    undefined statistic are reported, never imputed.  For ``boxcox`` every
-    group's parameter is fitted in one batch.
+    undefined statistic are reported, never imputed.  The five ratio
+    divisors are statistics of each group's sorted counts, free of record order.
     """
     if not isinstance(method, ScalingMethod):
         raise ValueError(f"unknown scaling method {method!r}")
     raw = _Family.of_counts(citations)
-    keys, seg = list(raw), raw.seg
+    keys, seg, srt = list(raw), raw.seg, raw.sorted
+    lowest, highest = srt.values[srt.first], srt.values[srt.first + srt.size - 1]
     n_records = seg.size
     reason = np.full(len(keys), _ZERO_REASON[method], dtype=object)
     t, den = seg.values, np.ones(len(keys))
     if method is ScalingMethod.BOX_COX_MEAN:
         # a group's likelihood informs its fit if it holds three counts or
         # more, not all equal: its smallest and largest differ
-        srt = raw.sorted
-        lowest, highest = srt.values[srt.first], srt.values[srt.first + srt.size - 1]
         fitted = (seg.size >= 3) & (lowest != highest)
         reason[~fitted] = "degenerate-boxcox"
         seg = seg.keep(seg.spread(fitted))
@@ -367,17 +367,15 @@ def scale_corpus(
             t = _power(levels.values, levels.spread(_fit_lambdas(fit))).take(fit.inv.values)
         num = seg.sums(t) / np.maximum(seg.size, 1)  # 0.0 where not fitted
     elif method is ScalingMethod.MAX_RANGE:
-        srt = raw.sorted
-        num = srt.values[srt.first + srt.size - 1] - srt.values[srt.first]
+        num = highest - lowest
     elif method is ScalingMethod.MEAN:
-        num, den = seg.sums(t), seg.size.astype(np.float64)
+        num, den = srt.sums(srt.values), srt.size.astype(np.float64)
     elif method is ScalingMethod.MEDIAN:
-        num = raw.sorted.medians()
+        num = srt.medians()
     elif method is ScalingMethod.MEAN_NO_ZERO:
-        nz = seg.keep(t > 0.0)
+        nz = srt.keep(srt.values > 0.0)
         num, den = nz.sums(nz.values), nz.size.astype(np.float64)
     else:
-        srt = raw.sorted
         num = srt.keep(srt.values > 0.0).medians()  # NaN where no count is above 0
     ok = num > 0.0  # counts are >= 0, so only 0.0 or NaN fail
     aii = (t * seg.spread(den)) / seg.spread(np.where(ok, num, 1.0))

@@ -13,7 +13,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citescale import cli, stats
@@ -681,10 +681,11 @@ class TestOnePipeline:
         (["survival", *EVERY_METHOD], 14),
         (["topshare", *EVERY_METHOD], 8),
         *((["gof", "--method", m], 1) for m in METHODS),
+        (["gof", *EVERY_METHOD], 6),
         # a repeated method is scored and written once
         (["survival", "--method", "mean", "--method", "mean"], 4),
         (["topshare", *EVERY_METHOD, "--method", "median"], 8),
-    ], ids=["stats", "survival", "topshare", *(f"gof-{m}" for m in METHODS),
+    ], ids=["stats", "survival", "topshare", *(f"gof-{m}" for m in METHODS), "gof",
             "survival-repeated", "topshare-repeated"])
     def test_subcommand_writes_the_report_bytes(
         self, argv, n_files, small_scenario_json, tmp_path
@@ -720,6 +721,20 @@ class TestOnePipeline:
         assert sorted(out.iterdir()) == [scaled, skipped]
         digest = hashlib.sha256(scaled.read_bytes() + skipped.read_bytes()).hexdigest()
         assert digest[:16] == self.SCALED_SHA256[method]
+
+    def test_scale_writes_each_method_given(self, small_scenario_json, tmp_path):
+        # two methods in one run write the files of two single-method runs
+        scale = ["scale", "--scenario", str(small_scenario_json)]
+        both = tmp_path / "both"
+        assert main([*scale, "--method", "mean", "--method", "max", "--out", str(both)]) == 0
+        assert sorted(p.name for p in both.iterdir()) == [
+            "scaled_max.csv", "scaled_mean.csv", "skipped_max.csv", "skipped_mean.csv"
+        ]
+        for method in ("mean", "max"):
+            one = tmp_path / method
+            assert main([*scale, "--method", method, "--out", str(one)]) == 0
+            for path in one.iterdir():
+                assert (both / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_gof_notes_are_the_report_notes_in_method_order(self, tmp_path, capsys):
         rows = [(f"a{i}", 2003, "A", i % 9) for i in range(30)]
@@ -871,3 +886,48 @@ class TestEveryInputReportsOrExitsOne:
             code, err = _report_and_scale(["--scenario", str(path)], method, Path(tmp))
         if code == 1:
             assert err.startswith("error: spec ") and "int64 range" in err
+
+
+@st.composite
+def _relabelled_groups(draw):
+    """Each group's counts, and a permutation of them among its pub_ids."""
+    groups = draw(st.lists(
+        st.lists(st.integers(0, 60) | st.integers(0, 2**62), min_size=1, max_size=25),
+        min_size=2, max_size=6,
+    ))
+    return [(counts, draw(st.permutations(range(len(counts))))) for counts in groups]
+
+
+class TestRelabellingPubIds:
+    """Which pub_id holds which count of a group moves no ratio divisor, so
+    every artifact of ``report`` but the boxcox ones keeps its bytes (the
+    boxcox fit sums in record order)."""
+
+    @settings(max_examples=40)
+    @given(_relabelled_groups())
+    # summed in pub_id order, A's counts and their rotation have different means
+    @example([([2**53, 1, 1, 0], [1, 2, 3, 0]), ([0, 1, 2, 3, 5, 8, 13, 21, 34], range(9))])
+    def test_every_artifact_but_boxcox_keeps_its_bytes(self, groups):
+        rows, relabelled = [], []
+        for g, (counts, order) in enumerate(groups):
+            cat, year = "ABC"[g % 3], 2003 + g // 3
+            ids = [f"p{len(rows) + i + 1}" for i in range(len(counts))]
+            rows += [(pid, year, cat, c) for pid, c in zip(ids, counts)]
+            relabelled += [(pid, year, cat, counts[i]) for pid, i in zip(ids, order)]
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "a", Path(tmp) / "b"
+            for out, corpus in ((a, rows), (b, relabelled)):
+                path = write_corpus_csv(out.with_suffix(".csv"), corpus)
+                assert main(["report", "--input", str(path), "--out", str(out)]) == 0
+            names = sorted(p.name for p in a.iterdir())
+            assert names == sorted(p.name for p in b.iterdir())
+            for name in names:
+                if "boxcox" in name or name == "manifest.json":
+                    continue
+                if name == "topshare_summary.json":
+                    summaries = [json.loads((d / name).read_text()) for d in (a, b)]
+                    for summary in summaries:
+                        del summary["methods"]["boxcox"]
+                    assert json.dumps(summaries[0]) == json.dumps(summaries[1])
+                else:
+                    assert (a / name).read_bytes() == (b / name).read_bytes(), name
