@@ -27,6 +27,13 @@ CSV cells have 10 significant digits; JSON numbers are written at full
 ``repr`` precision, and rerunning a subcommand on identical inputs
 rewrites identical bytes (timestamps appear only in the manifest metadata
 block, which is excluded from hashing).
+
+Every CSV goes through one writer, ``corpus._write_table``, as columns of
+texts that each end in their own comma or line end.  Each text is
+formatted once: per group (its ``category,year`` cells), per survival
+threshold, or per distinct count, score or probability
+(``corpus._format_once``, distinct by the float's bits).  A table of one
+row per group formats each row once.
 """
 
 from __future__ import annotations
@@ -39,16 +46,19 @@ import math
 import sys
 from collections import Counter
 from datetime import datetime, timezone
-from itertools import product, repeat
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .corpus import (
     Corpus,
+    _format_once,
+    _per_group,
+    _write_table,
     emit_csv,
     group_records,
     ingest_csv,
-    write_csv,
 )
 from .errors import CitescaleError, EmptyCorpusError
 from .gof import DEFAULT_THRESHOLD, ad_lognormal
@@ -128,56 +138,48 @@ STATS_HEADER = (
 def _write_stats(run: argparse.Namespace, name: str, raw, skipped) -> list[Path]:
     if name != "raw":
         return []
-    rows = (
-        (key.category, key.year, st.n, st.mean, st.median, _opt(st.stddev),
-         _opt(st.skewness), _opt(st.kurtosis), st.n_nonzero,
-         _opt(st.mean_nonzero), _opt(st.median_nonzero), "excess")
+    rows = [
+        "%s,%d,%d,%.10g,%.10g,%s,%s,%s,%d,%s,%s,excess\n" % (
+            key.category, key.year, st.n, st.mean, st.median, _opt(st.stddev),
+            _opt(st.skewness), _opt(st.kurtosis), st.n_nonzero,
+            _opt(st.mean_nonzero), _opt(st.median_nonzero))
         for key, st in zip(raw, _describe(raw.sorted))
-    )
+    ]
     path = run.out / "stats.csv"
-    write_csv(path, STATS_HEADER, "%s,%d,%d,%.10g,%.10g,%s,%s,%s,%d,%s,%s,%s\n", rows)
+    _write_table(path, STATS_HEADER, [(rows, None)])
     return [path]
 
 
 def _write_scaled(run: argparse.Namespace, name: str, scores, skipped) -> list[Path]:
     if name == "raw":
         return []
-    corpus = run.corpus
-    columns = (corpus.pub_id, corpus.year, corpus.category, corpus.citations)
     # the raw counts lay out every group of the corpus (``scale`` takes no
     # --year), so their mask of scored groups selects the scored rows
     kept = run.raw.seg.spread([key in scores for key in run.raw])
-    rows = zip(*(c[kept].tolist() for c in columns), repeat(name),
-               scores.seg.values.tolist())
     scaled, skips = run.out / f"scaled_{name}.csv", run.out / f"skipped_{name}.csv"
-    write_csv(
-        scaled,
-        ("pub_id", "year", "category", "citations", "method", "aii"),
-        "%s,%d,%s,%d,%s,%.10g\n",
-        rows,
-    )
-    write_csv(
-        skips,
-        ("category", "year", "n_records", "reason"),
-        "%s,%d,%d,%s\n",
-        ((s.group.category, s.group.year, s.n_records, s.reason) for s in skipped),
-    )
+    _write_table(scaled, ("pub_id", "year", "category", "citations", "method", "aii"), [
+        (run.corpus.pub_id[kept], None),
+        _per_group([f",{key.year},{key.category}," for key in scores], scores.seg.size),
+        _format_once(f"%d,{name},", run.corpus.citations[kept]),
+        _format_once("%.10g\n", scores.seg.values),
+    ])
+    rows = ["%s,%d,%d,%s\n" % (s.group.category, s.group.year, s.n_records, s.reason)
+            for s in skipped]
+    _write_table(skips, ("category", "year", "n_records", "reason"), [(rows, None)])
     return [scaled, skips]
 
 
 def _write_survival(run: argparse.Namespace, name: str, vectors, skipped) -> list[Path]:
     """The family's curves and collapse metrics."""
     thresholds, probs = survival_curves(vectors)
-    # each row is "category,year," + "value," + prob, each part formatted once
-    prefixes = ["%s,%d," % (key.category, key.year) for key in vectors]
-    values = ["%.10g," % t for t in thresholds.tolist()]
     curves, collapse = run.out / f"survival_{name}.csv", run.out / f"collapse_{name}.json"
-    write_csv(
-        curves,
-        ("category", "year", "value", "prob"),
-        "%s%.10g\n",
-        zip(map("".join, product(prefixes, values)), probs.ravel().tolist()),
-    )
+    # one row per (group, threshold): a text per group, per threshold and
+    # per distinct probability
+    _write_table(curves, ("category", "year", "value", "prob"), [
+        _per_group(["%s,%d," % (key.category, key.year) for key in vectors], thresholds.size),
+        _format_once("%.10g,", np.tile(thresholds, len(vectors))),
+        _format_once("%.10g\n", probs.ravel()),
+    ])
     report = collapse_metrics(vectors)
     _write_json(collapse, {"method": name, **dataclasses.asdict(report)})
     return [curves, collapse]
@@ -193,16 +195,13 @@ def _write_topshare(run: argparse.Namespace, name: str, scores, skipped) -> list
     """The family's ranking; its summary entry joins ``run.ranked``."""
     report = top_share(scores, run.args.top_fraction, skipped)
     path = run.out / f"topshare_{name}.csv"
-    write_csv(
-        path,
-        TOPSHARE_HEADER,
-        "%s,%d,%d,%.10g,%.10g,%.10g,%s,%d\n",
-        (
-            (c.category, c.n, c.top_count, c.share, c.band_low, c.band_high,
-             "true" if c.within_band else "false", c.n_skipped_records)
-            for c in report.per_category
-        ),
-    )
+    rows = [
+        "%s,%d,%d,%.10g,%.10g,%.10g,%s,%d\n" % (
+            c.category, c.n, c.top_count, c.share, c.band_low, c.band_high,
+            "true" if c.within_band else "false", c.n_skipped_records)
+        for c in report.per_category
+    ]
+    _write_table(path, TOPSHARE_HEADER, [(rows, None)])
     run.ranked[name] = {
         "n_within_band": report.n_within_band,
         "n_categories_evaluated": report.n_categories_evaluated,
@@ -224,18 +223,19 @@ def _write_gof(run: argparse.Namespace, name: str, scores, skipped) -> list[Path
     if name == "raw":
         return []
     reports, unfit = ad_lognormal(scores, threshold=run.args.gof_threshold)
-    rows = (
-        (key.category, key.year, rep.n_used, rep.threshold, rep.mu_hat,
-         rep.sigma_hat, rep.a_squared, rep.a_squared_star, rep.p_bracket)
+    rows = [
+        "%s,%d,%d,%.10g,%.10g,%.10g,%.10g,%.10g,%s\n" % (
+            key.category, key.year, rep.n_used, rep.threshold, rep.mu_hat,
+            rep.sigma_hat, rep.a_squared, rep.a_squared_star, rep.p_bracket)
         for key, rep in reports.items()
-    )
+    ]
     reasons = Counter(sk.reason for sk in unfit)
     for reason, what in (("too-few-values", "below the minimum sample"),
                          ("all-values-equal", "with all values equal")):
         if reasons[reason]:
             print(f"note: {reasons[reason]} groups {what} for gof_{name}", file=sys.stderr)
     path = run.out / f"gof_{name}.csv"
-    write_csv(path, GOF_HEADER, "%s,%d,%d,%.10g,%.10g,%.10g,%.10g,%.10g,%s\n", rows)
+    _write_table(path, GOF_HEADER, [(rows, None)])
     return [path]
 
 

@@ -25,6 +25,14 @@ CSV wire format (canonical form):
     finds its line breaks and commas, the integer cells are read by digit
     arithmetic, and only ``pub_id`` becomes one ``str`` per row.  Any other
     file is decoded and goes through ``csv.reader``; both read a file alike.
+
+Every CSV the package writes, this form and the report tables, goes
+through ``_write_table``: columns of texts that carry their own comma or
+line end, each either one text per row or the texts of its distinct values
+with each row's index into them, joined and written in blocks of rows.
+``_format_once`` formats each distinct value of a column once, telling
+floats apart by their bits, and ``_per_group`` gives a group's text to
+each of its rows.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ import operator
 import re
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping
 
@@ -439,47 +447,59 @@ def ingest_csv(path: str | Path, strict: bool = False) -> IngestResult:
     return IngestResult(corpus=corpus, n_rows=end, n_warnings=end - len(corpus))
 
 
-def write_csv(path: str | Path, header, template: str, rows) -> None:
-    """Write a report table: the comma-joined header, then ``template % row``
-    for each row (``%.10g`` formats a float as ``format(x, '.10g')`` does).
+def _format_once(fmt: str, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A table column of a 1-D float64 or int64 array: ``fmt % value`` of
+    each distinct value, formatted once, as an object array, and each
+    element's index into it.  Values are told apart by their bits, not by
+    ``==``: ``-0.0`` and ``0.0`` compare equal but ``"%.10g"`` writes them
+    as ``-0`` and ``0``."""
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    texts = list(map(fmt.__mod__, bits.view(values.dtype).tolist()))
+    return np.array(texts, dtype=object), index
 
-    Rows are joined and written ``_CSV_BLOCK_ROWS`` at a time, so the text
-    of the whole table is never held at once.
+
+def _per_group(texts: list[str], sizes) -> tuple[np.ndarray, np.ndarray]:
+    """A table column of one text per group, repeated over its ``sizes``
+    rows: the texts as an object array, and each row's group."""
+    return np.array(texts, dtype=object), np.repeat(np.arange(len(texts)), sizes)
+
+
+def _write_table(path: str | Path, header, columns) -> None:
+    """Write a CSV table: the comma-joined header, then its rows.
+
+    Each column is a pair: its texts, and each row's index into them (as
+    from ``_format_once`` or ``_per_group``), or None when the texts are
+    one per row.  Every text ends with its own comma or line end, so a row
+    is its columns' texts joined.  Rows are gathered, joined and written
+    ``_CSV_BLOCK_ROWS`` at a time, so the text of the whole table is never
+    held at once.
     """
-    lines = map(template.__mod__, rows)
+    texts, index = columns[0]
+    n = len(texts if index is None else index)
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        while block := "".join(islice(lines, _CSV_BLOCK_ROWS)):
-            fh.write(block)
+        for a in range(0, n, _CSV_BLOCK_ROWS):
+            b = min(a + _CSV_BLOCK_ROWS, n)
+            rows = np.empty((b - a, len(columns)), dtype=object)
+            for j, (texts, index) in enumerate(columns):
+                rows[:, j] = texts[a:b] if index is None else texts[index[a:b]]
+            fh.write("".join(rows.ravel().tolist()))
 
 
 def emit_csv(corpus: Corpus, path: str | Path) -> None:
     """Write the canonical CSV form: sorted rows, LF endings, no quoting.
 
-    The text is built per group, not per row: each row is its ``pub_id``,
-    its group's ``,<year>,<category>,`` and its count's text, which is
-    formatted once per distinct count.  The rows are joined and written in
-    blocks of ``_CSV_BLOCK_ROWS``, which split a long group and gather
-    short ones, so the text of the whole file is never held at once.
+    Each row is its ``pub_id``, its group's ``,<year>,<category>,`` and
+    its count's text, formatted once per distinct count, written by
+    ``_write_table``.
     """
-    n = len(corpus)
-    ends = np.array([0, *(s.stop for s in corpus.group_slices.values())])
-    middles = np.array(
-        [f",{key.year},{key.category}," for key in corpus.group_slices], dtype=object
-    )
-    distinct, inverse = np.unique(corpus.citations, return_inverse=True)
-    counts = np.array([f"{count}\n" for count in distinct.tolist()], dtype=object)
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
-        for a in range(0, n, _CSV_BLOCK_ROWS):
-            b = min(a + _CSV_BLOCK_ROWS, n)
-            first, last = np.searchsorted(ends, (a, b), side="right")
-            spans = ends[first - 1:last + 1].clip(a, b)  # groups meeting rows a..b-1
-            rows = np.empty((b - a, 3), dtype=object)
-            rows[:, 0] = corpus.pub_id[a:b]
-            rows[:, 1] = np.repeat(middles[first - 1:last], np.diff(spans))
-            rows[:, 2] = counts[inverse[a:b]]
-            fh.write("".join(rows.ravel().tolist()))
+    slices = corpus.group_slices
+    _write_table(path, CSV_HEADER, [
+        (corpus.pub_id, None),
+        _per_group([f",{key.year},{key.category}," for key in slices],
+                   [s.stop - s.start for s in slices.values()]),
+        _format_once("%d\n", corpus.citations),
+    ])
 
 
 def group_records(corpus: Corpus) -> Mapping[GroupKey, np.ndarray]:

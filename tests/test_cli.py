@@ -722,6 +722,45 @@ class TestOnePipeline:
         digest = hashlib.sha256(scaled.read_bytes() + skipped.read_bytes()).hexdigest()
         assert digest[:16] == self.SCALED_SHA256[method]
 
+    # the same digests of the frozen benchmark corpus (27,345 records);
+    # boxcox is not pinned, since numpy's SIMD tiers round its bytes apart
+    FROZEN_SCALED_SHA256 = {
+        "max": "18175ef39e5e47ea",
+        "mean": "e0d8e069310257f8",
+        "mean0": "a5011a1d0fbdac16",
+        "median": "7d257fd02739563e",
+        "median0": "21a66ec3d173732c",
+    }
+
+    @pytest.fixture(scope="class")
+    def frozen_scaled(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("frozen")
+        save_scenario(benchmark_scenario(), tmp / "frozen.json")
+        methods = [arg for m in self.FROZEN_SCALED_SHA256 for arg in ("--method", m)]
+        assert main(["scale", "--scenario", str(tmp / "frozen.json"), *methods,
+                     "--out", str(tmp / "out")]) == 0
+        return tmp / "out"
+
+    @pytest.mark.parametrize("method", sorted(FROZEN_SCALED_SHA256))
+    def test_scale_writes_the_pinned_bytes_on_the_frozen_corpus(self, method, frozen_scaled):
+        scaled, skipped = (frozen_scaled / f"{kind}_{method}.csv" for kind in ("scaled", "skipped"))
+        digest = hashlib.sha256(scaled.read_bytes() + skipped.read_bytes()).hexdigest()
+        assert digest[:16] == self.FROZEN_SCALED_SHA256[method]
+
+    def test_every_csv_line_holds_a_cell_per_header_cell(self, small_scenario_json, tmp_path):
+        # a column whose texts lost their comma or line end shows on any input
+        scenario = ["--scenario", str(small_scenario_json)]
+        assert main(["report", *scenario, "--out", str(tmp_path)]) == 0
+        assert main(["scale", *scenario, *EVERY_METHOD, "--out", str(tmp_path)]) == 0
+        tables = sorted(tmp_path.glob("*.csv"))
+        assert len(tables) == 2 + 7 + 6 + 7 + 2 * 6  # corpus, stats, survival, gof, topshare, scale
+        for path in tables:
+            text = path.read_bytes()
+            assert text.endswith(b"\n"), path.name
+            lines = text[:-1].split(b"\n")
+            width = len(lines[0].split(b","))
+            assert {line.count(b",") for line in lines} == {width - 1}, path.name
+
     def test_scale_writes_each_method_given(self, small_scenario_json, tmp_path):
         # two methods in one run write the files of two single-method runs
         scale = ["scale", "--scenario", str(small_scenario_json)]

@@ -20,10 +20,12 @@ from citescale.corpus import (
     CSV_HEADER,
     Corpus,
     GroupKey,
+    _format_once,
+    _per_group,
+    _write_table,
     emit_csv,
     group_records,
     ingest_csv,
-    write_csv,
 )
 from citescale.errors import (
     CitescaleError,
@@ -330,11 +332,45 @@ class TestRoundTrip:
         2 * _CSV_BLOCK_ROWS + 7,
     ])
     def test_write_csv_in_blocks_is_the_whole_text(self, n_rows, tmp_path):
-        rows = [(f"p{i}", 2000 + i % 9, "C", i * 0.37) for i in range(n_rows)]
-        template = "%s,%d,%s,%.10g\n"
-        write_csv(tmp_path / "out.csv", CSV_HEADER, template, iter(rows))
-        want = ",".join(CSV_HEADER) + "\n" + "".join(template % row for row in rows)
+        # a per-row, a per-group and a format-once column of the table
+        # writer, against per-row `%` formatting; groups of 7,001 rows span
+        # block edges, and -0.0 sits beside 0.0
+        starts = range(0, n_rows, 7001)
+        scores = np.arange(n_rows) % 97 * 0.37
+        scores[::13] *= -1.0
+        _write_table(tmp_path / "out.csv", CSV_HEADER, [
+            ([f"p{i}" for i in range(n_rows)], None),
+            _per_group([f",{2000 + g % 9},C{g}," for g in range(len(starts))],
+                       [min(7001, n_rows - a) for a in starts]),
+            _format_once("%.10g\n", scores),
+        ])
+        rows = (
+            "p%d,%d,C%d,%.10g\n" % (i, 2000 + i // 7001 % 9, i // 7001, x)
+            for i, x in enumerate(scores.tolist())
+        )
+        want = ",".join(CSV_HEADER) + "\n" + "".join(rows)
         assert (tmp_path / "out.csv").read_bytes() == want.encode("utf-8")
+
+    @given(st.one_of(
+        st.lists(st.floats() | st.sampled_from(
+            [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072e-308, 2.0**53 - 1, 2.0**53,
+             2.0**53 + 2, -(2.0**53)]
+        )).map(lambda xs: ("%.10g,", np.array(xs, dtype=np.float64))),
+        st.lists(st.integers(-(2**63), 2**63 - 1) | st.sampled_from([0, 2**63 - 1]))
+        .map(lambda xs: ("%d\n", np.array(xs, dtype=np.int64))),
+    ))
+    def test_format_once_is_per_value_formatting(self, case):
+        fmt, values = case
+        texts, index = _format_once(fmt, values)
+        assert texts[index].tolist() == [fmt % v for v in values.tolist()]
+        assert len(texts) == len(set(values.view(np.int64).tolist()))
+
+    def test_format_once_keeps_negative_zero(self):
+        texts, index = _format_once("%.10g,", np.array([-0.0, 0.0, -0.0]))
+        assert texts[index].tolist() == ["-0,", "0,", "-0,"]
+        for dtype in (np.float64, np.int64):
+            texts, index = _format_once("%r", np.array([], dtype=dtype))
+            assert texts.tolist() == index.tolist() == []
 
     @given(st.lists(
         st.tuples(_CELL, st.integers(1990, 2020), _CELL, st.integers(0, 2**63 - 1)),
