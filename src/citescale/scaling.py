@@ -98,17 +98,6 @@ class SkippedGroup:
     reason: str
 
 
-def boxcox_transform(citations, lam):
-    """Power transform of count + 1; maps 0 to 0 and is strictly increasing.
-
-    ``T(c) = ((c+1)**lam - 1) / lam`` for ``lam != 0``, ``log(c+1)`` at 0;
-    evaluated as ``expm1(lam * log1p(c)) / lam`` for stability.  ``lam`` is
-    one parameter, or one per count.
-    """
-    x = np.log1p(np.asarray(citations, dtype=np.float64))
-    return _power(x, np.broadcast_to(lam, np.shape(x)))
-
-
 def _power(x, lam, out=None) -> np.ndarray:
     """The transform ``T`` at ``x = log1p(c)``: ``expm1(lam * x) / lam``, and
     ``x`` itself where ``lam == 0``, as an array, in ``out`` if given.

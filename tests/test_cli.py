@@ -106,6 +106,17 @@ class TestErrorPaths:
             ])
         assert exc.value.code == 2
 
+    def test_top_fraction_that_is_no_number_is_usage_error(
+        self, small_corpus_csv, tmp_path, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "report", "--input", str(small_corpus_csv),
+                "--top-fraction", "abc", "--out", str(tmp_path / "o"),
+            ])
+        assert exc.value.code == 2
+        assert "argument --top-fraction: not a number: 'abc'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["gof", "report"])
     @pytest.mark.parametrize("threshold", ["0", "-0.5", "nan", "inf"])
     def test_unusable_gof_threshold_is_usage_error(
@@ -200,6 +211,18 @@ class TestStats:
         assert lines[1].startswith("A,2003,12,")
         assert lines[0].endswith("kurtosis_convention")
         assert lines[1].endswith("excess")
+
+    def test_duplicate_row_warns_unless_strict(self, tmp_path, capsys):
+        path = write_corpus_csv(
+            tmp_path / "dup.csv", [("p1", 2003, "A", 1), ("p2", 2003, "A", 4),
+                                   ("p1", 2003, "A", 2)]
+        )
+        argv = ["stats", "--input", str(path), "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert err == "warning: 1 duplicate (pub_id, category) rows replaced\n"
+        assert main([*argv, "--strict"]) == 1
+        assert "duplicate" in capsys.readouterr().err
 
     def test_undefined_statistics_are_empty_cells(self, tmp_path):
         rows = [("p1", 2003, "A", 0), ("p2", 2003, "A", 0)]

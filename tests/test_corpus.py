@@ -21,7 +21,9 @@ from citescale.corpus import (
     Corpus,
     GroupKey,
     _format_once,
+    _codes,
     _per_group,
+    _read_plain,
     _write_table,
     emit_csv,
     group_records,
@@ -544,6 +546,27 @@ class TestColumns:
         with pytest.raises(ValueError):
             corpus.citations[0] = 5
 
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="equal lengths"):
+            Corpus(["a", "b"], [2003], ["A", "A"], [1, 2])
+
+    def test_equality_with_another_type_is_not_implemented(self):
+        corpus = corpus_of([("p1", 2003, "A", 1)])
+        assert corpus.__eq__(5) is NotImplemented
+        assert (corpus == 5) is False
+
+    def test_labels_that_cannot_be_ordered_raise_their_type_error(self):
+        # every label is CSV text, so no row is named: the ordering's error stands
+        class Unordered(str):
+            def __lt__(self, other):
+                raise TypeError("unordered label")
+
+        labels = [Unordered("A"), Unordered("B")]
+        with pytest.raises(TypeError, match="unordered label"):
+            _codes(labels, "category")
+        with pytest.raises(TypeError, match="unordered label"):
+            Corpus(["p1", "p2"], [2003, 2003], labels, [1, 2])
+
 
 class TestFirstBadLine:
     """Whole-column checks must still name the first bad line in file order."""
@@ -582,6 +605,13 @@ class TestFirstBadLine:
         path = tmp_path / "c.csv"
         path.write_text("pub_id,year,category,citations\n" + body, newline="")
         with pytest.raises(CitescaleError, match=re.escape(message)):
+            ingest_csv(path)
+
+    def test_header_cell_beyond_the_field_limit_names_line_one(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(f"pub_id,year,{'c' * 200_000},citations\np1,2003,A,1\n")
+        message = "line 1: field larger than field limit (131072)"
+        with pytest.raises(CorpusFormatError, match=re.escape(message)):
             ingest_csv(path)
 
     def test_strict_duplicate_before_later_bad_value(self, tmp_path):
@@ -843,6 +873,53 @@ class TestSplitters:
         assert result == _reference_ingest(text, False)
         assert result[0] == corpus_of(rows)
         assert peak < 40 * len(text)
+
+    @pytest.mark.parametrize("rows, message", [
+        (["p1,2003,A,1,9", "p2,2003,1"], "line 2: expected 4 columns, got 5"),
+        (["p1,2003,A,1", "p2,2003,1", "p3,2003,A,1,9"], "line 3: expected 4 columns, got 3"),
+    ], ids=["four-then-two", "two-then-four"])
+    def test_commas_spread_unevenly_go_to_csv_reader(self, tmp_path, rows, message):
+        # three commas to a line on average, but not on every line
+        text = "".join(line + "\n" for line in [",".join(CSV_HEADER), *rows])
+        assert text.count(",") == 3 * (len(rows) + 1)
+        assert _read_plain(text.encode()) is None
+        path = tmp_path / "c.csv"
+        path.write_text(text, newline="")
+        for strict in (False, True):
+            assert _ingested(path, strict) == _reference_ingest(text, strict)
+        with pytest.raises(CorpusFormatError, match=re.escape(message)):
+            ingest_csv(path)
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["p1", "p2", "p3"]), st.sampled_from([2003, 2007]),
+                      st.sampled_from("AB"), st.integers(0, 99)),
+            min_size=1, max_size=5,
+        ),
+        st.data(),
+    )
+    def test_commas_moved_between_lines_read_as_csv_reader_reads_them(self, rows, data):
+        lines = [",".join(CSV_HEADER), *(",".join(map(str, row)) for row in rows)]
+        source, target = data.draw(st.lists(
+            st.integers(0, len(lines) - 1), min_size=2, max_size=2, unique=True
+        ))
+        k = data.draw(st.integers(1, 3))
+        commas = [i for i, c in enumerate(lines[source]) if c == ","]
+        dropped = data.draw(st.lists(st.sampled_from(commas), min_size=k, max_size=k,
+                                     unique=True))
+        lines[source] = "".join(
+            c for i, c in enumerate(lines[source]) if i not in dropped
+        )
+        for _ in range(k):
+            at = data.draw(st.integers(0, len(lines[target])))
+            lines[target] = lines[target][:at] + "," + lines[target][at:]
+        text = "".join(line + "\n" for line in lines)
+        assert _read_plain(text.encode()) is None
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.csv"
+            path.write_text(text, newline="")
+            for strict in (False, True):
+                assert _ingested(path, strict) == _reference_ingest(text, strict)
 
     def test_pad_is_all_whitespace_but_line_breaks(self):
         spaces = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}

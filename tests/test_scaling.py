@@ -21,7 +21,7 @@ from citescale.scaling import (
     _batch_var,
     _Fit,
     _fit_lambdas,
-    boxcox_transform,
+    _power,
     scale_corpus,
 )
 from citescale.stats import _Segments
@@ -55,6 +55,13 @@ def naive_loglik(values, lam):
     )
 
 
+def reference_power(log1p_c, lam: float):
+    """The shifted power transform ``T`` at ``log1p_c = log1p(c)``, for one
+    ``lam``: ``expm1(lam * log1p_c) / lam``, and ``log1p_c`` itself at
+    ``lam == 0``.  Written apart from ``scaling._power``, as its oracle."""
+    return log1p_c if lam == 0.0 else np.expm1(lam * log1p_c) / lam
+
+
 def _profile_loglik(log1p_c: np.ndarray, sum_log1p: float, lam: float) -> float:
     """Profile log-likelihood of the shifted power transform, over precomputed
     ``log1p(c)`` and its sum.
@@ -63,8 +70,7 @@ def _profile_loglik(log1p_c: np.ndarray, sum_log1p: float, lam: float) -> float:
     the variance is the maximum-likelihood (n-denominator) variance of the
     transformed values.
     """
-    t = log1p_c if lam == 0.0 else np.expm1(lam * log1p_c) / lam
-    var = float(t.var())
+    var = float(reference_power(log1p_c, lam).var())
     if var <= 0.0 or not np.isfinite(var):
         return -math.inf
     return -0.5 * log1p_c.size * math.log(var) + (lam - 1.0) * sum_log1p
@@ -218,7 +224,7 @@ class TestFitFactors:
         values = [0, 1, 2, 5, 12, 40]
         lam = fit_lambdas([values])[0]
         assert -3.0 <= lam <= 3.0
-        t = boxcox_transform(values, lam)
+        t = reference_power(np.log1p(values), lam)
         d = float(t.mean())
         assert d > 0
         got = scored_or_skipped(values, ScalingMethod.BOX_COX_MEAN)
@@ -274,8 +280,8 @@ class TestScale:
     def test_boxcox_matches_transform_ratio(self):
         values = [0, 1, 2, 5, 12, 40]
         lam = fit_lambdas([values])[0]
-        t = boxcox_transform(values, lam)
-        expected = float(boxcox_transform(5, lam)) / float(t.mean())
+        t = reference_power(np.log1p(values), lam)
+        expected = float(reference_power(np.log1p(5.0), lam)) / float(t.mean())
         got = scores(values, ScalingMethod.BOX_COX_MEAN)[3]
         assert got == pytest.approx(expected, rel=1e-15)
 
@@ -404,20 +410,31 @@ class TestMonotonicity:
 
 class TestTransform:
     def test_zero_maps_to_zero_exactly(self):
-        for lam in (-3.0, -0.5, 0.0, 0.7, 3.0):
-            assert float(boxcox_transform(0, lam)) == 0.0
+        lams = np.array([-3.0, -0.5, 0.0, 0.7, 3.0])
+        assert _power(np.zeros(lams.size), lams).tolist() == [0.0] * lams.size
 
     @given(
         st.floats(0.0, 1e6, allow_nan=False),
         st.floats(-3.0, 3.0, allow_nan=False),
     )
     def test_non_negative_on_counts(self, c, lam):
-        assert float(boxcox_transform(c, lam)) >= 0.0
+        assert float(_power(np.log1p([c]), np.array([lam]))[0]) >= 0.0
 
     def test_log_limit_at_zero_lambda(self):
-        c = np.array([0, 1, 5, 100])
-        assert np.allclose(boxcox_transform(c, 0.0), np.log1p(c))
-        assert np.allclose(boxcox_transform(c, 1e-9), np.log1p(c), rtol=1e-6)
+        x = np.log1p(np.array([0, 1, 5, 100]))
+        assert np.allclose(_power(x, np.full(x.size, 0.0)), x)
+        assert np.allclose(_power(x, np.full(x.size, 1e-9)), x, rtol=1e-6)
+
+    def test_column_form_is_the_per_element_form_bit_for_bit(self):
+        # the grid screen transforms one row per grid lam, its lam == 0 row
+        # assigned by index; the fit and the scores, one lam per element
+        counts = np.concatenate([np.arange(250.0), np.floor(2.0 ** np.linspace(8, 62, 251))])
+        x = np.log1p(counts)
+        grid = np.linspace(*LAMBDA_BOUNDS, 601)
+        assert counts.max() == 2.0**62 and (grid == 0.0).sum() == 1
+        column = _power(x, grid[:, None], np.empty((grid.size, x.size)))
+        each = _power(np.tile(x, grid.size), np.repeat(grid, x.size))
+        assert np.array_equal(column.view(np.int64).ravel(), each.view(np.int64))
 
 
 class TestFitLambda:
@@ -615,7 +632,7 @@ class TestPackedArithmetic:
         lams[::7] = 0.0
         var = _batch_var(fit_of(vectors).select(np.arange(len(vectors))), lams)
         want = [
-            float(boxcox_transform(v, lam).var()) for v, lam in zip(vectors, lams)
+            float(reference_power(np.log1p(v), lam).var()) for v, lam in zip(vectors, lams)
         ]
         assert var.tolist() == want
 
@@ -644,7 +661,9 @@ class TestPackedArithmetic:
         subset = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
         fit = fit_of(vectors)
         with np.errstate(all="ignore"):
-            want = np.array([boxcox_transform(v, lam).var() for v, lam in zip(vectors, lams)])
+            want = np.array([
+                reference_power(np.log1p(v), lam).var() for v, lam in zip(vectors, lams)
+            ])
             every = _batch_var(fit.select(np.arange(n)), lams)
             some = _batch_var(fit.select(np.array(subset, dtype=np.intp)), lams[subset])
         assert every.view(np.int64).tolist() == want.view(np.int64).tolist()
@@ -703,7 +722,7 @@ class TestScaleCorpus:
         with pytest.raises(ValueError, match="unknown scaling method"):
             scale_corpus(citations, method)
 
-    def test_boxcox_transforms_each_scored_group_once(self, monkeypatch):
+    def test_boxcox_scoring_transforms_each_scored_group_once(self, monkeypatch):
         logs, transformed = [], []
         log1p, power = np.log1p, scaling._power
         monkeypatch.setattr(np, "log1p", lambda c: logs.append(log1p(c)) or logs[-1])

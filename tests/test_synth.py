@@ -144,6 +144,11 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="family"):
             lognormal_spec(family="pareto")
 
+    def test_three_family_params(self):
+        with pytest.raises(ScenarioError, match="A/2003: family 'discretized-lognormal' "
+                                                "takes 2 parameters"):
+            lognormal_spec(family_params=(1.2, 1.0, 0.5))
+
     def test_bad_sigma(self):
         with pytest.raises(ScenarioError, match="sigma"):
             lognormal_spec(family_params=(1.0, 0.0))
