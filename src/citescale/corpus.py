@@ -6,8 +6,12 @@ each carrying the same citation count.  All normalization downstream is
 computed per (category, year) group.  A :class:`Corpus` holds the records as
 four columns sorted once into (category, year, pub_id) order, so each group
 is one slice of them and grouping, scoring and emission read one order.
-Categories are few and repeat on every row, so the Corpus checks and ranks
-each distinct category once; each ``pub_id`` is checked and ranked per row.
+``pub_id`` is a numpy ``StringDType`` column (NEP 55: UTF-8 text, ids of
+up to 15 bytes stored inline), so a corpus holds no Python object per
+record.  Categories are few and repeat on every row, so each distinct
+category is checked and ranked once.  The constructor checks and ranks
+each ``pub_id`` as a ``str``; the CSV byte parse and ``synth.generate``
+hand over rows they have already coded, with their ranks.
 
 CSV wire format (canonical form):
     header ``pub_id,year,category,citations``, comma separated, LF line
@@ -19,12 +23,13 @@ CSV wire format (canonical form):
     break, or start or end with whitespace; the file is UTF-8, so no text
     may hold a lone surrogate.  A file in this form that is ASCII, holds
     no NUL, has no text cell that starts or ends with whitespace, has no
-    line wider than the field limit, has only 1 to 19 digit years and
-    counts within int64, and whose rows times widest category take no
-    more bytes than the file, is parsed from its bytes: one numpy scan
-    finds its line breaks and commas, the integer cells are read by digit
-    arithmetic, and only ``pub_id`` becomes one ``str`` per row.  Any other
-    file is decoded and goes through ``csv.reader``; both read a file alike.
+    line wider than the field limit, has no empty text cell, has only 1 to
+    19 digit years and counts within int64, and whose rows times widest
+    ``pub_id`` and category take no more bytes than the file, is parsed
+    from its bytes: one numpy scan finds its line breaks and commas, the
+    integer cells are read by digit arithmetic, and the text cells are
+    ranked as bytes and never become one ``str`` per row.  Any other file
+    is decoded and goes through ``csv.reader``; both read a file alike.
 
 Every CSV the package writes, this form and the report tables, goes
 through ``_write_table``: columns of texts that carry their own comma or
@@ -45,7 +50,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -58,7 +63,7 @@ from .errors import (
 from .stats import _Family, _Segments
 
 CSV_HEADER = ("pub_id", "year", "category", "citations")
-_CSV_BLOCK_ROWS = 1 << 15  # rows formatted, joined and written at a time
+_CSV_BLOCK_ROWS = 1 << 13  # rows formatted, joined and written at a time
 # A comma, double quote or line break breaks an unquoted cell; a lone
 # surrogate cannot be written as UTF-8.
 _UNREADABLE = re.compile('[,"\r\n\ud800-\udfff]')
@@ -71,8 +76,12 @@ _ASCII_PAD = "".join(c for c in _PAD if c.isascii())
 # CRLF are the csv module's to read) and a NUL (numpy's fixed-width bytes
 # drop a trailing NUL).  An ASCII pad byte does so only at a text cell's edge.
 _NOT_PLAIN = b'"\r\x00'
+_IS_SEP = np.zeros(256, dtype=bool)  # by byte value: a comma or a line break
+_IS_SEP[[ord(","), ord("\n")]] = True
+_LINE_SEPS = np.frombuffer(b",,,\n", dtype=np.uint8)  # a line's separators, in order
 _IS_PAD = np.zeros(256, dtype=bool)  # by byte value
 _IS_PAD[list(_ASCII_PAD.encode("ascii"))] = True
+_TEXT = np.dtypes.StringDType()  # numpy's UTF-8 text of any length (NEP 55)
 
 
 @dataclass(frozen=True, order=True)
@@ -87,10 +96,11 @@ class GroupKey:
 
 
 def _int64(values, name: str) -> np.ndarray:
-    """``values`` as an int64 array, else :class:`CorpusValueError` naming
-    the first row that is not an integer or is beyond the int64 range."""
+    """``values`` as a new int64 array, else :class:`CorpusValueError`
+    naming the first row that is not an integer or is beyond the int64
+    range."""
     if isinstance(values, np.ndarray) and values.dtype.kind == "i":
-        return values.astype(np.int64, copy=False)
+        return values.astype(np.int64)
     items = values.tolist() if isinstance(values, np.ndarray) else values
     try:
         return np.array(list(map(operator.index, items)), dtype=np.int64)
@@ -152,28 +162,102 @@ def _codes(values: list, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ranks(column: np.ndarray) -> np.ndarray:
-    """Dense ranks of an object column of str, in Python's string order."""
+    """Dense ranks of a column in Python's string order: an object column
+    of str, or NUL-free ASCII cells as fixed-width bytes, whose NUL padding
+    sorts a prefix first as ``str`` does."""
     order = np.argsort(column, kind="stable")
+    ordered = column[order]
     new = np.ones(len(column), dtype=bool)
-    new[1:] = column[order[1:]] != column[order[:-1]]
+    new[1:] = ordered[1:] != ordered[:-1]
+    del ordered
     ranks = np.empty(len(column), dtype=np.int64)
     ranks[order] = np.cumsum(new) - 1
     return ranks
 
 
+class _Coded(NamedTuple):
+    """Checked rows, coded by their producer, in any row order: the sorted
+    distinct category labels (an object array of str), and per row the
+    index of its label, its ``pub_id`` (``StringDType``), its ``pub_id``'s
+    rank, its year and its count (int64).  The ranks order the ids of a
+    (category, year) group as ``str``, and two rows of a category share a
+    rank exactly when they share a ``pub_id``.  Every check of a Corpus but
+    the duplicate check has passed."""
+
+    labels: np.ndarray
+    code: np.ndarray
+    pub_id: np.ndarray
+    pub_rank: np.ndarray
+    year: np.ndarray
+    citations: np.ndarray
+
+    def take(self, rows: np.ndarray) -> _Coded:
+        """The rows at the indexes ``rows``, in new arrays."""
+        return _Coded(self.labels, *(column[rows] for column in self[1:]))
+
+    def pairs(self) -> np.ndarray:
+        """Each row's (pub_id, category) as one integer, equal for equal pairs."""
+        return self.code * (int(self.pub_rank.max(initial=-1)) + 1) + self.pub_rank
+
+    def first_repeat(self) -> int | None:
+        """The first row whose (pub_id, category) an earlier row holds, or None."""
+        pairs = self.pairs()
+        ordered = np.sort(pairs)
+        repeats = ordered[1:] == ordered[:-1]
+        if not repeats.any():
+            return None
+        by_pair = np.argsort(pairs, kind="stable")  # equal pairs in row order
+        return int(by_pair[1:][repeats].min())
+
+
+def _checked(pub_id, year, category, citations) -> _Coded:
+    """The columns of a Corpus built in code or read by csv.reader, each
+    value checked, then coded.  Each distinct category is checked and
+    ranked once (``_codes``); each ``pub_id`` is checked and ranked as a
+    ``str``, before the column becomes ``StringDType``, which would take an
+    int as its text and cannot hold a lone surrogate."""
+    pub = np.array(pub_id, dtype=object)
+    cat = np.array(category, dtype=object)
+    year, cites = _int64(year, "year"), _int64(citations, "citations")
+    n = len(pub)
+    if not len(year) == len(cat) == len(cites) == n:
+        raise ValueError("corpus columns must have equal lengths")
+    if n and cites.min() < 0:
+        row = int(np.argmax(cites < 0))
+        raise CorpusValueError(f"citations must be >= 0, got {cites[row]}", row=row)
+    labels, code = _codes(cat.tolist(), "category")
+    _check_text(pub.tolist(), "pub_id")
+    return _Coded(labels, code, pub.astype(_TEXT), _ranks(pub), year, cites)
+
+
+def _ascending(*keys: np.ndarray) -> bool:
+    """Whether the rows are in strictly ascending order of ``keys``, the
+    first the most significant."""
+    later = np.zeros(max(len(keys[0]) - 1, 0), dtype=bool)
+    tied = ~later
+    for key in keys:
+        later |= tied & (key[1:] > key[:-1])
+        tied &= key[1:] == key[:-1]
+    return bool(later.all())
+
+
 @dataclass(frozen=True, eq=False)
 class Corpus:
     """Read-only record columns, built in any row order and kept sorted by
-    (category, year, pub_id): ``pub_id`` and ``category`` as object arrays
-    of ``str``, ``year`` and ``citations`` as int64.  ``group_slices`` maps
+    (category, year, pub_id): ``pub_id`` as numpy's UTF-8 ``StringDType``,
+    whose elements read as ``str``, ``category`` as an object array of
+    ``str``, ``year`` and ``citations`` as int64.  ``group_slices`` maps
     each group key, in key order, to its slice of the columns.  A (pub_id,
     category) pair may occur once, whatever its years, and no count may be
     negative.  Each ``pub_id`` and ``category`` is a non-empty ``str`` with
     no comma, double quote, line break, lone surrogate or leading or
     trailing whitespace, so that its CSV cell reads back the same; a value
-    error's ``row`` is the row at fault.  ``category`` is checked and ranked
-    once per distinct label, and its column holds one ``str`` object per
-    label; ``pub_id`` is checked and ranked row by row.
+    error's ``row`` is the row at fault.  The constructor checks and ranks
+    ``category`` once per distinct label, and its column holds one ``str``
+    object per label; it checks and ranks ``pub_id`` row by row.  The
+    package's own producers, ``ingest_csv``'s byte parse and
+    ``synth.generate``, hand over rows they have coded (``_Coded``) to
+    ``Corpus._of``, which runs only the duplicate check and the sort.
     """
 
     pub_id: np.ndarray
@@ -183,35 +267,36 @@ class Corpus:
     group_slices: dict[GroupKey, slice] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        pub = np.array(self.pub_id, dtype=object)
-        cat = np.array(self.category, dtype=object)
-        year, cites = _int64(self.year, "year"), _int64(self.citations, "citations")
-        n = len(pub)
-        if not len(year) == len(cat) == len(cites) == n:
-            raise ValueError("corpus columns must have equal lengths")
-        if n and cites.min() < 0:
-            row = int(np.argmax(cites < 0))
-            raise CorpusValueError(f"citations must be >= 0, got {cites[row]}", row=row)
+        self._build(_checked(self.pub_id, self.year, self.category, self.citations))
 
-        labels, cat_rank = _codes(cat.tolist(), "category")
-        _check_text(pub.tolist(), "pub_id")
-        pub_rank = _ranks(pub)
-        pairs = cat_rank * n + pub_rank
-        ordered = np.sort(pairs)
-        if (ordered[1:] == ordered[:-1]).any():
-            by_pair = np.argsort(pairs, kind="stable")  # equal pairs in row order
-            i = int(by_pair[1:][ordered[1:] == ordered[:-1]].min())  # first repeat
+    @classmethod
+    def _of(cls, coded: _Coded) -> Corpus:
+        """The Corpus of rows that their producer has checked and coded."""
+        corpus = object.__new__(cls)
+        corpus._build(coded)
+        return corpus
+
+    def _build(self, coded: _Coded) -> None:
+        """Reject a repeated (pub_id, category), naming the first row that
+        repeats an earlier one, then sort the rows and find the groups.
+        Rows already in order, as in an emitted file or a scenario whose
+        specs come in key order, are kept as they are: the producer's new
+        arrays become the columns."""
+        labels, code, pub, rank, year, cites = coded
+        i = coded.first_repeat()
+        if i is not None:
             raise DuplicateRecordError(
-                f"duplicate (pub_id, category) {(pub[i], cat[i])!r}", row=i
+                f"duplicate (pub_id, category) {(pub[i], labels[code[i]])!r}", row=i
             )
 
-        order = np.lexsort((pub_rank, year, cat_rank))
-        cat_rank = cat_rank[order]
-        for name, column in zip(CSV_HEADER, (pub[order], year[order],
-                                             labels[cat_rank], cites[order])):
+        if not _ascending(code, year, rank):
+            order = np.lexsort((rank, year, code))
+            pub, year, code, cites = pub[order], year[order], code[order], cites[order]
+        for name, column in zip(CSV_HEADER, (pub, year, labels[code], cites)):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        starts = np.flatnonzero(np.diff(cat_rank) | np.diff(self.year)) + 1
+        n = len(code)
+        starts = np.flatnonzero(np.diff(code) | np.diff(self.year)) + 1
         bounds = [0, *starts.tolist(), n] if n else []
         keys = zip(self.category[bounds[:-1]], self.year[bounds[:-1]].tolist())
         object.__setattr__(self, "group_slices", {
@@ -245,115 +330,122 @@ def _int_cells(raw: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarra
         return None
     value = np.zeros(len(width), dtype=np.uint64)  # 19 digits stay below 2**64
     for k in range(int(width.max(initial=0))):  # the digit worth 10**k
-        digit = raw.take(end - 1 - k, mode="clip").astype(np.uint64) - ord("0")
+        digit = raw.take(end - 1 - k, mode="clip") - np.uint8(ord("0"))
         digit[width <= k] = 0
         if digit.max() > 9:  # a byte below "0" wraps around to a large value
             return None
-        value += digit * 10**k
+        value += digit * np.uint64(10**k)
     return value.astype(np.int64) if value.max(initial=0) < np.uint64(2**63) else None
 
 
-def _label_cells(raw: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """The ASCII cells ``raw[start:end]`` as an object array of str, with
-    one str object per distinct cell.  The cells are laid out as fixed-width
-    bytes, NUL-padded (so no cell may hold a NUL); each run of equal cells
-    is made distinct and decoded once, and repeated over its rows.  Emitted
-    files are sorted by category, so the runs are few and ``np.unique``
-    sorts only their heads, not every row."""
+def _cells(raw: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The ASCII cells ``raw[start:end]`` as fixed-width bytes, NUL-padded
+    (so no cell may hold a NUL), laid out by one ``take`` per byte position."""
     width = end - start
     padded = np.zeros((len(width), max(int(width.max(initial=0)), 1)), dtype=np.uint8)
     for k in range(padded.shape[1]):
         padded[:, k] = np.where(k < width, raw.take(start + k, mode="clip"), 0)
-    cells = padded.view(f"S{padded.shape[1]}").ravel()
+    return padded.view(f"S{padded.shape[1]}").ravel()
+
+
+def _labels(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct texts of ``_cells``, as an object array of str,
+    and each row's index into them.  Each run of equal cells is made
+    distinct and decoded once: emitted files are sorted by category, so the
+    runs are few and ``np.unique`` sorts only their heads, not every row."""
     new = np.ones(len(cells), dtype=bool)
     new[1:] = cells[1:] != cells[:-1]
     heads = np.flatnonzero(new)
     distinct, codes = np.unique(cells[heads], return_inverse=True)
     labels = np.array([label.decode("ascii") for label in distinct.tolist()], dtype=object)
-    return np.repeat(labels[codes], np.diff(heads, append=len(cells)))
-
-
-def _text_cells(raw: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """The ASCII cells ``raw[start:end]``, each followed by a comma, as an
-    object array of str: the bytes of every cell and its comma are taken
-    in one mask, decoded once and split on the commas."""
-    bounds = np.empty(2 * len(start) + 2, dtype=np.intp)
-    bounds[0], bounds[1:-1:2], bounds[2:-1:2], bounds[-1] = 0, start, end + 1, len(raw)
-    inside = np.zeros(len(bounds) - 1, dtype=bool)
-    inside[1::2] = True  # the runs [start, end + 1), between runs outside every cell
-    cells = raw[np.repeat(inside, np.diff(bounds))].tobytes().decode("ascii").split(",")
-    cells.pop()  # the empty text after the last comma
-    return np.fromiter(cells, dtype=object, count=len(cells))
+    return labels, np.repeat(codes, np.diff(heads, append=len(cells)))
 
 
 def _read_plain(data: bytes) -> tuple | None:
-    """The header's cells and the data rows' four columns, parsed from the
-    bytes of a file in canonical form, or None for any other file.
+    """The header's cells, the ``pub_id`` and category cells (``_cells``)
+    and the year and citation columns, parsed from the bytes of a file in
+    canonical form, or None for any other file.
 
     The file must be ASCII with no double quote, CR or NUL, and every line
     (but blank lines at the end) must hold three commas and be at most
     ``csv.field_size_limit()`` bytes wide: then csv.reader would split it
     on its line breaks and commas.  No ``pub_id`` or ``category`` cell may
-    start or end with an ASCII pad byte, so that ingestion's strip would
-    leave it as it is.  Every year and citation cell must also be 1 to 19
-    ASCII digits within int64, a cell that ``int`` reads as its digits'
-    value.  One numpy scan finds the line breaks and commas, whose
-    positions bound every cell; ``category`` gets one str per distinct
-    label and ``pub_id`` one per row.  The category cells are laid out as
-    a rows x widest matrix, so a file whose matrix would take more bytes
-    than the file itself is left to csv.reader, which reads it in time
-    and memory linear in its size.
+    be empty or start or end with an ASCII pad byte, so that each is text
+    a Corpus accepts, as ingestion's strip would leave it.  Every year and
+    citation cell must also be 1 to 19 ASCII digits within int64, a cell
+    that ``int`` reads as its digits' value.  One numpy scan finds the
+    commas and line breaks, whose positions bound every cell.  The text
+    cells are laid out as rows x widest bytes (``_cells``), so a file whose
+    cells would take more bytes than the file itself is left to
+    csv.reader, which reads it in time and memory linear in its size.
     """
     if not data.isascii() or any(byte in data for byte in _NOT_PLAIN):
         return None
-    size = len(data.rstrip(b"\n"))  # blank lines at the end hold no rows
+    if not data.endswith(b"\n"):
+        data += b"\n"  # the last line, too, ends with its line break
+    size = len(data.rstrip(b"\n")) + 1  # blank lines at the end hold no rows
     raw = np.frombuffer(data, dtype=np.uint8, count=size)
-    breaks = np.flatnonzero(raw == ord("\n"))
-    commas = np.flatnonzero(raw == ord(","))
-    n_lines, width = len(breaks) + 1, len(CSV_HEADER) - 1
-    if len(commas) != width * n_lines:
+    seps = np.flatnonzero(_IS_SEP[raw])  # line i's are seps[4 * i: 4 * i + 4]
+    if size < 2**31:  # positions in half the bytes
+        seps = seps.astype(np.int32)
+    if len(seps) % 4 or (raw[seps].reshape(-1, 4) != _LINE_SEPS).any():
         return None
-    commas = commas.reshape(n_lines, width)  # line i's commas, if each has three
-    if (commas[:-1, -1] > breaks).any() or (commas[1:, 0] < breaks).any():
+    if int(np.diff(seps[3::4], prepend=-1).max()) - 1 > csv.field_size_limit():
         return None
-    ends = np.append(breaks, size)
-    if int(np.diff(ends, prepend=-1).max()) - 1 > csv.field_size_limit():
-        return None
-    # a data row's cell j lies between its edges j and j + 1: the line break
-    # before the row, its three commas and its end
-    edges = (breaks, *commas[1:].T, ends[1:])
-    for j in (0, 2):  # a text cell's first and last byte (for an empty cell, its delimiters)
-        if _IS_PAD[raw[edges[j] + 1]].any() or _IS_PAD[raw[edges[j + 1] - 1]].any():
+
+    def cell(j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each data row's cell j, as its start and end: row i's lies
+        between its separators 4 * i + 3 + j and 4 * i + 4 + j."""
+        return seps[3 + j:-1:4] + 1, seps[4 + j::4]
+
+    widest = 0
+    for j in (0, 2):  # the text cells
+        start, end = cell(j)
+        if (start == end).any() or _IS_PAD[raw[start]].any() or _IS_PAD[raw[end - 1]].any():
             return None
-    # the category cells, laid out rows x widest, may take no more bytes than the file
-    if len(breaks) * int((edges[3] - edges[2] - 1).max(initial=0)) > len(data):
+        widest += int((end - start).max(initial=0))
+    # the text cells, laid out rows x widest, may take no more bytes than the file
+    if len(start) * widest > len(data):
         return None
-    year, cites = (_int_cells(raw, edges[j] + 1, edges[j + 1]) for j in (1, 3))
+    year, cites = (_int_cells(raw, *cell(j)) for j in (1, 3))
     if year is None or cites is None:
         return None
-    header = data[: ends[0]].decode("ascii").split(",")
-    pub = _text_cells(raw, edges[0] + 1, edges[1])
-    return header, [pub, year, _label_cells(raw, edges[2] + 1, edges[3]), cites]
+    header = data[: seps[3]].decode("ascii").split(",")
+    return header, _cells(raw, *cell(0)), _cells(raw, *cell(2)), year, cites
 
 
-def _split(path: Path, data: bytes) -> tuple:
-    """The header's cells, the data rows' four columns, each row's file
-    line and the error of the line that ended the split early (or None).
+def _split(path: Path) -> tuple:
+    """The header's cells, the data rows before the first bad row, checked
+    and coded, each row's file line and the error of the first bad row (or
+    None).
 
-    A file in canonical form is parsed from its bytes by ``_read_plain``.
-    Any other file is decoded as UTF-8 (else :class:`CorpusFormatError`
-    naming the line) and split by csv.reader; its text cells are stripped
-    and its integer cells parsed by ``_parse_ints``.
+    A file in canonical form is parsed from its bytes by ``_read_plain``,
+    and has no bad row but a repeated (pub_id, category).  Its category
+    gets one str per distinct label (``_labels``) and its ``pub_id`` none:
+    the cells are ranked as bytes, whose order is ``str`` order for ASCII
+    with no NUL, and become a ``StringDType`` column.  Any other file is
+    decoded as UTF-8 (else :class:`CorpusFormatError` naming the line) and
+    split by csv.reader, up to a line it cannot split; its text cells are
+    stripped, its integer cells parsed by ``_parse_ints``, and its rows
+    checked as a Corpus checks them.  Either way the file's bytes are
+    dropped before the rows are coded.
     """
+    data = path.read_bytes()
+    if not data:
+        raise EmptyCorpusError(f"{path}: file is empty")
     plain = _read_plain(data)
     if plain is not None:
-        header, columns = plain
-        return header, columns, range(2, len(columns[0]) + 2), None
+        del data
+        header, pub, cat, year, cites = plain
+        rank = _ranks(pub)
+        coded = _Coded(*_labels(cat), pub.astype(_TEXT), rank, year, cites)
+        return header, coded, range(2, len(rank) + 2), None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line_no = data.count(b"\n", 0, exc.start) + 1
         raise CorpusFormatError(f"{path}, line {line_no}: not valid UTF-8") from None
+    del data
     reader = csv.reader(io.StringIO(text, newline=""))
     header, cells, line_nos, stop = None, [], [], None
     try:
@@ -377,9 +469,16 @@ def _split(path: Path, data: bytes) -> tuple:
     pub, year, cat, cites = (cells[i::4] for i in range(4))
     if not text.isascii() or any(c in text for c in _ASCII_PAD):
         pub, cat = (list(map(str.strip, column, repeat(_PAD))) for column in (pub, cat))
-    # object arrays, which the last-wins rebuild of ingest_csv indexes with an array
-    pub, cat = (np.array(column, dtype=object) for column in (pub, cat))
-    return header, [pub, _parse_ints(year), cat, _parse_ints(cites)], line_nos, stop
+    columns = [pub, _parse_ints(year), cat, _parse_ints(cites)]
+    # each bad row the checks find ends the rows before it, which are checked
+    # again, until none is left
+    end = len(line_nos)
+    while True:
+        try:
+            return header, _checked(*(column[:end] for column in columns)), line_nos, stop
+        except CorpusValueError as exc:
+            end = exc.row
+            stop = type(exc)(f"{path}, line {line_nos[end]}: {exc}")
 
 
 def _parse_ints(cells: list[str]) -> np.ndarray | list:
@@ -412,39 +511,32 @@ def ingest_csv(path: str | Path, strict: bool = False) -> IngestResult:
     :class:`EmptyCorpusError` for a file with no data rows.
     """
     path = Path(path)
-    data = path.read_bytes()
-    if not data:
-        raise EmptyCorpusError(f"{path}: file is empty")
-    header, columns, line_nos, error = _split(path, data)
-    del data  # raw bytes: not held while the Corpus builds
+    header, coded, line_nos, error = _split(path)
     if tuple(map(str.strip, header)) != CSV_HEADER:
         raise CorpusFormatError(
             f"{path}, line 1: expected header {','.join(CSV_HEADER)!r}, "
             f"got {','.join(header)!r}"
         )
 
-    # `error` belongs to row `end`, and the Corpus checks the rows before
-    # it; each error it finds there moves `end` back, until none is left.
-    end = len(line_nos)
-    while True:
-        columns = [column[:end] for column in columns]
-        try:
-            corpus = Corpus(*columns)
-        except CorpusValueError as exc:
-            if strict or not isinstance(exc, DuplicateRecordError):
-                end = exc.row
-                error = type(exc)(f"{path}, line {line_nos[end]}: {exc}")
-                continue
-            if error is None:  # values are checked before duplicates: last row wins
-                pairs = zip(columns[0].tolist(), columns[2].tolist())
-                keep = np.fromiter(dict(zip(pairs, range(end))).values(), np.int64)
-                corpus = Corpus(*(col[keep] for col in columns))
-        break
+    # `error` belongs to the row after the coded ones, which hold no other
+    # bad value: a repeated (pub_id, category) among them is the first error
+    # when strict, and otherwise the last of its rows wins
+    n_rows = len(coded.code)
+    try:
+        corpus = Corpus._of(coded)
+    except DuplicateRecordError as exc:
+        if strict:
+            error = type(exc)(f"{path}, line {line_nos[exc.row]}: {exc}")
+        elif error is None:
+            pairs = coded.pairs()
+            order = np.argsort(pairs, kind="stable")  # equal pairs in row order
+            last = np.append(pairs[order[1:]] != pairs[order[:-1]], True)
+            corpus = Corpus._of(coded.take(order[last]))
     if error is not None:
         raise error
-    if not end:
+    if not n_rows:
         raise EmptyCorpusError(f"{path}: no data rows")
-    return IngestResult(corpus=corpus, n_rows=end, n_warnings=end - len(corpus))
+    return IngestResult(corpus=corpus, n_rows=n_rows, n_warnings=n_rows - len(corpus))
 
 
 def _format_once(fmt: str, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -472,7 +564,8 @@ def _write_table(path: str | Path, header, columns) -> None:
     one per row.  Every text ends with its own comma or line end, so a row
     is its columns' texts joined.  Rows are gathered, joined and written
     ``_CSV_BLOCK_ROWS`` at a time, so the text of the whole table is never
-    held at once.
+    held at once, nor a ``str`` per row of a ``StringDType`` column: a
+    block's texts become ``str`` as they are gathered.
     """
     texts, index = columns[0]
     n = len(texts if index is None else index)

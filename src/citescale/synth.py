@@ -23,19 +23,19 @@ import operator
 import re
 from contextlib import suppress
 from dataclasses import asdict, dataclass, replace
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus
-from .errors import ScenarioError
+from .corpus import _TEXT, Corpus, _codes, _Coded, _int64, _ranks
+from .errors import CorpusValueError, ScenarioError
 
 FAMILIES = ("discretized-lognormal", "negative-binomial", "zipf-with-cutoff")
 
 _SEED_MASK = (1 << 64) - 1
 _INT64_MAX = (1 << 63) - 1
 _SURROGATE = re.compile("[\ud800-\udfff]")  # the one thing UTF-8 cannot encode
+_INDEX_DIGITS = 6  # a pub_id's index is zero-padded to this many digits
 
 
 def _integer(value, name: str) -> int:
@@ -193,17 +193,23 @@ def generate(scenario: Scenario) -> Corpus:
     families) and multiplied by ``count_scale``.
     pub_ids are ``<category>-<year>-<index>`` with a zero-padded index.
 
-    Work is per spec, not per record: each pub_id is the spec's prefix plus
-    an index text from one shared ``%06d`` list, which grows to a spec's
-    ``n`` only after that spec's draws have succeeded, so an ``n`` too large
-    to draw builds no text.  The year and category columns reach the Corpus
-    as one ``np.repeat`` each, the year column as int64.
+    Work is per spec, not per record.  Each spec's pub_ids are its prefix
+    added (``np.strings.add``) to the first ``n`` texts of one shared
+    ``StringDType`` array of indexes zero-padded to six digits, which grows
+    to a spec's ``n`` only after that spec's draws have succeeded, so an
+    ``n`` too large to draw builds no text.  The rows reach the Corpus
+    coded: each spec's category code and year, checked once per spec (an
+    error names the spec's first row), and its pub_ids' ranks, which are
+    their index order while every index has six digits.  The ids of one
+    category differ in their year or their index, so no two of its rows
+    share an id.
 
     Raises :class:`~citescale.errors.ScenarioError` naming the spec when its
     ``n`` values or its family cannot be drawn or held in memory, or when a
     lognormal draw, a scaled count or ``count_scale`` reaches 2**63.
     """
-    pub_ids, counts, index = [], [], []  # index: "%06d" texts of 0, 1, ...
+    counts, pub_ids, ranks, first = [], [], [], 0  # first: the spec's first row
+    index = np.empty(0, dtype=_TEXT)  # the padded texts of 0, 1, ...
     for spec in scenario.specs:
         where = f"spec {spec.category}/{spec.year}"
         rng = _spec_rng(scenario.seed, spec)
@@ -218,17 +224,27 @@ def generate(scenario: Scenario) -> Corpus:
                 f"{where}: a count times count_scale is beyond the int64 range"
             )
         counts.append(drawn * spec.count_scale)
-        index += map("%06d".__mod__, range(len(index), spec.n))
-        pub_ids += map(f"{spec.category}-{spec.year}-".__add__, islice(index, spec.n))
+        if len(index) < spec.n:
+            more = np.arange(len(index), spec.n).astype(_TEXT)
+            index = np.concatenate([index, np.strings.zfill(more, _INDEX_DIGITS)])
+        ids = index[: spec.n]
+        pub_ids.append(np.strings.add(f"{spec.category}-{spec.year}-", ids))
+        if spec.n <= 10**_INDEX_DIGITS:
+            rank = np.arange(spec.n)
+        else:  # a longer index: "1000000" sorts before "100001"
+            rank = _ranks(ids.astype(f"S{len(ids[-1])}"))
+        ranks.append(first + rank)
+        first += spec.n
     n = [spec.n for spec in scenario.specs]
-    years = [spec.year for spec in scenario.specs]
     try:
-        years = np.array(years, dtype=np.int64)
-    except OverflowError:  # a year beyond int64, for the Corpus to reject by row
-        years = np.array(years, dtype=object)
-    categories = np.array([spec.category for spec in scenario.specs], dtype=object)
-    return Corpus(pub_ids, np.repeat(years, n), np.repeat(categories, n),
-                  np.concatenate(counts))
+        years = _int64([spec.year for spec in scenario.specs], "year")
+        labels, codes = _codes([spec.category for spec in scenario.specs], "category")
+    except CorpusValueError as exc:  # name the spec's first row
+        raise CorpusValueError(str(exc), row=sum(n[: exc.row])) from None
+    return Corpus._of(_Coded(
+        labels, np.repeat(codes, n), np.concatenate(pub_ids), np.concatenate(ranks),
+        np.repeat(years, n), np.concatenate(counts),
+    ))
 
 
 def scaled_copy_scenario(base: CategorySpec, k: int, seed: int = 0) -> Scenario:

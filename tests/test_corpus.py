@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import random
 import re
@@ -21,9 +22,11 @@ from citescale.corpus import (
     Corpus,
     GroupKey,
     _format_once,
+    _checked,
     _codes,
     _per_group,
     _read_plain,
+    _split,
     _write_table,
     emit_csv,
     group_records,
@@ -37,7 +40,7 @@ from citescale.errors import (
     EmptyCorpusError,
 )
 from citescale.scaling import ScalingMethod, scale_corpus
-from citescale.synth import benchmark_scenario, generate
+from citescale.synth import CategorySpec, Scenario, benchmark_scenario, generate
 
 from conftest import write_corpus_csv
 
@@ -924,3 +927,137 @@ class TestSplitters:
     def test_pad_is_all_whitespace_but_line_breaks(self):
         spaces = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
         assert set(_PAD) == spaces - {"\r", "\n"} and len(_PAD) == len(set(_PAD))
+
+
+# pub_id texts whose str order the byte order of their UTF-8 would not give
+# as fixed-width cells: prefixes of one another, an embedded or trailing NUL,
+# non-ASCII and astral characters; half the lists are plain ASCII, which a
+# canonical file carries to the byte parse
+_PLAIN_ID = st.text(st.sampled_from("ab0~!"), min_size=1, max_size=3)
+_ANY_ID = st.text(st.sampled_from(["a", "b", "0", "~", "\x00", "é", "中", "\U0001f600"]),
+                  min_size=1, max_size=3).filter(lambda text: text == text.strip())
+
+
+class TestPubIdOrder:
+    """Every path into a Corpus ranks ``pub_id`` in Python's ``str`` order,
+    names the first repeated (pub_id, category) and keeps the last of its
+    rows, and still rejects the values it rejected as ``str``."""
+
+    @settings(max_examples=300)
+    @given(st.lists(_PLAIN_ID, min_size=1, max_size=8) | st.lists(_ANY_ID, min_size=1,
+                                                                   max_size=8))
+    def test_ranks_duplicates_and_order_are_those_of_str(self, ids):
+        distinct = sorted(set(ids))
+        ranks = [distinct.index(x) for x in ids]
+        repeat = next((i for i, x in enumerate(ids) if x in ids[:i]), None)
+        n = len(ids)
+        columns = (ids, [2003] * n, ["A"] * n, list(range(n)))
+        coded = _checked(*columns)
+        assert coded.pub_rank.tolist() == ranks and coded.pub_id.tolist() == ids
+        if repeat is None:
+            assert Corpus(*columns).pub_id.tolist() == distinct
+        else:
+            with pytest.raises(DuplicateRecordError) as exc:
+                Corpus(*columns)
+            assert exc.value.row == repeat
+        plain = all(x.isascii() and "\x00" not in x for x in ids)
+        rows = "".join(f"{x},2003,A,{i}\n" for i, x in enumerate(ids))
+        last = {x: i for i, x in enumerate(ids)}
+        with tempfile.TemporaryDirectory() as tmp:
+            for ending in ("\n", "\r\n"):  # a CR sends the file to csv.reader
+                data = (",".join(CSV_HEADER) + "\n" + rows).replace("\n", ending).encode()
+                path = Path(tmp) / "c.csv"
+                path.write_bytes(data)
+                assert (_read_plain(data) is not None) == (plain and ending == "\n")
+                coded = _split(path)[1]
+                assert coded.pub_rank.tolist() == ranks and coded.pub_id.tolist() == ids
+                if repeat is None:
+                    assert ingest_csv(path, strict=True).corpus == Corpus(*columns)
+                else:
+                    with pytest.raises(DuplicateRecordError, match=f"line {repeat + 2}:"):
+                        ingest_csv(path, strict=True)
+                result = ingest_csv(path)
+                assert result.corpus.pub_id.tolist() == distinct
+                assert result.corpus.citations.tolist() == [last[x] for x in distinct]
+                assert result.n_warnings == n - len(distinct)
+
+    @given(st.lists(_ANY_ID, min_size=1, max_size=6, unique=True), st.data())
+    def test_bad_pub_id_names_its_row(self, ids, data):
+        row = data.draw(st.integers(0, len(ids)))
+        bad = data.draw(st.sampled_from([5, None, b"a", "", " a", "a\t", "a\ud800"]))
+        n = len(ids) + 1
+        with pytest.raises(CorpusValueError) as exc:
+            Corpus(ids[:row] + [bad] + ids[row:], [2003] * n, ["A"] * n, [1] * n)
+        assert exc.value.row == row and "pub_id" in str(exc.value)
+        assert not isinstance(exc.value, DuplicateRecordError)
+        if bad == "":  # the one bad text a UTF-8 file can hold after the strip
+            cells = [f"{x},2003,A,1\n" for x in ids]
+            cells.insert(row, ",2003,A,1\n")
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "c.csv"
+                path.write_text(",".join(CSV_HEADER) + "\n" + "".join(cells),
+                                encoding="utf-8", newline="")
+                with pytest.raises(CorpusValueError, match=f"line {row + 2}: empty pub_id"):
+                    ingest_csv(path)
+
+    def test_pub_id_is_a_string_dtype_column(self, tmp_path):
+        corpus = corpus_of([("p2", 2003, "A", 1), ("p1\U0001f600", 2003, "A", 2)])
+        assert isinstance(corpus.pub_id.dtype, np.dtypes.StringDType)
+        assert corpus.pub_id.tolist() == ["p1\U0001f600", "p2"]
+        assert not corpus.pub_id.flags.writeable
+        emit_csv(corpus, tmp_path / "c.csv")
+        for path in (tmp_path / "c.csv", write_corpus_csv(tmp_path / "plain.csv",
+                                                          [("p2", 2003, "A", 1)])):
+            assert isinstance(ingest_csv(path).corpus.pub_id.dtype, np.dtypes.StringDType)
+
+    def test_last_wins_takes_the_coded_rows(self, tmp_path, monkeypatch):
+        # the rows kept after a repeat are not checked or ranked again
+        calls = []
+        for name in ("_checked", "_ranks"):
+            real = getattr(corpus_module, name)
+            monkeypatch.setattr(corpus_module, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        rows = [("p1", 2003, "A", 5), ("p2", 2003, "A", 1), ("p1", 2004, "A", 7)]
+        plain = write_corpus_csv(tmp_path / "plain.csv", rows)
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(plain.read_bytes().replace(b"\n", b"\r\n"))
+        for path, once in ((plain, ["_ranks"]), (crlf, ["_checked", "_ranks"])):
+            calls.clear()
+            result = ingest_csv(path)
+            assert calls == once and result.n_warnings == 1
+            assert result.corpus == corpus_of(rows[1:])
+
+
+class TestHeldMemory:
+    """A held corpus costs a few array cells per record and no Python
+    object: a ``str`` per ``pub_id`` would cost one allocated block and about
+    64 bytes per record."""
+
+    @pytest.mark.parametrize("source", ["ingest_csv", "generate"])
+    def test_no_python_object_per_record(self, tmp_path, source):
+        scenario = Scenario(seed=3, specs=(
+            CategorySpec("A", 2003, 2500, "negative-binomial", (1.0, 0.5)),
+            CategorySpec("B", 2007, 1500, "negative-binomial", (2.0, 0.3)),
+        ))
+        path = tmp_path / "corpus.csv"
+        emit_csv(generate(scenario), path)
+        build = {"ingest_csv": lambda: ingest_csv(path).corpus,
+                 "generate": lambda: generate(scenario)}[source]
+        build()  # caches filled on a first call are not the corpus's
+        gc.collect()
+        blocks = sys.getallocatedblocks()
+        corpus = build()
+        gc.collect()
+        grown = sys.getallocatedblocks() - blocks
+        del corpus
+        gc.collect()
+        tracemalloc.start()
+        try:
+            corpus = build()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == 4000
+        assert grown < len(corpus) / 20
+        # three 8-byte cells and a 16-byte pub_id per record
+        assert held / len(corpus) < 48

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from citescale.corpus import GroupKey, group_records
+from citescale import synth
+from citescale.corpus import Corpus, GroupKey, group_records
 from citescale.errors import CorpusValueError, ScenarioError
 from citescale.scaling import ScalingMethod, scale_corpus
 from citescale.synth import (
@@ -108,6 +109,40 @@ class TestGenerate:
         with pytest.raises(CorpusValueError, match="year is beyond the int64 range") as exc:
             generate(scenario)
         assert exc.value.row == 3
+
+    @pytest.mark.parametrize("category, message", [
+        ("", "empty category"), ("a,b", "category 'a,b' would not read back"),
+        (" A", "category ' A' would not read back"),
+    ])
+    def test_bad_category_names_the_specs_first_row(self, category, message):
+        # checked once per spec, with the row the constructor would name
+        scenario = Scenario(seed=5, specs=(
+            lognormal_spec(n=3), lognormal_spec(category=category, n=4),
+        ))
+        with pytest.raises(CorpusValueError, match=re.escape(message)) as exc:
+            generate(scenario)
+        assert exc.value.row == 3
+
+    def test_indexes_beyond_the_padding_are_ranked_as_str(self, monkeypatch):
+        # with two-digit padding, "100" sorts between "10" and "11": specs
+        # above 10**2 rows take their ids' str order, not their index order
+        monkeypatch.setattr(synth, "_INDEX_DIGITS", 2)
+        scenario = Scenario(seed=5, specs=(
+            lognormal_spec(n=120), lognormal_spec(category="B", n=7),
+            lognormal_spec(year=2007, n=101),
+        ))
+        corpus = generate(scenario)
+        ids = corpus.pub_id.tolist()
+        assert ids[:3] == ["A-2003-00", "A-2003-01", "A-2003-02"]
+        assert ids[10:14] == ["A-2003-10", "A-2003-100", "A-2003-101", "A-2003-102"]
+        assert ids == sorted(ids) and len(set(ids)) == len(ids) == 228
+        assert corpus == Corpus(corpus.pub_id, corpus.year, corpus.category,
+                                corpus.citations)
+
+    def test_pub_id_is_a_string_dtype_column(self):
+        corpus = generate(Scenario(seed=5, specs=(lognormal_spec(category="中", n=3),)))
+        assert isinstance(corpus.pub_id.dtype, np.dtypes.StringDType)
+        assert corpus.pub_id.tolist() == ["中-2003-000000", "中-2003-000001", "中-2003-000002"]
 
     def test_counts_always_non_negative_integers(self):
         scenario = Scenario(seed=11, specs=(
