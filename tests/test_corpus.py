@@ -335,6 +335,8 @@ class TestRoundTrip:
     @pytest.mark.parametrize("n_rows", [
         0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
         2 * _CSV_BLOCK_ROWS + 7,
+        # whole multiples of the block, one either side, and past eight blocks
+        32767, 32768, 32769, 65543,
     ])
     def test_write_csv_in_blocks_is_the_whole_text(self, n_rows, tmp_path):
         # a per-row, a per-group and a format-once column of the table
