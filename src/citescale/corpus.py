@@ -11,7 +11,8 @@ up to 15 bytes stored inline), so a corpus holds no Python object per
 record.  Categories are few and repeat on every row, so each distinct
 category is checked and ranked once.  The constructor checks and ranks
 each ``pub_id`` as a ``str``; the CSV byte parse and ``synth.generate``
-hand over rows they have already coded, with their ranks.
+(whose ids are per-spec prefixes on one shared index) are coded, ranks
+included, without a ``str`` per row.
 
 CSV wire format (canonical form):
     header ``pub_id,year,category,citations``, comma separated, LF line
@@ -96,11 +97,10 @@ class GroupKey:
 
 
 def _int64(values, name: str) -> np.ndarray:
-    """``values`` as a new int64 array, else :class:`CorpusValueError`
-    naming the first row that is not an integer or is beyond the int64
-    range."""
+    """``values`` as an int64 array, else :class:`CorpusValueError` naming
+    the first row that is not an integer or is beyond the int64 range."""
     if isinstance(values, np.ndarray) and values.dtype.kind == "i":
-        return values.astype(np.int64)
+        return values.astype(np.int64, copy=False)
     items = values.tolist() if isinstance(values, np.ndarray) else values
     try:
         return np.array(list(map(operator.index, items)), dtype=np.int64)
@@ -164,7 +164,9 @@ def _codes(values: list, name: str) -> tuple[np.ndarray, np.ndarray]:
 def _ranks(column: np.ndarray) -> np.ndarray:
     """Dense ranks of a column in Python's string order: an object column
     of str, or NUL-free ASCII cells as fixed-width bytes, whose NUL padding
-    sorts a prefix first as ``str`` does."""
+    sorts a prefix first as ``str`` does.  Not a ``StringDType`` column,
+    whose comparisons end at a NUL: numpy 2.4 finds ``"a\\x000"`` equal to
+    ``"a\\x001"``."""
     order = np.argsort(column, kind="stable")
     ordered = column[order]
     new = np.ones(len(column), dtype=bool)
@@ -176,13 +178,17 @@ def _ranks(column: np.ndarray) -> np.ndarray:
 
 
 class _Coded(NamedTuple):
-    """Checked rows, coded by their producer, in any row order: the sorted
-    distinct category labels (an object array of str), and per row the
-    index of its label, its ``pub_id`` (``StringDType``), its ``pub_id``'s
-    rank, its year and its count (int64).  The ranks order the ids of a
-    (category, year) group as ``str``, and two rows of a category share a
-    rank exactly when they share a ``pub_id``.  Every check of a Corpus but
-    the duplicate check has passed."""
+    """Checked rows in any row order, coded by ``_checked``, ``_generated``
+    or ``_split``'s byte parse: the sorted distinct category labels (an
+    object array of str), and per row the index of its label, its
+    ``pub_id``, its ``pub_id``'s rank, its year and its count (int64).
+    The ``pub_id`` column stays as its producer made it, an object array of
+    str, NUL-free ASCII cells as fixed-width bytes or ``StringDType``, until
+    the Corpus has sorted it: gathering ``StringDType`` rows costs 20 to 30
+    times what gathering either of the others does.  The ranks order the
+    ids of a (category, year) group as ``str``, and two rows of a category
+    share a rank exactly when they share a ``pub_id``.  Every check of a
+    Corpus but the duplicate check has passed."""
 
     labels: np.ndarray
     code: np.ndarray
@@ -227,18 +233,46 @@ def _checked(pub_id, year, category, citations) -> _Coded:
         raise CorpusValueError(f"citations must be >= 0, got {cites[row]}", row=row)
     labels, code = _codes(cat.tolist(), "category")
     _check_text(pub.tolist(), "pub_id")
-    return _Coded(labels, code, pub.astype(_TEXT), _ranks(pub), year, cites)
+    return _Coded(labels, code, pub, _ranks(pub), year, cites)
 
 
-def _ascending(*keys: np.ndarray) -> bool:
-    """Whether the rows are in strictly ascending order of ``keys``, the
-    first the most significant."""
-    later = np.zeros(max(len(keys[0]) - 1, 0), dtype=bool)
-    tied = ~later
-    for key in keys:
-        later |= tied & (key[1:] > key[:-1])
-        tied &= key[1:] == key[:-1]
-    return bool(later.all())
+def _generated(categories: list, years: list, prefixes: list, index: np.ndarray,
+               sizes: list, counts: list) -> _Coded:
+    """The rows of specs, coded: spec s gives ``sizes[s]`` rows of category
+    ``categories[s]`` and year ``years[s]``, whose ``pub_id`` is
+    ``prefixes[s]`` followed by each of the first ``sizes[s]`` texts of the
+    ``StringDType`` array ``index``, and whose counts are the int64
+    ``counts[s]``.  Each spec's category, year and prefix is checked once,
+    and each text of the index once, an error naming the first row that
+    holds it.  When no distinct prefix begins another, ids order as their
+    prefixes, then as their index texts, so an id's rank is built from
+    those two ranks and no ``pub_id`` becomes a ``str``; else every id is
+    ranked as a ``str``."""
+    first = np.cumsum([0, *sizes])  # each spec's first row
+    index = index[:max(sizes)]
+    try:
+        year = _int64(years, "year")
+        labels, code = _codes(categories, "category")
+        _check_text(prefixes, "pub_id prefix")
+    except CorpusValueError as exc:
+        raise CorpusValueError(str(exc), row=int(first[exc.row])) from None
+    texts = index.tolist()
+    try:
+        _check_text(texts, "pub_id index")
+    except CorpusValueError as exc:  # the first spec that reaches that text
+        spec = next(s for s, size in enumerate(sizes) if size > exc.row)
+        raise CorpusValueError(str(exc), row=int(first[spec]) + exc.row) from None
+    pub = np.concatenate([np.strings.add(p, index[:n]) for p, n in zip(prefixes, sizes)])
+    heads = sorted(set(prefixes))
+    if any(b.startswith(a) for a, b in zip(heads, heads[1:])):
+        rank = _ranks(pub.astype(object))
+    else:
+        place = dict(zip(heads, range(0, len(heads) * len(index), len(index))))
+        at = np.concatenate([np.arange(n) for n in sizes])  # each row's index text
+        rank = np.repeat([place[p] for p in prefixes], sizes)
+        rank += _ranks(np.array(texts, dtype=object))[at]
+    return _Coded(labels, np.repeat(code, sizes), pub, rank, np.repeat(year, sizes),
+                  np.concatenate(counts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,8 +290,9 @@ class Corpus:
     ``category`` once per distinct label, and its column holds one ``str``
     object per label; it checks and ranks ``pub_id`` row by row.  The
     package's own producers, ``ingest_csv``'s byte parse and
-    ``synth.generate``, hand over rows they have coded (``_Coded``) to
-    ``Corpus._of``, which runs only the duplicate check and the sort.
+    ``synth.generate`` (through ``_generated``), hand over coded rows
+    (``_Coded``) to ``Corpus._of``, which runs only the duplicate check and
+    the sort.
     """
 
     pub_id: np.ndarray
@@ -278,21 +313,18 @@ class Corpus:
 
     def _build(self, coded: _Coded) -> None:
         """Reject a repeated (pub_id, category), naming the first row that
-        repeats an earlier one, then sort the rows and find the groups.
-        Rows already in order, as in an emitted file or a scenario whose
-        specs come in key order, are kept as they are: the producer's new
-        arrays become the columns."""
+        repeats an earlier one, then sort the rows, make ``pub_id`` a
+        ``StringDType`` column and find the groups."""
         labels, code, pub, rank, year, cites = coded
         i = coded.first_repeat()
         if i is not None:
-            raise DuplicateRecordError(
-                f"duplicate (pub_id, category) {(pub[i], labels[code[i]])!r}", row=i
-            )
+            pair = pub[i:i + 1].astype(_TEXT).item(), labels[code[i]]
+            raise DuplicateRecordError(f"duplicate (pub_id, category) {pair!r}", row=i)
 
-        if not _ascending(code, year, rank):
-            order = np.lexsort((rank, year, code))
-            pub, year, code, cites = pub[order], year[order], code[order], cites[order]
-        for name, column in zip(CSV_HEADER, (pub, year, labels[code], cites)):
+        order = np.lexsort((rank, year, code))
+        code = code[order]
+        columns = pub[order].astype(_TEXT, copy=False), year[order], labels[code], cites[order]
+        for name, column in zip(CSV_HEADER, columns):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         n = len(code)
@@ -309,8 +341,9 @@ class Corpus:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Corpus):
             return NotImplemented
-        same = (np.array_equal(getattr(self, c), getattr(other, c)) for c in CSV_HEADER)
-        return all(same)
+        same = (np.array_equal(getattr(self, c), getattr(other, c)) for c in CSV_HEADER[1:])
+        # numpy's StringDType comparisons end at a NUL, so the ids compare as str
+        return all(same) and self.pub_id.tolist() == other.pub_id.tolist()
 
 
 @dataclass(frozen=True)
@@ -330,11 +363,11 @@ def _int_cells(raw: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarra
         return None
     value = np.zeros(len(width), dtype=np.uint64)  # 19 digits stay below 2**64
     for k in range(int(width.max(initial=0))):  # the digit worth 10**k
-        digit = raw.take(end - 1 - k, mode="clip") - np.uint8(ord("0"))
+        digit = raw.take(end - 1 - k, mode="clip").astype(np.uint64) - ord("0")
         digit[width <= k] = 0
         if digit.max() > 9:  # a byte below "0" wraps around to a large value
             return None
-        value += digit * np.uint64(10**k)
+        value += digit * 10**k
     return value.astype(np.int64) if value.max(initial=0) < np.uint64(2**63) else None
 
 
@@ -386,8 +419,6 @@ def _read_plain(data: bytes) -> tuple | None:
     size = len(data.rstrip(b"\n")) + 1  # blank lines at the end hold no rows
     raw = np.frombuffer(data, dtype=np.uint8, count=size)
     seps = np.flatnonzero(_IS_SEP[raw])  # line i's are seps[4 * i: 4 * i + 4]
-    if size < 2**31:  # positions in half the bytes
-        seps = seps.astype(np.int32)
     if len(seps) % 4 or (raw[seps].reshape(-1, 4) != _LINE_SEPS).any():
         return None
     if int(np.diff(seps[3::4], prepend=-1).max()) - 1 > csv.field_size_limit():
@@ -423,12 +454,12 @@ def _split(path: Path) -> tuple:
     and has no bad row but a repeated (pub_id, category).  Its category
     gets one str per distinct label (``_labels``) and its ``pub_id`` none:
     the cells are ranked as bytes, whose order is ``str`` order for ASCII
-    with no NUL, and become a ``StringDType`` column.  Any other file is
-    decoded as UTF-8 (else :class:`CorpusFormatError` naming the line) and
-    split by csv.reader, up to a line it cannot split; its text cells are
-    stripped, its integer cells parsed by ``_parse_ints``, and its rows
-    checked as a Corpus checks them.  Either way the file's bytes are
-    dropped before the rows are coded.
+    with no NUL, and stay bytes until the Corpus has sorted them.  Any
+    other file is decoded as UTF-8 (else :class:`CorpusFormatError` naming
+    the line) and split by csv.reader, up to a line it cannot split; its
+    text cells are stripped, its integer cells parsed by ``_parse_ints``,
+    and its rows checked as a Corpus checks them.  Either way the file's
+    bytes are dropped before the rows are coded.
     """
     data = path.read_bytes()
     if not data:
@@ -437,9 +468,8 @@ def _split(path: Path) -> tuple:
     if plain is not None:
         del data
         header, pub, cat, year, cites = plain
-        rank = _ranks(pub)
-        coded = _Coded(*_labels(cat), pub.astype(_TEXT), rank, year, cites)
-        return header, coded, range(2, len(rank) + 2), None
+        coded = _Coded(*_labels(cat), pub, _ranks(pub), year, cites)
+        return header, coded, range(2, len(pub) + 2), None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import _TEXT, Corpus, _codes, _Coded, _int64, _ranks
-from .errors import CorpusValueError, ScenarioError
+from .corpus import Corpus, _generated
+from .errors import ScenarioError
 
 FAMILIES = ("discretized-lognormal", "negative-binomial", "zipf-with-cutoff")
 
@@ -197,19 +197,17 @@ def generate(scenario: Scenario) -> Corpus:
     added (``np.strings.add``) to the first ``n`` texts of one shared
     ``StringDType`` array of indexes zero-padded to six digits, which grows
     to a spec's ``n`` only after that spec's draws have succeeded, so an
-    ``n`` too large to draw builds no text.  The rows reach the Corpus
-    coded: each spec's category code and year, checked once per spec (an
-    error names the spec's first row), and its pub_ids' ranks, which are
-    their index order while every index has six digits.  The ids of one
-    category differ in their year or their index, so no two of its rows
-    share an id.
+    ``n`` too large to draw builds no text.  ``corpus._generated`` builds
+    and codes the rows from each spec's category, year, prefix and ``n``,
+    checking each once (an error names the spec's first row), and ranks the
+    ids from the prefixes and the index.
 
     Raises :class:`~citescale.errors.ScenarioError` naming the spec when its
     ``n`` values or its family cannot be drawn or held in memory, or when a
     lognormal draw, a scaled count or ``count_scale`` reaches 2**63.
     """
-    counts, pub_ids, ranks, first = [], [], [], 0  # first: the spec's first row
-    index = np.empty(0, dtype=_TEXT)  # the padded texts of 0, 1, ...
+    counts = []
+    index = np.empty(0, dtype=np.dtypes.StringDType())  # the padded texts of 0, 1, ...
     for spec in scenario.specs:
         where = f"spec {spec.category}/{spec.year}"
         rng = _spec_rng(scenario.seed, spec)
@@ -225,25 +223,13 @@ def generate(scenario: Scenario) -> Corpus:
             )
         counts.append(drawn * spec.count_scale)
         if len(index) < spec.n:
-            more = np.arange(len(index), spec.n).astype(_TEXT)
+            more = np.arange(len(index), spec.n).astype(index.dtype)
             index = np.concatenate([index, np.strings.zfill(more, _INDEX_DIGITS)])
-        ids = index[: spec.n]
-        pub_ids.append(np.strings.add(f"{spec.category}-{spec.year}-", ids))
-        if spec.n <= 10**_INDEX_DIGITS:
-            rank = np.arange(spec.n)
-        else:  # a longer index: "1000000" sorts before "100001"
-            rank = _ranks(ids.astype(f"S{len(ids[-1])}"))
-        ranks.append(first + rank)
-        first += spec.n
-    n = [spec.n for spec in scenario.specs]
-    try:
-        years = _int64([spec.year for spec in scenario.specs], "year")
-        labels, codes = _codes([spec.category for spec in scenario.specs], "category")
-    except CorpusValueError as exc:  # name the spec's first row
-        raise CorpusValueError(str(exc), row=sum(n[: exc.row])) from None
-    return Corpus._of(_Coded(
-        labels, np.repeat(codes, n), np.concatenate(pub_ids), np.concatenate(ranks),
-        np.repeat(years, n), np.concatenate(counts),
+    specs = scenario.specs
+    return Corpus._of(_generated(
+        [spec.category for spec in specs], [spec.year for spec in specs],
+        [f"{spec.category}-{spec.year}-" for spec in specs], index,
+        [spec.n for spec in specs], counts,
     ))
 
 

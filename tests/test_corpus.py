@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citescale import corpus as corpus_module
@@ -24,6 +24,7 @@ from citescale.corpus import (
     _format_once,
     _checked,
     _codes,
+    _generated,
     _per_group,
     _read_plain,
     _split,
@@ -955,7 +956,8 @@ class TestPubIdOrder:
         n = len(ids)
         columns = (ids, [2003] * n, ["A"] * n, list(range(n)))
         coded = _checked(*columns)
-        assert coded.pub_rank.tolist() == ranks and coded.pub_id.tolist() == ids
+        assert coded.pub_rank.tolist() == ranks
+        assert coded.pub_id.astype(np.dtypes.StringDType()).tolist() == ids
         if repeat is None:
             assert Corpus(*columns).pub_id.tolist() == distinct
         else:
@@ -972,7 +974,8 @@ class TestPubIdOrder:
                 path.write_bytes(data)
                 assert (_read_plain(data) is not None) == (plain and ending == "\n")
                 coded = _split(path)[1]
-                assert coded.pub_rank.tolist() == ranks and coded.pub_id.tolist() == ids
+                assert coded.pub_rank.tolist() == ranks
+                assert coded.pub_id.astype(np.dtypes.StringDType()).tolist() == ids
                 if repeat is None:
                     assert ingest_csv(path, strict=True).corpus == Corpus(*columns)
                 else:
@@ -1007,6 +1010,8 @@ class TestPubIdOrder:
         assert isinstance(corpus.pub_id.dtype, np.dtypes.StringDType)
         assert corpus.pub_id.tolist() == ["p1\U0001f600", "p2"]
         assert not corpus.pub_id.flags.writeable
+        # numpy finds these two StringDType ids equal; the corpora are not
+        assert corpus_of([("a\x000", 2003, "A", 1)]) != corpus_of([("a\x001", 2003, "A", 1)])
         emit_csv(corpus, tmp_path / "c.csv")
         for path in (tmp_path / "c.csv", write_corpus_csv(tmp_path / "plain.csv",
                                                           [("p2", 2003, "A", 1)])):
@@ -1028,6 +1033,37 @@ class TestPubIdOrder:
             result = ingest_csv(path)
             assert calls == once and result.n_warnings == 1
             assert result.corpus == corpus_of(rows[1:])
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.sampled_from("AB"), st.sampled_from([2003, 2004]),
+                              st.text(st.sampled_from("x0-中"), min_size=1, max_size=3),
+                              st.integers(1, 4)), min_size=1, max_size=5),
+           st.lists(st.text(st.sampled_from(["0", "1", "é", "\x00", ","]), min_size=1,
+                            max_size=2), min_size=4, max_size=4))
+    # "x-0" sorts before "x0", "x" + "00" is "x0" + "0", and StringDType
+    # finds "x\x000" and "x\x001" equal
+    @example([("A", 2003, "x", 1), ("A", 2003, "x-", 1)], ["0", "1", "1", "1"])
+    @example([("A", 2003, "x", 2), ("A", 2004, "x0", 1)], ["0", "00", "1", "1"])
+    @example([("A", 2003, "x", 2)], ["\x000", "\x001", "1", "1"])
+    def test_generated_rows_are_those_of_the_constructor(self, specs, index):
+        # specs of (category, year, prefix, size) on one index: prefixes that
+        # begin one another, shared groups, repeated ids and unreadable texts
+        categories, years, prefixes, sizes = map(list, zip(*specs))
+        ids = [prefix + text for prefix, n in zip(prefixes, sizes) for text in index[:n]]
+        counts = np.split(np.arange(len(ids)), np.cumsum(sizes)[:-1])
+        columns = (ids, np.repeat(years, sizes).tolist(),
+                   np.repeat(categories, sizes).tolist(), np.concatenate(counts).tolist())
+        coded = lambda: _generated(categories, years, prefixes,  # noqa: E731
+                                   np.array(index, dtype=np.dtypes.StringDType()),
+                                   sizes, counts)
+        try:
+            expected = Corpus(*columns)
+        except CorpusValueError as exc:  # a repeated (pub_id, category) too
+            with pytest.raises(CorpusValueError) as got:
+                Corpus._of(coded())
+            assert type(got.value) is type(exc) and got.value.row == exc.row
+        else:
+            assert Corpus._of(coded()) == expected
 
 
 class TestHeldMemory:
