@@ -10,9 +10,10 @@ is one slice of them and grouping, scoring and emission read one order.
 up to 15 bytes stored inline), so a corpus holds no Python object per
 record.  Categories are few and repeat on every row, so each distinct
 category is checked and ranked once.  The constructor checks and ranks
-each ``pub_id`` as a ``str``; the CSV byte parse and ``synth.generate``
-(whose ids are per-spec prefixes on one shared index) are coded, ranks
-included, without a ``str`` per row.
+each ``pub_id`` as a ``str``; the CSV byte parse codes its rows, ranks
+included, without a ``str`` per row, and so does ``_generated``, which
+owns the generated ``pub_id`` format ``<category>-<year>-<index>`` and
+builds the rows ``synth.generate`` draws.
 
 CSV wire format (canonical form):
     header ``pub_id,year,category,citations``, comma separated, LF line
@@ -83,6 +84,7 @@ _LINE_SEPS = np.frombuffer(b",,,\n", dtype=np.uint8)  # a line's separators, in 
 _IS_PAD = np.zeros(256, dtype=bool)  # by byte value
 _IS_PAD[list(_ASCII_PAD.encode("ascii"))] = True
 _TEXT = np.dtypes.StringDType()  # numpy's UTF-8 text of any length (NEP 55)
+_INDEX_DIGITS = 6  # a generated pub_id's index is zero-padded to this many digits
 
 
 @dataclass(frozen=True, order=True)
@@ -163,10 +165,10 @@ def _codes(values: list, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 def _ranks(column: np.ndarray) -> np.ndarray:
     """Dense ranks of a column in Python's string order: an object column
-    of str, or NUL-free ASCII cells as fixed-width bytes, whose NUL padding
-    sorts a prefix first as ``str`` does.  Not a ``StringDType`` column,
-    whose comparisons end at a NUL: numpy 2.4 finds ``"a\\x000"`` equal to
-    ``"a\\x001"``."""
+    of str, NUL-free ASCII cells as fixed-width bytes, whose NUL padding
+    sorts a prefix first as ``str`` does, or a ``StringDType`` column that
+    holds no NUL, since its comparisons end at a NUL: numpy 2.4 finds
+    ``"a\\x000"`` equal to ``"a\\x001"``."""
     order = np.argsort(column, kind="stable")
     ordered = column[order]
     new = np.ones(len(column), dtype=bool)
@@ -185,10 +187,13 @@ class _Coded(NamedTuple):
     The ``pub_id`` column stays as its producer made it, an object array of
     str, NUL-free ASCII cells as fixed-width bytes or ``StringDType``, until
     the Corpus has sorted it: gathering ``StringDType`` rows costs 20 to 30
-    times what gathering either of the others does.  The ranks order the
-    ids of a (category, year) group as ``str``, and two rows of a category
-    share a rank exactly when they share a ``pub_id``.  Every check of a
-    Corpus but the duplicate check has passed."""
+    times what gathering either of the others does.  The ranks need not
+    order ids across groups or categories: they order the ids of a
+    (category, year) group as ``str``, and two rows of a category share a
+    rank exactly when they share a ``pub_id``.  ``_checked`` and the byte
+    parse rank every id of the column as ``str``; ``_generated`` ranks
+    each spec's ids by their index text alone.  Every check of a Corpus
+    but the duplicate check has passed."""
 
     labels: np.ndarray
     code: np.ndarray
@@ -236,41 +241,34 @@ def _checked(pub_id, year, category, citations) -> _Coded:
     return _Coded(labels, code, pub, _ranks(pub), year, cites)
 
 
-def _generated(categories: list, years: list, prefixes: list, index: np.ndarray,
-               sizes: list, counts: list) -> _Coded:
+def _generated(categories: list, years: list, sizes: list, counts: list) -> _Coded:
     """The rows of specs, coded: spec s gives ``sizes[s]`` rows of category
-    ``categories[s]`` and year ``years[s]``, whose ``pub_id`` is
-    ``prefixes[s]`` followed by each of the first ``sizes[s]`` texts of the
-    ``StringDType`` array ``index``, and whose counts are the int64
-    ``counts[s]``.  Each spec's category, year and prefix is checked once,
-    and each text of the index once, an error naming the first row that
-    holds it.  When no distinct prefix begins another, ids order as their
-    prefixes, then as their index texts, so an id's rank is built from
-    those two ranks and no ``pub_id`` becomes a ``str``; else every id is
-    ranked as a ``str``."""
+    ``categories[s]`` and year ``years[s]``, whose counts are the int64
+    ``counts[s]`` and whose ``pub_id`` values are ``<category>-<year>-<index>``
+    for the indexes 0 to ``sizes[s] - 1``, zero-padded to ``_INDEX_DIGITS``
+    digits.  Each spec's category and year is checked once, an error
+    naming the spec's first row.  No two specs may share a (category,
+    year), as ``synth.Scenario`` ensures.
+
+    A row's rank is ``spec * len(index)`` plus its index text's rank, so no
+    ``pub_id`` becomes a ``str``.  This meets ``_Coded``'s rules.  A spec
+    is one (category, year) group, whose ids share their prefix and so
+    order as their index texts.  No two rows share a rank, and no two rows
+    of a category share an id: within a spec the index texts differ, and
+    an id's year and index are read back after its category, since the
+    all-digit index holds no ``-``, so two specs of one category never
+    share an id."""
     first = np.cumsum([0, *sizes])  # each spec's first row
-    index = index[:max(sizes)]
     try:
         year = _int64(years, "year")
         labels, code = _codes(categories, "category")
-        _check_text(prefixes, "pub_id prefix")
     except CorpusValueError as exc:
         raise CorpusValueError(str(exc), row=int(first[exc.row])) from None
-    texts = index.tolist()
-    try:
-        _check_text(texts, "pub_id index")
-    except CorpusValueError as exc:  # the first spec that reaches that text
-        spec = next(s for s, size in enumerate(sizes) if size > exc.row)
-        raise CorpusValueError(str(exc), row=int(first[spec]) + exc.row) from None
-    pub = np.concatenate([np.strings.add(p, index[:n]) for p, n in zip(prefixes, sizes)])
-    heads = sorted(set(prefixes))
-    if any(b.startswith(a) for a, b in zip(heads, heads[1:])):
-        rank = _ranks(pub.astype(object))
-    else:
-        place = dict(zip(heads, range(0, len(heads) * len(index), len(index))))
-        at = np.concatenate([np.arange(n) for n in sizes])  # each row's index text
-        rank = np.repeat([place[p] for p in prefixes], sizes)
-        rank += _ranks(np.array(texts, dtype=object))[at]
+    index = np.strings.zfill(np.arange(max(sizes)).astype(_TEXT), _INDEX_DIGITS)
+    rank = _ranks(index)
+    pub = np.concatenate([np.strings.add(f"{c}-{y}-", index[:n])
+                          for c, y, n in zip(categories, year.tolist(), sizes)])
+    rank = np.concatenate([s * len(index) + rank[:n] for s, n in enumerate(sizes)])
     return _Coded(labels, np.repeat(code, sizes), pub, rank, np.repeat(year, sizes),
                   np.concatenate(counts))
 
@@ -289,10 +287,10 @@ class Corpus:
     error's ``row`` is the row at fault.  The constructor checks and ranks
     ``category`` once per distinct label, and its column holds one ``str``
     object per label; it checks and ranks ``pub_id`` row by row.  The
-    package's own producers, ``ingest_csv``'s byte parse and
-    ``synth.generate`` (through ``_generated``), hand over coded rows
-    (``_Coded``) to ``Corpus._of``, which runs only the duplicate check and
-    the sort.
+    package's own producers hand over coded rows (``_Coded``) to
+    ``Corpus._of``, which runs only the duplicate check and the sort:
+    ``ingest_csv``'s byte parse, and ``_generated``, which builds the rows
+    of ``synth.generate`` with their ``<category>-<year>-<index>`` ids.
     """
 
     pub_id: np.ndarray

@@ -35,7 +35,6 @@ FAMILIES = ("discretized-lognormal", "negative-binomial", "zipf-with-cutoff")
 _SEED_MASK = (1 << 64) - 1
 _INT64_MAX = (1 << 63) - 1
 _SURROGATE = re.compile("[\ud800-\udfff]")  # the one thing UTF-8 cannot encode
-_INDEX_DIGITS = 6  # a pub_id's index is zero-padded to this many digits
 
 
 def _integer(value, name: str) -> int:
@@ -193,21 +192,17 @@ def generate(scenario: Scenario) -> Corpus:
     families) and multiplied by ``count_scale``.
     pub_ids are ``<category>-<year>-<index>`` with a zero-padded index.
 
-    Work is per spec, not per record.  Each spec's pub_ids are its prefix
-    added (``np.strings.add``) to the first ``n`` texts of one shared
-    ``StringDType`` array of indexes zero-padded to six digits, which grows
-    to a spec's ``n`` only after that spec's draws have succeeded, so an
-    ``n`` too large to draw builds no text.  ``corpus._generated`` builds
-    and codes the rows from each spec's category, year, prefix and ``n``,
-    checking each once (an error names the spec's first row), and ranks the
-    ids from the prefixes and the index.
+    Work is per spec, not per record.  ``generate`` draws each spec's
+    counts, then hands each spec's category, year, ``n`` and counts to
+    ``corpus._generated``, which owns the ``pub_id`` format: it builds,
+    checks and codes the rows (an error names the spec's first row), so an
+    ``n`` too large to draw builds no text.
 
     Raises :class:`~citescale.errors.ScenarioError` naming the spec when its
     ``n`` values or its family cannot be drawn or held in memory, or when a
     lognormal draw, a scaled count or ``count_scale`` reaches 2**63.
     """
     counts = []
-    index = np.empty(0, dtype=np.dtypes.StringDType())  # the padded texts of 0, 1, ...
     for spec in scenario.specs:
         where = f"spec {spec.category}/{spec.year}"
         rng = _spec_rng(scenario.seed, spec)
@@ -222,13 +217,9 @@ def generate(scenario: Scenario) -> Corpus:
                 f"{where}: a count times count_scale is beyond the int64 range"
             )
         counts.append(drawn * spec.count_scale)
-        if len(index) < spec.n:
-            more = np.arange(len(index), spec.n).astype(index.dtype)
-            index = np.concatenate([index, np.strings.zfill(more, _INDEX_DIGITS)])
     specs = scenario.specs
     return Corpus._of(_generated(
         [spec.category for spec in specs], [spec.year for spec in specs],
-        [f"{spec.category}-{spec.year}-" for spec in specs], index,
         [spec.n for spec in specs], counts,
     ))
 
@@ -292,7 +283,8 @@ def load_scenario(path: str | Path) -> Scenario:
     try:
         with Path(path).open("r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except ValueError as exc:  # bad JSON or UTF-8, or an integer of > 4300 digits
+    # bad JSON or UTF-8, an integer of > 4300 digits, or nesting too deep to decode
+    except (ValueError, RecursionError) as exc:
         raise ScenarioError(f"{path}: not a JSON scenario: {exc}") from None
     return scenario_from_dict(data)
 

@@ -139,6 +139,19 @@ class TestErrorPaths:
             assert code == 1
             assert "not a JSON scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "report"])
+    def test_deeply_nested_scenario_json_exits_one(self, tmp_path, capsys, command):
+        # json's decoder raises RecursionError, not ValueError, on deep nesting
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "o"
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert lines[0].startswith(f"error: {path}: not a JSON scenario: ")
+        assert not out.exists()
+
     def test_non_utf8_csv_exits_one(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"pub_id,year,category,citations\np\xe9,2003,A,1\n")

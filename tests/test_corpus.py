@@ -1035,30 +1035,25 @@ class TestPubIdOrder:
             assert result.corpus == corpus_of(rows[1:])
 
     @settings(max_examples=300)
-    @given(st.lists(st.tuples(st.sampled_from("AB"), st.sampled_from([2003, 2004]),
-                              st.text(st.sampled_from("x0-中"), min_size=1, max_size=3),
-                              st.integers(1, 4)), min_size=1, max_size=5),
-           st.lists(st.text(st.sampled_from(["0", "1", "é", "\x00", ","]), min_size=1,
-                            max_size=2), min_size=4, max_size=4))
-    # "x-0" sorts before "x0", "x" + "00" is "x0" + "0", and StringDType
-    # finds "x\x000" and "x\x001" equal
-    @example([("A", 2003, "x", 1), ("A", 2003, "x-", 1)], ["0", "1", "1", "1"])
-    @example([("A", 2003, "x", 2), ("A", 2004, "x0", 1)], ["0", "00", "1", "1"])
-    @example([("A", 2003, "x", 2)], ["\x000", "\x001", "1", "1"])
-    def test_generated_rows_are_those_of_the_constructor(self, specs, index):
-        # specs of (category, year, prefix, size) on one index: prefixes that
-        # begin one another, shared groups, repeated ids and unreadable texts
-        categories, years, prefixes, sizes = map(list, zip(*specs))
-        ids = [prefix + text for prefix, n in zip(prefixes, sizes) for text in index[:n]]
-        counts = np.split(np.arange(len(ids)), np.cumsum(sizes)[:-1])
-        columns = (ids, np.repeat(years, sizes).tolist(),
-                   np.repeat(categories, sizes).tolist(), np.concatenate(counts).tolist())
-        coded = lambda: _generated(categories, years, prefixes,  # noqa: E731
-                                   np.array(index, dtype=np.dtypes.StringDType()),
-                                   sizes, counts)
+    @given(st.lists(st.tuples(st.text(st.sampled_from("x-01中\x00,"), max_size=3),
+                              st.integers(-10, 2003), st.integers(1, 4)),
+                    min_size=1, max_size=5, unique_by=lambda spec: spec[:2]))
+    # "x-1-" begins "x-1-0-", and "x--10-000000" is an id of both categories
+    @example([("x", 1, 2), ("x-1", 0, 2)])
+    @example([("x-", 10, 1), ("x", -10, 1)])
+    def test_generated_rows_are_those_of_the_constructor(self, specs):
+        # specs of (category, year, n): negative years, categories that
+        # begin one another or that a Corpus rejects, ids shared across
+        # categories; the columns are built as lists, since np.repeat of
+        # str drops a trailing NUL
+        categories, years, sizes = map(list, zip(*specs))
+        rows = [(f"{c}-{y}-{i:06d}", y, c) for c, y, n in specs for i in range(n)]
+        counts = np.split(np.arange(len(rows)), np.cumsum(sizes)[:-1])
+        columns = (*map(list, zip(*rows)), list(range(len(rows))))
+        coded = lambda: _generated(categories, years, sizes, counts)  # noqa: E731
         try:
             expected = Corpus(*columns)
-        except CorpusValueError as exc:  # a repeated (pub_id, category) too
+        except CorpusValueError as exc:
             with pytest.raises(CorpusValueError) as got:
                 Corpus._of(coded())
             assert type(got.value) is type(exc) and got.value.row == exc.row

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from citescale import synth
+from citescale import corpus as corpus_module
 from citescale.corpus import Corpus, GroupKey, group_records
 from citescale.errors import CorpusValueError, ScenarioError
 from citescale.scaling import ScalingMethod, scale_corpus
@@ -126,7 +126,7 @@ class TestGenerate:
     def test_indexes_beyond_the_padding_are_ranked_as_str(self, monkeypatch):
         # with two-digit padding, "100" sorts between "10" and "11": specs
         # above 10**2 rows take their ids' str order, not their index order
-        monkeypatch.setattr(synth, "_INDEX_DIGITS", 2)
+        monkeypatch.setattr(corpus_module, "_INDEX_DIGITS", 2)
         scenario = Scenario(seed=5, specs=(
             lognormal_spec(n=120), lognormal_spec(category="B", n=7),
             lognormal_spec(year=2007, n=101),
